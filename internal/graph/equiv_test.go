@@ -103,13 +103,14 @@ func syntheticModel() workload.Definition {
 	}
 }
 
-// TestConverterCycleExact is the tentpole acceptance test: for every
-// committed workload file plus synthetic DATA/MODEL definitions, across
-// two topology families and 1..2 passes, compiling the definition to a
-// graph and replaying it must reproduce the trainer's result
-// byte-for-byte — total cycles, per-layer compute, raw comm by pass,
-// exposed stalls, and per-collective durations.
+// TestConverterCycleExact pins layer-wise execution: for every committed
+// workload file plus synthetic DATA/MODEL definitions, across two
+// topology families and 1..2 passes, the run must reproduce the recorded
+// result in testdata/layerwise_golden.json exactly — total cycles,
+// per-layer compute, raw comm by pass, exposed stalls, and every
+// collective's creation and completion cycle.
 func TestConverterCycleExact(t *testing.T) {
+	golden := loadGolden(t)
 	defs := []workload.Definition{
 		loadWorkload(t, "dlrm.txt"),
 		loadWorkload(t, "resnet50.txt"),
@@ -132,14 +133,19 @@ func TestConverterCycleExact(t *testing.T) {
 					if testing.Short() && def.Name == "resnet50.txt" && passes == 2 {
 						t.Skip("skipping the slowest case in -short mode")
 					}
+					want, ok := golden[name]
+					if !ok {
+						t.Fatalf("%s has no case %s", goldenPath, name)
+					}
 					tr, err := workload.NewTrainer(newInst(t), def, passes)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := tr.Run()
+					trained, err := tr.Run()
 					if err != nil {
 						t.Fatal(err)
 					}
+					checkGolden(t, want, trained)
 					g, err := FromDefinition(def, passes)
 					if err != nil {
 						t.Fatal(err)
@@ -148,7 +154,7 @@ func TestConverterCycleExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					compareResults(t, want, got)
+					checkGolden(t, want, got)
 				})
 			}
 		}
