@@ -96,10 +96,10 @@ type Layer = workload.Layer
 type Scope = workload.Scope
 
 // TrainingResult is the outcome of a training simulation.
-type TrainingResult = workload.Result
+type TrainingResult = graph.Result
 
 // LayerStats is one layer's accumulated cost in a TrainingResult.
-type LayerStats = workload.LayerStats
+type LayerStats = graph.LayerStats
 
 // CollectiveResult tracks one completed collective, including its
 // end-to-end duration and per-phase queue/network delay breakdown.
@@ -359,12 +359,7 @@ func WithNetwork(n NetworkConfig) Option {
 // WithSymmetricLinks makes intra-package links identical to inter-package
 // links (the symmetric configurations of §V-B/V-C).
 func WithSymmetricLinks() Option {
-	return func(o *platformOpts) {
-		o.net.LocalLinkBandwidth = o.net.PackageLinkBandwidth
-		o.net.LocalLinkLatency = o.net.PackageLinkLatency
-		o.net.LocalPacketSize = o.net.PackagePacketSize
-		o.net.LocalLinkEfficiency = o.net.PackageLinkEfficiency
-	}
+	return func(o *platformOpts) { o.net = o.net.Symmetric() }
 }
 
 // WithRings sets the ring multiplicities: local counts unidirectional
@@ -699,7 +694,7 @@ func WriteGraph(w io.Writer, g *WorkloadGraph) error { return graph.Write(w, g) 
 // CompileGraph unrolls a layer-wise workload definition into an execution
 // graph whose replay is cycle-exact with Train.
 func CompileGraph(def Definition, passes int) (*WorkloadGraph, error) {
-	return graph.FromDefinition(def, passes)
+	return workload.FromDefinition(def, passes)
 }
 
 // Pipeline1F1BGraph generates a static 1F1B (PipeDream-Flush) pipeline-
@@ -708,7 +703,7 @@ func CompileGraph(def Definition, passes int) (*WorkloadGraph, error) {
 // activation and gradient tensors crossing stage boundaries as SEND/RECV
 // pairs.
 func Pipeline1F1BGraph(def Definition, cfg PipelineConfig, passes int) (*WorkloadGraph, error) {
-	return graph.Pipeline1F1B(def, cfg, passes)
+	return workload.Pipeline1F1B(def, cfg, passes)
 }
 
 // ModelSpec is a versioned JSON model description — an explicit layer
@@ -758,8 +753,8 @@ func CompileModel(spec *ModelSpec, plan *ParallelismPlan, steps int) (*WorkloadG
 }
 
 // RunGraph replays an execution graph over the platform and folds
-// per-node accounting into the trainer's result shape (per-layer compute,
-// raw and exposed communication).
+// per-node accounting into a TrainingResult (per-layer compute, raw and
+// exposed communication).
 func (p *Platform) RunGraph(g *WorkloadGraph) (TrainingResult, error) {
 	inst, aud, err := p.instance()
 	if err != nil {

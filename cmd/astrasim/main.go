@@ -21,15 +21,20 @@
 // packet drops with retransmit; see DESIGN.md §8) to the training run and
 // reports the dropped-packet and retransmit counters.
 //
-// -graph replays an execution-trace DAG (JSON, DESIGN.md §10) through the
-// dependency-driven graph engine instead of the layer-wise training loop;
-// -graph-dump compiles the selected -workload into that format and exits.
+// Every run replays an execution graph (DESIGN.md §10) through the
+// dependency-driven graph engine: -workload compiles the layer-wise
+// training loop into one, -graph reads one from a JSON trace, and -model
+// compiles one from a model spec. -graph-dump writes the graph instead of
+// running it.
 //
 // -model spec.json -plan plan.json compiles a versioned model spec under
 // a parallelism plan (dp/tp/pp/ep degrees, ZeRO stage, microbatches,
 // interleaving factor; DESIGN.md §15) into an execution graph unrolled
-// over -num-passes training steps and replays it — or writes the graph
-// out when combined with -graph-dump.
+// over -num-passes training steps.
+//
+// -write-workload writes the selected -workload as a Fig. 8 file and
+// exits; it cannot be combined with -graph or -model, which carry no
+// layer-wise definition.
 // -audit attaches the invariant auditor to the run and fails loudly on
 // any conservation or quiescence violation.
 //
@@ -44,6 +49,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,99 +69,141 @@ import (
 	"astrasim/internal/workload"
 )
 
-func main() {
-	wl := flag.String("workload", "resnet50", "workload file path, or builtin: resnet50|transformer|dlrm")
-	passes := flag.Int("num-passes", 2, "forward/backward iterations to simulate")
-	batch := flag.Int("batch", 32, "local minibatch size (builtin workloads)")
-	seqLen := flag.Int("seq-len", 128, "sequence length (builtin transformer)")
-	topoFlag := flag.String("topology", "2x4x4", "torus MxNxK, alltoall a2a:MxN, or composition hier:sw8,fc4,ring32")
-	algFlag := flag.String("algorithm", "enhanced", "baseline or enhanced collective algorithm")
-	policyFlag := flag.String("scheduling-policy", "LIFO", "LIFO or FIFO")
-	switches := flag.Int("global-switches", 2, "global switches (alltoall topology)")
-	localRings := flag.Int("local-rings", 2, "unidirectional local rings")
-	horizontalRings := flag.Int("horizontal-rings", 2, "bidirectional horizontal rings")
-	verticalRings := flag.Int("vertical-rings", 2, "bidirectional vertical rings")
-	splits := flag.Int("preferred-set-splits", config.DefaultSystem().PreferredSetSplits, "chunks per collective set")
-	endpointDelay := flag.Uint64("endpoint-delay", 10, "NMU delay per received message (cycles)")
-	computeScale := flag.Float64("compute-scale", 1, "NPU compute-power multiplier (builtin workloads)")
-	localBW := flag.Float64("local-link-bw", 200, "intra-package link bandwidth (GB/s)")
-	packageBW := flag.Float64("package-link-bw", 25, "inter-package link bandwidth (GB/s)")
-	pktCap := flag.Int("max-packets-per-message", 8, "packet-event cap per message (0 = exact)")
-	writeWorkload := flag.String("write-workload", "", "write the selected workload as a Fig. 8 file and exit")
-	faultsFlag := flag.String("faults", "", "JSON fault plan for the run (see DESIGN.md §8)")
-	traceOut := flag.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the run to this file")
-	graphFlag := flag.String("graph", "", "replay this execution graph (JSON, DESIGN.md §10) instead of the training loop")
-	modelFlag := flag.String("model", "", "model spec (JSON, DESIGN.md §15) to compile with -plan instead of -workload")
-	planFlag := flag.String("plan", "", "parallelism plan (JSON, DESIGN.md §15) for -model")
-	graphDump := flag.String("graph-dump", "", "compile the selected -workload into an execution graph, write it here, and exit")
-	auditFlag := flag.Bool("audit", false, "attach the invariant auditor and fail on any violation")
-	backendFlag := flag.String("backend", "packet", "network backend: packet (congestion-aware) or fast (congestion-unaware analytical)")
-	intraParallel := flag.Int("intra-parallel", 0, "shard-pool workers for intra-run parallel packet simulation (0 = serial engine; results are identical at any count)")
-	remoteMem := flag.String("remote-mem", "", "disaggregated memory tier, \"bw=<bytes/cycle>[,lat=<cycles>]\" (empty = disabled)")
-	flag.Parse()
+// options is the fully parsed and validated command line; main only
+// builds one and runs it, so tests can drive parseArgs directly.
+type options struct {
+	workload      string
+	passes        int
+	batch, seqLen int
+	computeScale  float64
+	topoSpec      string
+	topoOpts      cli.TopologyOptions
+	cfg           config.System
+	net           config.Network
+	writeWorkload string
+	faultsPath    string
+	traceOut      string
+	graphPath     string
+	modelPath     string
+	planPath      string
+	graphDump     string
+	audit         bool
+}
 
-	backend, err := config.ParseBackend(*backendFlag)
+// parseArgs parses the flag set and rejects unsupported flag
+// combinations, naming them in the error.
+func parseArgs(args []string) (*options, error) {
+	fs := flag.NewFlagSet("astrasim", flag.ContinueOnError)
+	wl := fs.String("workload", "resnet50", "workload file path, or builtin: resnet50|transformer|dlrm")
+	passes := fs.Int("num-passes", 2, "forward/backward iterations to simulate")
+	batch := fs.Int("batch", 32, "local minibatch size (builtin workloads)")
+	seqLen := fs.Int("seq-len", 128, "sequence length (builtin transformer)")
+	topoFlag := fs.String("topology", "2x4x4", "torus MxNxK, alltoall a2a:MxN, or composition hier:sw8,fc4,ring32")
+	algFlag := fs.String("algorithm", "enhanced", "baseline or enhanced collective algorithm")
+	policyFlag := fs.String("scheduling-policy", "LIFO", "LIFO or FIFO")
+	switches := fs.Int("global-switches", 2, "global switches (alltoall topology)")
+	localRings := fs.Int("local-rings", 2, "unidirectional local rings")
+	horizontalRings := fs.Int("horizontal-rings", 2, "bidirectional horizontal rings")
+	verticalRings := fs.Int("vertical-rings", 2, "bidirectional vertical rings")
+	splits := fs.Int("preferred-set-splits", config.DefaultSystem().PreferredSetSplits, "chunks per collective set")
+	endpointDelay := fs.Uint64("endpoint-delay", 10, "NMU delay per received message (cycles)")
+	computeScale := fs.Float64("compute-scale", 1, "NPU compute-power multiplier (builtin workloads)")
+	localBW := fs.Float64("local-link-bw", 200, "intra-package link bandwidth (GB/s)")
+	packageBW := fs.Float64("package-link-bw", 25, "inter-package link bandwidth (GB/s)")
+	pktCap := fs.Int("max-packets-per-message", 8, "packet-event cap per message (0 = exact)")
+	writeWorkload := fs.String("write-workload", "", "write the selected workload as a Fig. 8 file and exit")
+	faultsFlag := fs.String("faults", "", "JSON fault plan for the run (see DESIGN.md §8)")
+	traceOut := fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the run to this file")
+	graphFlag := fs.String("graph", "", "replay this execution graph (JSON, DESIGN.md §10) instead of the training loop")
+	modelFlag := fs.String("model", "", "model spec (JSON, DESIGN.md §15) to compile with -plan instead of -workload")
+	planFlag := fs.String("plan", "", "parallelism plan (JSON, DESIGN.md §15) for -model")
+	graphDump := fs.String("graph-dump", "", "compile the selected workload into an execution graph, write it here, and exit")
+	auditFlag := fs.Bool("audit", false, "attach the invariant auditor and fail on any violation")
+	backendFlag := fs.String("backend", "packet", "network backend: packet (congestion-aware) or fast (congestion-unaware analytical)")
+	intraParallel := fs.Int("intra-parallel", 0, "shard-pool workers for intra-run parallel packet simulation (0 = serial engine; results are identical at any count)")
+	remoteMem := fs.String("remote-mem", "", "disaggregated memory tier, \"bw=<bytes/cycle>[,lat=<cycles>]\" (empty = disabled)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	o := &options{
+		workload: *wl, passes: *passes, batch: *batch, seqLen: *seqLen,
+		computeScale: *computeScale,
+		topoSpec:     *topoFlag,
+		topoOpts: cli.TopologyOptions{
+			LocalRings:      *localRings,
+			HorizontalRings: *horizontalRings,
+			VerticalRings:   *verticalRings,
+			GlobalSwitches:  *switches,
+		},
+		cfg:           config.DefaultSystem(),
+		net:           config.DefaultNetwork(),
+		writeWorkload: *writeWorkload,
+		faultsPath:    *faultsFlag,
+		traceOut:      *traceOut,
+		graphPath:     *graphFlag,
+		modelPath:     *modelFlag,
+		planPath:      *planFlag,
+		graphDump:     *graphDump,
+		audit:         *auditFlag,
+	}
+	var err error
+	if o.cfg.Backend, err = config.ParseBackend(*backendFlag); err != nil {
+		return nil, err
+	}
+	if o.faultsPath != "" && o.cfg.Backend != config.PacketBackend {
+		return nil, fmt.Errorf("-faults requires the packet backend; the %v backend does not model faults", o.cfg.Backend)
+	}
+	if o.faultsPath != "" && *intraParallel > 0 {
+		return nil, fmt.Errorf("-faults and -intra-parallel are mutually exclusive; fault injection needs the serial engine")
+	}
+	if (o.modelPath == "") != (o.planPath == "") {
+		return nil, fmt.Errorf("-model and -plan must be given together")
+	}
+	if o.modelPath != "" && o.graphPath != "" {
+		return nil, fmt.Errorf("-model and -graph are mutually exclusive")
+	}
+	if o.writeWorkload != "" && (o.graphPath != "" || o.modelPath != "") {
+		return nil, fmt.Errorf("-write-workload needs a layer-wise -workload; -graph and -model have none")
+	}
+
+	o.cfg.IntraParallel = *intraParallel
+	if o.cfg.Algorithm, err = config.ParseAlgorithm(*algFlag); err != nil {
+		return nil, err
+	}
+	if o.cfg.SchedulingPolicy, err = config.ParseSchedulingPolicy(*policyFlag); err != nil {
+		return nil, err
+	}
+	o.cfg.PreferredSetSplits = *splits
+	o.cfg.EndpointDelay = *endpointDelay
+	o.cfg.LocalRings, o.cfg.HorizontalRings, o.cfg.VerticalRings = *localRings, *horizontalRings, *verticalRings
+	o.cfg.GlobalSwitches = *switches
+	if *remoteMem != "" {
+		if o.cfg.RemoteMemBandwidth, o.cfg.RemoteMemLatency, err = cli.ParseRemoteMem(*remoteMem); err != nil {
+			return nil, err
+		}
+	}
+	o.net.LocalLinkBandwidth = *localBW
+	o.net.PackageLinkBandwidth = *packageBW
+	o.net.MaxPacketsPerMessage = *pktCap
+	return o, nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fatal(err)
 	}
-	if *faultsFlag != "" && backend != config.PacketBackend {
-		fatal(fmt.Errorf("-faults requires the packet backend; the %v backend does not model faults", backend))
-	}
-	if *faultsFlag != "" && *intraParallel > 0 {
-		fatal(fmt.Errorf("-faults and -intra-parallel are mutually exclusive; fault injection needs the serial engine"))
-	}
 
-	if (*modelFlag == "") != (*planFlag == "") {
-		fatal(fmt.Errorf("-model and -plan must be given together"))
-	}
-	if *modelFlag != "" && *graphFlag != "" {
-		fatal(fmt.Errorf("-model and -graph are mutually exclusive"))
-	}
-	var modelGraph *graph.Graph
-	if *modelFlag != "" {
-		spec, err := modelgen.LoadSpec(*modelFlag)
+	if o.writeWorkload != "" && o.graphDump == "" {
+		def, err := loadWorkload(o.workload, o.batch, o.seqLen, o.computeScale)
 		if err != nil {
 			fatal(err)
 		}
-		mplan, err := modelgen.LoadPlan(*planFlag)
-		if err != nil {
-			fatal(err)
-		}
-		cm := compute.Default()
-		cm.Scale = *computeScale
-		if modelGraph, err = modelgen.Compile(spec, mplan, modelgen.Options{Steps: *passes, Compute: &cm}); err != nil {
-			fatal(err)
-		}
-	}
-
-	var def workload.Definition
-	if *modelFlag == "" && (*graphFlag == "" || *graphDump != "") {
-		if def, err = loadWorkload(*wl, *batch, *seqLen, *computeScale); err != nil {
-			fatal(err)
-		}
-	}
-	if *graphDump != "" {
-		g := modelGraph
-		if g == nil {
-			if g, err = graph.FromDefinition(def, *passes); err != nil {
-				fatal(err)
-			}
-		}
-		fh, err := os.Create(*graphDump)
-		if err != nil {
-			fatal(err)
-		}
-		if err := graph.Write(fh, g); err != nil {
-			fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d nodes, %d passes)\n", *graphDump, len(g.Nodes), g.Passes)
-		return
-	}
-	if *writeWorkload != "" {
-		fh, err := os.Create(*writeWorkload)
+		fh, err := os.Create(o.writeWorkload)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,51 +213,41 @@ func main() {
 		if err := fh.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d layers, %s)\n", *writeWorkload, len(def.Layers), def.Parallelism)
+		fmt.Printf("wrote %s (%d layers, %s)\n", o.writeWorkload, len(def.Layers), def.Parallelism)
 		return
 	}
 
-	cfg := config.DefaultSystem()
-	cfg.Backend = backend
-	cfg.IntraParallel = *intraParallel
-	if cfg.Algorithm, err = config.ParseAlgorithm(*algFlag); err != nil {
-		fatal(err)
-	}
-	if cfg.SchedulingPolicy, err = config.ParseSchedulingPolicy(*policyFlag); err != nil {
-		fatal(err)
-	}
-	cfg.PreferredSetSplits = *splits
-	cfg.EndpointDelay = *endpointDelay
-	cfg.LocalRings, cfg.HorizontalRings, cfg.VerticalRings = *localRings, *horizontalRings, *verticalRings
-	cfg.GlobalSwitches = *switches
-	if *remoteMem != "" {
-		if cfg.RemoteMemBandwidth, cfg.RemoteMemLatency, err = cli.ParseRemoteMem(*remoteMem); err != nil {
-			fatal(err)
-		}
-	}
-
-	topo, err := cli.BuildTopology(*topoFlag, cli.TopologyOptions{
-		LocalRings:      *localRings,
-		HorizontalRings: *horizontalRings,
-		VerticalRings:   *verticalRings,
-		GlobalSwitches:  *switches,
-	}, &cfg)
+	g, runName, err := buildGraph(o)
 	if err != nil {
 		fatal(err)
 	}
+	if o.graphDump != "" {
+		fh, err := os.Create(o.graphDump)
+		if err != nil {
+			fatal(err)
+		}
+		if err := graph.Write(fh, g); err != nil {
+			fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s (%d nodes, %d passes)\n", o.graphDump, len(g.Nodes), g.Passes)
+		return
+	}
 
-	net := config.DefaultNetwork()
-	net.LocalLinkBandwidth = *localBW
-	net.PackageLinkBandwidth = *packageBW
-	net.MaxPacketsPerMessage = *pktCap
-
-	inst, err := system.NewInstance(topo, cfg, net)
+	cfg := o.cfg
+	topo, err := cli.BuildTopology(o.topoSpec, o.topoOpts, &cfg)
+	if err != nil {
+		fatal(err)
+	}
+	inst, err := system.NewInstance(topo, cfg, o.net)
 	if err != nil {
 		fatal(err)
 	}
 	var plan *faults.Plan
-	if *faultsFlag != "" {
-		if plan, err = faults.Load(*faultsFlag); err != nil {
+	if o.faultsPath != "" {
+		if plan, err = faults.Load(o.faultsPath); err != nil {
 			fatal(err)
 		}
 		if err := faults.Apply(plan, inst); err != nil {
@@ -217,42 +255,20 @@ func main() {
 		}
 	}
 	var rec *trace.Recorder
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		rec = trace.New()
 		inst.Sys.Tracer = rec
 	}
 	var aud *audit.Auditor
-	if *auditFlag {
+	if o.audit {
 		aud = audit.Attach(inst.Sys, inst.Net)
 	}
-	var res workload.Result
-	var runName string
-	if modelGraph != nil {
-		runName = fmt.Sprintf("model %s (%d nodes)", modelGraph.Name, len(modelGraph.Nodes))
-		if res, err = graph.Run(inst, modelGraph); err != nil {
-			fatal(err)
-		}
-	} else if *graphFlag != "" {
-		g, err := graph.Load(*graphFlag)
-		if err != nil {
-			fatal(err)
-		}
-		runName = fmt.Sprintf("graph %s (%d nodes)", g.Name, len(g.Nodes))
-		if res, err = graph.Run(inst, g); err != nil {
-			fatal(err)
-		}
-	} else {
-		runName = fmt.Sprintf("workload %s (%s)", def.Name, def.Parallelism)
-		tr, err := workload.NewTrainer(inst, def, *passes)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = tr.Run(); err != nil {
-			fatal(err)
-		}
+	res, err := graph.Run(inst, g)
+	if err != nil {
+		fatal(err)
 	}
 	if rec != nil {
-		fh, err := os.Create(*traceOut)
+		fh, err := os.Create(o.traceOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -262,7 +278,7 @@ func main() {
 		if err := fh.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d spans)\n", *traceOut, rec.Len())
+		fmt.Printf("wrote %s (%d spans)\n", o.traceOut, rec.Len())
 	}
 
 	fmt.Printf("%s, %d passes on %s, %v algorithm, %v scheduling\n",
@@ -297,6 +313,45 @@ func main() {
 		}
 		fmt.Println("audit: all invariants held")
 	}
+}
+
+// buildGraph returns the execution graph the run replays, with the label
+// the report prints for it: the compiled -model, the -graph file, or the
+// -workload's training loop unrolled over -num-passes.
+func buildGraph(o *options) (*graph.Graph, string, error) {
+	switch {
+	case o.modelPath != "":
+		spec, err := modelgen.LoadSpec(o.modelPath)
+		if err != nil {
+			return nil, "", err
+		}
+		mplan, err := modelgen.LoadPlan(o.planPath)
+		if err != nil {
+			return nil, "", err
+		}
+		cm := compute.Default()
+		cm.Scale = o.computeScale
+		g, err := modelgen.Compile(spec, mplan, modelgen.Options{Steps: o.passes, Compute: &cm})
+		if err != nil {
+			return nil, "", err
+		}
+		return g, fmt.Sprintf("model %s (%d nodes)", g.Name, len(g.Nodes)), nil
+	case o.graphPath != "":
+		g, err := graph.Load(o.graphPath)
+		if err != nil {
+			return nil, "", err
+		}
+		return g, fmt.Sprintf("graph %s (%d nodes)", g.Name, len(g.Nodes)), nil
+	}
+	def, err := loadWorkload(o.workload, o.batch, o.seqLen, o.computeScale)
+	if err != nil {
+		return nil, "", err
+	}
+	g, err := workload.FromDefinition(def, o.passes)
+	if err != nil {
+		return nil, "", err
+	}
+	return g, fmt.Sprintf("workload %s (%s)", def.Name, def.Parallelism), nil
 }
 
 func loadWorkload(name string, batch, seqLen int, scale float64) (workload.Definition, error) {

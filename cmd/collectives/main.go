@@ -65,7 +65,6 @@ import (
 	"astrasim/internal/parallel"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
-	"astrasim/internal/workload"
 )
 
 // options is the fully parsed and validated command line; main only
@@ -210,9 +209,7 @@ func main() {
 
 	net := config.DefaultNetwork()
 	if o.symmetric {
-		net.LocalLinkBandwidth = net.PackageLinkBandwidth
-		net.LocalLinkLatency = net.PackageLinkLatency
-		net.LocalPacketSize = net.PackagePacketSize
+		net = net.Symmetric()
 	}
 
 	var model *oracle.Model
@@ -311,7 +308,7 @@ func main() {
 func runGraphBench(o *options, topo topology.Topology, cfg config.System, net config.Network) error {
 	type result struct {
 		inst *system.Instance
-		res  workload.Result
+		res  graph.Result
 		rep  audit.Report
 	}
 	results, err := parallel.Map(parallel.New(o.workers), len(o.sizes), func(i int) (result, error) {

@@ -26,9 +26,9 @@ const (
 	// layer assigns (lower value = more urgent), realizing §III-E's
 	// "further prioritizing and completing the first layer's
 	// communication operations before communication operations from
-	// later layers even though they were issued earlier". The trainer
-	// assigns each layer its index, so layer 0's gradients always jump
-	// the queue.
+	// later layers even though they were issued earlier". A compiled
+	// layer-wise workload assigns each layer its index, so layer 0's
+	// gradients always jump the queue.
 	Priority
 )
 
@@ -283,6 +283,17 @@ func DefaultNetwork() Network {
 		BuffersPerVC:           5000,
 		MaxPacketsPerMessage:   64,
 	}
+}
+
+// Symmetric returns n with the intra-package links given the
+// inter-package links' bandwidth, latency, packet size and efficiency
+// ("links with same BW", the symmetric configurations of §V-B/V-C).
+func (n Network) Symmetric() Network {
+	n.LocalLinkBandwidth = n.PackageLinkBandwidth
+	n.LocalLinkLatency = n.PackageLinkLatency
+	n.LocalPacketSize = n.PackagePacketSize
+	n.LocalLinkEfficiency = n.PackageLinkEfficiency
+	return n
 }
 
 // Validate reports the first invalid network parameter, if any.

@@ -151,3 +151,19 @@ func TestLSQWidthValidation(t *testing.T) {
 		t.Error("expected error for zero LSQ width")
 	}
 }
+
+// Symmetric copies every package-link parameter, efficiency included,
+// onto the local links and leaves the receiver untouched.
+func TestNetworkSymmetric(t *testing.T) {
+	n := DefaultNetwork()
+	n.PackageLinkEfficiency = 0.5
+	s := n.Symmetric()
+	if s.LocalLinkBandwidth != n.PackageLinkBandwidth || s.LocalLinkLatency != n.PackageLinkLatency ||
+		s.LocalPacketSize != n.PackagePacketSize || s.LocalLinkEfficiency != 0.5 {
+		t.Errorf("symmetric local links = %v B/cyc, %d cyc, %d B, eff %v",
+			s.LocalLinkBandwidth, s.LocalLinkLatency, s.LocalPacketSize, s.LocalLinkEfficiency)
+	}
+	if n.LocalLinkBandwidth != 200 || n.LocalLinkEfficiency != 0.94 {
+		t.Error("Symmetric mutated its receiver")
+	}
+}

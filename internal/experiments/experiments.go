@@ -126,11 +126,7 @@ func Quick() Options {
 // downgraded to inter-package characteristics ("links with same BW",
 // §V-B/V-C's symmetric configuration).
 func symmetricNet(pktCap int) config.Network {
-	n := config.DefaultNetwork()
-	n.LocalLinkBandwidth = n.PackageLinkBandwidth
-	n.LocalLinkLatency = n.PackageLinkLatency
-	n.LocalPacketSize = n.PackagePacketSize
-	n.LocalLinkEfficiency = n.PackageLinkEfficiency
+	n := config.DefaultNetwork().Symmetric()
 	n.MaxPacketsPerMessage = pktCap
 	return n
 }

@@ -56,7 +56,7 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 			Microbatches:  m,
 			BoundaryBytes: []int64{boundaryTotal / int64(m), boundaryTotal / int64(m), boundaryTotal / int64(m)},
 		}
-		g, err := graph.Pipeline1F1B(def, cfg, o.Passes)
+		g, err := workload.Pipeline1F1B(def, cfg, o.Passes)
 		if err != nil {
 			return point{}, fmt.Errorf("extgraph m=%d: %w", m, err)
 		}

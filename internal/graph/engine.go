@@ -9,7 +9,6 @@ import (
 	"astrasim/internal/eventq"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
-	"astrasim/internal/workload"
 )
 
 // Options configures an Engine.
@@ -40,17 +39,29 @@ type nodeState struct {
 	deliveredAt eventq.Time
 }
 
-// Engine replays a validated Graph over a system instance.
+// Engine replays a validated Graph over a system instance. It is the
+// simulator's one workload executor: layer-wise definitions, generated
+// pipeline schedules, compiled model plans and trace files all reach the
+// system layer through it.
 //
-// Scheduling is dependency-driven and mirrors the trainer's nested
-// sequential waits exactly: each node walks its dep list in declared
-// order in simulated time, suspending on unfinished deps, resuming via a
-// scheduled event at a collective's ready time (completion + local
-// update), and charging the stall to the dependency's layer as exposed
-// communication. Because the walk reproduces the trainer's continuation
-// structure event-for-event, a converted layer-wise workload replays
-// cycle-exactly, and exposed-vs-total analysis, trace spans, audit
-// conservation, fault plans, and oracle bounds apply unchanged.
+// Scheduling is dependency-driven. Every node starts at cycle 0 by
+// walking its dep list in declared order, in simulated time:
+//
+//   - a dep that is usable continues the walk in the same event;
+//   - an unfinished dep suspends the walk until it completes. A COMP,
+//     MEM or SEND dep resumes the walk inside its completion event; a
+//     COMM or RECV dep resumes it by a scheduled event at the dep's ready
+//     time (a collective's completion plus its local update time);
+//   - a finished COMM or RECV whose ready time is still ahead also
+//     resumes the walk by a scheduled event at that time.
+//
+// Waiting on a COMM or RECV charges the stall, from the later of the
+// suspension and the dep's start, to the dep's stats row as exposed
+// communication. When the list is exhausted the node starts; COMP and MEM
+// nodes on one replica lane run one at a time, and zero-cycle work
+// completes in the event that started it. Suspended walks resume in
+// registration order, so a run's event order, and with it every cycle
+// count, is a function of the graph alone.
 type Engine struct {
 	inst  *system.Instance
 	g     *Graph
@@ -58,7 +69,7 @@ type Engine struct {
 
 	idx     map[string]int
 	nodes   []nodeState
-	stats   []workload.LayerStats
+	stats   []LayerStats
 	statIdx map[string]int
 	statOf  []int // node -> stats row
 	lanes   map[int]eventq.Time
@@ -120,7 +131,7 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 			// Pre-compile the collective so scope/topology mismatches
 			// surface here instead of mid-simulation.
 			op, _ := collectives.ParseOp(n.Op)
-			dims, err := workload.Scope(n.Scope).Dims()
+			dims, err := topology.ParseScope(n.Scope)
 			if err != nil {
 				return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, n.ID, err)
 			}
@@ -142,7 +153,7 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 		if !ok {
 			row = len(e.stats)
 			e.statIdx[layer] = row
-			e.stats = append(e.stats, workload.LayerStats{Name: layer})
+			e.stats = append(e.stats, LayerStats{Name: layer})
 		}
 		e.statOf[i] = row
 	}
@@ -157,24 +168,23 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 }
 
 // Run replays the graph to completion and folds per-node accounting into
-// the trainer's result shape.
-func (e *Engine) Run() (workload.Result, error) {
+// per-layer stats rows.
+func (e *Engine) Run() (Result, error) {
 	// Every node's dependency walk begins at cycle 0 in declaration
-	// order: source nodes start synchronously (as the trainer starts
-	// forward(0,0) before Run), the rest suspend on their first
-	// unfinished dependency.
+	// order: source nodes start before the event loop runs, the rest
+	// suspend on their first unfinished dependency.
 	for i := range e.g.Nodes {
 		e.walk(i, 0)
 	}
 	e.inst.Eng.Run()
 	if e.err != nil {
-		return workload.Result{}, e.err
+		return Result{}, e.err
 	}
 	if e.remaining > 0 {
-		return workload.Result{}, fmt.Errorf("graph %s: %d of %d nodes never ran (stuck: %s); %d events fired",
+		return Result{}, fmt.Errorf("graph %s: %d of %d nodes never ran (stuck: %s); %d events fired",
 			e.g.Name, e.remaining, len(e.g.Nodes), e.stuckNodes(), e.inst.Eng.Fired())
 	}
-	return workload.Result{TotalCycles: e.endAt, Passes: e.g.Passes, Layers: e.stats}, nil
+	return Result{TotalCycles: e.endAt, Passes: e.g.Passes, Layers: e.stats}, nil
 }
 
 // stuckNodes lists (a few of) the nodes that never completed.
@@ -201,10 +211,10 @@ func (e *Engine) commKind(j int) bool {
 }
 
 // walk processes node i's dependencies from index d onward at the
-// current cycle — the trainer's chain of nested waits. Completed
-// communication deps whose ready time lies ahead charge the stall and
-// hop there via a scheduled event; unfinished deps suspend the walk as a
-// waiter on the dep. When the list is exhausted the node starts.
+// current cycle. Completed communication deps whose ready time lies ahead
+// charge the stall and hop there via a scheduled event; unfinished deps
+// suspend the walk as a waiter on the dep. When the list is exhausted the
+// node starts.
 func (e *Engine) walk(i, d int) {
 	if e.err != nil {
 		return
@@ -219,11 +229,10 @@ func (e *Engine) walk(i, d int) {
 			next := d + 1
 			ds.waiters = append(ds.waiters, func() {
 				// Runs inside j's completion. Non-comm deps resume the
-				// walk synchronously (the trainer's direct continuation
-				// call); comm deps charge the stall since the later of
-				// suspension and issue, then resume at the ready time
-				// (the trainer's eng.At(readyAt, k) — always a
-				// scheduled event, preserving event order).
+				// walk synchronously; comm deps charge the stall since
+				// the later of suspension and issue, then resume at the
+				// ready time, always by a scheduled event, even when
+				// that time is now.
 				if !e.commKind(j) {
 					e.walk(i, next)
 					return
@@ -289,8 +298,7 @@ func (e *Engine) execute(i int) {
 	case KindComp, KindMem:
 		cycles := ns.cycles
 		if cycles == 0 {
-			// Zero-cost work completes synchronously (the trainer's
-			// delay(0, k) calls k directly).
+			// Zero-cost work completes synchronously.
 			e.complete(i, now)
 			return
 		}
@@ -305,17 +313,16 @@ func (e *Engine) execute(i int) {
 		})
 	case KindComm:
 		op, _ := collectives.ParseOp(n.Op)
-		dims, _ := workload.Scope(n.Scope).Dims()
+		dims, _ := topology.ParseScope(n.Scope)
 		tag := n.Tag
 		if tag == "" {
 			tag = n.ID
 		}
 		raw, handles := commBuckets(st, n.Pass)
 		// Placement was validated by NewEngine; remote tensors pay the
-		// pool stall on top of the local update, like the trainer.
+		// pool stall on top of the local update.
 		p, _ := compute.ParsePlacement(n.Placement)
-		update := workload.Layer{UpdatePerKB: n.UpdatePerKB}.UpdateCycles(n.Bytes) +
-			e.remoteMemory().StallCycles(n.Bytes, p)
+		update := updateCycles(n.UpdatePerKB, n.Bytes) + e.remoteMemory().StallCycles(n.Bytes, p)
 		h, err := e.inst.Sys.Issue(system.CollectiveSpec{
 			Op: op, Bytes: n.Bytes, Tag: tag, Priority: n.Priority, Scope: dims,
 		}, func(h *system.Handle) {
@@ -380,7 +387,7 @@ func (e *Engine) finishRecv(i int) {
 
 // commBuckets maps a pass label to the stats row's raw-comm accumulator
 // and handle list.
-func commBuckets(st *workload.LayerStats, pass string) (*uint64, *[]*system.Handle) {
+func commBuckets(st *LayerStats, pass string) (*uint64, *[]*system.Handle) {
 	switch pass {
 	case "ig":
 		return &st.IGCommCycles, &st.IGHandles
@@ -392,7 +399,7 @@ func commBuckets(st *workload.LayerStats, pass string) (*uint64, *[]*system.Hand
 
 // complete marks node i done at the current cycle with the given resume
 // deadline for dependents, then notifies suspended walks in registration
-// order (matching the trainer's synchronous continuation chains).
+// order.
 func (e *Engine) complete(i int, effFinish eventq.Time) {
 	ns := &e.nodes[i]
 	ns.completed = true
@@ -416,8 +423,8 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// spanName labels a node's trace span: the trainer's "<pass> <layer>"
-// when both are set, the node ID otherwise.
+// spanName labels a node's trace span: "<pass> <layer>" when both are
+// set, the node ID otherwise.
 func (e *Engine) spanName(n *Node) string {
 	if n.Layer != "" && n.Pass != "" {
 		return n.Pass + " " + n.Layer
@@ -430,12 +437,23 @@ func (e *Engine) traceSpan(name, cat string, replica int, start, dur eventq.Time
 	e.inst.Sys.Tracer.Span(name, cat, 0, replica, start, dur, nil)
 }
 
+// updateCycles is the local update time of a completed collective (Fig.
+// 8's "Local Update Time"): perKB cycles for every started KB of the
+// communicated tensor.
+func updateCycles(perKB uint64, bytes int64) uint64 {
+	if bytes <= 0 {
+		return 0
+	}
+	kb := (bytes + 1023) / 1024
+	return perKB * uint64(kb)
+}
+
 // Run is the one-call convenience: build an engine over inst and replay
 // g with default options.
-func Run(inst *system.Instance, g *Graph) (workload.Result, error) {
+func Run(inst *system.Instance, g *Graph) (Result, error) {
 	e, err := NewEngine(inst, g, Options{})
 	if err != nil {
-		return workload.Result{}, err
+		return Result{}, err
 	}
 	return e.Run()
 }

@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
+	"astrasim/internal/graph"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
@@ -137,20 +138,11 @@ func TestConverterCycleExact(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s has no case %s", goldenPath, name)
 					}
-					tr, err := workload.NewTrainer(newInst(t), def, passes)
+					g, err := workload.FromDefinition(def, passes)
 					if err != nil {
 						t.Fatal(err)
 					}
-					trained, err := tr.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkGolden(t, want, trained)
-					g, err := FromDefinition(def, passes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Run(newInst(t), g)
+					got, err := graph.Run(newInst(t), g)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,54 +161,4 @@ func scoped(def workload.Definition) bool {
 		}
 	}
 	return false
-}
-
-// compareResults asserts got replays want exactly.
-func compareResults(t *testing.T, want, got workload.Result) {
-	t.Helper()
-	if got.TotalCycles != want.TotalCycles {
-		t.Errorf("TotalCycles = %d, want %d", got.TotalCycles, want.TotalCycles)
-	}
-	if got.Passes != want.Passes {
-		t.Errorf("Passes = %d, want %d", got.Passes, want.Passes)
-	}
-	if len(got.Layers) != len(want.Layers) {
-		t.Fatalf("got %d layer rows, want %d", len(got.Layers), len(want.Layers))
-	}
-	for i := range want.Layers {
-		w, g := want.Layers[i], got.Layers[i]
-		if g.Name != w.Name {
-			t.Errorf("layer %d name = %q, want %q", i, g.Name, w.Name)
-			continue
-		}
-		if g.ComputeCycles != w.ComputeCycles {
-			t.Errorf("%s: ComputeCycles = %d, want %d", w.Name, g.ComputeCycles, w.ComputeCycles)
-		}
-		if g.FwdCommCycles != w.FwdCommCycles || g.IGCommCycles != w.IGCommCycles || g.WGCommCycles != w.WGCommCycles {
-			t.Errorf("%s: comm cycles = %d/%d/%d, want %d/%d/%d", w.Name,
-				g.FwdCommCycles, g.IGCommCycles, g.WGCommCycles,
-				w.FwdCommCycles, w.IGCommCycles, w.WGCommCycles)
-		}
-		if g.ExposedCycles != w.ExposedCycles {
-			t.Errorf("%s: ExposedCycles = %d, want %d", w.Name, g.ExposedCycles, w.ExposedCycles)
-		}
-		compareHandles(t, w.Name+"/fwd", w.FwdHandles, g.FwdHandles)
-		compareHandles(t, w.Name+"/ig", w.IGHandles, g.IGHandles)
-		compareHandles(t, w.Name+"/wg", w.WGHandles, g.WGHandles)
-	}
-}
-
-// compareHandles asserts the same collectives ran with the same timing.
-func compareHandles(t *testing.T, label string, want, got []*system.Handle) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d handles, want %d", label, len(got), len(want))
-		return
-	}
-	for i := range want {
-		if got[i].CreatedAt != want[i].CreatedAt || got[i].DoneAt != want[i].DoneAt {
-			t.Errorf("%s[%d]: span [%d,%d], want [%d,%d]", label, i,
-				got[i].CreatedAt, got[i].DoneAt, want[i].CreatedAt, want[i].DoneAt)
-		}
-	}
 }

@@ -1,8 +1,10 @@
-package graph
+package graph_test
 
 import (
 	"path/filepath"
 	"testing"
+
+	"astrasim/internal/graph"
 )
 
 // TestCommittedGraphFiles loads and replays every workloads/*.graph.json
@@ -19,11 +21,11 @@ func TestCommittedGraphFiles(t *testing.T) {
 	for _, path := range matches {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			g, err := Load(path)
+			g, err := graph.Load(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(newTorusInstance(t), g)
+			res, err := graph.Run(newTorusInstance(t), g)
 			if err != nil {
 				t.Fatal(err)
 			}

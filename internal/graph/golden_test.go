@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"encoding/json"
@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"astrasim/internal/eventq"
+	"astrasim/internal/graph"
 	"astrasim/internal/system"
-	"astrasim/internal/workload"
 )
 
 // goldenPath holds the results TestConverterCycleExact pins: one entry per
@@ -62,7 +62,7 @@ func spans(hs []*system.Handle) [][2]eventq.Time {
 }
 
 // toGolden renders a result in the pinned form.
-func toGolden(res workload.Result) goldenCase {
+func toGolden(res graph.Result) goldenCase {
 	c := goldenCase{TotalCycles: res.TotalCycles, Passes: res.Passes}
 	for _, l := range res.Layers {
 		c.Layers = append(c.Layers, goldenLayer{
@@ -78,7 +78,7 @@ func toGolden(res workload.Result) goldenCase {
 }
 
 // checkGolden asserts got equals the pinned case exactly.
-func checkGolden(t *testing.T, want goldenCase, got workload.Result) {
+func checkGolden(t *testing.T, want goldenCase, got graph.Result) {
 	t.Helper()
 	g := toGolden(got)
 	if g.TotalCycles != want.TotalCycles || g.Passes != want.Passes {

@@ -1,18 +1,17 @@
-// Package graph is the execution-trace workload frontend: instead of the
-// fixed layer-wise training-loop algorithm of internal/workload, it
-// replays an arbitrary dependency DAG of compute, collective, point-to-
-// point, and memory nodes over the simulated system layer — the
-// generalization ASTRA-sim2.0 calls "graph-based execution traces"
-// (Chakra-style). Any schedule expressible as a DAG (1F1B pipelines,
-// overlapped/interleaved passes, MoE all-to-all patterns, real traces)
-// becomes a workload without touching the trainer.
+// Package graph is the simulator's workload executor: it replays a
+// dependency DAG of compute, collective, point-to-point, and memory nodes
+// over the simulated system layer — what ASTRA-sim2.0 calls "graph-based
+// execution traces" (Chakra-style). Every schedule is such a DAG: the
+// layer-wise training loop of internal/workload, 1F1B pipelines, compiled
+// model plans, MoE all-to-all patterns, and trace files.
 //
 // The package has three parts: a versioned JSON trace format
 // (Parse/Load/Validate), a dependency-driven scheduler (Engine) that
-// produces the same workload.Result accounting as the trainer, and
-// frontends (FromDefinition compiles a layer-wise Definition cycle-
-// exactly; Pipeline1F1B and Microbench generate schedules). See
-// DESIGN.md §10 and workloads/README.md for the format.
+// folds per-node costs into per-layer Result rows, and schedule helpers
+// (Schedule1F1B, Microbench). The frontends that compile other inputs
+// into graphs live with those inputs: workload.FromDefinition and
+// workload.Pipeline1F1B, and internal/modelgen. See DESIGN.md §10 and
+// workloads/README.md for the format.
 package graph
 
 import (
@@ -24,7 +23,7 @@ import (
 
 	"astrasim/internal/collectives"
 	"astrasim/internal/compute"
-	"astrasim/internal/workload"
+	"astrasim/internal/topology"
 )
 
 // FormatVersion is the trace-format version this package reads and
@@ -40,7 +39,7 @@ const (
 	// shape resolved through the analytical accelerator model.
 	KindComp Kind = "COMP"
 	// KindComm is a collective (reduce-scatter, all-gather, all-reduce,
-	// all-to-all) issued through the system layer like the trainer's.
+	// all-to-all) issued through the system layer.
 	KindComm Kind = "COMM"
 	// KindSend transmits bytes point-to-point; it completes at issue
 	// time (asynchronous send) and unblocks its paired RECV on delivery.
@@ -63,7 +62,7 @@ type GEMMSpec struct {
 // Node is one trace node. Deps list node IDs that must complete before
 // this node starts; dependency order is semantically meaningful for
 // stall accounting (stalls are attributed by walking deps in declared
-// order, mirroring the trainer's nested sequential waits).
+// order, see Engine).
 type Node struct {
 	ID   string   `json:"id"`
 	Kind Kind     `json:"kind"`
@@ -109,7 +108,7 @@ type Node struct {
 type Graph struct {
 	Version int    `json:"version"`
 	Name    string `json:"name,omitempty"`
-	// Passes is purely descriptive (reported in workload.Result); the
+	// Passes is purely descriptive (reported in Result); the
 	// node list already encodes every iteration. Defaults to 1.
 	Passes int    `json:"passes,omitempty"`
 	Nodes  []Node `json:"nodes"`
@@ -243,7 +242,7 @@ func (g *Graph) Validate() error {
 			if n.Bytes <= 0 {
 				return fail(i, "COMM needs positive bytes, got %d", n.Bytes)
 			}
-			if _, err := workload.Scope(n.Scope).Dims(); err != nil {
+			if _, err := topology.ParseScope(n.Scope); err != nil {
 				return fail(i, "scope %q: %v", n.Scope, err)
 			}
 			if n.Peer != "" || n.GEMM != nil || n.Cycles != 0 {

@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"astrasim/internal/graph"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
@@ -36,12 +37,12 @@ func pipe4Def() (workload.Definition, workload.PipelineConfig) {
 // any future change) must not perturb the emitted graph.
 func TestPipeline1F1BPinnedBytes(t *testing.T) {
 	def, cfg := pipe4Def()
-	g, err := Pipeline1F1B(def, cfg, 1)
+	g, err := workload.Pipeline1F1B(def, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := Write(&got, g); err != nil {
+	if err := graph.Write(&got, g); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join("..", "..", "workloads", "pipeline_1f1b.graph.json"))
@@ -55,7 +56,7 @@ func TestPipeline1F1BPinnedBytes(t *testing.T) {
 
 func TestSchedule1F1BErrors(t *testing.T) {
 	for _, tc := range [][3]int{{0, 4, 1}, {2, 0, 1}, {2, 4, 0}, {3, 4, 2}} {
-		if _, err := Schedule1F1B(tc[0], tc[1], tc[2]); err == nil {
+		if _, err := graph.Schedule1F1B(tc[0], tc[1], tc[2]); err == nil {
 			t.Errorf("Schedule1F1B(%d,%d,%d): want error", tc[0], tc[1], tc[2])
 		}
 	}
@@ -71,7 +72,7 @@ func TestSchedule1F1BInterleaved(t *testing.T) {
 		{2, 2, 2}, {2, 4, 2}, {2, 4, 3}, {4, 4, 2}, {4, 8, 2}, {3, 6, 4},
 	}
 	for _, tc := range grid {
-		sched, err := Schedule1F1B(tc.S, tc.M, tc.v)
+		sched, err := graph.Schedule1F1B(tc.S, tc.M, tc.v)
 		if err != nil {
 			t.Fatalf("Schedule1F1B(%d,%d,%d): %v", tc.S, tc.M, tc.v, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"astrasim/internal/graph"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
-	"astrasim/internal/workload"
 )
 
 func TestParseSpecErrorsNameFields(t *testing.T) {
@@ -139,7 +138,7 @@ func TestCompileScheduleGrid(t *testing.T) {
 
 // replay runs a compiled graph on a 2x2x2 torus with the audit layer
 // attached and returns the result.
-func replay(t *testing.T, g *graph.Graph, backend config.Backend) workload.Result {
+func replay(t *testing.T, g *graph.Graph, backend config.Backend) graph.Result {
 	t.Helper()
 	tp, err := topology.NewTorus(2, 2, 2, topology.DefaultTorusConfig())
 	if err != nil {
@@ -198,7 +197,7 @@ func TestCompiledGraphReplays(t *testing.T) {
 // plan placing optimizer state remote must replay cycle-identical to
 // the local-placement plan (satellite: PR-9 composition).
 func TestOptimizerPlacementCycleIdentity(t *testing.T) {
-	mk := func(placement string) workload.Result {
+	mk := func(placement string) graph.Result {
 		plan := &Plan{Version: 1, Name: "place", DP: 4, ZeROStage: 3, UpdatePerKB: 2,
 			OptimizerPlacement: placement}
 		g, err := Compile(denseSpec(), plan, Options{Steps: 2})

@@ -7,7 +7,7 @@ import (
 	"os"
 
 	"astrasim/internal/compute"
-	"astrasim/internal/workload"
+	"astrasim/internal/topology"
 )
 
 // PlanVersion is the parallelism-plan format version ParsePlan accepts.
@@ -164,7 +164,7 @@ func (p *Plan) Validate() error {
 	}{
 		{"tp_scope", p.TPScope}, {"dp_scope", p.DPScope}, {"ep_scope", p.EPScope},
 	} {
-		if _, err := workload.Scope(s.v).Dims(); err != nil {
+		if _, err := topology.ParseScope(s.v); err != nil {
 			return bad("%s: %v", s.field, err)
 		}
 	}

@@ -19,6 +19,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Node identifies a network endpoint. NPUs occupy ids [0, NumNPUs); global
@@ -91,6 +92,26 @@ func ParseDim(s string) (Dim, error) {
 		return AxisDim(n - 1), nil
 	}
 	return 0, fmt.Errorf("topology: unknown dimension %q", s)
+}
+
+// ParseScope resolves a collective scope, a '+'-separated list of
+// dimensions ("vertical", "local+horizontal"), to topology dimensions.
+// The empty scope means all dimensions (a global collective) and
+// resolves to nil.
+func ParseScope(s string) ([]Dim, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, "+")
+	dims := make([]Dim, 0, len(parts))
+	for _, p := range parts {
+		d, err := ParseDim(strings.TrimSpace(p))
+		if err != nil {
+			return nil, err
+		}
+		dims = append(dims, d)
+	}
+	return dims, nil
 }
 
 // AxisDim names the i-th inter-package axis of an N-dimensional torus:

@@ -398,3 +398,16 @@ func TestNewTorusErrors(t *testing.T) {
 		t.Error("expected error for zero switches")
 	}
 }
+
+func TestScopeParsing(t *testing.T) {
+	dims, err := ParseScope("local+horizontal")
+	if err != nil || len(dims) != 2 || dims[0] != DimLocal || dims[1] != DimHorizontal {
+		t.Errorf("Dims = %v, %v", dims, err)
+	}
+	if d, err := ParseScope(""); err != nil || d != nil {
+		t.Errorf("empty scope = %v, %v, want nil", d, err)
+	}
+	if _, err := ParseScope("diagonal"); err == nil {
+		t.Error("expected error for unknown dimension")
+	}
+}

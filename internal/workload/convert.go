@@ -1,23 +1,41 @@
-package graph
+package workload
 
 import (
 	"fmt"
 
 	"astrasim/internal/collectives"
 	"astrasim/internal/compute"
-	"astrasim/internal/workload"
+	"astrasim/internal/graph"
+	"astrasim/internal/system"
 )
 
-// FromDefinition compiles a layer-wise workload.Definition (DATA, MODEL,
-// or HYBRID parallelism) into an execution graph whose replay is
-// cycle-exact with the trainer: the node and dependency structure is an
-// exact unrolling of the training loop's continuation chains —
-// per-pass forward chains blocked by forward collectives, backward
-// chains overlapping input- and weight-gradient collectives, next-pass
-// forwards gated on the previous iteration's weight updates, and a final
-// drain — so compute, raw-comm, exposed-comm, and total-cycle accounting
-// all come out identical (asserted by the differential suite).
-func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
+// Result is the outcome of a training simulation (see graph.Result).
+type Result = graph.Result
+
+// LayerStats is one layer's accumulated cost in a Result.
+type LayerStats = graph.LayerStats
+
+// NewTrainer compiles def's training loop over passes iterations into an
+// execution graph and returns the graph engine that replays it on inst.
+func NewTrainer(inst *system.Instance, def Definition, passes int) (*graph.Engine, error) {
+	g, err := FromDefinition(def, passes)
+	if err != nil {
+		return nil, err
+	}
+	return graph.NewEngine(inst, g, graph.Options{})
+}
+
+// FromDefinition compiles a layer-wise Definition (DATA, MODEL, or HYBRID
+// parallelism) into the execution graph of its training loop (Fig. 8),
+// modelling one NPU's SPMD-symmetric timeline: per-pass forward chains
+// blocked by forward collectives, backward chains whose input-gradient
+// collective overlaps the weight-gradient compute and blocks the layer
+// below, weight-gradient collectives overlapping everything until the
+// next pass's forward of the same layer, and a final drain that waits out
+// the last weight updates in layer order. Each layer becomes one stats
+// row; stalls on its collectives are its exposed communication. The
+// result is pinned by graph.TestConverterCycleExact.
+func FromDefinition(def Definition, passes int) (*graph.Graph, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
@@ -36,7 +54,7 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 		seen[l.Name] = i
 	}
 
-	g := &Graph{Version: FormatVersion, Name: def.Name, Passes: passes}
+	g := &graph.Graph{Version: graph.FormatVersion, Name: def.Name, Passes: passes}
 	L := len(def.Layers)
 	active := func(op collectives.Op, bytes int64) bool {
 		return op != collectives.None && bytes > 0
@@ -52,18 +70,20 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 		}
 		return id(p, "fwd", l)
 	}
-	comm := func(p int, step string, l int, op collectives.Op, scope workload.Scope, bytes int64, pass string) Node {
+	comm := func(p int, step string, l int, op collectives.Op, scope Scope, bytes int64, pass string) graph.Node {
 		layer := def.Layers[l]
 		placement := ""
 		if layer.Placement != compute.PlaceLocal {
 			placement = layer.Placement.String()
 		}
-		return Node{
-			ID: id(p, step, l), Kind: KindComm,
+		return graph.Node{
+			ID: id(p, step, l), Kind: graph.KindComm,
 			Deps:  []string{id(p, pass, l)},
 			Layer: layer.Name, Pass: pass,
 			Op: op.String(), Scope: string(scope), Bytes: bytes,
-			// The layer index doubles as priority, as in the trainer.
+			// The layer index doubles as the collective's priority:
+			// under the Priority policy, earlier layers' gradients
+			// overtake later ones in the ready queue (§III-E).
 			Priority:    l,
 			UpdatePerKB: layer.UpdatePerKB,
 			Tag:         layer.Name + " " + pass,
@@ -83,7 +103,7 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 					// The new pass begins where the previous backward
 					// chain ended: layer 0's weight-gradient compute,
 					// its input-gradient exchange, then its weight
-					// update (the trainer's endPass continuation).
+					// update.
 					prev := def.Layers[0]
 					deps = append(deps, id(p-1, "wg", 0))
 					if active(prev.IGComm, prev.IGBytes) {
@@ -99,8 +119,8 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 					deps = append(deps, id(p-1, "wgcomm", l))
 				}
 			}
-			g.Nodes = append(g.Nodes, Node{
-				ID: id(p, "fwd", l), Kind: KindComp, Cycles: layer.FwdCompute,
+			g.Nodes = append(g.Nodes, graph.Node{
+				ID: id(p, "fwd", l), Kind: graph.KindComp, Cycles: layer.FwdCompute,
 				Layer: layer.Name, Pass: "fwd", Deps: deps,
 			})
 			if active(layer.FwdComm, layer.FwdBytes) {
@@ -123,15 +143,15 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 					igDeps = append(igDeps, id(p, "igcomm", l+1))
 				}
 			}
-			g.Nodes = append(g.Nodes, Node{
-				ID: id(p, "ig", l), Kind: KindComp, Cycles: layer.IGCompute,
+			g.Nodes = append(g.Nodes, graph.Node{
+				ID: id(p, "ig", l), Kind: graph.KindComp, Cycles: layer.IGCompute,
 				Layer: layer.Name, Pass: "ig", Deps: igDeps,
 			})
 			if active(layer.IGComm, layer.IGBytes) {
 				g.Nodes = append(g.Nodes, comm(p, "igcomm", l, layer.IGComm, layer.IGScope, layer.IGBytes, "ig"))
 			}
-			g.Nodes = append(g.Nodes, Node{
-				ID: id(p, "wg", l), Kind: KindComp, Cycles: layer.WGCompute,
+			g.Nodes = append(g.Nodes, graph.Node{
+				ID: id(p, "wg", l), Kind: graph.KindComp, Cycles: layer.WGCompute,
 				Layer: layer.Name, Pass: "wg", Deps: []string{id(p, "ig", l)},
 			})
 			if active(layer.WGComm, layer.WGBytes) {
@@ -153,8 +173,8 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 			deps = append(deps, id(last, "wgcomm", l))
 		}
 	}
-	g.Nodes = append(g.Nodes, Node{
-		ID: "end", Kind: KindComp, Cycles: 0,
+	g.Nodes = append(g.Nodes, graph.Node{
+		ID: "end", Kind: graph.KindComp, Cycles: 0,
 		Layer: l0.Name, Pass: "fwd", Deps: deps,
 	})
 	if err := g.Validate(); err != nil {

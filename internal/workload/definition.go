@@ -1,8 +1,10 @@
 // Package workload implements the Workload layer of ASTRA-SIM (paper
-// §IV-A): it parses the DNN description input file (Fig. 8), runs the
-// training-loop algorithm over the simulated system layer, and accounts
-// compute time, raw communication time, and *exposed* communication time
-// (stalls where training cannot proceed until a collective finishes).
+// §IV-A): it parses the DNN description input file (Fig. 8) and compiles
+// its training-loop algorithm into an execution graph (FromDefinition)
+// that internal/graph's engine replays over the simulated system layer,
+// accounting compute time, raw communication time, and *exposed*
+// communication time (stalls where training cannot proceed until a
+// collective finishes). It also generates pipeline-parallel schedules.
 package workload
 
 import (
@@ -76,26 +78,8 @@ func (p Parallelism) CommPattern() (activations, weightGrads, inputGrads bool) {
 // dimensions (a global collective). Hybrid parallelism uses scopes to run
 // activation exchanges within the model-parallel dimension only and
 // weight-gradient all-reduces within the data-parallel dimensions
-// (§III-A).
+// (§III-A). topology.ParseScope resolves it to dimensions.
 type Scope string
-
-// Dims resolves the scope to topology dimensions (nil for the empty
-// scope).
-func (s Scope) Dims() ([]topology.Dim, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(string(s), "+")
-	dims := make([]topology.Dim, 0, len(parts))
-	for _, p := range parts {
-		d, err := topology.ParseDim(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		dims = append(dims, d)
-	}
-	return dims, nil
-}
 
 // Layer is one DNN layer's workload description: per-pass compute delays
 // (from the compute model), per-pass collective type and size, and the
@@ -121,16 +105,6 @@ type Layer struct {
 	// layers of an existing workload file. Serialized as an optional
 	// second token on the update-time line.
 	Placement compute.Placement
-}
-
-// UpdateCycles returns the local update delay for a completed collective
-// of the given size.
-func (l Layer) UpdateCycles(bytes int64) uint64 {
-	if bytes <= 0 {
-		return 0
-	}
-	kb := (bytes + 1023) / 1024
-	return l.UpdatePerKB * uint64(kb)
 }
 
 // Definition is a parsed DNN workload (Table III parameter #1's file).
@@ -339,11 +313,10 @@ func parseCommToken(tok string) (collectives.Op, Scope, error) {
 	if !hasScope {
 		return op, "", nil
 	}
-	sc := Scope(scopePart)
-	if _, err := sc.Dims(); err != nil {
+	if _, err := topology.ParseScope(scopePart); err != nil {
 		return 0, "", err
 	}
-	return op, sc, nil
+	return op, Scope(scopePart), nil
 }
 
 // commToken renders an op with its optional scope suffix.

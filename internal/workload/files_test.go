@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,7 +40,9 @@ func TestShippedWorkloadFilesParse(t *testing.T) {
 }
 
 // FuzzParse exercises the Fig. 8 parser for panics and checks that every
-// successfully parsed definition round-trips through Write.
+// successfully parsed definition round-trips through Write and compiles,
+// for one and two passes, to an execution graph that passes
+// graph.Validate — the only way a definition reaches the simulator.
 func FuzzParse(f *testing.F) {
 	f.Add("DATA\n1\nl\n1 1 1\nNONE NONE ALLREDUCE\n0 0 1024\n1\n")
 	f.Add("HYBRID\n2\na\n1 2 3\nALLGATHER ALLREDUCE ALLREDUCE\n10 20 30\n0\nb\n4 5 6\nNONE NONE NONE\n0 0 0\n7\n")
@@ -54,7 +55,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf writeBuffer
+		var buf strings.Builder
 		if err := Write(&buf, def); err != nil {
 			t.Fatalf("Write of parsed definition failed: %v", err)
 		}
@@ -65,13 +66,14 @@ func FuzzParse(f *testing.F) {
 		if len(again.Layers) != len(def.Layers) {
 			t.Fatalf("round trip changed layer count: %d -> %d", len(def.Layers), len(again.Layers))
 		}
+		for passes := 1; passes <= 2; passes++ {
+			g, err := FromDefinition(def, passes)
+			if err != nil {
+				t.Fatalf("parsed definition does not compile for %d passes: %v\n%s", passes, err, input)
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("compiled graph for %d passes is invalid: %v\n%s", passes, err, input)
+			}
+		}
 	})
 }
-
-// writeBuffer is a minimal io.Writer for the fuzz target.
-type writeBuffer struct{ b []byte }
-
-func (w *writeBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-func (w *writeBuffer) String() string              { return string(w.b) }
-
-var _ = io.EOF

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"astrasim/internal/eventq"
+	"astrasim/internal/graph"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
 )
@@ -297,4 +298,114 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	}
 	res.BubbleRatio = 1 - float64(totalCompute)/(float64(numStages)*float64(endAt))
 	return res, nil
+}
+
+// Pipeline1F1B generates a static, non-interleaved 1F1B pipeline-
+// parallel schedule (PipeDream-Flush) as an execution graph: layers are
+// partitioned into stages (cfg.Boundaries), each stage runs on one NPU
+// (cfg.StageNodes, the graph replica lanes), the minibatch splits into
+// cfg.Microbatches, and activation/gradient tensors cross stage
+// boundaries as SEND/RECV pairs. Stage s runs min(S-1-s, M) warm-up
+// forwards, then alternates one-forward-one-backward, then drains —
+// encoded entirely as dependency edges, so the schedule is a pure DAG
+// replay. Collective fields of the definition are ignored (single
+// replica per stage), as in RunPipeline.
+func Pipeline1F1B(def Definition, cfg PipelineConfig, passes int) (*graph.Graph, error) {
+	if err := def.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(len(def.Layers)); err != nil {
+		return nil, err
+	}
+	if passes <= 0 {
+		return nil, fmt.Errorf("graph: passes must be positive, got %d", passes)
+	}
+	S := len(cfg.Boundaries) + 1
+	M := cfg.Microbatches
+
+	// Per-stage compute per microbatch, split as in RunPipeline.
+	bounds := append(append([]int{0}, cfg.Boundaries...), len(def.Layers))
+	fwd := make([]uint64, S)
+	bwd := make([]uint64, S)
+	for s := 0; s < S; s++ {
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			l := def.Layers[i]
+			fwd[s] += l.FwdCompute / uint64(M)
+			bwd[s] += (l.IGCompute + l.WGCompute) / uint64(M)
+		}
+	}
+
+	g := &graph.Graph{
+		Version: graph.FormatVersion,
+		Name:    fmt.Sprintf("%s 1f1b %d stages x %d microbatches", def.Name, S, M),
+		Passes:  passes,
+	}
+	fid := func(p, s, m int) string { return fmt.Sprintf("p%d/s%d/f%d", p, s, m) }
+	bid := func(p, s, m int) string { return fmt.Sprintf("p%d/s%d/b%d", p, s, m) }
+	stage := func(s int) string { return fmt.Sprintf("stage%d", s) }
+
+	// lastJob chains one pass's schedule onto the next per stage.
+	lastJob := make([]string, S)
+	for p := 0; p < passes; p++ {
+		// SEND/RECV pairs for every boundary crossing of this pass.
+		for s := 0; s < S-1; s++ {
+			for m := 0; m < M; m++ {
+				sendAct := fmt.Sprintf("p%d/s%d>s%d/act%d", p, s, s+1, m)
+				recvAct := fmt.Sprintf("p%d/s%d<s%d/act%d", p, s+1, s, m)
+				g.Nodes = append(g.Nodes,
+					graph.Node{ID: sendAct, Kind: graph.KindSend, Peer: recvAct,
+						Src: int(cfg.StageNodes[s]), Dst: int(cfg.StageNodes[s+1]),
+						Bytes: cfg.BoundaryBytes[s], Deps: []string{fid(p, s, m)},
+						Layer: stage(s), Pass: "fwd", Replica: s},
+					graph.Node{ID: recvAct, Kind: graph.KindRecv, Peer: sendAct,
+						Layer: stage(s + 1), Pass: "fwd", Replica: s + 1},
+					graph.Node{ID: fmt.Sprintf("p%d/s%d>s%d/grad%d", p, s+1, s, m), Kind: graph.KindSend,
+						Peer: fmt.Sprintf("p%d/s%d<s%d/grad%d", p, s, s+1, m),
+						Src:  int(cfg.StageNodes[s+1]), Dst: int(cfg.StageNodes[s]),
+						Bytes: cfg.BoundaryBytes[s], Deps: []string{bid(p, s+1, m)},
+						Layer: stage(s + 1), Pass: "ig", Replica: s + 1},
+					graph.Node{ID: fmt.Sprintf("p%d/s%d<s%d/grad%d", p, s, s+1, m), Kind: graph.KindRecv,
+						Peer:  fmt.Sprintf("p%d/s%d>s%d/grad%d", p, s+1, s, m),
+						Layer: stage(s), Pass: "ig", Replica: s},
+				)
+			}
+		}
+		// Per-stage static 1F1B job order (from the shared schedule
+		// emitter), serialized by chain edges.
+		schedule, err := graph.Schedule1F1B(S, M, 1)
+		if err != nil {
+			return nil, err
+		}
+		for s := 0; s < S; s++ {
+			prev := lastJob[s]
+			for _, j := range schedule[s] {
+				id, cycles, pass, extraDep := bid(p, s, j.Microbatch), bwd[s], "wg", ""
+				if j.Forward {
+					id, cycles, pass = fid(p, s, j.Microbatch), fwd[s], "fwd"
+					if s > 0 {
+						extraDep = fmt.Sprintf("p%d/s%d<s%d/act%d", p, s, s-1, j.Microbatch)
+					}
+				} else if s < S-1 {
+					extraDep = fmt.Sprintf("p%d/s%d<s%d/grad%d", p, s, s+1, j.Microbatch)
+				}
+				var deps []string
+				if prev != "" {
+					deps = append(deps, prev)
+				}
+				if extraDep != "" {
+					deps = append(deps, extraDep)
+				}
+				g.Nodes = append(g.Nodes, graph.Node{
+					ID: id, Kind: graph.KindComp, Cycles: cycles,
+					Layer: stage(s), Pass: pass, Replica: s, Deps: deps,
+				})
+				prev = id
+			}
+			lastJob[s] = prev
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: generated 1F1B DAG is invalid (generator bug): %w", err)
+	}
+	return g, nil
 }

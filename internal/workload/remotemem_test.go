@@ -10,7 +10,7 @@ import (
 	"astrasim/internal/topology"
 )
 
-// newRemoteMemInstance builds the 2x2x1 trainer fixture with a remote
+// newRemoteMemInstance builds the 2x2x1 training fixture with a remote
 // memory pool attached (bw bytes/cycle, lat cycles).
 func newRemoteMemInstance(t *testing.T, bw float64, lat uint64) *system.Instance {
 	t.Helper()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -130,19 +131,6 @@ func TestCommPatternTableI(t *testing.T) {
 	a, w, i = HybridParallel.CommPattern()
 	if !a || !w || !i {
 		t.Errorf("hybrid parallel pattern = %v %v %v", a, w, i)
-	}
-}
-
-func TestUpdateCycles(t *testing.T) {
-	l := Layer{UpdatePerKB: 3}
-	if got := l.UpdateCycles(2048); got != 6 {
-		t.Errorf("UpdateCycles(2048) = %d, want 6", got)
-	}
-	if got := l.UpdateCycles(1); got != 3 {
-		t.Errorf("UpdateCycles(1) = %d, want 3 (ceil to 1 KB)", got)
-	}
-	if got := l.UpdateCycles(0); got != 0 {
-		t.Errorf("UpdateCycles(0) = %d, want 0", got)
 	}
 }
 
@@ -356,7 +344,7 @@ func TestLIFONotWorseThanFIFO(t *testing.T) {
 	def := Definition{Name: "deep", Parallelism: DataParallel}
 	for i := 0; i < 8; i++ {
 		def.Layers = append(def.Layers, Layer{
-			Name:       "l",
+			Name:       fmt.Sprintf("l%d", i),
 			FwdCompute: 5000, IGCompute: 5000, WGCompute: 5000,
 			WGComm: collectives.AllReduce, WGBytes: 2 << 20,
 		})
@@ -591,19 +579,6 @@ func TestPipeline1F1BNotSlowerThanGPipe(t *testing.T) {
 	gpipe, ofob := run(GPipeSchedule), run(OneFOneBSchedule)
 	if ofob > gpipe {
 		t.Errorf("1F1B (%d) slower than GPipe (%d)", ofob, gpipe)
-	}
-}
-
-func TestScopeParsing(t *testing.T) {
-	dims, err := Scope("local+horizontal").Dims()
-	if err != nil || len(dims) != 2 || dims[0] != topology.DimLocal || dims[1] != topology.DimHorizontal {
-		t.Errorf("Dims = %v, %v", dims, err)
-	}
-	if d, err := Scope("").Dims(); err != nil || d != nil {
-		t.Errorf("empty scope = %v, %v, want nil", d, err)
-	}
-	if _, err := Scope("diagonal").Dims(); err == nil {
-		t.Error("expected error for unknown dimension")
 	}
 }
 
