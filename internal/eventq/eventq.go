@@ -37,13 +37,27 @@
 // window at a time, with all cross-engine traffic (InjectAt) performed
 // between windows under a barrier.
 //
-// The queue is a value-based binary heap: events are stored inline in one
-// backing slice rather than as individually heap-allocated nodes, so the
-// steady-state Schedule→Step cycle performs zero allocations — the slice
-// itself is the free list, its vacated slots reused by later events. Hot
-// callers that would otherwise allocate a closure per event can use Call /
-// CallAt, which carry a static function plus two pointer-shaped arguments
-// inline in the event.
+// # Queue structure
+//
+// The queue is time-bucketed. Pending events are grouped by firing
+// cycle: a small binary min-heap orders the distinct pending cycles, and
+// each cycle owns a bucket — a doubly linked list of its events in key
+// order. Firing takes the head of the earliest bucket. Scheduling finds
+// the bucket for its cycle through a one-entry cache of the last bucket
+// used, then a hash table from cycle to bucket, and appends: on one
+// engine, key order within a cycle equals creation order, so the append
+// is already sorted. Only InjectAt can bring a key below a bucket's tail;
+// such an event is placed by walking back from the tail, so the
+// six-field order holds exactly on every engine. Events that compare
+// equal (which valid keys never do) fire in scheduling order.
+//
+// Events live in a paged slot arena: fixed-size pages that are never
+// copied or released, plus a free list that fired events return their
+// slots to, so the steady-state Schedule→Step cycle performs zero
+// allocations. Hot callers that would otherwise allocate a closure per
+// event can use Call / CallAt, which carry a static function plus two
+// pointer-shaped arguments inline in the event; Schedule / At store the
+// Handler itself as the first argument of a static trampoline.
 package eventq
 
 import (
@@ -63,91 +77,311 @@ type Handler func()
 // does not allocate.
 type CallFunc func(a, b any)
 
-// event is stored by value inside the heap slice. Exactly one of h / fn
-// is set. The (at, ctime, gen2, comp, seq, sub) key is documented in the
-// package comment.
-type event struct {
-	at    Time
+// callHandler is the trampoline Schedule/At events fire through: the
+// Handler rides in a (a func value in an interface does not allocate).
+func callHandler(a, _ any) { a.(Handler)() }
+
+// key is an event's position among the events of its firing cycle: the
+// (ctime, gen2, comp, seq, sub) part of the ordering key documented in
+// the package comment.
+type key struct {
 	ctime Time   // creation cycle
 	gen2  Time   // creator's creation cycle
 	seq   uint64 // per-engine creation order
 	comp  uint32 // owning component (0 = main)
 	sub   uint32 // per-handler cross-engine injection order
-	h     Handler
-	fn    CallFunc
-	a,
-	b any
 }
 
-// eventHeap is a hand-rolled binary min-heap over inline event values,
-// ordered by the six-field event key. container/heap is avoided
-// deliberately: its interface forces every push through an `any` boxing
-// allocation.
-type eventHeap struct {
-	items []event
+func (k key) less(o key) bool {
+	if k.ctime != o.ctime {
+		return k.ctime < o.ctime
+	}
+	if k.gen2 != o.gen2 {
+		return k.gen2 < o.gen2
+	}
+	if k.comp != o.comp {
+		return k.comp < o.comp
+	}
+	if k.seq != o.seq {
+		return k.seq < o.seq
+	}
+	return k.sub < o.sub
 }
 
-func (h *eventHeap) len() int { return len(h.items) }
-
-func (h *eventHeap) less(i, j int) bool {
-	a, b := &h.items[i], &h.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.ctime != b.ctime {
-		return a.ctime < b.ctime
-	}
-	if a.gen2 != b.gen2 {
-		return a.gen2 < b.gen2
-	}
-	if a.comp != b.comp {
-		return a.comp < b.comp
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.sub < b.sub
+// slot holds one pending event in the arena. It stores no firing cycle:
+// the bucket holding it knows that. next/prev link the bucket's events in
+// key order (0 = none; the head's prev is not maintained); a free slot's
+// next links the free list.
+type slot struct {
+	key
+	fn         CallFunc
+	a, b       any
+	next, prev int32
 }
 
-func (h *eventHeap) push(ev event) {
-	h.items = append(h.items, ev)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
+// Slot ids index a paged arena. Pages are fixed-size and never copied, so
+// growing the arena allocates one page and moves nothing.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+// bucket lists the pending events of one firing cycle.
+type bucket struct {
+	at         Time
+	head, tail int32 // slot ids; a free bucket's head links the free list
+}
+
+// cycle pairs a firing cycle with its bucket: an entry of the
+// distinct-cycle heap and of the cycle table.
+type cycle struct {
+	at Time
+	b  int32 // bucket index
+}
+
+// queue is the time-bucketed event queue described in the package
+// comment. Slot id 0 and bucket index 0 are reserved as "none", so the
+// zero value is an empty queue.
+type queue struct {
+	pages []*[pageSize]slot
+	used  int32 // slot ids handed out so far
+	free  int32 // head of the free-slot list
+	n     int   // pending events
+
+	buckets []bucket
+	freeB   int32      // head of the free-bucket list
+	last    int32      // bucket most recently scheduled into
+	byAt    cycleTable // firing cycle -> bucket
+	cycles  []cycle    // binary min-heap of distinct pending cycles
+}
+
+func (q *queue) slot(id int32) *slot { return &q.pages[id>>pageBits][id&(pageSize-1)] }
+
+// alloc takes a slot from the free list, or the next unused arena slot.
+func (q *queue) alloc() int32 {
+	if id := q.free; id != 0 {
+		q.free = q.slot(id).next
+		return id
+	}
+	if q.used&(pageSize-1) == 0 {
+		q.pages = append(q.pages, new([pageSize]slot))
+		if q.used == 0 {
+			q.used = 1
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
 	}
+	id := q.used
+	q.used++
+	return id
 }
 
-func (h *eventHeap) pop() event {
-	n := len(h.items)
-	root := h.items[0]
-	h.items[0] = h.items[n-1]
-	// Clear the vacated slot so the heap does not retain the handler
-	// closure (and whatever it captures) after the event fired.
-	h.items[n-1] = event{}
-	h.items = h.items[:n-1]
-	n--
+// bucket returns the index of the bucket for cycle at, creating it (and
+// its distinct-cycle heap entry) if no event is pending at that cycle.
+func (q *queue) bucket(at Time) int32 {
+	if b := q.last; b != 0 && q.buckets[b].at == at {
+		return b
+	}
+	b := q.byAt.get(at)
+	if b == 0 {
+		if b = q.freeB; b != 0 {
+			q.freeB = q.buckets[b].head
+		} else {
+			if len(q.buckets) == 0 {
+				q.buckets = append(q.buckets, bucket{}) // index 0 is "none"
+			}
+			b = int32(len(q.buckets))
+			q.buckets = append(q.buckets, bucket{})
+		}
+		q.buckets[b] = bucket{at: at}
+		q.byAt.put(cycle{at: at, b: b})
+		q.pushCycle(cycle{at: at, b: b})
+	}
+	q.last = b
+	return b
+}
+
+// push enqueues an event at cycle at, in key order within its bucket.
+func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
+	id := q.alloc()
+	s := q.slot(id)
+	s.key, s.fn, s.a, s.b = k, fn, a, b
+	q.n++
+	bk := &q.buckets[q.bucket(at)]
+	t := bk.tail
+	if t == 0 {
+		s.next, s.prev = 0, 0
+		bk.head, bk.tail = id, id
+		return
+	}
+	ts := q.slot(t)
+	if !k.less(ts.key) { // the common case: sorts after the tail
+		s.next, s.prev = 0, t
+		ts.next = id
+		bk.tail = id
+		return
+	}
+	for t != bk.head {
+		t = ts.prev
+		ts = q.slot(t)
+		if !k.less(ts.key) { // insert after t
+			s.next, s.prev = ts.next, t
+			q.slot(ts.next).prev = id
+			ts.next = id
+			return
+		}
+	}
+	s.next, s.prev = bk.head, 0
+	q.slot(bk.head).prev = id
+	bk.head = id
+}
+
+// pop removes the earliest event and returns its cycle, key and callback.
+// The queue must not be empty.
+func (q *queue) pop() (Time, key, CallFunc, any, any) {
+	top := q.cycles[0]
+	bk := &q.buckets[top.b]
+	id := bk.head
+	s := q.slot(id)
+	k, fn, a, b := s.key, s.fn, s.a, s.b
+	if bk.head = s.next; bk.head == 0 {
+		q.dropEarliest()
+	}
+	// Clear the vacated slot so the arena does not retain the callback
+	// (and whatever it captures) after the event fired.
+	s.fn, s.a, s.b = nil, nil, nil
+	s.next = q.free
+	q.free = id
+	q.n--
+	return top.at, k, fn, a, b
+}
+
+// dropEarliest releases the emptied bucket of the earliest cycle.
+func (q *queue) dropEarliest() {
+	top := q.cycles[0]
+	q.byAt.del(top.at)
+	q.buckets[top.b] = bucket{head: q.freeB}
+	q.freeB = top.b
+	if q.last == top.b {
+		q.last = 0
+	}
+	n := len(q.cycles) - 1
+	c := q.cycles[n]
+	q.cycles = q.cycles[:n]
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && h.less(right, left) {
-			child = right
+		if r := child + 1; r < n && q.cycles[r].at < q.cycles[child].at {
+			child = r
 		}
-		if !h.less(child, i) {
+		if c.at <= q.cycles[child].at {
 			break
 		}
-		h.items[i], h.items[child] = h.items[child], h.items[i]
+		q.cycles[i] = q.cycles[child]
 		i = child
 	}
-	return root
+	q.cycles[i] = c
+}
+
+// pushCycle adds c to the distinct-cycle heap.
+func (q *queue) pushCycle(c cycle) {
+	i := len(q.cycles)
+	q.cycles = append(q.cycles, c)
+	for i > 0 {
+		p := (i - 1) / 2
+		if q.cycles[p].at <= c.at {
+			break
+		}
+		q.cycles[i] = q.cycles[p]
+		i = p
+	}
+	q.cycles[i] = c
+}
+
+// cycleTable maps each pending firing cycle to its bucket. It is an
+// open-addressing hash table with linear probing and backward-shift
+// deletion: unlike a Go map under insert/delete churn it leaves no
+// tombstones, so its size stays below four times the peak number of
+// distinct pending cycles. An entry with b == 0 is empty.
+type cycleTable struct {
+	slots []cycle // power-of-two length
+	shift uint    // 64 - log2(len(slots))
+	n     int
+}
+
+// home is at's preferred slot (Fibonacci hashing).
+func (t *cycleTable) home(at Time) int { return int(uint64(at) * 0x9E3779B97F4A7C15 >> t.shift) }
+
+// get returns at's bucket, or 0 if no event is pending at at.
+func (t *cycleTable) get(at Time) int32 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(at); ; i = (i + 1) & mask {
+		if s := t.slots[i]; s.b == 0 || s.at == at {
+			return s.b
+		}
+	}
+}
+
+// put inserts c, whose cycle must not be present, keeping the load at
+// most one half.
+func (t *cycleTable) put(c cycle) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		size := max(16, 2*len(old))
+		t.slots = make([]cycle, size)
+		t.shift = 64
+		for ; size > 1; size >>= 1 {
+			t.shift--
+		}
+		t.n = 0
+		for _, o := range old {
+			if o.b != 0 {
+				t.put(o)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := t.home(c.at)
+	for t.slots[i].b != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = c
+	t.n++
+}
+
+// del removes at, which must be present, and shifts later entries of its
+// probe run back so that lookups never need tombstones.
+func (t *cycleTable) del(at Time) {
+	mask := len(t.slots) - 1
+	i := t.home(at)
+	for t.slots[i].at != at || t.slots[i].b == 0 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.slots[j].b != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if h := t.home(t.slots[j].at); (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = cycle{}
+	t.n--
+}
+
+// next reports the earliest pending cycle, or false if the queue is empty.
+func (q *queue) next() (Time, bool) {
+	if len(q.cycles) == 0 {
+		return 0, false
+	}
+	return q.cycles[0].at, true
 }
 
 // Key is an event's deterministic position among same-cycle events: the
@@ -176,7 +410,7 @@ type DriverFunc func(deadline Time, bounded bool) Time
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	q       queue
 	fired   uint64
 	stopped bool
 	// Firing context: key of the event currently (or most recently)
@@ -201,7 +435,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return e.q.n }
 
 // Fired reports how many events have been executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -221,7 +455,7 @@ func (e *Engine) At(at Time, h Handler) {
 		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq, h: h})
+	e.q.push(at, key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}, callHandler, h, nil)
 }
 
 // Call enqueues fn(a, b) to fire delay cycles from now. Unlike Schedule it
@@ -241,7 +475,7 @@ func (e *Engine) CallAt(at Time, fn CallFunc, a, b any) {
 		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq, fn: fn, a: a, b: b})
+	e.q.push(at, key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}, fn, a, b)
 }
 
 // EventKey allocates the ordering key a locally created event would
@@ -281,7 +515,7 @@ func (e *Engine) InjectAt(at Time, k Key, sub uint32, fn CallFunc, a, b any) {
 	if at < e.now {
 		panic(fmt.Sprintf("eventq: injecting into the past (at=%d now=%d)", at, e.now))
 	}
-	e.queue.push(event{at: at, ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub, fn: fn, a: a, b: b})
+	e.q.push(at, key{ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub}, fn, a, b)
 }
 
 // SetFiringComp reassigns the firing context's component. A handler that
@@ -299,18 +533,14 @@ func (e *Engine) FiringComp() uint32 { return e.fireComp }
 
 // Step fires the single earliest event and reports whether one fired.
 func (e *Engine) Step() bool {
-	if e.queue.len() == 0 {
+	if e.q.n == 0 {
 		return false
 	}
-	ev := e.queue.pop()
-	e.now = ev.at
+	at, k, fn, a, b := e.q.pop()
+	e.now = at
 	e.fired++
-	e.fireCtime, e.fireGen2, e.fireComp, e.fireSeq, e.fireSub = ev.ctime, ev.gen2, ev.comp, ev.seq, 0
-	if ev.h != nil {
-		ev.h()
-	} else {
-		ev.fn(ev.a, ev.b)
-	}
+	e.fireCtime, e.fireGen2, e.fireComp, e.fireSeq, e.fireSub = k.ctime, k.gen2, k.comp, k.seq, 0
+	fn(a, b)
 	return true
 }
 
@@ -323,7 +553,7 @@ func (e *Engine) SetOnDrain(fn func()) { e.onDrain = fn }
 
 // drained fires the drain hook if the queue emptied without Stop.
 func (e *Engine) drained() {
-	if e.onDrain != nil && !e.stopped && e.queue.len() == 0 {
+	if e.onDrain != nil && !e.stopped && e.q.n == 0 {
 		e.onDrain()
 	}
 }
@@ -364,7 +594,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	if e.driver != nil {
 		return e.driver(deadline, true)
 	}
-	for !e.stopped && e.queue.len() > 0 && e.queue.items[0].at <= deadline {
+	for !e.stopped && e.due(deadline) {
 		e.Step()
 	}
 	e.drained()
@@ -381,7 +611,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // goroutine; the pdes runner's barrier hands engines between goroutines
 // only at window boundaries.
 func (e *Engine) RunWindow(deadline Time) Time {
-	for !e.stopped && e.queue.len() > 0 && e.queue.items[0].at <= deadline {
+	for !e.stopped && e.due(deadline) {
 		e.Step()
 	}
 	if e.now < deadline && !e.stopped {
@@ -392,11 +622,12 @@ func (e *Engine) RunWindow(deadline Time) Time {
 
 // NextAt reports the firing time of the earliest pending event, or false
 // if the queue is empty.
-func (e *Engine) NextAt() (Time, bool) {
-	if e.queue.len() == 0 {
-		return 0, false
-	}
-	return e.queue.items[0].at, true
+func (e *Engine) NextAt() (Time, bool) { return e.q.next() }
+
+// due reports whether an event is pending at or before deadline.
+func (e *Engine) due(deadline Time) bool {
+	at, ok := e.q.next()
+	return ok && at <= deadline
 }
 
 // Stopped reports whether Stop froze the current run.

@@ -303,7 +303,7 @@ func TestCallZeroAlloc(t *testing.T) {
 	type payload struct{ hits int }
 	p := &payload{}
 	fn := func(a, b any) { a.(*payload).hits++ }
-	// Warm the heap slice so growth doesn't count.
+	// Warm the slot arena and the bucket tables so growth doesn't count.
 	for i := 0; i < 64; i++ {
 		e.Call(Time(i), fn, p, nil)
 	}
@@ -318,6 +318,57 @@ func TestCallZeroAlloc(t *testing.T) {
 	}
 	if p.hits == 0 {
 		t.Fatal("call handler never ran")
+	}
+}
+
+// TestAtZeroAlloc: a prebuilt Handler rides through the static
+// trampoline as an interface value, so At+Step allocates nothing once the
+// arena has warmed up.
+func TestAtZeroAlloc(t *testing.T) {
+	e := New()
+	hits := 0
+	h := Handler(func() { hits++ })
+	for i := 0; i < 64; i++ {
+		e.At(Time(i), h)
+	}
+	e.Run()
+	hits = 0
+	avg := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, h)
+		e.Step()
+	})
+	if avg != 0 {
+		t.Errorf("At+Step allocates %.1f/op, want 0", avg)
+	}
+	if hits == 0 {
+		t.Fatal("handler never ran")
+	}
+}
+
+// TestInjectAtZeroAlloc: cross-engine injection shares the arena path and
+// allocates nothing in the steady state, also when the injected key sorts
+// below the bucket's tail.
+func TestInjectAtZeroAlloc(t *testing.T) {
+	src, e := New(), New()
+	k := src.EventKey() // ctime 0: sorts before every local event below
+	hits := 0
+	fn := func(a, b any) { hits++ }
+	for i := 0; i < 64; i++ {
+		e.InjectAt(Time(i), k, 0, fn, nil, nil)
+	}
+	e.Run()
+	hits = 0
+	avg := testing.AllocsPerRun(100, func() {
+		e.Call(1, fn, nil, nil)
+		e.InjectAt(e.Now()+1, k, 0, fn, nil, nil)
+		e.Step()
+		e.Step()
+	})
+	if avg != 0 {
+		t.Errorf("InjectAt+Step allocates %.1f/op, want 0", avg)
+	}
+	if hits == 0 {
+		t.Fatal("injected handler never ran")
 	}
 }
 
@@ -387,6 +438,42 @@ func TestPropertyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// benchHold measures the steady-state hold model: pending events stay at
+// pending because every fired event is replaced by one at a delay drawn
+// from [1, spread]. One op is a round of 1000 fire-and-reschedule steps,
+// so ns/op divided by 1000 is the cost of one event.
+func benchHold(b *testing.B, pending int, spread uint64) {
+	e := New()
+	rng := uint64(88172645463325252)
+	delay := func() Time {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return Time(rng%spread + 1)
+	}
+	fn := func(a, b any) {}
+	for i := 0; i < pending; i++ {
+		e.Call(delay(), fn, nil, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 1000; j++ {
+			e.Step()
+			e.Call(delay(), fn, nil, nil)
+		}
+	}
+}
+
+// BenchmarkQueueClustered holds ~10k pending events over ~100 distinct
+// cycles: the shape of a packet-level all-reduce.
+func BenchmarkQueueClustered(b *testing.B) { benchHold(b, 10000, 100) }
+
+// BenchmarkQueueDistinct holds ~10k pending events over 2^20 possible
+// delays, so nearly every event fires at a cycle of its own: the worst
+// case for a time-bucketed queue.
+func BenchmarkQueueDistinct(b *testing.B) { benchHold(b, 10000, 1<<20) }
 
 func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()

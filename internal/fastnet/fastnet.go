@@ -22,7 +22,7 @@
 // moment it arrives: start = max(now, link.busyUntil), advancing the same
 // carry the packet model would. So a message over a single-link path (the
 // dominant case — every torus ring hop) costs O(packets) float arithmetic
-// and exactly one delivery event, instead of ~3 heap events per packet —
+// and exactly one delivery event, instead of ~3 queued events per packet —
 // and because that charge is a pure function of the link's bandwidth and
 // carry bits plus the packet schedule, it is memoized: symmetric
 // topologies replay one link's carry orbit on every link, collapsing the

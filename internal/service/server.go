@@ -184,21 +184,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cache hit: replay the stored payload byte for byte; free.
-	if body, ok := s.cache.Get(c.id); ok {
-		s.mu.Lock()
-		s.cacheHits++
-		s.mu.Unlock()
+	j, body, err := s.admit(c, tenantKey(r), w)
+	if err != nil {
+		return // admit wrote the response (429 / 503)
+	}
+	if j == nil {
+		// Cache hit: replay the stored payload byte for byte; free.
 		w.Header().Set("X-Astrasim-Cache", "hit")
 		writeJSON(w, http.StatusOK, jobEnvelope{ID: c.id, State: stateDone, Cached: true, Result: body})
 		return
 	}
 	w.Header().Set("X-Astrasim-Cache", "miss")
-
-	j, err := s.admit(c, tenantKey(r), w)
-	if err != nil {
-		return // admit wrote the response (429 / 503)
-	}
 
 	if r.URL.Query().Get("wait") == "0" {
 		writeJSON(w, http.StatusAccepted, jobEnvelope{
@@ -219,20 +215,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJobResult(w, j)
 }
 
-// admit applies quota and single-flight policy, creating and scheduling
-// a new job when the submission is the first of its content address in
-// flight. On policy rejection it writes the HTTP response and returns a
-// non-nil error.
-func (s *Server) admit(c *compiled, tenant string, w http.ResponseWriter) (*job, error) {
+// admit applies cache, quota and single-flight policy. It returns the
+// cached result when there is one (and a nil job), else the in-flight job
+// of the same content address, else a newly created and scheduled job.
+// On policy rejection it writes the HTTP response and returns a non-nil
+// error.
+func (s *Server) admit(c *compiled, tenant string, w http.ResponseWriter) (*job, []byte, error) {
 	s.mu.Lock()
-	if j, ok := s.inflight[c.id]; ok {
-		// Single-flight: ride the existing run; no quota charge.
-		j.mu.Lock()
-		j.attached++
-		j.mu.Unlock()
-		s.collapsed++
+	if j, body, ok := s.existing(c.id); ok {
 		s.mu.Unlock()
-		return j, nil
+		return j, body, nil
 	}
 	s.cacheMisses++
 	s.mu.Unlock()
@@ -240,20 +232,17 @@ func (s *Server) admit(c *compiled, tenant string, w http.ResponseWriter) (*job,
 	if ok, retry := s.quotas.Allow(tenant, s.now()); !ok {
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(retry/time.Second), 10))
 		writeError(w, http.StatusTooManyRequests, "quota exhausted for %q; retry in %v", tenant, retry)
-		return nil, fmt.Errorf("quota")
+		return nil, nil, fmt.Errorf("quota")
 	}
 
 	s.mu.Lock()
-	// Re-check under the lock: a duplicate may have been admitted while
-	// the quota check ran. The token is spent either way — over-charging
-	// an exact-duplicate race beats holding the lock across Allow.
-	if j, ok := s.inflight[c.id]; ok {
-		j.mu.Lock()
-		j.attached++
-		j.mu.Unlock()
-		s.collapsed++
+	// Re-check under the lock: a duplicate may have been admitted (or
+	// even finished) while the quota check ran. The token is spent either
+	// way — over-charging an exact-duplicate race beats holding the lock
+	// across Allow.
+	if j, body, ok := s.existing(c.id); ok {
 		s.mu.Unlock()
-		return j, nil
+		return j, body, nil
 	}
 	j := newJob(c.id, c.kind, c.priority)
 	s.inflight[c.id] = j
@@ -267,9 +256,31 @@ func (s *Server) admit(c *compiled, tenant string, w http.ResponseWriter) (*job,
 		s.mu.Unlock()
 		j.fail(http.StatusServiceUnavailable, "server shutting down")
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return nil, err
+		return nil, nil, err
 	}
-	return j, nil
+	return j, nil, nil
+}
+
+// existing finds a result or run for content address id: the cached
+// result body (a hit), or else the in-flight job, which the caller then
+// rides (single-flight; no quota charge). s.mu must be held. Checking both
+// under s.mu closes the window in which a run finishes between the two
+// checks: runJob stores its result in the cache before it leaves the
+// in-flight table under s.mu, so a finished run is always found in one
+// of them and never simulated twice.
+func (s *Server) existing(id string) (*job, []byte, bool) {
+	if body, ok := s.cache.Get(id); ok {
+		s.cacheHits++
+		return nil, body, true
+	}
+	if j, ok := s.inflight[id]; ok {
+		j.mu.Lock()
+		j.attached++
+		j.mu.Unlock()
+		s.collapsed++
+		return j, nil, true
+	}
+	return nil, nil, false
 }
 
 // runJob executes one simulation on a pool worker. The recover backstop

@@ -88,13 +88,15 @@ type fcKey struct {
 type Hierarchical struct {
 	specs   []DimSpec
 	chans   []int // scheduling channels per dimension
-	strides []int // package-index stride per dimension > 0
+	strides []int // node-id distance between neighbours along each dimension
 
 	links []LinkSpec
-	// rings[dim][group][channel] for ring dimensions (nil otherwise);
+	// groups[dim][slot] lists each group's members in order;
+	// rings[dim][slot][channel] for ring dimensions (nil otherwise);
 	// slots[dim] maps a group key to its group slot.
-	rings [][][]*Ring
-	slots []map[int]int
+	groups [][][]Node
+	rings  [][][]*Ring
+	slots  []map[int]int
 	// swUp/swDown[dim][npu][lane] for switch dimensions (nil otherwise).
 	swUp, swDown []map[Node][]LinkID
 	// fc[dim] for fully-connected dimensions (nil otherwise).
@@ -135,7 +137,7 @@ func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
 	}
 	stride := 1
 	h.strides = make([]int, len(specs))
-	for i := 1; i < len(specs); i++ {
+	for i := range specs {
 		h.strides[i] = stride
 		stride *= specs[i].Size
 	}
@@ -170,69 +172,31 @@ func dimOf(i int) Dim {
 	return AxisDim(i - 1)
 }
 
-// groupKey identifies the group a node belongs to along a dimension: all
-// coordinates except that dimension's.
+// groupKey identifies the group a node belongs to along a dimension: its
+// lowest member, the node with the same coordinates except a zero one
+// along dim. A node's coordinate along dim is n / stride % size.
 func (h *Hierarchical) groupKey(dim int, n Node) int {
-	l, pkgCoords := h.coords(n)
-	if dim == 0 {
-		return int(n) / h.specs[0].Size // the package index
-	}
-	key := l
-	mult := h.specs[0].Size
-	for i := 1; i < len(h.specs); i++ {
-		if i == dim {
-			continue
-		}
-		key += pkgCoords[i] * mult
-		mult *= h.specs[i].Size
-	}
-	return key
-}
-
-// coords returns the local index and per-dimension package coordinates
-// (indexed by dimension; entry 0 unused).
-func (h *Hierarchical) coords(n Node) (int, []int) {
 	if n < 0 || int(n) >= h.NumNPUs() {
 		panic(fmt.Sprintf("topology: node %d out of range for %s", n, h.Name()))
 	}
-	l := int(n) % h.specs[0].Size
-	p := int(n) / h.specs[0].Size
-	c := make([]int, len(h.specs))
-	for i := 1; i < len(h.specs); i++ {
-		c[i] = p / h.strides[i] % h.specs[i].Size
-	}
-	return l, c
+	stride := h.strides[dim]
+	return int(n) - int(n)/stride%h.specs[dim].Size*stride
 }
 
 // dimGroup returns the ordered nodes sharing every coordinate with n
 // except along the given dimension.
 func (h *Hierarchical) dimGroup(dim int, n Node) []Node {
-	l, c := h.coords(n)
+	first := h.groupKey(dim, n)
 	out := make([]Node, h.specs[dim].Size)
-	for v := 0; v < h.specs[dim].Size; v++ {
-		if dim == 0 {
-			p := 0
-			for i := 1; i < len(h.specs); i++ {
-				p += c[i] * h.strides[i]
-			}
-			out[v] = Node(p*h.specs[0].Size + v)
-			continue
-		}
-		p := 0
-		for i := 1; i < len(h.specs); i++ {
-			coord := c[i]
-			if i == dim {
-				coord = v
-			}
-			p += coord * h.strides[i]
-		}
-		out[v] = Node(p*h.specs[0].Size + l)
+	for v := range out {
+		out[v] = Node(first + v*h.strides[dim])
 	}
 	return out
 }
 
 func (h *Hierarchical) build() {
 	n := len(h.specs)
+	h.groups = make([][][]Node, n)
 	h.rings = make([][][]*Ring, n)
 	h.slots = make([]map[int]int, n)
 	h.swUp = make([]map[Node][]LinkID, n)
@@ -241,6 +205,7 @@ func (h *Hierarchical) build() {
 	for dim, spec := range h.specs {
 		numGroups := h.NumNPUs() / spec.Size
 		seen := make(map[int]int, numGroups) // groupKey -> slot
+		h.groups[dim] = make([][]Node, numGroups)
 		switch spec.Kind {
 		case KindRing:
 			h.rings[dim] = make([][]*Ring, numGroups)
@@ -258,6 +223,7 @@ func (h *Hierarchical) build() {
 			slot := len(seen)
 			seen[key] = slot
 			base := h.dimGroup(dim, Node(v))
+			h.groups[dim][slot] = base
 			switch spec.Kind {
 			case KindRing:
 				chans := make([]*Ring, h.chans[dim])
@@ -362,9 +328,11 @@ func (h *Hierarchical) dimIndex(d Dim) int {
 	panic(fmt.Sprintf("topology: %s has no dimension %v", h.Name(), d))
 }
 
-// Group implements Topology.
+// Group implements Topology. The returned slice is shared and must not be
+// modified.
 func (h *Hierarchical) Group(d Dim, n Node) []Node {
-	return h.dimGroup(h.dimIndex(d), n)
+	dim := h.dimIndex(d)
+	return h.groups[dim][h.slots[dim][h.groupKey(dim, n)]]
 }
 
 // RingOf implements Topology. Panics on non-ring dimensions.
@@ -402,22 +370,24 @@ func (h *Hierarchical) PathLinks(d Dim, channel int, src, dst Node) []LinkID {
 		}
 		return []LinkID{id}
 	default: // KindSwitch
-		g := h.dimGroup(dim, src)
-		si, di := -1, -1
-		for i, m := range g {
-			if m == src {
-				si = i
-			}
-			if m == dst {
-				di = i
-			}
-		}
-		if si < 0 || di < 0 || si == di {
-			panic(fmt.Sprintf("topology: %d and %d do not share %v group in %s", src, dst, d, h.Name()))
-		}
-		lane := (matchRound(si, di, len(g)) + channel) % spec.Lanes
+		si, di := h.switchIndices(d, dim, src, dst)
+		lane := (matchRound(si, di, spec.Size) + channel) % spec.Lanes
 		return []LinkID{h.swUp[dim][src][lane], h.swDown[dim][dst][lane]}
 	}
+}
+
+// switchIndices returns src's and dst's positions in their group along
+// dimension dim (of Dim d), panicking unless they are distinct members of
+// one group: nodes that differ only in their coordinate along dim.
+func (h *Hierarchical) switchIndices(d Dim, dim int, src, dst Node) (si, di int) {
+	stride, size := h.strides[dim], h.specs[dim].Size
+	first := h.groupKey(dim, src)
+	si = (int(src) - first) / stride
+	di = (int(dst) - first) / stride
+	if int(dst) < first || di >= size || int(dst) != first+di*stride || si == di {
+		panic(fmt.Sprintf("topology: %d and %d do not share %v group in %s", src, dst, d, h.Name()))
+	}
+	return si, di
 }
 
 // Links implements Topology.

@@ -201,3 +201,152 @@ func TestHierarchicalDegenerateCompositions(t *testing.T) {
 		}
 	})
 }
+
+// refGroup lists, in coordinate order, the nodes that share every
+// coordinate with n except the one along dim. It decodes node ids from
+// the mixed-radix numbering directly (local index fastest, then the
+// package coordinates in declaration order), independently of the
+// builder's arithmetic.
+func refGroup(specs []DimSpec, dim int, n Node) []Node {
+	coords := func(m Node) []int {
+		c := make([]int, len(specs))
+		rest := int(m)
+		for i, s := range specs {
+			c[i] = rest % s.Size
+			rest /= s.Size
+		}
+		return c
+	}
+	total := 1
+	for _, s := range specs {
+		total *= s.Size
+	}
+	want := coords(n)
+	var out []Node
+	for v := 0; v < specs[dim].Size; v++ {
+		for m := Node(0); int(m) < total; m++ {
+			c := coords(m)
+			same := c[dim] == v
+			for i := range c {
+				same = same && (i == dim || c[i] == want[i])
+			}
+			if same {
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// TestHierarchicalGroupsAndSwitchIndices: groups and switch-dimension
+// positions are computed arithmetically from node strides. For every
+// node and dimension the group must equal a coordinate-decoding scan, and
+// for every ordered pair on a switch dimension (members and strangers
+// alike) the positions, the membership verdict and the lanes PathLinks
+// picks must equal that scan's.
+func TestHierarchicalGroupsAndSwitchIndices(t *testing.T) {
+	cases := map[string][]DimSpec{
+		"sw8,fc4,ring4": {
+			{Kind: KindSwitch, Size: 8, Lanes: 2, Class: IntraPackage},
+			{Kind: KindFullyConnected, Size: 4, Lanes: 1, Class: InterPackage},
+			{Kind: KindRing, Size: 4, Lanes: 2, Class: InterPackage},
+		},
+		"ring2,sw4,sw3": {
+			{Kind: KindRing, Size: 2, Lanes: 1, Class: IntraPackage},
+			{Kind: KindSwitch, Size: 4, Lanes: 2, Class: InterPackage},
+			{Kind: KindSwitch, Size: 3, Lanes: 3, Class: InterPackage},
+		},
+	}
+	for name, specs := range cases {
+		h, err := NewHierarchical(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := Node(h.NumNPUs())
+		for dim, spec := range specs {
+			d := dimOf(dim)
+			for src := Node(0); src < n; src++ {
+				g := refGroup(specs, dim, src)
+				if got := h.Group(d, src); !reflect.DeepEqual(got, g) {
+					t.Fatalf("%s dim %d node %d: group %v, want %v", name, dim, src, got, g)
+				}
+				if spec.Kind != KindSwitch {
+					continue
+				}
+				for dst := Node(-1); dst <= n; dst++ {
+					si, di := -1, -1
+					for i, m := range g {
+						if m == src {
+							si = i
+						}
+						if m == dst {
+							di = i
+						}
+					}
+					member := si >= 0 && di >= 0 && si != di
+					gotSi, gotDi, ok := switchIndicesOK(h, d, dim, src, dst)
+					if ok != member {
+						t.Fatalf("%s dim %d %d->%d: accepted=%v, group scan says member=%v", name, dim, src, dst, ok, member)
+					}
+					if !member {
+						continue
+					}
+					if gotSi != si || gotDi != di {
+						t.Fatalf("%s dim %d %d->%d: indices (%d,%d), group scan (%d,%d)", name, dim, src, dst, gotSi, gotDi, si, di)
+					}
+					for c := 0; c < spec.Lanes+1; c++ {
+						lane := (matchRound(si, di, len(g)) + c) % spec.Lanes
+						want := []LinkID{h.swUp[dim][src][lane], h.swDown[dim][dst][lane]}
+						if got := h.PathLinks(d, c, src, dst); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s dim %d %d->%d ch %d: path %v, want %v", name, dim, src, dst, c, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// switchIndicesOK calls switchIndices and reports whether it accepted the
+// pair instead of panicking.
+func switchIndicesOK(h *Hierarchical, d Dim, dim int, src, dst Node) (si, di int, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	si, di = h.switchIndices(d, dim, src, dst)
+	return si, di, true
+}
+
+// TestHierarchicalHotPathAllocs: the per-message and per-step lookups
+// allocate nothing beyond a path's returned slice.
+func TestHierarchicalHotPathAllocs(t *testing.T) {
+	h, err := NewHierarchical([]DimSpec{
+		{Kind: KindSwitch, Size: 8, Lanes: 2, Class: IntraPackage},
+		{Kind: KindRing, Size: 4, Lanes: 1, Class: InterPackage},
+		{Kind: KindSwitch, Size: 4, Lanes: 2, Class: InterPackage},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := Node(9)
+	for _, d := range []Dim{DimLocal, AxisDim(1)} {
+		g := h.Group(d, src)
+		dst := g[0]
+		if dst == src {
+			dst = g[1]
+		}
+		if got := testing.AllocsPerRun(100, func() { h.PathLinks(d, 1, src, dst) }); got != 1 {
+			t.Errorf("switch PathLinks(%v) allocates %.0f/op, want 1 (the returned slice)", d, got)
+		}
+	}
+	for _, d := range []Dim{DimLocal, AxisDim(0), AxisDim(1)} {
+		if got := testing.AllocsPerRun(100, func() { h.Group(d, src) }); got != 0 {
+			t.Errorf("Group(%v) allocates %.0f/op, want 0", d, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { h.RingOf(AxisDim(0), src, 1) }); got != 0 {
+		t.Errorf("RingOf allocates %.0f/op, want 0", got)
+	}
+}

@@ -34,11 +34,13 @@ set -eu
 cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-3x}"
 
-# The stable core set: one event-queue microbenchmark plus the
-# collective and graph-replay microbenchmarks the perf acceptance
-# criteria track.
+# The stable core set: the collective and graph-replay
+# microbenchmarks the perf acceptance criteria track, plus the
+# event-queue set — a schedule-then-drain run and two steady-state hold
+# shapes: many events over few cycles (packet all-reduce) and nearly
+# every event at a cycle of its own (the bucketed queue's worst case).
 CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
-EVQ='BenchmarkScheduleRun'
+EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
 # plus the intra-run parallelism pair at 16384 NPUs (serial engine vs
 # -intra-parallel at NumCPU workers; DESIGN.md §13).
