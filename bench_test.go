@@ -113,17 +113,17 @@ func BenchmarkAllReduce4x4x4_4MB(b *testing.B) {
 // benchAllReduce16Cubed is the backend-duality acceptance pair: the same
 // 16x16x16 (4096-NPU) all-reduce on the packet-level and fast analytical
 // backends. The two live in the LARGE bench set (scripts/bench.sh large),
-// not the CORE set — the packet run takes minutes per iteration at this
-// scale, which is exactly the cost the fast backend exists to avoid.
+// not the CORE set — the packet run takes seconds per iteration at this
+// scale.
 //
 // The configuration is chosen so the network transport, not the shared
 // system layer, dominates: one chunk per set (splits=1) keeps the
 // LSQ/endpoint event count fixed, and MaxPacketsPerMessage=0 removes the
-// packet-event cap so the packet backend expands every message into one
-// event per LocalPacketSize bytes, exactly as the paper's Garnet runs.
-// The fast backend walks the same per-packet serialization arithmetic in
-// a plain loop instead of the event queue, which is where the speedup
-// comes from.
+// packet cap so the packet backend models one packet per LocalPacketSize
+// bytes, exactly as the paper's Garnet runs. Every message here is one
+// ring hop, so the packet backend serializes it as a packet train
+// (DESIGN.md §13.4); the fast backend walks the same serialization
+// arithmetic with no per-message events.
 func benchAllReduce16Cubed(b *testing.B, backend astrasim.Backend) {
 	b.ReportAllocs()
 	net := astrasim.DefaultNetworkConfig()
@@ -155,10 +155,10 @@ func BenchmarkAllReduce16x16x16_PacketMode(b *testing.B) {
 // same 16x32x32 (16384-NPU) enhanced all-reduce on the serial packet
 // engine and on the partitioned engine (-intra-parallel at NumCPU
 // workers). Exact packets (no event cap) and splits=1, like the
-// backend-duality pair above; the partitioned run additionally collapses
-// provably-uncongested single-hop bursts into two events each, which is
-// what turns a minutes-long serial replay into seconds (DESIGN.md §13).
-// Results are byte-identical between the two — only wall time differs.
+// backend-duality pair above. Both engines run every single-hop message
+// as a packet train (DESIGN.md §13.4); the partitioned one spreads the
+// rest across cores. Results are byte-identical between the two — only
+// wall time differs.
 func benchAllReduce16k(b *testing.B, workers int) {
 	b.ReportAllocs()
 	net := astrasim.DefaultNetworkConfig()

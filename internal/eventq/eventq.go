@@ -502,6 +502,14 @@ func (e *Engine) SpliceKey() (Key, uint32) {
 	return k, sub
 }
 
+// FiringKey returns the key of the currently firing event, with the
+// component as the firing context holds it (see SetFiringComp). A handler
+// that models events it never schedules compares their keys with this one
+// to tell whether they would already have fired in the current cycle.
+func (e *Engine) FiringKey() Key {
+	return Key{Ctime: e.fireCtime, Gen2: e.fireGen2, Comp: e.fireComp, Seq: e.fireSeq}
+}
+
 // InjectAt enqueues fn(a, b) at absolute time at under an explicit key —
 // the cross-engine scheduling primitive. Unlike CallAt it does not consume
 // a local seq: the event's position is entirely determined by the caller's

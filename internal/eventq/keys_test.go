@@ -164,3 +164,26 @@ func TestInjectAtPastPanics(t *testing.T) {
 	}()
 	e.InjectAt(5, Key{}, 0, func(a, b any) {}, nil, nil)
 }
+
+// TestFiringKey: inside a handler FiringKey is the firing event's own key
+// (the one SpliceKey hands out), and it tracks SetFiringComp.
+func TestFiringKey(t *testing.T) {
+	e := New()
+	e.At(3, func() {
+		e.At(8, func() {
+			k := e.FiringKey()
+			sk, _ := e.SpliceKey()
+			if k != sk {
+				t.Errorf("FiringKey %+v, SpliceKey %+v", k, sk)
+			}
+			if k.Ctime != 3 || k.Gen2 != 0 {
+				t.Errorf("FiringKey %+v, want ctime 3 gen2 0", k)
+			}
+			e.SetFiringComp(7)
+			if c := e.FiringKey().Comp; c != 7 {
+				t.Errorf("FiringKey comp %d after SetFiringComp(7)", c)
+			}
+		})
+	})
+	e.Run()
+}

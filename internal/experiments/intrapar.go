@@ -24,10 +24,13 @@ var intraParWorkers = []int{0, 1, 2, 4}
 // across all engines, barrier windows, and shard count — so the golden
 // CSV doubles as a determinism regression: cycles MUST be identical down
 // each shape's column, and events/windows identical across partitioned
-// rows. The event reduction from serial to partitioned rows is the burst
-// fast path collapsing provably-uncongested links into analytic delays;
-// measured wall-clock speedups (machine-dependent, so not in this table)
-// are recorded in EXPERIMENTS.md and BENCH_large.{txt,json}.
+// rows. Both engines run packet trains (every torus message here is one
+// ring hop), so serial rows fire three events per message — the system
+// event, one delivery and one train-segment-done — and partitioned rows
+// one more, the deferred injection on the link's shard; the event count
+// no longer separates the engines. Measured wall-clock times
+// (machine-dependent, so not in this table) are recorded in
+// EXPERIMENTS.md and BENCH_large.{txt,json}.
 func ExtIntraPar(o Options) ([]*report.Table, error) {
 	shapes := o.IntraParShapes
 	size := o.IntraParBytes

@@ -16,6 +16,12 @@
 // message its explicit link path (one ring link, or NPU->switch->NPU), so
 // the network needs no routing logic of its own.
 //
+// Single-link messages on source-fed links (the partition plan's
+// no-transit links, stamped by AssignOrderingComps or Partition) skip the
+// per-packet events: they join the link's packet train and serialize in
+// closed form, with results identical to the per-packet model (train.go).
+// SetFlowCollapse(false) turns trains off for A/B comparison.
+//
 // Links optionally carry fault state (SetLinkFaults, driven by the
 // internal/faults subsystem): bandwidth degradation windows and outage
 // windows consulted at serialization time, and a deterministic,
@@ -254,15 +260,15 @@ type link struct {
 	// deterministically (see eventq.Key).
 	comp uint32
 	// noTransit marks links no collective lane uses at path position
-	// >= 1: traffic only enters by source injection, which licenses the
-	// idle-link burst collapse (see collapseBurst).
+	// >= 1: collective traffic only enters by source injection, which
+	// licenses packet trains (see train.go).
 	noTransit bool
 	// pool is the packet free list this link allocates from: the
 	// network-wide list in serial mode, the owning shard's otherwise.
 	pool *[]*packet
 
-	// burst is the in-flight collapsed burst, if any (see collapseBurst).
-	burst burstState
+	// train holds the closed-form messages serializing ahead of queue.
+	train train
 
 	// serialization rate in effective bytes/cycle (bandwidth x efficiency)
 	effBW float64
@@ -312,14 +318,22 @@ func (l *link) serCycles(bytes int64) eventq.Time {
 	if f := l.fault; f != nil {
 		bw *= f.degradeFactor(l.eng.Now())
 	}
-	exact := float64(bytes)/bw + l.serCarry
-	c := eventq.Time(exact)
-	l.serCarry = exact - float64(c)
-	if c == 0 {
-		c = 1
-		l.serCarry = 0
-	}
+	var c eventq.Time
+	c, l.serCarry = serStep(bytes, bw, l.serCarry)
 	return c
+}
+
+// serStep is one step of the serialization carry chain: the whole cycles
+// a packet of bytes takes at bw after the carried remainder, and the new
+// remainder. A packet takes at least one cycle; the clamp drops the
+// remainder.
+func serStep(bytes int64, bw, carry float64) (eventq.Time, float64) {
+	exact := float64(bytes)/bw + carry
+	c := eventq.Time(exact)
+	if c == 0 {
+		return 1, 0
+	}
+	return c, exact - float64(c)
 }
 
 // Network simulates the fabric over a topology's physical links.
@@ -358,10 +372,12 @@ type Network struct {
 	shortfallByClass [int(topology.ScaleOutLink) + 1]int64
 
 	// shards, when non-nil, are the per-partition execution contexts of
-	// an intra-run parallel simulation (see Partition); noCollapse
-	// disables the idle-link burst fast path for A/B testing.
-	shards     []*shard
-	noCollapse bool
+	// an intra-run parallel simulation (see Partition); crossOut is
+	// FlushCross's reused merge buffer.
+	shards   []*shard
+	crossOut []outEvent
+	// noTrains disables packet trains for A/B testing (SetFlowCollapse).
+	noTrains bool
 }
 
 // poisonBytes is the sentinel stamped into freed packets in poison mode;
@@ -501,13 +517,24 @@ func (n *Network) Send(msg *Message) {
 	}
 	// Serial mode: stamp the link's component (assigned by
 	// AssignOrderingComps; 0 when the topology has no partition plan) for
-	// the duration of the packetization so the packets' events — and
+	// the duration of the injection so the packets' events — and
 	// everything they transitively create — carry the same ordering keys
 	// a partitioned run would produce (see shardInject).
-	prev := n.eng.FiringComp()
+	fk := n.eng.FiringKey()
 	n.eng.SetFiringComp(first.comp)
-	n.packetize(first, msg)
-	n.eng.SetFiringComp(prev)
+	n.inject(first, msg, fk)
+	n.eng.SetFiringComp(fk.Comp)
+}
+
+// inject puts msg on its first link: onto the link's packet train when it
+// qualifies, else packet by packet. fk is the injecting event's key,
+// taken before the link's component was stamped.
+func (n *Network) inject(first *link, msg *Message, fk eventq.Key) {
+	if first.canTrain(msg) {
+		first.appendTrain(msg, fk)
+		return
+	}
+	n.packetize(first, msg, first.trainLeft(fk))
 }
 
 // packetPlan computes the packet size and count for msg along its path
@@ -523,9 +550,9 @@ func (n *Network) packetPlan(msg *Message) (pktSize, numPkts int64) {
 	return pktSize, numPkts
 }
 
-// packetize decomposes msg into packets on its first link (serial mode,
-// or a shard engine executing a deferred injection).
-func (n *Network) packetize(first *link, msg *Message) {
+// packetize decomposes msg into packets on its first link, behind the
+// link's virt unserialized train packets.
+func (n *Network) packetize(first *link, msg *Message, virt int) {
 	pktSize, numPkts := n.packetPlan(msg)
 	msg.packetsLeft = int(numPkts)
 	remaining := msg.Bytes
@@ -535,44 +562,35 @@ func (n *Network) packetize(first *link, msg *Message) {
 			b = remaining
 		}
 		remaining -= b
-		first.enqueueFromSource(n.allocPacket(first.pool, msg, b, 0))
+		first.qpush(n.allocPacket(first.pool, msg, b, 0), virt)
+		first.kick()
 	}
 }
 
 // qlen is the number of buffered packets.
 func (l *link) qlen() int { return len(l.queue) - l.head }
 
-// qpush appends a packet, recycling the backing array's dead prefix once
-// the queue fully drains (the steady state between message bursts).
-func (l *link) qpush(p *packet) {
+// qpush appends a packet behind virt unserialized train packets,
+// recycling the backing array's dead prefix once the queue fully drains
+// (the steady state between message bursts).
+func (l *link) qpush(p *packet, virt int) {
 	if l.head > 0 && l.head == len(l.queue) {
 		l.queue = l.queue[:0]
 		l.head = 0
 	}
 	l.queue = append(l.queue, p)
-	n := l.qlen()
-	if l.burst.active {
-		// Packets of a collapsed burst are virtual; count the ones still
-		// outstanding so PeakQueue matches what the serial run would see.
-		n += l.burstRemaining(l.eng.Now())
-	}
-	if n > l.stats.PeakQueue {
-		l.stats.PeakQueue = n
-	}
+	l.stats.PeakQueue = max(l.stats.PeakQueue, l.qlen()+virt)
 }
 
 // qpop retires the head packet.
 func (l *link) qpop() { l.head++ }
 
-// enqueueFromSource adds a freshly injected packet (no buffer limit).
-func (l *link) enqueueFromSource(p *packet) {
-	l.qpush(p)
-	l.kick()
-}
-
 // hasSpace reports whether the buffer can take one more packet, counting
-// slots reserved for packets already in flight toward this link.
-func (l *link) hasSpace() bool { return l.qlen()+l.reserved < l.capPackets }
+// slots reserved for packets already in flight toward this link and the
+// train's unserialized packets.
+func (l *link) hasSpace() bool {
+	return l.qlen()+l.reserved+l.trainLeft(l.eng.FiringKey()) < l.capPackets
+}
 
 // acceptFromNetwork reserves a buffer slot and lands the packet in the
 // queue after the upstream wire latency plus one router hop.
@@ -589,7 +607,7 @@ func linkArrive(a, b any) {
 		l.net.checkAlive(p, "linkArrive")
 	}
 	l.reserved--
-	l.qpush(p)
+	l.qpush(p, l.trainLeft(l.eng.FiringKey()))
 	l.kick()
 }
 
@@ -686,6 +704,7 @@ func (l *link) forward(p *packet) {
 			l.blocked = true
 			l.blockStart = l.eng.Now()
 			next.waiters = append(next.waiters, l)
+			next.armRelease(l.eng.FiringKey())
 			return
 		}
 		next.acceptFromNetwork(l.advanced(p), l.hopDelay())

@@ -9,7 +9,9 @@ package noc
 // differential suite in internal/pdes compares full runs byte-for-byte.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"astrasim/internal/eventq"
 )
@@ -35,8 +37,8 @@ type outEvent struct {
 // Partition rebinds the network's links to shard engines for intra-run
 // parallel execution: comp assigns every link a 1-based component
 // (component c runs on shards[(c-1) % len(shards)]), noTransit flags
-// links that never appear at path position >= 1 (licensing the burst
-// fast path). Both slices come from a pdes.Plan. Partition must be
+// links that never appear at path position >= 1 (licensing packet
+// trains). Both slices come from a pdes.Plan. Partition must be
 // called once, before any traffic is injected.
 func (n *Network) Partition(shards []*eventq.Engine, comp []int32, noTransit []bool) error {
 	if n.shards != nil {
@@ -74,19 +76,20 @@ func (n *Network) Partition(shards []*eventq.Engine, comp []int32, noTransit []b
 // parallelism.
 func (n *Network) Partitioned() bool { return n.shards != nil }
 
-// AssignOrderingComps stamps the partition plan's component labels onto
-// the links of a SERIAL network without rebinding anything to shard
-// engines. Serial and partitioned runs then tie-break simultaneous
-// events with the very same six-field key — component before creation
-// sequence — which is what makes -intra-parallel byte-identical to the
-// serial engine on every topology, including ones where events from
-// different components collide on the same (time, ctime, gen2) prefix.
-// Must be called before any traffic is injected.
-func (n *Network) AssignOrderingComps(comp []int32) error {
+// AssignOrderingComps stamps the partition plan's component labels and
+// no-transit flags onto the links of a SERIAL network without rebinding
+// anything to shard engines. Serial and partitioned runs then tie-break
+// simultaneous events with the very same six-field key — component before
+// creation sequence — which is what makes -intra-parallel byte-identical
+// to the serial engine on every topology, including ones where events
+// from different components collide on the same (time, ctime, gen2)
+// prefix; and both run packet trains on the same links. Must be called
+// before any traffic is injected.
+func (n *Network) AssignOrderingComps(comp []int32, noTransit []bool) error {
 	if n.shards != nil {
 		return fmt.Errorf("noc: network is already partitioned")
 	}
-	if len(comp) != len(n.links) {
+	if len(comp) != len(n.links) || len(noTransit) != len(n.links) {
 		return fmt.Errorf("noc: partition plan covers %d links, network has %d", len(comp), len(n.links))
 	}
 	if n.nextID != 0 {
@@ -98,184 +101,64 @@ func (n *Network) AssignOrderingComps(comp []int32) error {
 			return fmt.Errorf("noc: link %d has invalid component %d (components are 1-based)", i, c)
 		}
 		l.comp = uint32(c)
+		l.noTransit = noTransit[i]
 	}
 	return nil
 }
 
-// SetFlowCollapse toggles the idle-link burst fast path (on by default
-// when partitioned). Turning it off forces every packet through the
-// event loop — the A/B lever the differential suite uses to attribute
-// any divergence.
-func (n *Network) SetFlowCollapse(on bool) { n.noCollapse = !on }
+// SetFlowCollapse toggles packet trains (on by default). Turning them off
+// forces every packet through the event loop — the A/B lever the
+// differential suites use to attribute any divergence.
+func (n *Network) SetFlowCollapse(on bool) { n.noTrains = !on }
 
 // FlushCross injects every buffered shard→main delivery into the main
 // engine. The pdes runner calls it at each window barrier, when it owns
-// all engines exclusively. Injection order (shard index, then creation
-// order) is deterministic, and each event's final position comes from
-// its explicit key, so the main engine fires deliveries in exactly the
-// serial order.
+// all engines exclusively. Each event's final position comes from its
+// explicit key, so the main engine fires deliveries in exactly the serial
+// order. They are injected in that order, too: same-cycle deliveries from
+// different shards interleave by component, and injecting them shard by
+// shard would make each one walk back through its cycle's bucket.
 func (n *Network) FlushCross() {
+	out := n.crossOut[:0]
 	for _, sh := range n.shards {
-		for i := range sh.out {
-			ev := &sh.out[i]
-			n.eng.InjectAt(ev.at, ev.key, 0, packetDelivered, n, ev.msg)
-			ev.msg = nil
-		}
+		out = append(out, sh.out...)
+		clear(sh.out)
 		sh.out = sh.out[:0]
 	}
+	slices.SortFunc(out, compareOut)
+	for i := range out {
+		n.eng.InjectAt(out[i].at, out[i].key, 0, packetDelivered, n, out[i].msg)
+	}
+	clear(out)
+	n.crossOut = out[:0]
+}
+
+// compareOut orders buffered deliveries as the main engine fires them:
+// by time, then key.
+func compareOut(a, b outEvent) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.key.Ctime != b.key.Ctime:
+		return cmp.Compare(a.key.Ctime, b.key.Ctime)
+	case a.key.Gen2 != b.key.Gen2:
+		return cmp.Compare(a.key.Gen2, b.key.Gen2)
+	case a.key.Comp != b.key.Comp:
+		return cmp.Compare(a.key.Comp, b.key.Comp)
+	}
+	return cmp.Compare(a.key.Seq, b.key.Seq)
 }
 
 // shardInject is the eventq.CallFunc a deferred Send lands on: it runs on
 // the first link's shard engine, under the sender's splice key, and
-// performs the packetization Send would have done inline on the serial
+// performs the injection Send would have done inline on the serial
 // engine. It reassigns the firing component to the link's, so every
-// event the packets generate carries the right component in its ordering
-// key.
+// event the message generates carries the right component in its
+// ordering key.
 func shardInject(a, b any) {
 	n, msg := a.(*Network), b.(*Message)
 	first := n.links[msg.Path[0]]
+	fk := first.eng.FiringKey()
 	first.eng.SetFiringComp(first.comp)
-	if first.canCollapse(msg) {
-		first.collapseBurst(msg)
-		return
-	}
-	n.packetize(first, msg)
-}
-
-// burstState is an in-flight collapsed burst: a whole message's packet
-// train bound for an idle no-transit link, reduced to two events (see
-// collapseBurst). The stored parameters let remaining() reconstruct the
-// per-packet serialization chain exactly.
-type burstState struct {
-	active  bool
-	msg     *Message
-	start   eventq.Time // when serialization of the first packet began
-	busy    eventq.Time // total serialization time (ends at start+busy)
-	pktSize int64
-	numPkts int64
-	carry0  float64 // serCarry at burst start, for exact replay
-}
-
-// canCollapse reports whether msg can take the flow-level fast path on
-// first: a single-link path onto an idle, unfaulted, no-transit link. An
-// idle no-transit link is provably uncongested — nothing can preempt or
-// interleave with the burst, because later sends queue FIFO behind it
-// and no upstream link can feed packets in — so per-packet simulation is
-// observationally equivalent to the closed form (the oracle's admission
-// argument, applied per message at runtime).
-func (l *link) canCollapse(msg *Message) bool {
-	return !l.net.noCollapse && len(msg.Path) == 1 && l.noTransit &&
-		!l.busy && !l.blocked && l.qlen() == 0 && l.reserved == 0 &&
-		len(l.waiters) == 0 && l.fault == nil
-}
-
-// collapseBurst serializes msg's whole packet train in closed form: one
-// burstDone event at the end of serialization (committing stats and
-// restarting the FIFO) and one delivery to the main engine, instead of
-// three events per packet. The per-packet carry chain is replayed
-// exactly — including the one-cycle minimum and the fractional
-// remainder — so link occupancy, serCarry, message timestamps, and the
-// delivery's ordering key are bit-identical to the serial run.
-// Intermediate per-packet deliveries are unobservable (they only
-// decrement packetsLeft), so only the final one is materialized.
-func (l *link) collapseBurst(msg *Message) {
-	pktSize, numPkts := l.net.packetPlan(msg)
-	now := l.eng.Now()
-	msg.started = true
-	msg.SerStart = now
-	msg.packetsLeft = 1 // the single materialized (final) delivery
-
-	b := &l.burst
-	b.active = true
-	b.msg = msg
-	b.start = now
-	b.pktSize = pktSize
-	b.numPkts = numPkts
-	b.carry0 = l.serCarry
-
-	bw := l.effBW
-	carry := l.serCarry
-	var busy, lastStart eventq.Time
-	remaining := msg.Bytes
-	for i := int64(0); i < numPkts; i++ {
-		pb := pktSize
-		if pb > remaining {
-			pb = remaining
-		}
-		remaining -= pb
-		lastStart = busy
-		exact := float64(pb)/bw + carry
-		c := eventq.Time(exact)
-		carry = exact - float64(c)
-		if c == 0 {
-			c = 1
-			carry = 0
-		}
-		busy += c
-	}
-	l.serCarry = carry
-	b.busy = busy
-	l.busy = true
-
-	// Serial PeakQueue counts the whole train queued at injection.
-	if int(numPkts) > l.stats.PeakQueue {
-		l.stats.PeakQueue = int(numPkts)
-	}
-
-	end := now + busy
-	// The delivery's key replicates the serial one: created at end by the
-	// last packet's linkSerDone, whose own creation time is that packet's
-	// serialization start.
-	k := l.eng.EventKey()
-	k.Ctime = end
-	k.Gen2 = now + lastStart
-	l.sh.out = append(l.sh.out, outEvent{at: end + l.hopDelay(), key: k, msg: msg})
-	l.eng.Call(busy, burstDone, l, nil)
-}
-
-// burstDone is the eventq.CallFunc that retires a collapsed burst: it
-// commits the deferred link stats and frees the serializer for whatever
-// queued behind the burst. Bursts are never canceled, so exactly one
-// burstDone fires per collapse.
-func burstDone(a, _ any) {
-	l := a.(*link)
-	b := &l.burst
-	l.stats.Packets += uint64(b.numPkts)
-	l.stats.Bytes += b.msg.Bytes
-	l.stats.BusyCycles += b.busy
-	b.active = false
-	b.msg = nil
-	l.busy = false
-	l.kick()
-}
-
-// burstRemaining reconstructs how many of the in-flight burst's packets
-// are still queued or serializing at time t, by replaying the carry
-// chain (effBW cannot change mid-run on a fault-free link, so the replay
-// is exact) — used only to keep PeakQueue accounting honest when a later
-// message queues behind the burst.
-func (l *link) burstRemaining(t eventq.Time) int {
-	b := &l.burst
-	end := b.start
-	carry := b.carry0
-	remaining := b.msg.Bytes
-	for i := int64(0); i < b.numPkts; i++ {
-		pb := b.pktSize
-		if pb > remaining {
-			pb = remaining
-		}
-		remaining -= pb
-		exact := float64(pb)/l.effBW + carry
-		c := eventq.Time(exact)
-		carry = exact - float64(c)
-		if c == 0 {
-			c = 1
-			carry = 0
-		}
-		end += c
-		if end > t {
-			return int(b.numPkts - i)
-		}
-	}
-	return 0
+	n.inject(first, msg, fk)
 }

@@ -1,0 +1,226 @@
+package noc
+
+// Packet trains: closed-form serialization of single-link messages on
+// source-fed links, in serial and partitioned runs alike.
+//
+// A link the partition plan flags no-transit (pdes.Plan.NoTransit) is fed
+// by no collective lane from upstream. A single-link message injected onto
+// such a link, while no real packet is queued there, joins the link's
+// train: its packets serialize in closed form behind the train's earlier
+// messages, starting at max(now, train end), with the exact per-packet
+// carry chain and one-cycle clamp. The message then costs one
+// segment-done event, under the key its last packet's linkSerDone would
+// carry, plus one delivery under the key of that packet's packetDelivered,
+// instead of two events per packet. Intermediate deliveries only decrement
+// packetsLeft, so they are never materialized.
+//
+// Point-to-point sends on a serial run may still route multi-hop through
+// a train link. The per-packet model stays observable there: the train's
+// unserialized (virtual) packets count toward the buffer and PeakQueue,
+// an upstream link blocked on the train is released at the next virtual
+// packet's end under that packet's linkSerDone key, and real packets
+// queue behind the train and start under its last packet's key.
+
+import "astrasim/internal/eventq"
+
+// segment is one message of a train.
+type segment struct {
+	bytes   int64
+	pktSize int64
+	numPkts int64
+	bw      float64 // effective bandwidth the segment was charged at
+	carry0  float64 // serCarry when its first packet started
+	start   eventq.Time
+	// gen0 is the gen2 of the first packet's linkSerDone key: the creation
+	// cycle of the event that started it.
+	gen0 eventq.Time
+	last vpkt // the final packet
+}
+
+// vpkt is one virtual packet: its serialization interval and the gen2 of
+// its linkSerDone key, which is (end, start, gen, link comp).
+type vpkt struct{ start, end, gen eventq.Time }
+
+// train is a link's FIFO of live segments.
+type train struct {
+	segs []segment // segs[head:] are live
+	head int
+	pkts int // virtual packets in the live segments
+	// done counts head-segment packets retired by a trainRelease event.
+	done int64
+	// relPkt is the head-segment packet an armed trainRelease retires.
+	relPkt   int64
+	relArmed bool
+}
+
+// chain replays a segment's carry chain one packet at a time.
+type chain struct {
+	remaining int64
+	carry     float64
+	pkt       vpkt
+}
+
+// chain starts the replay. The seed packet ends where the first one
+// starts and started at gen0, so next() yields the first packet's key.
+func (s *segment) chain() chain {
+	return chain{remaining: s.bytes, carry: s.carry0, pkt: vpkt{start: s.gen0, end: s.start}}
+}
+
+// next advances to the following packet.
+func (c *chain) next(s *segment) {
+	pb := min(s.pktSize, c.remaining)
+	c.remaining -= pb
+	var d eventq.Time
+	d, c.carry = serStep(pb, s.bw, c.carry)
+	c.pkt = vpkt{start: c.pkt.end, end: c.pkt.end + d, gen: c.pkt.start}
+}
+
+// canTrain reports whether msg can join first's train: a single-link
+// message onto a fault-free, no-transit link with no real packet queued.
+func (l *link) canTrain(msg *Message) bool {
+	return !l.net.noTrains && len(msg.Path) == 1 && l.noTransit && l.fault == nil && l.qlen() == 0
+}
+
+// key labels an event this link creates on behalf of a virtual packet.
+func (l *link) key(ctime, gen2 eventq.Time) eventq.Key {
+	k := l.eng.EventKey()
+	k.Ctime, k.Gen2, k.Comp = ctime, gen2, l.comp
+	return k
+}
+
+// appendTrain serializes msg in closed form at the back of l's train. fk
+// is the injecting event's key.
+func (l *link) appendTrain(msg *Message, fk eventq.Key) {
+	t := &l.train
+	pktSize, numPkts := l.net.packetPlan(msg)
+	s := segment{bytes: msg.Bytes, pktSize: pktSize, numPkts: numPkts,
+		bw: l.effBW, carry0: l.serCarry, start: l.eng.Now(), gen0: fk.Ctime}
+	// The per-packet model queues the whole message at once, behind the
+	// train's unserialized packets; its first packet starts when the
+	// previous one's linkSerDone fires.
+	queued := int(numPkts)
+	if t.pkts > 0 {
+		prev := &t.segs[len(t.segs)-1]
+		s.start, s.gen0 = prev.last.end, prev.last.start
+		if t.pkts+queued > l.stats.PeakQueue {
+			queued += l.trainLeft(fk)
+		}
+	}
+	l.stats.PeakQueue = max(l.stats.PeakQueue, queued)
+
+	c := s.chain()
+	for k := int64(0); k < numPkts; k++ {
+		c.next(&s)
+	}
+	s.last = c.pkt
+	l.serCarry = c.carry
+	msg.started, msg.SerStart, msg.packetsLeft = true, s.start, 1
+
+	dk := l.key(s.last.end, s.last.start)
+	if at := s.last.end + l.hopDelay(); l.sh != nil {
+		l.sh.out = append(l.sh.out, outEvent{at: at, key: dk, msg: msg})
+	} else {
+		l.eng.InjectAt(at, dk, 0, packetDelivered, l.net, msg)
+	}
+	l.eng.InjectAt(s.last.end, l.key(s.last.start, s.last.gen), 0, trainSegDone, l, nil)
+	t.segs = append(t.segs, s)
+	t.pkts += int(numPkts)
+	l.busy = true
+	l.armRelease(fk)
+}
+
+// fired reports whether virtual packet p's linkSerDone has fired by the
+// time the event keyed fk runs. On a full (ctime, gen2, comp) tie the
+// firing event is taken to come first, as a handler's earlier-created
+// events do.
+func (l *link) fired(p vpkt, fk eventq.Key) bool {
+	if now := l.eng.Now(); p.end != now {
+		return p.end < now
+	}
+	if p.start != fk.Ctime {
+		return p.start < fk.Ctime
+	}
+	if p.gen != fk.Gen2 {
+		return p.gen < fk.Gen2
+	}
+	return l.comp < fk.Comp
+}
+
+// headLive returns the index and replay of the head segment's first
+// packet whose linkSerDone has not fired as seen from fk. The last packet
+// is live until its segment-done event fires.
+func (l *link) headLive(fk eventq.Key) (int64, vpkt) {
+	t := &l.train
+	s := &t.segs[t.head]
+	c := s.chain()
+	for k := int64(0); ; k++ {
+		c.next(s)
+		if k == s.numPkts-1 || (k >= t.done && !l.fired(c.pkt, fk)) {
+			return k, c.pkt
+		}
+	}
+}
+
+// trainLeft counts the train's virtual packets still queued or
+// serializing as seen from fk. Only the head segment can have started.
+func (l *link) trainLeft(fk eventq.Key) int {
+	t := &l.train
+	if t.pkts == 0 {
+		return 0
+	}
+	left := t.pkts
+	if t.segs[t.head].start < l.eng.Now() {
+		k, _ := l.headLive(fk)
+		left -= int(k)
+	}
+	return left
+}
+
+// armRelease schedules a trainRelease at the next virtual packet's end
+// when upstream links wait on l's buffer. The last packet of the head
+// segment needs none: its segment-done event releases waiters.
+func (l *link) armRelease(fk eventq.Key) {
+	t := &l.train
+	if t.pkts == 0 || t.relArmed || len(l.waiters) == 0 {
+		return
+	}
+	k, p := l.headLive(fk)
+	if k == t.segs[t.head].numPkts-1 {
+		return
+	}
+	t.relArmed, t.relPkt = true, k
+	l.eng.InjectAt(p.end, l.key(p.start, p.gen), 0, trainRelease, l, nil)
+}
+
+// trainRelease is the eventq.CallFunc standing in for an intermediate
+// virtual packet's linkSerDone while upstream links wait on link a.
+func trainRelease(a, _ any) {
+	l := a.(*link)
+	t := &l.train
+	t.relArmed = false
+	t.done = t.relPkt + 1
+	l.releaseWaiters()
+	l.armRelease(l.eng.FiringKey())
+}
+
+// trainSegDone is the eventq.CallFunc that retires link a's head segment
+// at its last packet's end: it commits the segment's stats and, once the
+// train is empty, frees the serializer for real packets queued behind it.
+func trainSegDone(a, _ any) {
+	l := a.(*link)
+	t := &l.train
+	s := &t.segs[t.head]
+	l.stats.Packets += uint64(s.numPkts)
+	l.stats.Bytes += s.bytes
+	l.stats.BusyCycles += s.last.end - s.start
+	t.pkts -= int(s.numPkts)
+	t.head++
+	t.done = 0
+	if t.head == len(t.segs) {
+		t.segs, t.head = t.segs[:0], 0
+		l.busy = false
+		l.kick()
+	}
+	l.releaseWaiters()
+	l.armRelease(l.eng.FiringKey())
+}

@@ -8,7 +8,9 @@ package pdes_test
 // uses. Unlike the fast backend, pdes is not an approximation anywhere:
 // it executes the identical packet semantics on partitioned engines, so
 // exactness holds on congested multi-chunk runs too (no "validity
-// domain"), and both with and without the burst fast path.
+// domain"), and both with and without packet trains. The serial reference
+// itself runs with trains off, and the serial run with trains on must
+// match it too: trains are exact on the serial engine as well.
 
 import (
 	"fmt"
@@ -50,8 +52,8 @@ type runResult struct {
 }
 
 // runPacket executes one collective on a fresh audited packet-backend
-// instance with the given IntraParallel setting (0 = serial reference).
-// collapse toggles the burst fast path (ignored when workers == 0).
+// instance with the given IntraParallel setting (0 = serial engine).
+// collapse toggles packet trains.
 func runPacket(t *testing.T, spec string, alg config.Algorithm, splits int,
 	op collectives.Op, setBytes int64, workers int, collapse bool) runResult {
 	t.Helper()
@@ -89,8 +91,8 @@ func runPacket(t *testing.T, spec string, alg config.Algorithm, splits int,
 }
 
 // mustMatch asserts got is byte-identical to the serial reference want.
-// PeakQueue is compared too: the burst fast path reconstructs it exactly
-// from the collapsed carry chain.
+// PeakQueue is compared too: packet trains reconstruct it exactly from
+// the replayed carry chain.
 func mustMatch(t *testing.T, label string, want, got runResult) {
 	t.Helper()
 	if got.h.Duration() != want.h.Duration() {
@@ -148,7 +150,8 @@ func TestIntraParallelExactAcrossConfigs(t *testing.T) {
 				for _, setBytes := range sizes {
 					configs++
 					t.Run(fmt.Sprintf("%s/%v/%v/%d", spec, alg, op, setBytes), func(t *testing.T) {
-						serial := runPacket(t, spec, alg, 1, op, setBytes, 0, true)
+						serial := runPacket(t, spec, alg, 1, op, setBytes, 0, false)
+						mustMatch(t, "serial/trains", serial, runPacket(t, spec, alg, 1, op, setBytes, 0, true))
 						for _, w := range counts {
 							par := runPacket(t, spec, alg, 1, op, setBytes, w, true)
 							mustMatch(t, fmt.Sprintf("IntraParallel=%d", w), serial, par)
@@ -167,8 +170,8 @@ func TestIntraParallelExactAcrossConfigs(t *testing.T) {
 // cannot make: exactness survives congestion. With the default 64-way
 // chunk split, dispatcher/LSQ concurrency interleaves traffic on shared
 // links — and the partitioned run must still match the serial engine
-// byte-for-byte, both with the burst fast path (bursts get interrupted
-// by queued traffic) and with it disabled (pure event-by-event replay).
+// byte-for-byte, both with packet trains (later messages queue behind a
+// live train) and with them disabled (pure event-by-event replay).
 func TestIntraParallelExactMultiChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("congested differential replay takes ~15s; skipped with -short (full depth runs in the dedicated CI race step)")
@@ -182,7 +185,8 @@ func TestIntraParallelExactMultiChunk(t *testing.T) {
 	for _, spec := range []string{"1x8x1", "2x4x2", "4x4x4", "a2a:2x4", "sw:4x2", "so:2x2x1/2"} {
 		for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
 			t.Run(fmt.Sprintf("%s/%v", spec, op), func(t *testing.T) {
-				serial := runPacket(t, spec, config.Enhanced, 64, op, setBytes, 0, true)
+				serial := runPacket(t, spec, config.Enhanced, 64, op, setBytes, 0, false)
+				mustMatch(t, "serial/trains", serial, runPacket(t, spec, config.Enhanced, 64, op, setBytes, 0, true))
 				for _, collapse := range []bool{true, false} {
 					for _, w := range workerCounts() {
 						par := runPacket(t, spec, config.Enhanced, 64, op, setBytes, w, collapse)

@@ -14,11 +14,11 @@
 // link is known, every event it generates (serialization, hop arrival,
 // backpressure, release) stays inside one component, so a component is a
 // unit of ownership that one engine can advance without locks. Links a
-// lane never visits at path position >= 1 are flagged no-transit; an idle
-// no-transit link is provably uncongested (nothing can arrive except
-// source injections), which licenses the flow-level fast path below —
-// the same admission reasoning internal/oracle uses to declare a config
-// inside its exact domain.
+// lane never visits at path position >= 1 are flagged no-transit: nothing
+// reaches them except source injections, which licenses the network's
+// packet trains (closed-form FIFO serialization, noc/train.go) on serial
+// and partitioned runs alike — the same admission reasoning
+// internal/oracle uses to declare a config inside its exact domain.
 //
 // # Lookahead and the window protocol
 //

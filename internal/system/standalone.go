@@ -57,11 +57,12 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 			// Serial packet runs stamp the same component labels into
 			// their event-ordering keys as a partitioned run would, so
 			// both modes share one total order and -intra-parallel stays
-			// byte-identical at any worker count. Topologies without a
-			// partition plan (e.g. mapped routing) simply keep the
-			// single-component order.
+			// byte-identical at any worker count, and the same no-transit
+			// flags, so both run packet trains on the same links.
+			// Topologies without a partition plan (e.g. mapped routing)
+			// keep the single-component order and no trains.
 			if plan, perr := pdes.BuildPlan(topo, netCfg); perr == nil {
-				if aerr := nn.AssignOrderingComps(plan.Comp); aerr != nil {
+				if aerr := nn.AssignOrderingComps(plan.Comp, plan.NoTransit); aerr != nil {
 					return nil, aerr
 				}
 			}

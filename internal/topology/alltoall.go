@@ -16,6 +16,8 @@ type A2A struct {
 	localRings [][]*Ring // [package][channel]
 	// up[i][s] is the link NPU i -> switch s; down[i][s] the reverse.
 	up, down [][]LinkID
+	// pkgGroups[l] is the package-dimension group of local index l.
+	pkgGroups [][]Node
 }
 
 // A2AConfig sets the local-ring and switch multiplicities.
@@ -74,6 +76,14 @@ func (a *A2A) build() {
 			a.localRings[p][c] = r
 		}
 	}
+	a.pkgGroups = make([][]Node, M)
+	for l := range a.pkgGroups {
+		g := make([]Node, N)
+		for q := range g {
+			g[q] = Node(q*M + l)
+		}
+		a.pkgGroups[l] = g
+	}
 	// Switch links: every NPU connects to every switch.
 	n := a.NumNPUs()
 	a.up = make([][]LinkID, n)
@@ -126,17 +136,14 @@ func (a *A2A) coords(n Node) (l, p int) {
 
 // Group implements Topology. The package-dimension group of n contains the
 // NPUs with the same local index in every package, ordered by package.
+// The returned slice is shared and must not be modified.
 func (a *A2A) Group(d Dim, n Node) []Node {
 	l, p := a.coords(n)
 	switch d {
 	case DimLocal:
 		return a.localRings[p][0].Nodes
 	case DimPackage:
-		g := make([]Node, a.packages)
-		for q := 0; q < a.packages; q++ {
-			g[q] = Node(q*a.local + l)
-		}
-		return g
+		return a.pkgGroups[l]
 	}
 	panic(fmt.Sprintf("topology: alltoall has no dimension %v", d))
 }

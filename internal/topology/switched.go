@@ -23,6 +23,9 @@ type Switched struct {
 	// globalUp[i][g] / globalDown[i][g]: NPU i's links to/from global
 	// switch g.
 	globalUp, globalDown [][]LinkID
+	// localGroups[p] lists package p's NPUs; pkgGroups[l] the NPUs with
+	// local index l in every package.
+	localGroups, pkgGroups [][]Node
 }
 
 // SwitchedConfig sets the switch multiplicities.
@@ -65,6 +68,13 @@ func (s *Switched) build() {
 	s.localDown = make([][]LinkID, n)
 	s.globalUp = make([][]LinkID, n)
 	s.globalDown = make([][]LinkID, n)
+	s.localGroups = make([][]Node, s.packages)
+	s.pkgGroups = make([][]Node, s.local)
+	for i := 0; i < n; i++ {
+		l, p := i%s.local, i/s.local
+		s.localGroups[p] = append(s.localGroups[p], Node(i))
+		s.pkgGroups[l] = append(s.pkgGroups[l], Node(i))
+	}
 	for i := 0; i < n; i++ {
 		p := i / s.local
 		s.localUp[i] = make([]LinkID, s.localSwitches)
@@ -112,22 +122,15 @@ func (s *Switched) coords(n Node) (l, p int) {
 	return int(n) % s.local, int(n) / s.local
 }
 
-// Group implements Topology.
+// Group implements Topology. The returned slice is shared and must not
+// be modified.
 func (s *Switched) Group(d Dim, n Node) []Node {
 	l, p := s.coords(n)
 	switch d {
 	case DimLocal:
-		g := make([]Node, s.local)
-		for i := 0; i < s.local; i++ {
-			g[i] = Node(p*s.local + i)
-		}
-		return g
+		return s.localGroups[p]
 	case DimPackage:
-		g := make([]Node, s.packages)
-		for q := 0; q < s.packages; q++ {
-			g[q] = Node(q*s.local + l)
-		}
-		return g
+		return s.pkgGroups[l]
 	}
 	panic(fmt.Sprintf("topology: switched has no dimension %v", d))
 }

@@ -96,3 +96,39 @@ func TestSwitchedErrors(t *testing.T) {
 		t.Error("expected error for zero global switches")
 	}
 }
+
+// TestDirectGroupsCached: A2A's package groups and both Switched
+// dimensions return groups built at construction, so the per-step
+// lookups of the system layer (halving partners, direct fan-out)
+// allocate nothing — like Hierarchical's.
+func TestDirectGroupsCached(t *testing.T) {
+	a, err := NewA2A(4, 8, DefaultA2AConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSwitched(4, 8, DefaultSwitchedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []Topology{a, s} {
+		for _, d := range []Dim{DimLocal, DimPackage} {
+			src := Node(13)
+			if got := testing.AllocsPerRun(100, func() { topo.Group(d, src) }); got != 0 {
+				t.Errorf("%s Group(%v) allocates %.0f/op, want 0", topo.Name(), d, got)
+			}
+			// Every member of a group sees the same group, containing itself.
+			g := topo.Group(d, src)
+			for _, m := range g {
+				if h := topo.Group(d, m); &h[0] != &g[0] {
+					t.Errorf("%s Group(%v, %d) is not the shared group of %d", topo.Name(), d, m, src)
+				}
+			}
+		}
+	}
+	if g := a.Group(DimPackage, 13); len(g) != 8 || g[0] != 1 || g[7] != 29 {
+		t.Errorf("a2a package group of 13 = %v, want local index 1 of every package", g)
+	}
+	if g := s.Group(DimLocal, 13); len(g) != 4 || g[0] != 12 || g[3] != 15 {
+		t.Errorf("switched local group of 13 = %v, want package 3's NPUs", g)
+	}
+}

@@ -15,9 +15,8 @@
 #
 # Large mode runs the LARGE set — the 16x16x16 (4096-NPU) all-reduce on
 # both network backends — and writes BENCH_large.{txt,json}. It is kept
-# out of compare mode and CI: the packet-mode run takes minutes per
-# iteration, which is the very cost the fast backend is measured against
-# (the recorded ratio lives in EXPERIMENTS.md).
+# out of compare mode and CI: the set takes a few minutes per recording
+# (the recorded ratios live in EXPERIMENTS.md).
 #
 # Usage:
 #   scripts/bench.sh [output-dir]         record (default output: repo root)
@@ -92,8 +91,8 @@ record() {
   echo "wrote $txt and $json" >&2
 }
 
-# record_large DIR: run the LARGE set once per benchmark (the packet run
-# is minutes long; 1x keeps the pair tractable) into BENCH_large.{txt,json}.
+# record_large DIR: run the LARGE set once per benchmark (1x keeps the
+# set tractable) into BENCH_large.{txt,json}.
 record_large() {
   out="$1"
   mkdir -p "$out"
