@@ -1,6 +1,7 @@
 // Regression tests for scripts/bench.sh: the missing-benchmark guard
 // (a renamed/removed LARGE benchmark must be a named failure, not a
-// silently empty JSON) and the compare path's baseline join.
+// silently empty JSON), the per-sample median aggregation, and the
+// compare path's baseline join.
 package astrasim_test
 
 import (
@@ -109,5 +110,36 @@ func TestBenchComparePath(t *testing.T) {
 	}
 	if !strings.Contains(out, "BenchmarkNotInBaseline") {
 		t.Fatalf("benchmark missing from baseline was silently skipped:\n%s", out)
+	}
+}
+
+// TestBenchJSONMedian: repeated samples of one benchmark (-count) collapse
+// into one JSON record carrying the median of each value and the ns/op
+// extremes, in first-seen benchmark order.
+func TestBenchJSONMedian(t *testing.T) {
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "bench.txt")
+	lines := "BenchmarkA-2 \t 3\t 500 ns/op\t 10 B/op\t 1 allocs/op\n" +
+		"BenchmarkB-2 \t 9\t 7 ns/op\t 0 B/op\t 0 allocs/op\n" +
+		"BenchmarkA-2 \t 3\t 100 ns/op\t 30 B/op\t 3 allocs/op\n" +
+		"BenchmarkA-2 \t 3\t 300 ns/op\t 20 B/op\t 2 allocs/op\n"
+	if err := os.WriteFile(txt, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	json := filepath.Join(dir, "bench.json")
+	if out, err := benchSh(t, "tojson", txt, json); err != nil {
+		t.Fatalf("tojson: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(json)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[
+  {"benchmark":"BenchmarkA","iterations":3,"samples":3,"ns_per_op":300,"ns_per_op_min":100,"ns_per_op_max":500,"bytes_per_op":20,"allocs_per_op":2},
+  {"benchmark":"BenchmarkB","iterations":9,"samples":1,"ns_per_op":7,"ns_per_op_min":7,"ns_per_op_max":7,"bytes_per_op":0,"allocs_per_op":0}
+]
+`
+	if string(got) != want {
+		t.Fatalf("tojson wrote\n%s\nwant\n%s", got, want)
 	}
 }

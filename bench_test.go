@@ -110,6 +110,27 @@ func BenchmarkAllReduce4x4x4_4MB(b *testing.B) {
 	}
 }
 
+// BenchmarkAllReduce8x8x8_64MB_Fast is the bench workload allreduce-fast:
+// a 64 MiB enhanced all-reduce over 512 NPUs on the fast backend with the
+// default 64-way chunk split. The network charges each single-link
+// message in closed form, so the system layer's per-message send path
+// (lane lookup, message set-up) and fastnet's serialization memo are
+// most of its cost.
+func BenchmarkAllReduce8x8x8_64MB_Fast(b *testing.B) {
+	b.ReportAllocs()
+	p, err := astrasim.NewTorusPlatform(8, 8, 8,
+		astrasim.WithAlgorithm(astrasim.Enhanced),
+		astrasim.WithBackend(astrasim.FastBackend))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunCollective(astrasim.AllReduce, 64<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchAllReduce16Cubed is the backend-duality acceptance pair: the same
 // 16x16x16 (4096-NPU) all-reduce on the packet-level and fast analytical
 // backends. The two live in the LARGE bench set (scripts/bench.sh large),

@@ -42,18 +42,18 @@ func sendDistinct(t *testing.T, n int) *Network {
 }
 
 // TestSerCacheBounded overflows the memoization cap with distinct keys
-// and asserts the map never exceeds it: every insert above the cap drops
-// the map first, so a long-lived process holds at most one generation.
+// and asserts the table never exceeds it: every insert above the cap drops
+// the table first, so a long-lived process holds at most one generation.
 func TestSerCacheBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sends serCacheMaxEntries+ messages")
 	}
 	net := sendDistinct(t, serCacheMaxEntries+100)
-	if got := len(net.serCache); got > serCacheMaxEntries {
+	if got := net.serCache.count; got > serCacheMaxEntries {
 		t.Fatalf("serCache holds %d entries, cap is %d", got, serCacheMaxEntries)
 	}
 	// The 100 post-overflow inserts must live in a fresh generation.
-	if got := len(net.serCache); got > 200 {
+	if got := net.serCache.count; got > 200 {
 		t.Fatalf("serCache holds %d entries after overflow; want the post-clear generation only", got)
 	}
 }

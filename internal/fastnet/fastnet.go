@@ -26,7 +26,9 @@
 // and because that charge is a pure function of the link's bandwidth and
 // carry bits plus the packet schedule, it is memoized: symmetric
 // topologies replay one link's carry orbit on every link, collapsing the
-// steady-state cost to O(1) per message (see serKey).
+// steady-state cost to O(1) per message. The memo is a flat open-addressed
+// table (see serTable), not a Go map, and each link's packet size is
+// resolved at construction, so a send does no map lookups.
 // Multi-hop paths (switch and scale-out fabrics) keep one arrival event
 // per packet per downstream hop, because packets from different sources
 // interleave there in arrival order; the serialization at each hop is
@@ -65,6 +67,8 @@ type flink struct {
 
 	// effBW is the serialization rate in effective bytes/cycle.
 	effBW float64
+	// pktSize is the link class's packet size, resolved at construction.
+	pktSize int64
 	// serCarry accumulates sub-cycle serialization remainders, exactly as
 	// noc's link.serCarry does.
 	serCarry float64
@@ -91,41 +95,27 @@ func (l *flink) serCycles(bytes int64) eventq.Time {
 	return c
 }
 
+// serLoop charges numPkts packets of a bytes-byte message, packetized at
+// pkt bytes, back to back and returns the total serialization cycles.
+func (l *flink) serLoop(bytes, pkt, numPkts int64) eventq.Time {
+	var total eventq.Time
+	remaining := bytes
+	for i := int64(0); i < numPkts; i++ {
+		b := pkt
+		if b > remaining {
+			b = remaining
+		}
+		remaining -= b
+		total += l.serCycles(b)
+	}
+	return total
+}
+
 // hopDelay is the post-serialization delay to the next stage: wire latency
 // plus one router pipeline.
 func (l *flink) hopDelay() eventq.Time {
 	return l.latency + eventq.Time(l.net.params.RouterLatency)
 }
-
-// serKey identifies one whole-message serialization charge. The per-packet
-// carry loop reads nothing but the link's effective bandwidth, its carry
-// register, and the message's packet schedule (bytes + packet size), so
-// its output — total cycles and the carry left behind — is a pure function
-// of these four values. Floats are keyed by their bit patterns: two carries
-// that differ in the last ulp are different keys, which is what keeps
-// cached results bit-identical to the loop they replaced.
-type serKey struct {
-	bw    uint64 // math.Float64bits of the link's effBW
-	carry uint64 // math.Float64bits of the link's serCarry before the charge
-	bytes int64  // message payload bytes
-	pkt   int64  // packet size after the MaxPacketsPerMessage cap
-}
-
-// serVal is the memoized result: the serializer advances cycles and is left
-// holding carry.
-type serVal struct {
-	cycles eventq.Time
-	carry  float64
-}
-
-// serCacheMaxEntries bounds serCache. Symmetric workloads revisit a small
-// carry orbit, so in practice the cache stays tiny; the bound only bites
-// on adversarial traffic (e.g. thousands of distinct message sizes in one
-// run), where it caps memory in long-lived processes. When full, the
-// whole map is dropped and rebuilt — a deterministic policy, and safe
-// because a miss just re-runs the loop, whose output is bit-identical to
-// the cached value.
-const serCacheMaxEntries = 1 << 16
 
 // fpkt is one in-flight packet on a multi-hop path. last marks the
 // message's final packet: FIFO links keep a message's packets in order, so
@@ -164,7 +154,7 @@ type Network struct {
 	// for each orbit position, every other link's charge is an O(1) hit.
 	// A miss is always safe — it just runs the loop — so correctness does
 	// not depend on orbits actually cycling.
-	serCache map[serKey]serVal
+	serCache serTable
 }
 
 // New builds the analytical network for topo using the same Garnet-level
@@ -174,24 +164,26 @@ func New(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, topo: topo, params: p, serCache: make(map[serKey]serVal)}
+	n := &Network{eng: eng, topo: topo, params: p, serCache: newSerTable()}
 	for _, spec := range topo.Links() {
 		l := &flink{spec: spec, net: n}
 		switch spec.Class {
 		case topology.IntraPackage:
 			l.effBW = p.LocalLinkBandwidth * p.LocalLinkEfficiency
 			l.latency = eventq.Time(p.LocalLinkLatency)
+			l.pktSize = int64(p.LocalPacketSize)
 		case topology.InterPackage:
 			l.effBW = p.PackageLinkBandwidth * p.PackageLinkEfficiency
 			l.latency = eventq.Time(p.PackageLinkLatency)
+			l.pktSize = int64(p.PackagePacketSize)
 		case topology.ScaleOutLink:
 			l.effBW = p.ScaleOutLinkBandwidth * p.ScaleOutLinkEfficiency
 			l.latency = eventq.Time(p.ScaleOutLinkLatency)
+			l.pktSize = int64(p.ScaleOutPacketSize)
 		default:
 			// A link class without configured bandwidth/latency/packet-size
 			// parameters would serialize at rate zero; refuse at
-			// construction instead of diverging (or panicking in
-			// packetSizeFor) mid-simulation.
+			// construction instead of diverging mid-simulation.
 			return nil, fmt.Errorf("fastnet: link %d has class %v with no configured network parameters", spec.ID, spec.Class)
 		}
 		n.links = append(n.links, l)
@@ -208,28 +200,13 @@ func (n *Network) SetOnSend(fn func(*noc.Message)) { n.onSend = fn }
 // pathPacketSize mirrors noc: the smallest packet-size class along the
 // path, so chunking matches the packet backend byte-for-byte.
 func (n *Network) pathPacketSize(path []topology.LinkID) int64 {
-	pktSize := int64(n.packetSizeFor(n.links[path[0]].spec.Class))
+	pktSize := n.links[path[0]].pktSize
 	for _, id := range path[1:] {
-		if ps := int64(n.packetSizeFor(n.links[id].spec.Class)); ps < pktSize {
+		if ps := n.links[id].pktSize; ps < pktSize {
 			pktSize = ps
 		}
 	}
 	return pktSize
-}
-
-func (n *Network) packetSizeFor(class topology.LinkClass) int {
-	switch class {
-	case topology.IntraPackage:
-		return n.params.LocalPacketSize
-	case topology.InterPackage:
-		return n.params.PackagePacketSize
-	case topology.ScaleOutLink:
-		return n.params.ScaleOutPacketSize
-	}
-	// Provably-internal invariant: New rejects topologies carrying any
-	// link class not enumerated here, so no user-supplied configuration
-	// can reach this panic.
-	panic(fmt.Sprintf("fastnet: no packet size configured for link class %v", class))
 }
 
 // Send injects msg: the first link's serialization is charged eagerly in
@@ -277,25 +254,13 @@ func (n *Network) Send(msg *noc.Message) {
 			bytes: msg.Bytes,
 			pkt:   pktSize,
 		}
-		v, ok := n.serCache[key]
+		v, ok := n.serCache.get(key)
 		if ok {
 			first.serCarry = v.carry
 		} else {
-			finish := start
-			remaining := msg.Bytes
-			for i := int64(0); i < numPkts; i++ {
-				b := pktSize
-				if b > remaining {
-					b = remaining
-				}
-				remaining -= b
-				finish += first.serCycles(b)
-			}
-			v = serVal{cycles: finish - start, carry: first.serCarry}
-			if len(n.serCache) >= serCacheMaxEntries {
-				n.serCache = make(map[serKey]serVal)
-			}
-			n.serCache[key] = v
+			cycles := first.serLoop(msg.Bytes, pktSize, numPkts)
+			v = serVal{cycles: cycles, carry: first.serCarry}
+			n.serCache.put(key, v)
 		}
 		finish := start + v.cycles
 		first.busyUntil = finish

@@ -31,6 +31,10 @@ type chunk struct {
 	activatedAt eventq.Time
 	// nodesDone counts nodes that finished the current phase.
 	nodesDone int
+	// q and lane are the current phase's LSQ and lane, resolved when the
+	// chunk enters the phase.
+	q    *lsq
+	lane *lane
 
 	nodes []chunkNodeState
 }
@@ -67,17 +71,6 @@ func (c *chunk) start() {
 	c.nextPhase()
 }
 
-// channelFor returns the chunk's channel within the phase's dimension
-// (its LSQ lane: one unidirectional ring or one global switch).
-func (c *chunk) channelFor(ph collectives.Phase) int {
-	for _, d := range c.sys.dims {
-		if d.Dim == ph.Dim {
-			return c.idx % d.Channels
-		}
-	}
-	panic(fmt.Sprintf("system: topology has no dimension %v", ph.Dim))
-}
-
 // nextPhase reschedules the chunk into the following phase's LSQ, or
 // completes it.
 func (c *chunk) nextPhase() {
@@ -88,7 +81,13 @@ func (c *chunk) nextPhase() {
 	}
 	ph := c.coll.phases[c.phase]
 	c.enqueuedAt = c.sys.Eng.Now()
-	c.sys.lsqFor(ph.Dim, c.channelFor(ph), c.phase).enqueue(c)
+	// The channel is the chunk's lane within the dimension: one
+	// unidirectional ring or one global switch.
+	di := c.sys.dimIndex(ph.Dim)
+	channel := c.idx % c.sys.dims[di].Channels
+	c.lane = c.sys.laneFor(di, channel, ph.Direct || ph.Halving)
+	c.q = c.sys.lsqFor(ph.Dim, channel, c.phase)
+	c.q.enqueue(c)
 }
 
 // activate is called by the LSQ when the chunk gets a slot: every node
@@ -121,35 +120,24 @@ func neededPerStep(ph collectives.Phase) int {
 // sendStep transmits node n's messages for step s of phase p.
 func (c *chunk) sendStep(n topology.Node, p, s int) {
 	ph := c.coll.phases[p]
-	channel := c.channelFor(ph)
 	size := ph.StepBytes(s, c.bytes)
+	l, topo := c.lane, c.sys.Topo
 	switch {
 	case ph.Halving:
-		c.sendMsg(n, halvingPartner(c.sys.Topo, ph, n, s), p, s, size, channel, ph)
+		// The XOR pairing is over positions in the dimension group, which
+		// every member enumerates in the same order.
+		i := ph.HalvingPartnerIndex(l.pos[n], s)
+		c.sendMsg(n, l.group[n][i], l.directPath(topo, n, i), p, s, size)
 	case ph.Direct:
-		for _, peer := range c.sys.Topo.Group(ph.Dim, n) {
-			if peer == n {
+		for i, peer := range l.group[n] {
+			if i == l.pos[n] {
 				continue
 			}
-			c.sendMsg(n, peer, p, s, size, channel, ph)
+			c.sendMsg(n, peer, l.directPath(topo, n, i), p, s, size)
 		}
 	default:
-		ring := c.sys.Topo.RingOf(ph.Dim, n, channel)
-		c.sendMsg(n, ring.Next(n), p, s, size, channel, ph)
+		c.sendMsg(n, l.next[n], l.path[n], p, s, size)
 	}
-}
-
-// halvingPartner resolves node n's XOR partner for step s of a halving
-// phase: the pairing is over positions in the dimension group, which every
-// member enumerates in the same order.
-func halvingPartner(topo topology.Topology, ph collectives.Phase, n topology.Node, s int) topology.Node {
-	group := topo.Group(ph.Dim, n)
-	for i, m := range group {
-		if m == n {
-			return group[ph.HalvingPartnerIndex(i, s)]
-		}
-	}
-	panic(fmt.Sprintf("system: node %d missing from its own %v group", n, ph.Dim))
 }
 
 // sendMsg injects one message and wires its delivery back into the chunk
@@ -158,10 +146,9 @@ func halvingPartner(topo topology.Topology, ph collectives.Phase, n topology.Nod
 // fabric). The continuation rides on the message itself — Ctx carries
 // the chunk, CtxA/CtxB the phase and step — dispatched through shared
 // top-level callbacks, so the steady-state send path allocates nothing.
-func (c *chunk) sendMsg(src, dst topology.Node, p, s int, size int64, channel int, ph collectives.Phase) {
+func (c *chunk) sendMsg(src, dst topology.Node, path []topology.LinkID, p, s int, size int64) {
 	msg := c.sys.allocMsg()
-	msg.Src, msg.Dst, msg.Bytes = src, dst, size
-	msg.Path = c.sys.pathLinks(ph.Dim, channel, src, dst)
+	msg.Src, msg.Dst, msg.Bytes, msg.Path = src, dst, size, path
 	msg.Ctx, msg.CtxA, msg.CtxB = c, int32(p), int32(s)
 	msg.OnDelivered = chunkMsgDelivered
 	c.sys.sendReliable(src, msg, c.coll)
@@ -284,6 +271,6 @@ func (c *chunk) nodeDone() {
 	if p == 0 {
 		c.sys.firstPhaseCleared()
 	}
-	c.sys.lsqFor(ph.Dim, c.channelFor(ph), p).release(c)
+	c.q.release(c)
 	c.nextPhase()
 }

@@ -220,37 +220,17 @@ type System struct {
 	// physical links.
 	p2pSeq int
 	// dims caches Topo.Dims(): the topology is immutable, but most
-	// implementations build the slice fresh per call, and the chunk state
-	// machine consults it for every send.
+	// implementations build the slice fresh per call, and every chunk
+	// consults it once per phase.
 	dims []topology.DimInfo
-	// pathCache memoizes Topo.PathLinks per (dim, channel, src, dst).
-	// Paths are pure functions of the immutable topology and messages
-	// treat Path as read-only (retransmit clones already share it), so
-	// every message on the same lane shares one slice.
-	pathCache map[pathKey][]topology.LinkID
+	// lanes holds each collective lane's resolved routing, indexed
+	// [dimension index into dims][channel] and built on first use.
+	lanes [][]*lane
 	// msgFree recycles noc.Message objects on the collective hot path.
 	// Messages are returned only after their endpoint completion fires
 	// (nothing references them past that point) and never while a retry
 	// policy is armed (the retransmit protocol holds the failed attempt).
 	msgFree []*noc.Message
-}
-
-// pathKey identifies one cached collective path.
-type pathKey struct {
-	dim      topology.Dim
-	channel  int
-	src, dst topology.Node
-}
-
-// pathLinks returns the cached physical route for a collective lane.
-func (s *System) pathLinks(dim topology.Dim, channel int, src, dst topology.Node) []topology.LinkID {
-	k := pathKey{dim: dim, channel: channel, src: src, dst: dst}
-	if p, ok := s.pathCache[k]; ok {
-		return p
-	}
-	p := s.Topo.PathLinks(dim, channel, src, dst)
-	s.pathCache[k] = p
-	return p
 }
 
 // allocMsg returns a zeroed message from the free list (or a fresh one).
@@ -471,6 +451,11 @@ func New(eng *eventq.Engine, topo topology.Topology, net Network, cfg config.Sys
 			}
 		}
 	}
+	dims := topo.Dims()
+	lanes := make([][]*lane, len(dims))
+	for i, d := range dims {
+		lanes[i] = make([]*lane, d.Channels)
+	}
 	return &System{
 		Eng:           eng,
 		Topo:          topo,
@@ -481,8 +466,8 @@ func New(eng *eventq.Engine, topo topology.Topology, net Network, cfg config.Sys
 		endpointScale: scale,
 		endpointCarry: make([]float64, topo.NumNPUs()),
 		injectors:     injectors,
-		dims:          topo.Dims(),
-		pathCache:     make(map[pathKey][]topology.LinkID),
+		dims:          dims,
+		lanes:         lanes,
 	}, nil
 }
 

@@ -26,19 +26,25 @@
 #
 # Run record mode before and after a perf-sensitive change; the JSON keys
 # (ns_per_op, bytes_per_op, allocs_per_op) are the numbers PR descriptions
-# should quote. Keep BENCHTIME small enough for CI but >=3x so ns/op is
-# not a single-sample fluke.
+# should quote. Each benchmark runs COUNT samples of BENCHTIME iterations
+# each; the JSON reports the median of every key over the samples, and
+# ns_per_op_min/ns_per_op_max give the spread, so a number is never a
+# single-sample fluke.
 set -eu
 
 cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-3x}"
+COUNT=5
 
 # The stable core set: the collective and graph-replay
-# microbenchmarks the perf acceptance criteria track, plus the
-# event-queue set — a schedule-then-drain run and two steady-state hold
-# shapes: many events over few cycles (packet all-reduce) and nearly
-# every event at a cycle of its own (the bucketed queue's worst case).
-CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
+# microbenchmarks the perf acceptance criteria track. The fast-backend
+# 8x8x8 all-reduce is the bench workload allreduce-fast: it covers the
+# system layer's per-message send path and fastnet's serialization memo.
+# EVQ is the event-queue set: a schedule-then-drain run and two
+# steady-state hold shapes: many events over few cycles (packet
+# all-reduce) and nearly every event at a cycle of its own (the bucketed
+# queue's worst case).
+CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
 EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
 # plus the intra-run parallelism pair at 16384 NPUs (serial engine vs
@@ -46,15 +52,39 @@ EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct'
 LARGE='BenchmarkAllReduce16x16x16_FastMode|BenchmarkAllReduce16x16x16_PacketMode|BenchmarkAllReduce16x32x32_PacketSerial|BenchmarkAllReduce16x32x32_IntraParallel'
 
 # tojson TXT JSON: convert "BenchmarkX  N  ns/op  B/op  allocs/op" lines
-# from TXT into one JSON record per benchmark in JSON.
+# from TXT into one JSON record per benchmark in JSON, in first-seen
+# order. A benchmark with several samples (-count) gets the median of
+# each value, plus the ns/op minimum and maximum as its spread.
 tojson() {
   awk '
+    # median NAME K KEY: the median of vals[NAME, 1..K, KEY]; sets lo and
+    # hi to the extremes.
+    function median(name, k, key,   i, j, v, s) {
+      for (i = 1; i <= k; i++) s[i] = vals[name, i, key] + 0
+      for (i = 2; i <= k; i++) {
+        v = s[i]
+        for (j = i - 1; j >= 1 && s[j] > v; j--) s[j + 1] = s[j]
+        s[j + 1] = v
+      }
+      lo = s[1]; hi = s[k]
+      return (k % 2) ? s[(k + 1) / 2] : (s[k / 2] + s[k / 2 + 1]) / 2
+    }
     /^Benchmark/ && /allocs\/op/ {
       name = $1; sub(/-[0-9]+$/, "", name)
-      printf("%s{\"benchmark\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}",
-             (n++ ? ",\n  " : "[\n  "), name, $2, $3, $5, $7)
+      if (!(name in count)) { order[++n] = name; iters[name] = $2 }
+      k = ++count[name]
+      vals[name, k, "ns"] = $3; vals[name, k, "bytes"] = $5; vals[name, k, "allocs"] = $7
     }
-    END { if (n) print "\n]"; else print "[]" }
+    END {
+      for (i = 1; i <= n; i++) {
+        name = order[i]; k = count[name]
+        bytes = median(name, k, "bytes"); allocs = median(name, k, "allocs")
+        ns = median(name, k, "ns")
+        printf("%s{\"benchmark\":\"%s\",\"iterations\":%s,\"samples\":%d,\"ns_per_op\":%.0f,\"ns_per_op_min\":%.0f,\"ns_per_op_max\":%.0f,\"bytes_per_op\":%.0f,\"allocs_per_op\":%.0f}",
+               (i > 1 ? ",\n  " : "[\n  "), name, iters[name], k, ns, lo, hi, bytes, allocs)
+      }
+      if (n) print "\n]"; else print "[]"
+    }
   ' "$1" > "$2"
 }
 
@@ -83,8 +113,8 @@ record() {
   txt="$out/BENCH_core.txt"
   json="$out/BENCH_core.json"
   {
-    go test -run '^$' -bench "$CORE" -benchmem -benchtime "$BENCHTIME" .
-    go test -run '^$' -bench "$EVQ" -benchmem -benchtime 100x ./internal/eventq/
+    go test -run '^$' -bench "$CORE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
+    go test -run '^$' -bench "$EVQ" -benchmem -benchtime 100x -count "$COUNT" ./internal/eventq/
   } | tee "$txt"
   check "$txt" "$CORE|$EVQ"
   tojson "$txt" "$json"
@@ -114,6 +144,13 @@ fi
 # running real benchmarks: bench.sh check TXT 'NameA|NameB'.
 if [ "${1:-}" = "check" ]; then
   check "$2" "$3"
+  exit 0
+fi
+
+# Hidden subcommand so the sample aggregation is testable the same way:
+# bench.sh tojson TXT JSON.
+if [ "${1:-}" = "tojson" ]; then
+  tojson "$2" "$3"
   exit 0
 fi
 
