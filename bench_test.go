@@ -110,6 +110,32 @@ func BenchmarkAllReduce4x4x4_4MB(b *testing.B) {
 	}
 }
 
+// BenchmarkAllReduce4x4x4_4MB_ExactPackets is BenchmarkAllReduce4x4x4_4MB
+// in the LARGE set's configuration: the packet cap off
+// (MaxPacketsPerMessage = 0, one packet per LocalPacketSize or
+// PackagePacketSize bytes, as the paper's Garnet runs) and one chunk per
+// set. Messages are then hundreds to thousands of packets long, so the
+// packet trains' serialization charge (noc.SerTable) is what it measures;
+// at the default 64-way split no message reaches the cap, and the run
+// would be BenchmarkAllReduce4x4x4_4MB's.
+func BenchmarkAllReduce4x4x4_4MB_ExactPackets(b *testing.B) {
+	b.ReportAllocs()
+	net := astrasim.DefaultNetworkConfig()
+	net.MaxPacketsPerMessage = 0
+	p, err := astrasim.NewTorusPlatform(4, 4, 4,
+		astrasim.WithAlgorithm(astrasim.Enhanced),
+		astrasim.WithSetSplits(1),
+		astrasim.WithNetwork(net))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunCollective(astrasim.AllReduce, 4<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllReduce8x8x8_64MB_Fast is the bench workload allreduce-fast:
 // a 64 MiB enhanced all-reduce over 512 NPUs on the fast backend with the
 // default 64-way chunk split. The network charges each single-link

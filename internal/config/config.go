@@ -177,8 +177,8 @@ const (
 	// FastBackend is the congestion-unaware analytical model
 	// (internal/fastnet): closed-form link serialization with infinite
 	// buffers, derived from the oracle's alpha-beta recurrence. Exact
-	// whenever the packet model's buffers never fill; orders of magnitude
-	// faster on large fabrics.
+	// whenever the packet model's buffers never fill; several times faster
+	// on large fabrics.
 	FastBackend
 )
 

@@ -21,19 +21,21 @@
 // unblockable FIFO link can be charged its serialization interval the
 // moment it arrives: start = max(now, link.busyUntil), advancing the same
 // carry the packet model would. So a message over a single-link path (the
-// dominant case — every torus ring hop) costs O(packets) float arithmetic
-// and exactly one delivery event, instead of ~3 queued events per packet —
-// and because that charge is a pure function of the link's bandwidth and
-// carry bits plus the packet schedule, it is memoized: symmetric
-// topologies replay one link's carry orbit on every link, collapsing the
-// steady-state cost to O(1) per message. The memo is a flat open-addressed
-// table (see serTable), not a Go map, and each link's packet size is
-// resolved at construction, so a send does no map lookups.
+// dominant case — every torus ring hop) costs one delivery event instead
+// of ~3 queued events per packet, and its whole charge is one call to
+// internal/noc's serialization kernel (noc.SerTable.Charge), the same one
+// the packet backend's trains use. The network's memo (a noc.SerTable)
+// keeps every charge: it is a pure function of the link's bandwidth and
+// carry bits plus the packet schedule, and symmetric topologies replay
+// one link's carry orbit on every link, collapsing the steady-state cost
+// to O(1) per message. Each link's packet size is resolved at
+// construction, so a send does no map lookups.
 // Multi-hop paths (switch and scale-out fabrics) keep one arrival event
 // per packet per downstream hop, because packets from different sources
 // interleave there in arrival order; the serialization at each hop is
-// still charged eagerly. The per-packet carry arithmetic is iterated, not
-// telescoped, so the float stream is bit-identical to internal/noc's.
+// still charged eagerly, one noc.SerStep per packet. Both backends run
+// the one kernel, iterated rather than telescoped, so the float stream is
+// bit-identical to internal/noc's.
 //
 // Fault injection (outages, degradation windows, drops) is packet-only:
 // congestion-unaware timing under loss is not meaningful, and callers are
@@ -51,7 +53,6 @@ package fastnet
 
 import (
 	"fmt"
-	"math"
 
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
@@ -81,34 +82,12 @@ type flink struct {
 	stats noc.LinkStats
 }
 
-// serCycles charges one packet's serialization, advancing the carry with
-// the exact float operations of noc's link.serCycles so the two backends
-// agree bit-for-bit.
+// serCycles charges one packet's serialization with noc's step, so the
+// two backends agree bit-for-bit.
 func (l *flink) serCycles(bytes int64) eventq.Time {
-	exact := float64(bytes)/l.effBW + l.serCarry
-	c := eventq.Time(exact)
-	l.serCarry = exact - float64(c)
-	if c == 0 {
-		c = 1
-		l.serCarry = 0
-	}
+	var c eventq.Time
+	c, l.serCarry = noc.SerStep(bytes, l.effBW, l.serCarry)
 	return c
-}
-
-// serLoop charges numPkts packets of a bytes-byte message, packetized at
-// pkt bytes, back to back and returns the total serialization cycles.
-func (l *flink) serLoop(bytes, pkt, numPkts int64) eventq.Time {
-	var total eventq.Time
-	remaining := bytes
-	for i := int64(0); i < numPkts; i++ {
-		b := pkt
-		if b > remaining {
-			b = remaining
-		}
-		remaining -= b
-		total += l.serCycles(b)
-	}
-	return total
 }
 
 // hopDelay is the post-serialization delay to the next stage: wire latency
@@ -147,14 +126,9 @@ type Network struct {
 	// pktFree recycles fpkt objects for multi-hop paths.
 	pktFree []*fpkt
 
-	// serCache memoizes whole-message single-link serialization charges.
-	// Carry registers walk a deterministic orbit (the chain is a pure
-	// float map), and symmetric topologies run the same orbit on every
-	// link, so after the first link of a class pays the O(packets) loop
-	// for each orbit position, every other link's charge is an O(1) hit.
-	// A miss is always safe — it just runs the loop — so correctness does
-	// not depend on orbits actually cycling.
-	serCache serTable
+	// ser memoizes whole-message single-link serialization charges (see
+	// noc.SerTable).
+	ser noc.SerTable
 }
 
 // New builds the analytical network for topo using the same Garnet-level
@@ -164,7 +138,7 @@ func New(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, topo: topo, params: p, serCache: newSerTable()}
+	n := &Network{eng: eng, topo: topo, params: p, ser: noc.NewSerTable()}
 	for _, spec := range topo.Links() {
 		l := &flink{spec: spec, net: n}
 		switch spec.Class {
@@ -244,29 +218,16 @@ func (n *Network) Send(msg *noc.Message) {
 	msg.SerStart = start
 
 	if len(msg.Path) == 1 {
-		// Single-link fast path: charge all packets back-to-back and
-		// schedule one delivery event at the last packet's arrival. The
-		// whole charge is memoized on (bandwidth, carry, bytes, packet
-		// size) bits — a hit replays the loop's exact output in O(1).
-		key := serKey{
-			bw:    math.Float64bits(first.effBW),
-			carry: math.Float64bits(first.serCarry),
-			bytes: msg.Bytes,
-			pkt:   pktSize,
-		}
-		v, ok := n.serCache.get(key)
-		if ok {
-			first.serCarry = v.carry
-		} else {
-			cycles := first.serLoop(msg.Bytes, pktSize, numPkts)
-			v = serVal{cycles: cycles, carry: first.serCarry}
-			n.serCache.put(key, v)
-		}
-		finish := start + v.cycles
+		// Single-link fast path: charge all packets back-to-back with
+		// noc's kernel, which memoizes the charge, and schedule one
+		// delivery event at the last packet's arrival.
+		v := n.ser.Charge(msg.Bytes, pktSize, numPkts, first.effBW, first.serCarry)
+		first.serCarry = v.Carry
+		finish := start + v.Total
 		first.busyUntil = finish
 		first.stats.Packets += uint64(numPkts)
 		first.stats.Bytes += msg.Bytes
-		first.stats.BusyCycles += v.cycles
+		first.stats.BusyCycles += v.Total
 		n.eng.CallAt(finish+first.hopDelay(), fastDeliver, n, msg)
 		return
 	}

@@ -20,7 +20,9 @@
 // no-transit links, stamped by AssignOrderingComps or Partition) skip the
 // per-packet events: they join the link's packet train and serialize in
 // closed form, with results identical to the per-packet model (train.go).
-// SetFlowCollapse(false) turns trains off for A/B comparison.
+// SetFlowCollapse(false) turns trains off for A/B comparison. A train
+// message is charged by the serialization kernel (serkernel.go), which
+// internal/fastnet shares and which memoizes long messages.
 //
 // Links optionally carry fault state (SetLinkFaults, driven by the
 // internal/faults subsystem): bandwidth degradation windows and outage
@@ -42,8 +44,10 @@
 // pool worker is advancing its shard's window, and the only cross-engine
 // traffic is (a) main→shard injections spliced before the shard runs and
 // (b) shard→main deliveries buffered per-shard and flushed by FlushCross
-// under the runner's barrier. No locks are taken on the packet hot path
-// in either mode; the window protocol is the synchronization.
+// under the runner's barrier. The serialization memo is shared by the
+// shards of one pool worker, which the runner advances one after another
+// (see Partition). No locks are taken on the packet hot path in either
+// mode; the window protocol is the synchronization.
 package noc
 
 import (
@@ -274,7 +278,10 @@ type link struct {
 	effBW float64
 	// serCarry accumulates sub-cycle serialization remainders.
 	serCarry float64
-	latency  eventq.Time
+	// ser memoizes train charges: the network's table in serial mode,
+	// the owning shard's pool worker's otherwise.
+	ser     *SerTable
+	latency eventq.Time
 	// capPackets bounds the queue for packets arriving from another link
 	// (switch input buffering). Source injection is unbounded: endpoint
 	// queuing is the system-layer "queue delay".
@@ -319,21 +326,8 @@ func (l *link) serCycles(bytes int64) eventq.Time {
 		bw *= f.degradeFactor(l.eng.Now())
 	}
 	var c eventq.Time
-	c, l.serCarry = serStep(bytes, bw, l.serCarry)
+	c, l.serCarry = SerStep(bytes, bw, l.serCarry)
 	return c
-}
-
-// serStep is one step of the serialization carry chain: the whole cycles
-// a packet of bytes takes at bw after the carried remainder, and the new
-// remainder. A packet takes at least one cycle; the clamp drops the
-// remainder.
-func serStep(bytes int64, bw, carry float64) (eventq.Time, float64) {
-	exact := float64(bytes)/bw + carry
-	c := eventq.Time(exact)
-	if c == 0 {
-		return 1, 0
-	}
-	return c, exact - float64(c)
 }
 
 // Network simulates the fabric over a topology's physical links.
@@ -378,6 +372,8 @@ type Network struct {
 	crossOut []outEvent
 	// noTrains disables packet trains for A/B testing (SetFlowCollapse).
 	noTrains bool
+	// ser is the serial links' serialization memo.
+	ser SerTable
 }
 
 // poisonBytes is the sentinel stamped into freed packets in poison mode;
@@ -406,13 +402,13 @@ func New(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, topo: topo, params: p}
+	n := &Network{eng: eng, topo: topo, params: p, ser: newTrainTable()}
 	flitBytes := p.FlitWidthBits / 8
 	if flitBytes == 0 {
 		flitBytes = 1
 	}
 	for _, spec := range topo.Links() {
-		l := &link{spec: spec, net: n, eng: eng, pool: &n.pktFree}
+		l := &link{spec: spec, net: n, eng: eng, pool: &n.pktFree, ser: &n.ser}
 		switch spec.Class {
 		case topology.IntraPackage:
 			l.effBW = p.LocalLinkBandwidth * p.LocalLinkEfficiency

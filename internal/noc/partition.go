@@ -18,12 +18,14 @@ import (
 
 // shard is the execution context of one partition: the engine its links
 // run on, a private packet free list (so the hot path stays lock-free
-// and allocation-free per shard), and the outbox buffering deliveries
-// bound for the main engine until the next window barrier.
+// and allocation-free per shard), the outbox buffering deliveries bound
+// for the main engine until the next window barrier, and the
+// serialization memo of the pool worker that runs it.
 type shard struct {
 	eng  *eventq.Engine
 	free []*packet
 	out  []outEvent
+	ser  *SerTable
 }
 
 // outEvent is one buffered shard→main delivery: packetDelivered(msg) at
@@ -38,9 +40,12 @@ type outEvent struct {
 // parallel execution: comp assigns every link a 1-based component
 // (component c runs on shards[(c-1) % len(shards)]), noTransit flags
 // links that never appear at path position >= 1 (licensing packet
-// trains). Both slices come from a pdes.Plan. Partition must be
+// trains). Both slices come from a pdes.Plan. workers is the pool width
+// of the pdes.Runner driving the shards, which runs shard i on worker
+// i % workers in every window: shards on one worker never run at the
+// same time, so they share one serialization memo. Partition must be
 // called once, before any traffic is injected.
-func (n *Network) Partition(shards []*eventq.Engine, comp []int32, noTransit []bool) error {
+func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, noTransit []bool) error {
 	if n.shards != nil {
 		return fmt.Errorf("noc: network is already partitioned")
 	}
@@ -53,9 +58,16 @@ func (n *Network) Partition(shards []*eventq.Engine, comp []int32, noTransit []b
 	if n.nextID != 0 {
 		return fmt.Errorf("noc: cannot partition after traffic was injected")
 	}
+	if workers < 1 {
+		return fmt.Errorf("noc: partition needs at least one worker")
+	}
+	tables := make([]SerTable, min(workers, len(shards)))
+	for i := range tables {
+		tables[i] = newTrainTable()
+	}
 	n.shards = make([]*shard, len(shards))
 	for i, eng := range shards {
-		n.shards[i] = &shard{eng: eng}
+		n.shards[i] = &shard{eng: eng, ser: &tables[i%len(tables)]}
 	}
 	for i, l := range n.links {
 		c := comp[i]
@@ -68,6 +80,7 @@ func (n *Network) Partition(shards []*eventq.Engine, comp []int32, noTransit []b
 		l.comp = uint32(c)
 		l.noTransit = noTransit[i]
 		l.pool = &sh.free
+		l.ser = sh.ser
 	}
 	return nil
 }

@@ -1,0 +1,217 @@
+package noc
+
+// The serialization kernel: the one definition of how a link's
+// serializer turns bytes into cycles, shared by both network backends.
+// SerStep is the single step; SerTable.Charge charges a whole message's
+// packets back to back, memoizing long trains. The packet backend calls
+// Charge for packet trains and SerStep for real packets; internal/fastnet
+// calls the same two for its single-link sends and its per-hop packets,
+// which is why the two backends agree bit for bit.
+
+import (
+	"math"
+
+	"astrasim/internal/eventq"
+)
+
+// SerStep is one step of the serialization carry chain: the whole cycles
+// a packet of bytes takes at bw after the carried remainder, and the new
+// remainder. A packet takes at least one cycle; the clamp drops the
+// remainder.
+func SerStep(bytes int64, bw, carry float64) (eventq.Time, float64) {
+	return serAdvance(float64(bytes)/bw, carry)
+}
+
+// serAdvance is SerStep with the packet's exact cycle count q =
+// bytes/bw already divided out, so a loop over equal packets divides
+// once: the sum is then the same float operation SerStep performs.
+func serAdvance(q, carry float64) (eventq.Time, float64) {
+	exact := q + carry
+	c := eventq.Time(exact)
+	if c == 0 {
+		return 1, 0
+	}
+	return c, exact - float64(c)
+}
+
+// SerCharge is what charging a message's packets back to back leaves
+// behind. With T[k] the end of packet k relative to the first packet's
+// start (T[0] = 0), it holds the last three packet boundaries, enough to
+// rebuild a train segment's final packet and its event keys.
+type SerCharge struct {
+	// Prev2, Prev and Total are T[n-2], T[n-1] and T[n]; Prev2 is 0 when
+	// n = 1.
+	Prev2, Prev, Total eventq.Time
+	// Carry is the serializer's remainder after the last packet.
+	Carry float64
+}
+
+// trainMemoMinPackets is the shortest packet train the packet backend
+// memoizes. Its workloads include many short messages of many sizes
+// (compiled training graphs), whose charges rarely repeat: memoizing them
+// fills the table with one entry per carry and costs more than the loop.
+// A hit saves the loop's one carry step per packet, so long trains pay
+// for the lookup even at a low hit rate.
+const trainMemoMinPackets = 16
+
+// SerTableMaxEntries bounds a SerTable. Symmetric workloads revisit a
+// small carry orbit, so in practice the table stays tiny; the bound only
+// bites on adversarial traffic (e.g. thousands of distinct message sizes
+// in one run), where it caps memory in long-lived processes. When full,
+// the whole table is dropped and rebuilt: a deterministic policy, and
+// safe because a miss just re-runs the loop, whose output is
+// bit-identical to the memoized value.
+const SerTableMaxEntries = 1 << 16
+
+// serTableMinSlots is the slot count of a fresh table (a power of two).
+const serTableMinSlots = 64
+
+// serKey identifies one whole-message charge. The carry loop reads
+// nothing but the bandwidth, the carry, and the packet schedule (bytes,
+// packet size, packet count), so its output is a pure function of these.
+// Floats are keyed by their bit patterns: two carries that differ in the
+// last ulp are different keys, which keeps memoized results bit-identical
+// to the loop. The packet count is part of the key because the
+// MaxPacketsPerMessage cap can pad a message with empty packets, so bytes
+// and packet size alone do not determine it. Packet size and count share
+// a word, which keeps the key at four words; Charge falls back to the
+// loop when either does not fit in 32 bits.
+type serKey struct {
+	bw    uint64 // math.Float64bits of the bandwidth
+	carry uint64 // math.Float64bits of the carry before the charge
+	bytes int64  // message bytes; 0 marks an empty slot
+	pn    uint64 // packet size << 32 | packet count
+}
+
+// serEntry is one table slot.
+type serEntry struct {
+	key serKey
+	val SerCharge
+}
+
+// SerTable memoizes SerCharge results: an open-addressed, linear-probed
+// hash table over serKey. Carry registers walk a deterministic orbit, and
+// symmetric topologies run the same orbit on every link, so after the
+// first link pays the loop for each orbit position, every other link's
+// charge is an O(1) hit. A key's home slot is taken from the top bits of
+// a multiplicative hash, and the table doubles before it is half full, so
+// probe runs stay short and a lookup never wraps a full table. It is not
+// a Go map because the lookup runs on every long single-link send.
+//
+// Build one with NewSerTable. A SerTable is not safe for concurrent use:
+// a serial network owns one, and a partitioned network gives each pdes
+// pool worker its own (see Partition).
+type SerTable struct {
+	slots []serEntry
+	// shift maps a hash to a home slot: hash >> shift < len(slots).
+	shift uint
+	// count is the number of occupied slots.
+	count int
+	// minPackets is the shortest charge memoized; shorter ones run the
+	// loop.
+	minPackets int64
+}
+
+// NewSerTable returns an empty table that memoizes every charge.
+func NewSerTable() SerTable {
+	return SerTable{slots: make([]serEntry, serTableMinSlots), shift: 64 - 6}
+}
+
+// newTrainTable returns the packet backend's memo, which leaves trains
+// shorter than trainMemoMinPackets to the loop.
+func newTrainTable() SerTable {
+	t := NewSerTable()
+	t.minPackets = trainMemoMinPackets
+	return t
+}
+
+// Len reports the number of memoized charges.
+func (t *SerTable) Len() int { return t.count }
+
+// Charge charges n packets of a bytes-byte message, pkt bytes per packet,
+// back to back on a serializer of bandwidth bw holding carry. Packet k
+// carries min(pkt, what is left) bytes, so a capped message may end in
+// empty packets, each taking the one-cycle minimum. bytes must be
+// positive. The result equals n SerStep calls bit for bit.
+func (t *SerTable) Charge(bytes, pkt, n int64, bw, carry float64) SerCharge {
+	if n < t.minPackets || (pkt|n)>>32 != 0 {
+		return serLoop(bytes, pkt, n, bw, carry)
+	}
+	k := serKey{bw: math.Float64bits(bw), carry: math.Float64bits(carry), bytes: bytes, pn: uint64(pkt)<<32 | uint64(n)}
+	if e := t.find(k); e.key.bytes != 0 {
+		return e.val
+	}
+	v := serLoop(bytes, pkt, n, bw, carry)
+	t.put(k, v)
+	return v
+}
+
+// serLoop is Charge without the memo: the full-size packets share one
+// division, then the partial packet and any empty ones step one by one.
+func serLoop(bytes, pkt, n int64, bw, carry float64) SerCharge {
+	var t2, t1, t eventq.Time
+	full := min(bytes/pkt, n)
+	q := float64(pkt) / bw
+	for k := int64(0); k < full; k++ {
+		var d eventq.Time
+		d, carry = serAdvance(q, carry)
+		t2, t1, t = t1, t, t+d
+	}
+	rest := bytes - full*pkt
+	for k := full; k < n; k++ {
+		var d eventq.Time
+		d, carry = SerStep(rest, bw, carry)
+		rest = 0
+		t2, t1, t = t1, t, t+d
+	}
+	return SerCharge{Prev2: t2, Prev: t1, Total: t, Carry: carry}
+}
+
+// home returns k's home slot.
+func (t *SerTable) home(k serKey) uint64 {
+	h := k.bw ^ k.carry*0x9e3779b97f4a7c15
+	h ^= uint64(k.bytes) * 0xc2b2ae3d27d4eb4f
+	h ^= k.pn * 0x165667b19e3779f9
+	return (h * 0x9e3779b97f4a7c15) >> t.shift
+}
+
+// find returns k's slot, or the empty slot ending its probe run when k
+// is absent.
+func (t *SerTable) find(k serKey) *serEntry {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(k); ; i = (i + 1) & mask {
+		if e := &t.slots[i]; e.key == k || e.key.bytes == 0 {
+			return e
+		}
+	}
+}
+
+// put memoizes k, which must not be present. A full table (count at
+// SerTableMaxEntries) first gets fresh minimum-size slots.
+func (t *SerTable) put(k serKey, v SerCharge) {
+	switch {
+	case t.count >= SerTableMaxEntries:
+		t.slots, t.shift, t.count = make([]serEntry, serTableMinSlots), 64-6, 0
+	case 2*(t.count+1) > len(t.slots):
+		old := t.slots
+		t.slots = make([]serEntry, 2*len(old))
+		t.shift--
+		for _, e := range old {
+			if e.key.bytes != 0 {
+				t.insert(e)
+			}
+		}
+	}
+	t.insert(serEntry{key: k, val: v})
+	t.count++
+}
+
+// insert places e in the first empty slot at or after its home.
+func (t *SerTable) insert(e serEntry) {
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(e.key)
+	for t.slots[i].key.bytes != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = e
+}

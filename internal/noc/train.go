@@ -71,7 +71,7 @@ func (c *chain) next(s *segment) {
 	pb := min(s.pktSize, c.remaining)
 	c.remaining -= pb
 	var d eventq.Time
-	d, c.carry = serStep(pb, s.bw, c.carry)
+	d, c.carry = SerStep(pb, s.bw, c.carry)
 	c.pkt = vpkt{start: c.pkt.end, end: c.pkt.end + d, gen: c.pkt.start}
 }
 
@@ -108,12 +108,12 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	}
 	l.stats.PeakQueue = max(l.stats.PeakQueue, queued)
 
-	c := s.chain()
-	for k := int64(0); k < numPkts; k++ {
-		c.next(&s)
+	r := l.ser.Charge(s.bytes, pktSize, numPkts, s.bw, s.carry0)
+	s.last = vpkt{start: s.start + r.Prev, end: s.start + r.Total, gen: s.gen0}
+	if numPkts > 1 {
+		s.last.gen = s.start + r.Prev2
 	}
-	s.last = c.pkt
-	l.serCarry = c.carry
+	l.serCarry = r.Carry
 	msg.started, msg.SerStart, msg.packetsLeft = true, s.start, 1
 
 	dk := l.key(s.last.end, s.last.start)

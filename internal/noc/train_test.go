@@ -37,14 +37,7 @@ type trainRun struct {
 func runTrainSchedule(t testing.TB, p config.Network, sends []trainSend, trains bool, prep func(*Network, *topology.Ring)) trainRun {
 	t.Helper()
 	eng, topo, net := ring4(t, p)
-	n := len(topo.Links())
-	comp, noTransit := make([]int32, n), make([]bool, n)
-	for i := range comp {
-		comp[i], noTransit[i] = int32(i+1), true
-	}
-	if err := net.AssignOrderingComps(comp, noTransit); err != nil {
-		t.Fatal(err)
-	}
+	sourceFed(t, net)
 	net.SetFlowCollapse(trains)
 	r := topo.RingOf(topology.DimLocal, 0, 0)
 	if prep != nil {
@@ -183,14 +176,7 @@ func TestTrainOneAndTwoHopMix(t *testing.T) {
 func TestTrainBandwidthChargedPerSegment(t *testing.T) {
 	p := smallBuffers()
 	eng, topo, net := ring4(t, p)
-	n := len(topo.Links())
-	comp, noTransit := make([]int32, n), make([]bool, n)
-	for i := range comp {
-		comp[i], noTransit[i] = int32(i+1), true
-	}
-	if err := net.AssignOrderingComps(comp, noTransit); err != nil {
-		t.Fatal(err)
-	}
+	sourceFed(t, net)
 	r := topo.RingOf(topology.DimLocal, 0, 0)
 	l01 := r.LinkFrom(0)
 	var got []eventq.Time

@@ -6,6 +6,7 @@ package pdes
 // mechanics are visible without the system layer on top.
 
 import (
+	"sync"
 	"testing"
 
 	"astrasim/internal/cli"
@@ -73,7 +74,7 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 		t.Fatalf("want a multi-component plan to degenerate, got %d components", plan.NumComps)
 	}
 	r := &Runner{main: eng, shards: []*eventq.Engine{eventq.New()}, look: plan.Lookahead, workers: 1}
-	if err := nn.Partition(r.Shards(), plan.Comp, plan.NoTransit); err != nil {
+	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
 		t.Fatal(err)
 	}
 	r.SetFlush(nn.FlushCross)
@@ -115,7 +116,7 @@ func TestLookaheadHorizonDelivery(t *testing.T) {
 	sEng.Run()
 
 	r := NewRunner(eng, plan, 2)
-	if err := nn.Partition(r.Shards(), plan.Comp, plan.NoTransit); err != nil {
+	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
 		t.Fatal(err)
 	}
 	r.SetFlush(nn.FlushCross)
@@ -150,7 +151,7 @@ func TestStopFreezesWindowedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(eng, plan, 1)
-	if err := nn.Partition(r.Shards(), plan.Comp, plan.NoTransit); err != nil {
+	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
 		t.Fatal(err)
 	}
 	r.SetFlush(nn.FlushCross)
@@ -226,5 +227,44 @@ func TestBuildPlanRejectsZeroLatency(t *testing.T) {
 	netCfg.RouterLatency = 0
 	if _, err := BuildPlan(topo, netCfg); err == nil {
 		t.Fatal("BuildPlan accepted a zero-lookahead configuration")
+	}
+}
+
+// TestDriveShardWorkerContract pins the assignment noc.Partition's
+// per-worker serialization memos rely on: in every window, Drive runs
+// shard i on pool worker i % workers, and never on another.
+func TestDriveShardWorkerContract(t *testing.T) {
+	eng, _, topo, netCfg := buildNet(t, "4x4x4")
+	plan, err := BuildPlan(topo, netCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	r := NewRunner(eng, plan, workers)
+	if len(r.Shards()) <= workers {
+		t.Fatalf("%d shards for %d workers: want several shards per worker", len(r.Shards()), workers)
+	}
+	const windows = 5
+	for _, sh := range r.Shards() {
+		for k := eventq.Time(0); k < windows; k++ {
+			sh.At(k*plan.Lookahead, func() {})
+		}
+	}
+	var mu sync.Mutex
+	ran := make([]int, len(r.Shards()))
+	r.onShard = func(w, i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if w != i%workers {
+			t.Errorf("shard %d ran on worker %d, want %d", i, w, i%workers)
+		}
+		ran[i]++
+	}
+	eng.SetDriver(r.Drive)
+	eng.Run()
+	for i, n := range ran {
+		if n < windows {
+			t.Errorf("shard %d ran %d windows, want at least %d", i, n, windows)
+		}
 	}
 }

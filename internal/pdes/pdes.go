@@ -228,6 +228,9 @@ type Runner struct {
 	// deliveries) under the barrier at the end of every window.
 	flush   func()
 	windows uint64
+	// onShard, when non-nil, observes worker w starting shard i's window
+	// (a test hook pinning the shard→worker assignment).
+	onShard func(w, i int)
 }
 
 // NewRunner builds a runner over main with one shard engine per plan
@@ -303,9 +306,15 @@ func (r *Runner) Drive(deadline eventq.Time, bounded bool) eventq.Time {
 		}
 		// Shards are mutually independent inside the window (any
 		// cross-component influence is at least Lookahead away), so the
-		// pool may advance them in any order on any thread.
+		// pool may advance them in any order. Shard i always runs on
+		// worker i % workers, one after another: state shared by the
+		// shards of one worker (noc's per-worker serialization memo) is
+		// never touched concurrently.
 		pool.Run(func(w int) {
 			for i := w; i < nshards; i += r.workers {
+				if r.onShard != nil {
+					r.onShard(w, i)
+				}
 				r.shards[i].RunWindow(end)
 			}
 		})

@@ -152,10 +152,16 @@ func TestLaneRoutesMatchTopology(t *testing.T) {
 // own objects, plus up to one in-flight message per node that the
 // message free list may have to grow for while the chunk is active.
 func TestSendPathAllocsPerChunk(t *testing.T) {
+	for _, backend := range []config.Backend{config.FastBackend, config.PacketBackend} {
+		t.Run(backend.String(), func(t *testing.T) { testSendPathAllocsPerChunk(t, backend) })
+	}
+}
+
+func testSendPathAllocsPerChunk(t *testing.T, backend config.Backend) {
 	topo := torus(t, 4, 4, 4, topology.DefaultTorusConfig())
 	run := func(splits int) (allocs float64, chunks int, msgs int64) {
 		cfg := sysCfgFor(topo)
-		cfg.Backend = config.FastBackend
+		cfg.Backend = backend
 		cfg.Algorithm = config.Enhanced
 		cfg.PreferredSetSplits = splits
 		allocs = testing.AllocsPerRun(3, func() {

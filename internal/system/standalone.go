@@ -92,7 +92,7 @@ func partitionInstance(eng *eventq.Engine, nn *noc.Network, topo topology.Topolo
 		return nil, err
 	}
 	r := pdes.NewRunner(eng, plan, sysCfg.IntraParallel)
-	if err := nn.Partition(r.Shards(), plan.Comp, plan.NoTransit); err != nil {
+	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
 		return nil, err
 	}
 	r.SetFlush(nn.FlushCross)
