@@ -133,19 +133,13 @@ type Platform struct {
 
 	// mu guards the mutable configuration below. The topology is
 	// immutable after construction and needs no lock.
-	mu  sync.RWMutex
-	sys config.System
-	net config.Network
+	mu sync.RWMutex
+	// spec holds the system and network parameters, the fault plan and
+	// the audit switch every run on this platform uses.
+	spec cli.RunSpec
 	// stragglers maps NPU -> endpoint slowdown factor, applied to every
 	// simulation instance this platform creates.
 	stragglers map[NodeID]float64
-	// audit attaches an invariant auditor (byte conservation, quiescence,
-	// free-list poisoning) to every instance; violations turn into errors.
-	audit bool
-	// faultPlan, when non-nil, is applied to every simulation instance
-	// this platform creates (degraded links, outages, stragglers, packet
-	// drops with retransmit).
-	faultPlan *FaultPlan
 }
 
 // FaultPlan is a declarative, seed-reproducible fault-injection plan:
@@ -170,7 +164,7 @@ func (p *Platform) SetFaultPlan(plan *FaultPlan) error {
 		}
 	}
 	p.mu.Lock()
-	p.faultPlan = plan
+	p.spec.Faults = plan
 	p.mu.Unlock()
 	return nil
 }
@@ -181,7 +175,7 @@ func (p *Platform) SetFaultPlan(plan *FaultPlan) error {
 // error. Off by default; the checks cost a few percent of runtime.
 func (p *Platform) SetAudit(on bool) {
 	p.mu.Lock()
-	p.audit = on
+	p.spec.Audit = on
 	p.mu.Unlock()
 }
 
@@ -205,17 +199,23 @@ func ParseBackend(s string) (Backend, error) { return config.ParseBackend(s) }
 // is packet-only); the conflict is reported when the next run starts.
 func (p *Platform) SetBackend(b Backend) {
 	p.mu.Lock()
-	p.sys.Backend = b
+	p.spec.System.Backend = b
 	p.mu.Unlock()
 }
 
-// instance builds a fresh wired simulation with the platform's fault
-// injections applied. The auditor is nil unless SetAudit(true). The
-// platform configuration is snapshotted under the read lock, so a run
+// optionNames spells the settings cli.RunSpec.Validate names in its
+// rejections as this package's options and setters do.
+var optionNames = cli.Names{Faults: "a fault plan", IntraParallel: "WithIntraParallel", SetSplits: "WithSetSplits",
+	RemoteMemBandwidth: "WithRemoteMemory bandwidth", RemoteMemLatency: "WithRemoteMemory latency"}
+
+// instance validates the platform configuration, against g too when it
+// is non-nil, and builds a fresh wired simulation with the platform's
+// fault injections applied. The auditor is nil unless SetAudit(true).
+// The configuration is snapshotted under the read lock, so a run
 // observes a consistent view even if Set* mutators race with it.
-func (p *Platform) instance() (*system.Instance, *audit.Auditor, error) {
+func (p *Platform) instance(g *WorkloadGraph) (*system.Instance, *audit.Auditor, error) {
 	p.mu.RLock()
-	sys, net := p.sys, p.net
+	spec := p.spec
 	var stragglers map[NodeID]float64
 	if len(p.stragglers) > 0 {
 		stragglers = make(map[NodeID]float64, len(p.stragglers))
@@ -223,29 +223,17 @@ func (p *Platform) instance() (*system.Instance, *audit.Auditor, error) {
 			stragglers[node] = factor
 		}
 	}
-	auditOn := p.audit
-	plan := p.faultPlan
 	p.mu.RUnlock()
 
-	inst, err := system.NewInstance(p.topo, sys, net)
-	if err != nil {
+	if err := spec.Validate(optionNames); err != nil {
 		return nil, nil, err
 	}
-	for node, factor := range stragglers {
-		if err := inst.Sys.SetNodeStragglerFactor(node, factor); err != nil {
+	if g != nil {
+		if err := spec.ValidateGraph(g, optionNames); err != nil {
 			return nil, nil, err
 		}
 	}
-	var aud *audit.Auditor
-	if auditOn {
-		aud = audit.Attach(inst.Sys, inst.Net)
-	}
-	if plan != nil {
-		if err := faults.Apply(plan, inst); err != nil {
-			return nil, nil, err
-		}
-	}
-	return inst, aud, nil
+	return spec.NewInstance(p.topo, stragglers)
 }
 
 // auditErr converts a finished run's audit report into an error (nil when
@@ -283,29 +271,22 @@ func (p *Platform) SetStraggler(node NodeID, factor float64) error {
 }
 
 // Option customizes a Platform.
-type Option func(*platformOpts)
-
-type platformOpts struct {
-	sys config.System
-	net config.Network
-	// ring/switch multiplicities
-	localRings, horizontalRings, verticalRings, switches, localSwitches int
-}
+type Option func(*cli.RunSpec)
 
 // WithAlgorithm selects baseline or enhanced hierarchical collectives.
 func WithAlgorithm(a Algorithm) Option {
-	return func(o *platformOpts) { o.sys.Algorithm = a }
+	return func(s *cli.RunSpec) { s.System.Algorithm = a }
 }
 
 // WithSchedulingPolicy selects LIFO or FIFO ready-queue order.
 func WithSchedulingPolicy(p SchedulingPolicy) Option {
-	return func(o *platformOpts) { o.sys.SchedulingPolicy = p }
+	return func(s *cli.RunSpec) { s.System.SchedulingPolicy = p }
 }
 
 // WithBackend selects the network backend (packet or fast) at
 // construction; SetBackend changes it later.
 func WithBackend(b Backend) Option {
-	return func(o *platformOpts) { o.sys.Backend = b }
+	return func(s *cli.RunSpec) { s.System.Backend = b }
 }
 
 // WithIntraParallel partitions each packet-backend simulation across n
@@ -315,7 +296,7 @@ func WithBackend(b Backend) Option {
 // Incompatible with fault plans and point-to-point sends, which need the
 // serial engine.
 func WithIntraParallel(n int) Option {
-	return func(o *platformOpts) { o.sys.IntraParallel = n }
+	return func(s *cli.RunSpec) { s.System.IntraParallel = n }
 }
 
 // Placement says where a layer's (or graph node's) tensors live relative
@@ -333,73 +314,75 @@ const (
 // memory tier: bandwidth in bytes/cycle and per-access latency in cycles.
 // Layers or graph nodes placed on the tier (Placement remote/interleaved)
 // pay a pool stall on top of their local memory path; bandwidth 0 (the
-// default) disables the tier at zero overhead.
+// default) disables the tier at zero overhead, and then the latency must
+// be 0 too.
 func WithRemoteMemory(bandwidth float64, latency uint64) Option {
-	return func(o *platformOpts) {
-		o.sys.RemoteMemBandwidth = bandwidth
-		o.sys.RemoteMemLatency = latency
+	return func(s *cli.RunSpec) {
+		s.System.RemoteMemBandwidth = bandwidth
+		s.System.RemoteMemLatency = latency
 	}
 }
 
 // WithSetSplits sets the preferred number of chunks per collective set.
 func WithSetSplits(n int) Option {
-	return func(o *platformOpts) { o.sys.PreferredSetSplits = n }
+	return func(s *cli.RunSpec) { s.System.PreferredSetSplits = n }
 }
 
 // WithEndpointDelay sets the NMU per-message receive delay in cycles.
 func WithEndpointDelay(cycles uint64) Option {
-	return func(o *platformOpts) { o.sys.EndpointDelay = cycles }
+	return func(s *cli.RunSpec) { s.System.EndpointDelay = cycles }
 }
 
 // WithNetwork replaces the whole network parameter set.
 func WithNetwork(n NetworkConfig) Option {
-	return func(o *platformOpts) { o.net = n }
+	return func(s *cli.RunSpec) { s.Network = n }
 }
 
 // WithSymmetricLinks makes intra-package links identical to inter-package
 // links (the symmetric configurations of §V-B/V-C).
 func WithSymmetricLinks() Option {
-	return func(o *platformOpts) { o.net = o.net.Symmetric() }
+	return func(s *cli.RunSpec) { s.Network = s.Network.Symmetric() }
 }
 
 // WithRings sets the ring multiplicities: local counts unidirectional
 // rings; horizontal and vertical count bidirectional rings.
 func WithRings(local, horizontal, vertical int) Option {
-	return func(o *platformOpts) {
-		o.localRings, o.horizontalRings, o.verticalRings = local, horizontal, vertical
+	return func(s *cli.RunSpec) {
+		s.Rings.LocalRings, s.Rings.HorizontalRings, s.Rings.VerticalRings = local, horizontal, vertical
 	}
 }
 
 // WithGlobalSwitches sets the alltoall topology's switch count.
 func WithGlobalSwitches(n int) Option {
-	return func(o *platformOpts) { o.switches = n }
+	return func(s *cli.RunSpec) { s.Rings.GlobalSwitches = n }
 }
 
-func buildOpts(opts []Option) platformOpts {
-	o := platformOpts{
-		sys:        config.DefaultSystem(),
-		net:        config.DefaultNetwork(),
-		localRings: 2, horizontalRings: 2, verticalRings: 2, switches: 2, localSwitches: 1,
-	}
+// WithLocalSwitches sets the per-package switch count of a switched
+// platform.
+func WithLocalSwitches(n int) Option {
+	return func(s *cli.RunSpec) { s.Rings.LocalSwitches = n }
+}
+
+// newPlatform resolves the options against Table IV defaults on the given
+// topology spec and builds the platform's topology with build.
+func newPlatform(spec string, opts []Option, build func(*cli.RunSpec) (topology.Topology, error)) (*Platform, error) {
+	s := cli.NewRunSpec(spec)
 	for _, f := range opts {
-		f(&o)
+		f(&s)
 	}
-	return o
+	topo, err := build(&s)
+	if err != nil {
+		return nil, err
+	}
+	return &Platform{topo: topo, spec: s}, nil
 }
 
 // NewTorusPlatform builds an MxNxK hierarchical torus platform: local x
 // horizontal x vertical (paper Fig. 3a).
 func NewTorusPlatform(local, horizontal, vertical int, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	topo, err := topology.NewTorus(local, horizontal, vertical, topology.TorusConfig{
-		LocalRings: o.localRings, HorizontalRings: o.horizontalRings, VerticalRings: o.verticalRings})
-	if err != nil {
-		return nil, err
-	}
-	o.sys.Topology = config.Torus3D
-	o.sys.LocalSize, o.sys.HorizontalSize, o.sys.VerticalSize = local, horizontal, vertical
-	o.sys.LocalRings, o.sys.HorizontalRings, o.sys.VerticalRings = o.localRings, o.horizontalRings, o.verticalRings
-	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
+	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
+		return topology.NewTorus(local, horizontal, vertical, s.Rings.Torus())
+	})
 }
 
 // NewTorusNDPlatform builds an N-dimensional hierarchical torus platform —
@@ -409,27 +392,9 @@ func NewTorusPlatform(local, horizontal, vertical int, opts ...Option) (*Platfor
 // follow WithRings for the first three axes (further axes default to 2
 // bidirectional rings).
 func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	rings := []int{o.localRings}
-	for i := 1; i < len(sizes); i++ {
-		switch i {
-		case 1:
-			rings = append(rings, o.verticalRings)
-		case 2:
-			rings = append(rings, o.horizontalRings)
-		default:
-			rings = append(rings, 2)
-		}
-	}
-	topo, err := topology.NewTorusND(sizes, topology.TorusNDConfig{Rings: rings})
-	if err != nil {
-		return nil, err
-	}
-	o.sys.Topology = config.TorusND
-	o.sys.LocalSize = sizes[0]
-	o.sys.HorizontalSize = topo.NumNPUs() / sizes[0]
-	o.sys.VerticalSize = 1
-	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
+	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
+		return topology.NewTorusND(sizes, s.Rings.TorusND(len(sizes)))
+	})
 }
 
 // NewScaleOutPlatform builds the scale-out extension: pods copies of an
@@ -438,21 +403,13 @@ func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
 // WithGlobalSwitches (default 2); scale-out link and transport parameters
 // live in the network config (WithNetwork).
 func NewScaleOutPlatform(podLocal, podHorizontal, podVertical, pods int, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	pod, err := topology.NewTorus(podLocal, podHorizontal, podVertical, topology.TorusConfig{
-		LocalRings: o.localRings, HorizontalRings: o.horizontalRings, VerticalRings: o.verticalRings})
-	if err != nil {
-		return nil, err
-	}
-	so, err := topology.NewScaleOut(pod, pods, o.switches)
-	if err != nil {
-		return nil, err
-	}
-	o.sys.Topology = config.TorusND
-	o.sys.LocalSize = podLocal
-	o.sys.HorizontalSize = so.NumNPUs() / podLocal
-	o.sys.VerticalSize = 1
-	return &Platform{topo: so, sys: o.sys, net: o.net}, nil
+	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
+		pod, err := topology.NewTorus(podLocal, podHorizontal, podVertical, s.Rings.Torus())
+		if err != nil {
+			return nil, err
+		}
+		return topology.NewScaleOut(pod, pods, s.Rings.GlobalSwitches)
+	})
 }
 
 // NewSwitchedPlatform builds the switch-based scale-up topology (§III-C's
@@ -461,22 +418,10 @@ func NewScaleOutPlatform(podLocal, podHorizontal, podVertical, pods int, opts ..
 // connect through global switches. Local switch count comes from
 // WithLocalSwitches (default 1), global from WithGlobalSwitches.
 func NewSwitchedPlatform(local, packages int, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	topo, err := topology.NewSwitched(local, packages, topology.SwitchedConfig{
-		LocalSwitches: o.localSwitches, GlobalSwitches: o.switches})
-	if err != nil {
-		return nil, err
-	}
-	o.sys.Topology = config.AllToAll
-	o.sys.LocalSize, o.sys.HorizontalSize = local, packages
-	o.sys.GlobalSwitches = o.switches
-	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
-}
-
-// WithLocalSwitches sets the per-package switch count of a switched
-// platform.
-func WithLocalSwitches(n int) Option {
-	return func(o *platformOpts) { o.localSwitches = n }
+	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
+		return topology.NewSwitched(local, packages, topology.SwitchedConfig{
+			LocalSwitches: s.Rings.LocalSwitches, GlobalSwitches: s.Rings.GlobalSwitches})
+	})
 }
 
 // NewPlatformFromSpec builds a platform from a textual topology spec —
@@ -492,34 +437,18 @@ func WithLocalSwitches(n int) Option {
 //	               dimensions, e.g. "hier:sw8,fc4,ring32" (DGX-like)
 //
 // Options apply exactly as for the typed constructors (WithRings,
-// WithGlobalSwitches, WithBackend, ...).
+// WithGlobalSwitches, WithLocalSwitches, WithBackend, ...).
 func NewPlatformFromSpec(spec string, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	topo, err := cli.BuildTopology(spec, cli.TopologyOptions{
-		LocalRings:      o.localRings,
-		HorizontalRings: o.horizontalRings,
-		VerticalRings:   o.verticalRings,
-		GlobalSwitches:  o.switches,
-	}, &o.sys)
-	if err != nil {
-		return nil, err
-	}
-	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
+	return newPlatform(spec, opts, (*cli.RunSpec).BuildTopology)
 }
 
 // NewAllToAllPlatform builds an MxN hierarchical alltoall platform: M NPUs
 // per package, N packages connected through global switches (Fig. 3b).
 func NewAllToAllPlatform(local, packages int, opts ...Option) (*Platform, error) {
-	o := buildOpts(opts)
-	topo, err := topology.NewA2A(local, packages, topology.A2AConfig{
-		LocalRings: o.localRings, GlobalSwitches: o.switches})
-	if err != nil {
-		return nil, err
-	}
-	o.sys.Topology = config.AllToAll
-	o.sys.LocalSize, o.sys.HorizontalSize = local, packages
-	o.sys.LocalRings, o.sys.GlobalSwitches = o.localRings, o.switches
-	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
+	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
+		return topology.NewA2A(local, packages, topology.A2AConfig{
+			LocalRings: s.Rings.LocalRings, GlobalSwitches: s.Rings.GlobalSwitches})
+	})
 }
 
 // NodeID identifies an NPU.
@@ -539,7 +468,9 @@ func (p *Platform) MapOnto(phys *Platform, perm []NodeID) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Platform{topo: m, sys: p.sys, net: p.net}, nil
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return &Platform{topo: m, spec: p.spec}, nil
 }
 
 // Name describes the platform's topology (e.g. "4x4x4 torus").
@@ -588,7 +519,7 @@ type CollectiveRun struct {
 // RunCollectiveDetailed is RunCollective plus per-class traffic and the
 // communication-energy breakdown.
 func (p *Platform) RunCollectiveDetailed(op Op, bytes int64) (*CollectiveRun, error) {
-	inst, aud, err := p.instance()
+	inst, aud, err := p.instance(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -619,7 +550,7 @@ func (p *Platform) RunCollectiveDetailed(op Op, bytes int64) (*CollectiveRun, er
 // Train simulates the workload's training loop for the given number of
 // forward/backward passes.
 func (p *Platform) Train(def Definition, passes int) (TrainingResult, error) {
-	inst, aud, err := p.instance()
+	inst, aud, err := p.instance(nil)
 	if err != nil {
 		return TrainingResult{}, err
 	}
@@ -660,7 +591,7 @@ func AutoPartition(def Definition, stages int) []int {
 // layer ranges on their NPUs, and microbatch activations/gradients cross
 // stage boundaries point-to-point over the fabric.
 func (p *Platform) TrainPipeline(def Definition, cfg PipelineConfig, passes int) (PipelineResult, error) {
-	inst, aud, err := p.instance()
+	inst, aud, err := p.instance(nil)
 	if err != nil {
 		return PipelineResult{}, err
 	}
@@ -756,7 +687,7 @@ func CompileModel(spec *ModelSpec, plan *ParallelismPlan, steps int) (*WorkloadG
 // per-node accounting into a TrainingResult (per-layer compute, raw and
 // exposed communication).
 func (p *Platform) RunGraph(g *WorkloadGraph) (TrainingResult, error) {
-	inst, aud, err := p.instance()
+	inst, aud, err := p.instance(g)
 	if err != nil {
 		return TrainingResult{}, err
 	}

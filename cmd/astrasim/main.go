@@ -11,7 +11,7 @@
 //
 //	astrasim -workload resnet50 -topology 2x4x4 -num-passes 2
 //	astrasim -workload transformer -topology 2x2x2 -scheduling-policy LIFO
-//	astrasim -workload my_dnn.txt -topology a2a:4x4 -switches 2
+//	astrasim -workload my_dnn.txt -topology a2a:4x4 -global-switches 2
 //	astrasim -workload resnet50 -faults examples/faults/lossy.json
 //	astrasim -graph workloads/microbench.graph.json -topology 2x2x2
 //	astrasim -workload dlrm -graph-dump dlrm.graph.json
@@ -45,7 +45,8 @@
 // -intra-parallel N partitions the packet network across N shard-pool
 // workers for intra-run parallel simulation (DESIGN.md §13). Results are
 // byte-identical to the serial engine at any worker count; 0 (the
-// default) keeps the serial engine. Incompatible with -faults.
+// default) keeps the serial engine. Incompatible with -faults, and with
+// graphs that hold SEND/RECV nodes (checked before the run starts).
 package main
 
 import (
@@ -55,16 +56,13 @@ import (
 	"os"
 	"strings"
 
-	"astrasim/internal/audit"
 	"astrasim/internal/cli"
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
-	"astrasim/internal/faults"
 	"astrasim/internal/graph"
 	"astrasim/internal/modelgen"
 	"astrasim/internal/models"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 	"astrasim/internal/trace"
 	"astrasim/internal/workload"
 )
@@ -72,90 +70,55 @@ import (
 // options is the fully parsed and validated command line; main only
 // builds one and runs it, so tests can drive parseArgs directly.
 type options struct {
+	spec          cli.RunSpec
 	workload      string
 	passes        int
 	batch, seqLen int
 	computeScale  float64
-	topoSpec      string
-	topoOpts      cli.TopologyOptions
-	cfg           config.System
-	net           config.Network
 	writeWorkload string
-	faultsPath    string
 	traceOut      string
 	graphPath     string
 	modelPath     string
 	planPath      string
 	graphDump     string
-	audit         bool
+}
+
+// newFlags returns the command's flag set, bound to options holding
+// astrasim's defaults: the enhanced algorithm and an 8-packet cap.
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{spec: cli.NewRunSpec("2x4x4")}
+	o.spec.System.Algorithm = config.Enhanced
+	o.spec.Network.MaxPacketsPerMessage = 8
+	fs := flag.NewFlagSet("astrasim", flag.ContinueOnError)
+	o.spec.Bind(fs, "global-switches")
+	sys, net := &o.spec.System, &o.spec.Network
+	fs.StringVar(&o.workload, "workload", "resnet50", "workload file path, or builtin: resnet50|transformer|dlrm")
+	fs.IntVar(&o.passes, "num-passes", 2, "forward/backward iterations to simulate")
+	fs.IntVar(&o.batch, "batch", 32, "local minibatch size (builtin workloads)")
+	fs.IntVar(&o.seqLen, "seq-len", 128, "sequence length (builtin transformer)")
+	fs.Uint64Var(&sys.EndpointDelay, "endpoint-delay", sys.EndpointDelay, "NMU delay per received message (cycles)")
+	fs.Float64Var(&o.computeScale, "compute-scale", 1, "NPU compute-power multiplier (builtin workloads)")
+	fs.Float64Var(&net.LocalLinkBandwidth, "local-link-bw", net.LocalLinkBandwidth, "intra-package link bandwidth (GB/s)")
+	fs.Float64Var(&net.PackageLinkBandwidth, "package-link-bw", net.PackageLinkBandwidth, "inter-package link bandwidth (GB/s)")
+	fs.IntVar(&net.MaxPacketsPerMessage, "max-packets-per-message", net.MaxPacketsPerMessage, "packet-event cap per message (0 = exact)")
+	fs.StringVar(&o.writeWorkload, "write-workload", "", "write the selected workload as a Fig. 8 file and exit")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the run to this file")
+	fs.StringVar(&o.graphPath, "graph", "", "replay this execution graph (JSON, DESIGN.md §10) instead of the training loop")
+	fs.StringVar(&o.modelPath, "model", "", "model spec (JSON, DESIGN.md §15) to compile with -plan instead of -workload")
+	fs.StringVar(&o.planPath, "plan", "", "parallelism plan (JSON, DESIGN.md §15) for -model")
+	fs.StringVar(&o.graphDump, "graph-dump", "", "compile the selected workload into an execution graph, write it here, and exit")
+	return fs, o
 }
 
 // parseArgs parses the flag set and rejects unsupported flag
 // combinations, naming them in the error.
 func parseArgs(args []string) (*options, error) {
-	fs := flag.NewFlagSet("astrasim", flag.ContinueOnError)
-	wl := fs.String("workload", "resnet50", "workload file path, or builtin: resnet50|transformer|dlrm")
-	passes := fs.Int("num-passes", 2, "forward/backward iterations to simulate")
-	batch := fs.Int("batch", 32, "local minibatch size (builtin workloads)")
-	seqLen := fs.Int("seq-len", 128, "sequence length (builtin transformer)")
-	topoFlag := fs.String("topology", "2x4x4", "torus MxNxK, alltoall a2a:MxN, or composition hier:sw8,fc4,ring32")
-	algFlag := fs.String("algorithm", "enhanced", "baseline or enhanced collective algorithm")
-	policyFlag := fs.String("scheduling-policy", "LIFO", "LIFO or FIFO")
-	switches := fs.Int("global-switches", 2, "global switches (alltoall topology)")
-	localRings := fs.Int("local-rings", 2, "unidirectional local rings")
-	horizontalRings := fs.Int("horizontal-rings", 2, "bidirectional horizontal rings")
-	verticalRings := fs.Int("vertical-rings", 2, "bidirectional vertical rings")
-	splits := fs.Int("preferred-set-splits", config.DefaultSystem().PreferredSetSplits, "chunks per collective set")
-	endpointDelay := fs.Uint64("endpoint-delay", 10, "NMU delay per received message (cycles)")
-	computeScale := fs.Float64("compute-scale", 1, "NPU compute-power multiplier (builtin workloads)")
-	localBW := fs.Float64("local-link-bw", 200, "intra-package link bandwidth (GB/s)")
-	packageBW := fs.Float64("package-link-bw", 25, "inter-package link bandwidth (GB/s)")
-	pktCap := fs.Int("max-packets-per-message", 8, "packet-event cap per message (0 = exact)")
-	writeWorkload := fs.String("write-workload", "", "write the selected workload as a Fig. 8 file and exit")
-	faultsFlag := fs.String("faults", "", "JSON fault plan for the run (see DESIGN.md §8)")
-	traceOut := fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the run to this file")
-	graphFlag := fs.String("graph", "", "replay this execution graph (JSON, DESIGN.md §10) instead of the training loop")
-	modelFlag := fs.String("model", "", "model spec (JSON, DESIGN.md §15) to compile with -plan instead of -workload")
-	planFlag := fs.String("plan", "", "parallelism plan (JSON, DESIGN.md §15) for -model")
-	graphDump := fs.String("graph-dump", "", "compile the selected workload into an execution graph, write it here, and exit")
-	auditFlag := fs.Bool("audit", false, "attach the invariant auditor and fail on any violation")
-	backendFlag := fs.String("backend", "packet", "network backend: packet (congestion-aware) or fast (congestion-unaware analytical)")
-	intraParallel := fs.Int("intra-parallel", 0, "shard-pool workers for intra-run parallel packet simulation (0 = serial engine; results are identical at any count)")
-	remoteMem := fs.String("remote-mem", "", "disaggregated memory tier, \"bw=<bytes/cycle>[,lat=<cycles>]\" (empty = disabled)")
+	fs, o := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	o := &options{
-		workload: *wl, passes: *passes, batch: *batch, seqLen: *seqLen,
-		computeScale: *computeScale,
-		topoSpec:     *topoFlag,
-		topoOpts: cli.TopologyOptions{
-			LocalRings:      *localRings,
-			HorizontalRings: *horizontalRings,
-			VerticalRings:   *verticalRings,
-			GlobalSwitches:  *switches,
-		},
-		cfg:           config.DefaultSystem(),
-		net:           config.DefaultNetwork(),
-		writeWorkload: *writeWorkload,
-		faultsPath:    *faultsFlag,
-		traceOut:      *traceOut,
-		graphPath:     *graphFlag,
-		modelPath:     *modelFlag,
-		planPath:      *planFlag,
-		graphDump:     *graphDump,
-		audit:         *auditFlag,
-	}
-	var err error
-	if o.cfg.Backend, err = config.ParseBackend(*backendFlag); err != nil {
+	if err := o.spec.Validate(cli.FlagNames); err != nil {
 		return nil, err
-	}
-	if o.faultsPath != "" && o.cfg.Backend != config.PacketBackend {
-		return nil, fmt.Errorf("-faults requires the packet backend; the %v backend does not model faults", o.cfg.Backend)
-	}
-	if o.faultsPath != "" && *intraParallel > 0 {
-		return nil, fmt.Errorf("-faults and -intra-parallel are mutually exclusive; fault injection needs the serial engine")
 	}
 	if (o.modelPath == "") != (o.planPath == "") {
 		return nil, fmt.Errorf("-model and -plan must be given together")
@@ -166,26 +129,6 @@ func parseArgs(args []string) (*options, error) {
 	if o.writeWorkload != "" && (o.graphPath != "" || o.modelPath != "") {
 		return nil, fmt.Errorf("-write-workload needs a layer-wise -workload; -graph and -model have none")
 	}
-
-	o.cfg.IntraParallel = *intraParallel
-	if o.cfg.Algorithm, err = config.ParseAlgorithm(*algFlag); err != nil {
-		return nil, err
-	}
-	if o.cfg.SchedulingPolicy, err = config.ParseSchedulingPolicy(*policyFlag); err != nil {
-		return nil, err
-	}
-	o.cfg.PreferredSetSplits = *splits
-	o.cfg.EndpointDelay = *endpointDelay
-	o.cfg.LocalRings, o.cfg.HorizontalRings, o.cfg.VerticalRings = *localRings, *horizontalRings, *verticalRings
-	o.cfg.GlobalSwitches = *switches
-	if *remoteMem != "" {
-		if o.cfg.RemoteMemBandwidth, o.cfg.RemoteMemLatency, err = cli.ParseRemoteMem(*remoteMem); err != nil {
-			return nil, err
-		}
-	}
-	o.net.LocalLinkBandwidth = *localBW
-	o.net.PackageLinkBandwidth = *packageBW
-	o.net.MaxPacketsPerMessage = *pktCap
 	return o, nil
 }
 
@@ -236,32 +179,18 @@ func main() {
 		return
 	}
 
-	cfg := o.cfg
-	topo, err := cli.BuildTopology(o.topoSpec, o.topoOpts, &cfg)
+	topo, err := o.spec.BuildTopology()
 	if err != nil {
 		fatal(err)
 	}
-	inst, err := system.NewInstance(topo, cfg, o.net)
+	inst, aud, err := o.spec.NewInstance(topo, nil)
 	if err != nil {
 		fatal(err)
-	}
-	var plan *faults.Plan
-	if o.faultsPath != "" {
-		if plan, err = faults.Load(o.faultsPath); err != nil {
-			fatal(err)
-		}
-		if err := faults.Apply(plan, inst); err != nil {
-			fatal(err)
-		}
 	}
 	var rec *trace.Recorder
 	if o.traceOut != "" {
 		rec = trace.New()
 		inst.Sys.Tracer = rec
-	}
-	var aud *audit.Auditor
-	if o.audit {
-		aud = audit.Attach(inst.Sys, inst.Net)
 	}
 	res, err := graph.Run(inst, g)
 	if err != nil {
@@ -282,7 +211,7 @@ func main() {
 	}
 
 	fmt.Printf("%s, %d passes on %s, %v algorithm, %v scheduling\n",
-		runName, res.Passes, topo.Name(), cfg.Algorithm, cfg.SchedulingPolicy)
+		runName, res.Passes, topo.Name(), o.spec.System.Algorithm, o.spec.System.SchedulingPolicy)
 	t := report.New("layers", "per-layer results",
 		"layer", "compute", "fwd-comm", "ig-comm", "wg-comm", "exposed")
 	for _, l := range res.Layers {
@@ -302,7 +231,7 @@ func main() {
 	fmt.Printf("exposed communication: %d cycles (%s of total)\n", res.TotalExposed(),
 		report.Percent(res.ExposedRatio()))
 	fmt.Printf("raw communication (overlappable): %d cycles\n", res.TotalComm())
-	if plan != nil {
+	if o.spec.Faults != nil {
 		ds := inst.Net.DropStats()
 		fmt.Printf("faults: %d packets dropped (%d bytes), %d retransmits (%d goodput bytes resent)\n",
 			ds.DroppedPackets, ds.DroppedBytes, inst.Sys.Retransmits(), inst.Sys.RetransmittedBytes())
@@ -317,8 +246,9 @@ func main() {
 
 // buildGraph returns the execution graph the run replays, with the label
 // the report prints for it: the compiled -model, the -graph file, or the
-// -workload's training loop unrolled over -num-passes.
-func buildGraph(o *options) (*graph.Graph, string, error) {
+// -workload's training loop unrolled over -num-passes. The graph is
+// checked against the exclusion table's graph row before anything runs.
+func buildGraph(o *options) (g *graph.Graph, label string, err error) {
 	switch {
 	case o.modelPath != "":
 		spec, err := modelgen.LoadSpec(o.modelPath)
@@ -331,27 +261,26 @@ func buildGraph(o *options) (*graph.Graph, string, error) {
 		}
 		cm := compute.Default()
 		cm.Scale = o.computeScale
-		g, err := modelgen.Compile(spec, mplan, modelgen.Options{Steps: o.passes, Compute: &cm})
-		if err != nil {
+		if g, err = modelgen.Compile(spec, mplan, modelgen.Options{Steps: o.passes, Compute: &cm}); err != nil {
 			return nil, "", err
 		}
-		return g, fmt.Sprintf("model %s (%d nodes)", g.Name, len(g.Nodes)), nil
+		label = fmt.Sprintf("model %s (%d nodes)", g.Name, len(g.Nodes))
 	case o.graphPath != "":
-		g, err := graph.Load(o.graphPath)
+		if g, err = graph.Load(o.graphPath); err != nil {
+			return nil, "", err
+		}
+		label = fmt.Sprintf("graph %s (%d nodes)", g.Name, len(g.Nodes))
+	default:
+		def, err := loadWorkload(o.workload, o.batch, o.seqLen, o.computeScale)
 		if err != nil {
 			return nil, "", err
 		}
-		return g, fmt.Sprintf("graph %s (%d nodes)", g.Name, len(g.Nodes)), nil
+		if g, err = workload.FromDefinition(def, o.passes); err != nil {
+			return nil, "", err
+		}
+		label = fmt.Sprintf("workload %s (%s)", def.Name, def.Parallelism)
 	}
-	def, err := loadWorkload(o.workload, o.batch, o.seqLen, o.computeScale)
-	if err != nil {
-		return nil, "", err
-	}
-	g, err := workload.FromDefinition(def, o.passes)
-	if err != nil {
-		return nil, "", err
-	}
-	return g, fmt.Sprintf("workload %s (%s)", def.Name, def.Parallelism), nil
+	return g, label, o.spec.ValidateGraph(g, cli.FlagNames)
 }
 
 func loadWorkload(name string, batch, seqLen int, scale float64) (workload.Definition, error) {

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"astrasim/internal/cli"
+	"astrasim/internal/cli/clitest"
 	"astrasim/internal/config"
 )
 
 func TestParseArgs(t *testing.T) {
+	plan := writeFile(t, "plan.json", `{"seed": 1, "stragglers": [{"node": 0, "factor": 2}]}`)
 	tests := []struct {
 		name    string
 		args    []string
@@ -16,16 +21,16 @@ func TestParseArgs(t *testing.T) {
 		{name: "defaults", args: nil},
 		{name: "model with plan", args: []string{"-model", "m.json", "-plan", "p.json"}},
 		{name: "write-workload alone", args: []string{"-workload", "dlrm", "-write-workload", "out.txt"}},
-		{name: "faults on the serial packet engine", args: []string{"-faults", "plan.json"}},
+		{name: "faults on the serial packet engine", args: []string{"-faults", plan}},
 		{name: "model without plan", args: []string{"-model", "m.json"},
 			wantErr: "-model and -plan must be given together"},
 		{name: "plan without model", args: []string{"-plan", "p.json"},
 			wantErr: "-model and -plan must be given together"},
 		{name: "model with graph", args: []string{"-model", "m.json", "-plan", "p.json", "-graph", "g.json"},
 			wantErr: "-model and -graph are mutually exclusive"},
-		{name: "faults with fast backend", args: []string{"-faults", "plan.json", "-backend", "fast"},
+		{name: "faults with fast backend", args: []string{"-faults", plan, "-backend", "fast"},
 			wantErr: "-faults requires the packet backend"},
-		{name: "faults with intra-parallel", args: []string{"-faults", "plan.json", "-intra-parallel", "2"},
+		{name: "faults with intra-parallel", args: []string{"-faults", plan, "-intra-parallel", "2"},
 			wantErr: "-faults and -intra-parallel are mutually exclusive"},
 		{name: "write-workload with graph", args: []string{"-graph", "g.json", "-write-workload", "out.txt"},
 			wantErr: "-write-workload needs a layer-wise -workload"},
@@ -56,13 +61,54 @@ func TestParseArgsFillsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.cfg.Backend != config.FastBackend || o.cfg.Algorithm != config.Baseline {
-		t.Errorf("backend/algorithm = %v/%v", o.cfg.Backend, o.cfg.Algorithm)
+	sys, net := o.spec.System, o.spec.Network
+	if sys.Backend != config.FastBackend || sys.Algorithm != config.Baseline {
+		t.Errorf("backend/algorithm = %v/%v", sys.Backend, sys.Algorithm)
 	}
-	if o.net.PackageLinkBandwidth != 50 || o.cfg.RemoteMemBandwidth != 8 || o.cfg.RemoteMemLatency != 100 {
-		t.Errorf("network/remote memory = %+v / %v,%v", o.net, o.cfg.RemoteMemBandwidth, o.cfg.RemoteMemLatency)
+	if net.PackageLinkBandwidth != 50 || sys.RemoteMemBandwidth != 8 || sys.RemoteMemLatency != 100 {
+		t.Errorf("network/remote memory = %+v / %v,%v", net, sys.RemoteMemBandwidth, sys.RemoteMemLatency)
 	}
 	if o.passes != 3 {
 		t.Errorf("passes = %d, want 3", o.passes)
+	}
+}
+
+// writeFile writes body to a fresh temporary file and returns its path:
+// -faults reads its plan while the flags parse.
+func writeFile(t *testing.T, name, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestDocExamplesParse(t *testing.T) {
+	clitest.DocExamples(t, "astrasim", func(args []string) error {
+		_, err := parseArgs(args)
+		return err
+	})
+}
+
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlags()
+	clitest.FlagSurface(t, fs)
+}
+
+// TestExclusionMatrix drives every matrix cell through parseArgs and,
+// when the flags parse, through buildGraph's graph check.
+func TestExclusionMatrix(t *testing.T) {
+	plan := writeFile(t, "plan.json", clitest.PlanJSON)
+	graphs := map[bool]string{
+		false: writeFile(t, "allreduce.json", clitest.GraphJSON(false)),
+		true:  writeFile(t, "sendrecv.json", clitest.GraphJSON(true)),
+	}
+	for _, c := range clitest.Cells() {
+		o, err := parseArgs(append(c.Args(plan), "-topology", "1x4x1", "-graph", graphs[c.SendRecv]))
+		if err == nil {
+			_, _, err = buildGraph(o)
+		}
+		clitest.Check(t, c, err, c.Want(t, cli.FlagNames))
 	}
 }

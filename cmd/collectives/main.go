@@ -59,7 +59,6 @@ import (
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/energy"
-	"astrasim/internal/faults"
 	"astrasim/internal/graph"
 	"astrasim/internal/oracle"
 	"astrasim/internal/parallel"
@@ -70,120 +69,67 @@ import (
 // options is the fully parsed and validated command line; main only
 // builds one and runs it, so tests can drive parseArgs directly.
 type options struct {
+	spec       cli.RunSpec
 	op         collectives.Op
-	topoSpec   string
 	sizes      []int64
 	sizeTokens []string
-	algName    string
-	alg        config.Algorithm
-	policy     config.SchedulingPolicy
-	topoOpts   cli.TopologyOptions
-	splits     int
-	symmetric  bool
 	workers    int
-	audit      bool
 	oracle     bool
-	backend    config.Backend
-	intraPar   int
-	plan       *faults.Plan
-	// rmBW/rmLat configure the disaggregated remote-memory tier (0
-	// bandwidth = disabled); graph replays pick placements per node.
-	rmBW  float64
-	rmLat uint64
 	// graphW x graphD, when non-zero, replays a microbenchmark DAG
 	// (width independent chains of depth dependent collectives) through
 	// the graph workload engine instead of issuing one collective.
 	graphW, graphD int
 }
 
+// flags holds the command-specific flag values parseArgs resolves after
+// parsing.
+type flags struct {
+	op, size, graphBench string
+	symmetric            bool
+}
+
+// newFlags returns the command's flag set, bound to options holding the
+// Table IV defaults on a 4x4x4 torus.
+func newFlags() (*flag.FlagSet, *options, *flags) {
+	o, f := &options{spec: cli.NewRunSpec("4x4x4")}, &flags{}
+	fs := flag.NewFlagSet("collectives", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o.spec.Bind(fs, "switches")
+	fs.StringVar(&f.op, "op", "allreduce", "collective: reducescatter|allgather|allreduce|alltoall")
+	fs.StringVar(&f.size, "size", "4MB", "collective set size(s), comma-separated (supports KB/MB/GB suffixes)")
+	fs.BoolVar(&f.symmetric, "symmetric", false, "make local links identical to inter-package links")
+	fs.IntVar(&o.workers, "parallel", runtime.NumCPU(), "worker goroutines when sweeping multiple sizes (1 = serial)")
+	fs.BoolVar(&o.oracle, "oracle", false, "cross-check each run against the closed-form oracle (DESIGN.md §9)")
+	fs.StringVar(&f.graphBench, "graph-bench", "", "replay a WIDTHxDEPTH microbenchmark DAG of the selected op through the graph engine (e.g. 4x8)")
+	return fs, o, f
+}
+
 // parseArgs parses and validates the flag set. It never prints; every
 // rejection comes back as an error naming the offending input.
 func parseArgs(args []string) (*options, error) {
-	fs := flag.NewFlagSet("collectives", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	opFlag := fs.String("op", "allreduce", "collective: reducescatter|allgather|allreduce|alltoall")
-	topoFlag := fs.String("topology", "4x4x4", "torus MxNxK (or N-D), alltoall a2a:MxN, or composition hier:sw8,fc4,ring32")
-	sizeFlag := fs.String("size", "4MB", "collective set size(s), comma-separated (supports KB/MB/GB suffixes)")
-	algFlag := fs.String("algorithm", "baseline", "baseline or enhanced hierarchical algorithm")
-	policyFlag := fs.String("scheduling-policy", "LIFO", "LIFO or FIFO ready-queue order")
-	switches := fs.Int("switches", 2, "global switches (alltoall topology)")
-	localRings := fs.Int("local-rings", 2, "unidirectional local rings")
-	horizontalRings := fs.Int("horizontal-rings", 2, "bidirectional horizontal rings")
-	verticalRings := fs.Int("vertical-rings", 2, "bidirectional vertical rings")
-	splits := fs.Int("preferred-set-splits", config.DefaultSystem().PreferredSetSplits, "chunks per set")
-	symmetric := fs.Bool("symmetric", false, "make local links identical to inter-package links")
-	workers := fs.Int("parallel", runtime.NumCPU(), "worker goroutines when sweeping multiple sizes (1 = serial)")
-	auditFlag := fs.Bool("audit", false, "audit each run for invariant violations (byte conservation, quiescence)")
-	oracleFlag := fs.Bool("oracle", false, "cross-check each run against the closed-form oracle (DESIGN.md §9)")
-	faultsFlag := fs.String("faults", "", "JSON fault plan applied to each run (see DESIGN.md §8)")
-	backendFlag := fs.String("backend", "packet", "network backend: packet (congestion-aware) or fast (congestion-unaware analytical)")
-	intraParallel := fs.Int("intra-parallel", 0, "shard-pool workers for intra-run parallel packet simulation (0 = serial engine; results are identical at any count)")
-	graphBench := fs.String("graph-bench", "", "replay a WIDTHxDEPTH microbenchmark DAG of the selected op through the graph engine (e.g. 4x8)")
-	remoteMem := fs.String("remote-mem", "", "disaggregated memory tier, \"bw=<bytes/cycle>[,lat=<cycles>]\" (empty = disabled)")
+	fs, o, f := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	o := &options{
-		topoSpec: *topoFlag,
-		algName:  *algFlag,
-		topoOpts: cli.TopologyOptions{
-			LocalRings:      *localRings,
-			HorizontalRings: *horizontalRings,
-			VerticalRings:   *verticalRings,
-			GlobalSwitches:  *switches,
-		},
-		splits:    *splits,
-		symmetric: *symmetric,
-		workers:   *workers,
-		audit:     *auditFlag,
-		oracle:    *oracleFlag,
-		intraPar:  *intraParallel,
+	if err := o.spec.Validate(cli.FlagNames); err != nil {
+		return nil, err
+	}
+	if f.symmetric {
+		o.spec.Network = o.spec.Network.Symmetric()
 	}
 	var err error
-	if o.op, err = collectives.ParseOp(strings.ToUpper(*opFlag)); err != nil {
+	if o.op, err = collectives.ParseOp(strings.ToUpper(f.op)); err != nil {
 		return nil, err
 	}
-	if o.alg, err = config.ParseAlgorithm(*algFlag); err != nil {
+	if o.sizes, o.sizeTokens, err = cli.ParseSizeList(f.size); err != nil {
 		return nil, err
-	}
-	if o.policy, err = config.ParseSchedulingPolicy(*policyFlag); err != nil {
-		return nil, err
-	}
-	if o.sizes, o.sizeTokens, err = cli.ParseSizeList(*sizeFlag); err != nil {
-		return nil, err
-	}
-	if o.splits < 1 {
-		return nil, fmt.Errorf("collectives: -preferred-set-splits must be >= 1, got %d", o.splits)
 	}
 	if o.workers < 1 {
-		return nil, fmt.Errorf("collectives: -parallel must be >= 1, got %d", o.workers)
+		return nil, fmt.Errorf("-parallel must be >= 1, got %d", o.workers)
 	}
-	if o.backend, err = config.ParseBackend(*backendFlag); err != nil {
-		return nil, err
-	}
-	if o.intraPar < 0 {
-		return nil, fmt.Errorf("collectives: -intra-parallel must be >= 0, got %d", o.intraPar)
-	}
-	if *faultsFlag != "" {
-		if o.plan, err = faults.Load(*faultsFlag); err != nil {
-			return nil, err
-		}
-		if o.backend != config.PacketBackend {
-			return nil, fmt.Errorf("collectives: -faults requires the packet backend; the %v backend does not model faults", o.backend)
-		}
-		if o.intraPar > 0 {
-			return nil, fmt.Errorf("collectives: -faults and -intra-parallel are mutually exclusive; fault injection needs the serial engine")
-		}
-	}
-	if *graphBench != "" {
-		if n, err := fmt.Sscanf(*graphBench, "%dx%d", &o.graphW, &o.graphD); err != nil || n != 2 || o.graphW <= 0 || o.graphD <= 0 {
-			return nil, fmt.Errorf("collectives: -graph-bench wants WIDTHxDEPTH with positive terms, got %q", *graphBench)
-		}
-	}
-	if *remoteMem != "" {
-		if o.rmBW, o.rmLat, err = cli.ParseRemoteMem(*remoteMem); err != nil {
-			return nil, err
+	if f.graphBench != "" {
+		if n, err := fmt.Sscanf(f.graphBench, "%dx%d", &o.graphW, &o.graphD); err != nil || n != 2 || o.graphW <= 0 || o.graphD <= 0 {
+			return nil, fmt.Errorf("-graph-bench wants WIDTHxDEPTH with positive terms, got %q", f.graphBench)
 		}
 	}
 	return o, nil
@@ -195,44 +141,32 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := config.DefaultSystem()
-	cfg.Algorithm = o.alg
-	cfg.SchedulingPolicy = o.policy
-	cfg.PreferredSetSplits = o.splits
-	cfg.Backend = o.backend
-	cfg.IntraParallel = o.intraPar
-	cfg.RemoteMemBandwidth, cfg.RemoteMemLatency = o.rmBW, o.rmLat
-	topo, err := cli.BuildTopology(o.topoSpec, o.topoOpts, &cfg)
+	topo, err := o.spec.BuildTopology()
 	if err != nil {
 		fatal(err)
 	}
 
-	net := config.DefaultNetwork()
-	if o.symmetric {
-		net = net.Symmetric()
-	}
-
 	var model *oracle.Model
 	if o.oracle {
-		if model, err = oracle.NewModel(topo, cfg, net); err != nil {
+		if model, err = oracle.NewModel(topo, o.spec.System, o.spec.Network); err != nil {
 			fatal(fmt.Errorf("-oracle: %w", err))
 		}
-		if o.plan != nil {
-			for _, s := range o.plan.Stragglers {
+		if plan := o.spec.Faults; plan != nil {
+			for _, s := range plan.Stragglers {
 				if s.Node < topo.NumNPUs() {
 					if err := model.SetNodeStragglerFactor(topology.Node(s.Node), s.Factor); err != nil {
 						fatal(fmt.Errorf("-oracle: %w", err))
 					}
 				}
 			}
-			if len(o.plan.Degrades)+len(o.plan.Outages)+len(o.plan.Drops) > 0 {
+			if len(plan.Degrades)+len(plan.Outages)+len(plan.Drops) > 0 {
 				fmt.Println("oracle: note: degraded-link/outage/drop faults are outside the model; expect divergence")
 			}
 		}
 	}
 
 	if o.graphW > 0 {
-		if err := runGraphBench(o, topo, cfg, net); err != nil {
+		if err := runGraphBench(o, topo); err != nil {
 			fatal(err)
 		}
 		return
@@ -247,18 +181,9 @@ func main() {
 		rep  audit.Report
 	}
 	results, err := parallel.Map(parallel.New(o.workers), len(o.sizes), func(i int) (result, error) {
-		inst, err := system.NewInstance(topo, cfg, net)
+		inst, aud, err := o.spec.NewInstance(topo, nil)
 		if err != nil {
 			return result{}, err
-		}
-		var aud *audit.Auditor
-		if o.audit {
-			aud = audit.Attach(inst.Sys, inst.Net)
-		}
-		if o.plan != nil {
-			if err := faults.Apply(o.plan, inst); err != nil {
-				return result{}, err
-			}
 		}
 		done := false
 		h, err := inst.Sys.IssueCollective(o.op, o.sizes[i], o.op.String(), func(*system.Handle) { done = true })
@@ -283,8 +208,8 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		printResult(o.op, o.sizeTokens[i], o.algName, r.inst, r.h)
-		if o.plan != nil {
+		printResult(o.op, o.sizeTokens[i], o.spec.System.Algorithm, r.inst, r.h)
+		if o.spec.Faults != nil {
 			ds := r.inst.Net.DropStats()
 			fmt.Printf("faults: %d packets dropped (%d bytes), %d retransmits (%d goodput bytes resent)\n",
 				ds.DroppedPackets, ds.DroppedBytes, r.inst.Sys.Retransmits(), r.inst.Sys.RetransmittedBytes())
@@ -292,7 +217,7 @@ func main() {
 		if model != nil {
 			printOracle(model, o.op, o.sizes[i], r.h)
 		}
-		if o.audit {
+		if o.spec.Audit {
 			fmt.Printf("audit: %s\n", r.rep)
 			violations += len(r.rep.Violations)
 		}
@@ -305,7 +230,7 @@ func main() {
 // runGraphBench replays the WIDTHxDEPTH microbenchmark DAG for every
 // requested size: width independent chains each running depth dependent
 // collectives, scheduled by the graph workload engine.
-func runGraphBench(o *options, topo topology.Topology, cfg config.System, net config.Network) error {
+func runGraphBench(o *options, topo topology.Topology) error {
 	type result struct {
 		inst *system.Instance
 		res  graph.Result
@@ -316,18 +241,9 @@ func runGraphBench(o *options, topo topology.Topology, cfg config.System, net co
 		if err != nil {
 			return result{}, err
 		}
-		inst, err := system.NewInstance(topo, cfg, net)
+		inst, aud, err := o.spec.NewInstance(topo, nil)
 		if err != nil {
 			return result{}, err
-		}
-		var aud *audit.Auditor
-		if o.audit {
-			aud = audit.Attach(inst.Sys, inst.Net)
-		}
-		if o.plan != nil {
-			if err := faults.Apply(o.plan, inst); err != nil {
-				return result{}, err
-			}
 		}
 		res, err := graph.Run(inst, g)
 		if err != nil {
@@ -348,7 +264,7 @@ func runGraphBench(o *options, topo topology.Topology, cfg config.System, net co
 			fmt.Println()
 		}
 		fmt.Printf("graph microbench: %d x %v of %s on %s (%s algorithm, %d NPUs)\n",
-			o.graphW, o.op, o.sizeTokens[i], r.inst.Topo.Name(), o.algName, r.inst.Topo.NumNPUs())
+			o.graphW, o.op, o.sizeTokens[i], r.inst.Topo.Name(), o.spec.System.Algorithm, r.inst.Topo.NumNPUs())
 		fmt.Printf("depth %d per lane, %d collectives total\n", o.graphD, o.graphW*o.graphD)
 		fmt.Printf("total time: %d cycles (%.3f us at 1 GHz)\n",
 			r.res.TotalCycles, float64(r.res.TotalCycles)/1000)
@@ -356,12 +272,12 @@ func runGraphBench(o *options, topo topology.Topology, cfg config.System, net co
 			fmt.Printf("  %s: %d raw comm cycles over %d collectives\n",
 				l.Name, l.TotalCommCycles(), len(l.FwdHandles))
 		}
-		if o.plan != nil {
+		if o.spec.Faults != nil {
 			ds := r.inst.Net.DropStats()
 			fmt.Printf("faults: %d packets dropped (%d bytes), %d retransmits (%d goodput bytes resent)\n",
 				ds.DroppedPackets, ds.DroppedBytes, r.inst.Sys.Retransmits(), r.inst.Sys.RetransmittedBytes())
 		}
-		if o.audit {
+		if o.spec.Audit {
 			fmt.Printf("audit: %s\n", r.rep)
 			violations += len(r.rep.Violations)
 		}
@@ -401,7 +317,7 @@ func printOracle(m *oracle.Model, op collectives.Op, bytes int64, h *system.Hand
 
 // printResult reports one run: total time, traffic, energy, per-phase
 // breakdown, and link utilization.
-func printResult(op collectives.Op, sizeSpec, alg string, inst *system.Instance, h *system.Handle) {
+func printResult(op collectives.Op, sizeSpec string, alg config.Algorithm, inst *system.Instance, h *system.Handle) {
 	fmt.Printf("%v of %s on %s (%s algorithm, %d NPUs)\n",
 		op, sizeSpec, inst.Topo.Name(), alg, inst.Topo.NumNPUs())
 	fmt.Printf("total communication time: %d cycles (%.3f us at 1 GHz)\n",

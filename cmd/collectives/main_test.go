@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"astrasim/internal/cli"
+	"astrasim/internal/cli/clitest"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
+	"astrasim/internal/service"
 )
 
 // writePlan drops a fault-plan file into a test temp dir and returns its
@@ -34,13 +40,13 @@ func TestParseArgs(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, o *options) {
-				if o.op != collectives.AllReduce || o.topoSpec != "4x4x4" || o.alg != config.Baseline {
+				if o.op != collectives.AllReduce || o.spec.Topology != "4x4x4" || o.spec.System.Algorithm != config.Baseline {
 					t.Fatalf("defaults = %+v", o)
 				}
 				if len(o.sizes) != 1 || o.sizes[0] != 4<<20 {
 					t.Fatalf("default sizes = %v", o.sizes)
 				}
-				if o.audit || o.oracle || o.plan != nil {
+				if o.spec.Audit || o.oracle || o.spec.Faults != nil {
 					t.Fatalf("audit/oracle/faults on by default: %+v", o)
 				}
 			},
@@ -78,11 +84,11 @@ func TestParseArgs(t *testing.T) {
 			name: "audit and oracle flags",
 			args: []string{"-audit", "-oracle", "-preferred-set-splits", "1"},
 			check: func(t *testing.T, o *options) {
-				if !o.audit || !o.oracle {
-					t.Fatalf("audit=%v oracle=%v, want both true", o.audit, o.oracle)
+				if !o.spec.Audit || !o.oracle {
+					t.Fatalf("audit=%v oracle=%v, want both true", o.spec.Audit, o.oracle)
 				}
-				if o.splits != 1 {
-					t.Fatalf("splits = %d", o.splits)
+				if o.spec.System.PreferredSetSplits != 1 {
+					t.Fatalf("splits = %d", o.spec.System.PreferredSetSplits)
 				}
 			},
 		},
@@ -91,8 +97,8 @@ func TestParseArgs(t *testing.T) {
 			name: "default backend is packet",
 			args: nil,
 			check: func(t *testing.T, o *options) {
-				if o.backend != config.PacketBackend {
-					t.Fatalf("default backend = %v, want packet", o.backend)
+				if o.spec.System.Backend != config.PacketBackend {
+					t.Fatalf("default backend = %v, want packet", o.spec.System.Backend)
 				}
 			},
 		},
@@ -100,8 +106,8 @@ func TestParseArgs(t *testing.T) {
 			name: "fast backend",
 			args: []string{"-backend", "fast"},
 			check: func(t *testing.T, o *options) {
-				if o.backend != config.FastBackend {
-					t.Fatalf("backend = %v, want fast", o.backend)
+				if o.spec.System.Backend != config.FastBackend {
+					t.Fatalf("backend = %v, want fast", o.spec.System.Backend)
 				}
 			},
 		},
@@ -109,8 +115,8 @@ func TestParseArgs(t *testing.T) {
 			name: "explicit packet backend",
 			args: []string{"-backend", "packet"},
 			check: func(t *testing.T, o *options) {
-				if o.backend != config.PacketBackend {
-					t.Fatalf("backend = %v, want packet", o.backend)
+				if o.spec.System.Backend != config.PacketBackend {
+					t.Fatalf("backend = %v, want packet", o.spec.System.Backend)
 				}
 			},
 		},
@@ -120,8 +126,8 @@ func TestParseArgs(t *testing.T) {
 			name: "fast backend with audit is allowed",
 			args: []string{"-backend", "fast", "-audit"},
 			check: func(t *testing.T, o *options) {
-				if o.backend != config.FastBackend || !o.audit {
-					t.Fatalf("backend=%v audit=%v, want fast+audit", o.backend, o.audit)
+				if o.spec.System.Backend != config.FastBackend || !o.spec.Audit {
+					t.Fatalf("backend=%v audit=%v, want fast+audit", o.spec.System.Backend, o.spec.Audit)
 				}
 			},
 		},
@@ -149,8 +155,8 @@ func TestParseArgs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.plan == nil || len(o.plan.Stragglers) != 1 || o.plan.Seed != 1 {
-			t.Fatalf("plan = %+v", o.plan)
+		if o.spec.Faults == nil || len(o.spec.Faults.Stragglers) != 1 || o.spec.Faults.Seed != 1 {
+			t.Fatalf("plan = %+v", o.spec.Faults)
 		}
 	})
 	t.Run("invalid faults plan", func(t *testing.T) {
@@ -170,8 +176,70 @@ func TestParseArgs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.plan == nil || !o.audit || !o.oracle {
+		if o.spec.Faults == nil || !o.spec.Audit || !o.oracle {
 			t.Fatalf("combined flags = %+v", o)
 		}
 	})
+}
+
+func TestDocExamplesParse(t *testing.T) {
+	clitest.DocExamples(t, "collectives", func(args []string) error {
+		_, err := parseArgs(args)
+		return err
+	})
+}
+
+func TestFlagSurface(t *testing.T) {
+	fs, _, _ := newFlags()
+	clitest.FlagSurface(t, fs)
+}
+
+// TestExclusionMatrix drives every matrix cell the command can express
+// (it issues no point-to-point sends) through parseArgs.
+func TestExclusionMatrix(t *testing.T) {
+	plan := writePlan(t, clitest.PlanJSON)
+	for _, c := range clitest.Cells() {
+		if c.SendRecv {
+			continue
+		}
+		_, err := parseArgs(c.Args(plan))
+		clitest.Check(t, c, err, c.Want(t, cli.FlagNames))
+	}
+}
+
+// TestCanonicalSpecMatchesDaemon: the command line daemon_smoke.sh checks
+// the daemon against resolves to the same canonical RunSpec as the
+// script's submission, so both surfaces configure the same run.
+func TestCanonicalSpecMatchesDaemon(t *testing.T) {
+	o, err := parseArgs([]string{"-op", "allreduce", "-topology", "4x4x4", "-size", "4MB", "-backend", "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(filepath.Join("..", "..", "scripts", "daemon_smoke.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^SUBMISSION='(.*)'$`).FindSubmatch(script)
+	if m == nil {
+		t.Fatal("daemon_smoke.sh sets no SUBMISSION")
+	}
+	var sub service.Submission
+	if err := json.Unmarshal(m[1], &sub); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sub.RunSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := o.spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("CLI spec differs from the daemon's:\n cli: %s\n daemon: %s", got, want)
+	}
 }

@@ -4,7 +4,15 @@
 //
 // Usage:
 //
-//	sweep [-fig all|fig09|fig10|...|fig18] [-out results] [-quick] [-parallel N] [-audit] [-faults plan.json] [-backend packet|fast] [-intra-parallel N]
+//	sweep -fig fig09 -quick -parallel 4 -out results
+//	sweep -fig all -ext -audit
+//	sweep -fig fig10 -quick -backend fast
+//	sweep -fig fig09 -quick -faults examples/faults/lossy.json
+//	sweep -fig fig11 -quick -intra-parallel 2
+//
+// -fig selects fig09..fig18, an extension study (ext4d, extmap,
+// extenergy, extablation, ...), or all; -ext adds the extension studies
+// to -fig all.
 //
 // -backend selects the network transport for every simulation: packet
 // (congestion-aware, the default — what the committed golden CSVs were
@@ -39,6 +47,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,45 +57,66 @@ import (
 	"time"
 
 	"astrasim/internal/audit"
-	"astrasim/internal/config"
+	"astrasim/internal/cli"
 	"astrasim/internal/experiments"
 	"astrasim/internal/faults"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (fig09..fig18, ext4d/extmap/extenergy/extablation, or all)")
-	out := flag.String("out", "results", "output directory for CSV files")
-	quick := flag.Bool("quick", false, "reduced sizes/iterations for a fast smoke run")
-	ext := flag.Bool("ext", false, "also run the future-work extension studies with -fig all")
-	workers := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation points (1 = serial)")
-	auditFlag := flag.Bool("audit", false, "audit every simulation for invariant violations (byte conservation, quiescence)")
-	faultsFlag := flag.String("faults", "", "JSON fault plan applied to every simulation (see DESIGN.md §8)")
-	backendFlag := flag.String("backend", "packet", "network backend: packet (congestion-aware) or fast (congestion-unaware analytical)")
-	intraParallel := flag.Int("intra-parallel", 0, "shard-pool workers for intra-run parallel packet simulation inside each point (0 = serial engine; CSVs are identical at any count)")
-	flag.Parse()
+// options is the parsed and validated command line.
+type options struct {
+	// spec carries -backend, -intra-parallel, -faults and -audit.
+	spec  cli.RunSpec
+	fig   string
+	out   string
+	quick bool
+	ext   bool
+	// workers fans each figure's independent points across goroutines.
+	workers int
+}
 
-	backend, err := config.ParseBackend(*backendFlag)
+// newFlags returns the command's flag set bound to options holding the
+// defaults.
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{spec: cli.NewRunSpec("")}
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	o.spec.BindEngine(fs)
+	fs.StringVar(&o.fig, "fig", "all", "figure to regenerate (fig09..fig18, ext4d/extmap/extenergy/extablation, or all)")
+	fs.StringVar(&o.out, "out", "results", "output directory for CSV files")
+	fs.BoolVar(&o.quick, "quick", false, "reduced sizes/iterations for a fast smoke run")
+	fs.BoolVar(&o.ext, "ext", false, "also run the future-work extension studies with -fig all")
+	fs.IntVar(&o.workers, "parallel", runtime.NumCPU(), "worker goroutines for independent simulation points (1 = serial)")
+	return fs, o
+}
+
+// parseArgs parses the flag set and rejects unsupported combinations,
+// naming them in the error.
+func parseArgs(args []string) (*options, error) {
+	fs, o := newFlags()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := o.spec.Validate(cli.FlagNames); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fatal(err)
 	}
-	if *faultsFlag != "" && backend != config.PacketBackend {
-		fatal(fmt.Errorf("-faults requires the packet backend; the %v backend does not model faults", backend))
-	}
-	if *faultsFlag != "" && *intraParallel > 0 {
-		fatal(fmt.Errorf("-faults and -intra-parallel are mutually exclusive; fault injection needs the serial engine"))
-	}
 
 	var collector *audit.Collector
-	if *auditFlag {
+	if o.spec.Audit {
 		collector = &audit.Collector{}
 		defer audit.AttachAll(collector)()
 	}
-	if *faultsFlag != "" {
-		plan, err := faults.Load(*faultsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		restore, err := faults.AttachAll(plan)
+	if o.spec.Faults != nil {
+		restore, err := faults.AttachAll(o.spec.Faults)
 		if err != nil {
 			fatal(err)
 		}
@@ -94,23 +124,23 @@ func main() {
 	}
 
 	opts := experiments.Full()
-	if *quick {
+	if o.quick {
 		opts = experiments.Quick()
 	}
-	opts.Workers = *workers
-	opts.Backend = backend
-	opts.IntraParallel = *intraParallel
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	opts.Workers = o.workers
+	opts.Backend = o.spec.System.Backend
+	opts.IntraParallel = o.spec.System.IntraParallel
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		fatal(err)
 	}
 
 	figures := experiments.Figures()
-	if *ext || *fig != "all" {
+	if o.ext || o.fig != "all" {
 		figures = append(figures, experiments.Extensions()...)
 	}
 	var ran int
 	for _, f := range figures {
-		if *fig != "all" && !strings.HasPrefix(f.ID, *fig) && f.ID != *fig {
+		if o.fig != "all" && !strings.HasPrefix(f.ID, o.fig) && f.ID != o.fig {
 			continue
 		}
 		ran++
@@ -125,7 +155,7 @@ func main() {
 				fatal(err)
 			}
 			fmt.Println()
-			path := filepath.Join(*out, t.ID+".csv")
+			path := filepath.Join(o.out, t.ID+".csv")
 			fh, err := os.Create(path)
 			if err != nil {
 				fatal(err)
@@ -141,7 +171,7 @@ func main() {
 		fmt.Printf("(%s in %.1fs)\n\n", f.ID, time.Since(start).Seconds())
 	}
 	if ran == 0 {
-		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", *fig))
+		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", o.fig))
 	}
 	if collector != nil {
 		fmt.Println(collector.Summary())

@@ -19,8 +19,6 @@ func newTorusInstance(t *testing.T, m, n, k int) *system.Instance {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = m, n, k
 	net := config.DefaultNetwork()
 	inst, err := system.NewInstance(tp, cfg, net)
 	if err != nil {

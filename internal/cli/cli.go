@@ -1,7 +1,13 @@
-// Package cli holds the flag-parsing helpers shared by the command-line
-// tools: size strings with binary suffixes, and topology specifications
-// ("MxNxK" torus, "MxNxKxL..." N-dimensional torus, "a2a:MxN" hierarchical
-// alltoall).
+// Package cli resolves a run's configuration for every surface that
+// configures one. RunSpec is the one resolved form: the topology spec,
+// ring and switch counts, the run-level system and network parameters,
+// the fault plan and the audit switch. It binds the command-line flags,
+// holds the table of unsupported combinations (Validate), builds the
+// topology and simulation instances, and produces the canonical form a
+// content hash is taken over. The package also holds the shared grammar
+// helpers: size strings with binary suffixes and topology specifications
+// ("MxNxK" torus, "MxNxKxL..." N-dimensional torus, "a2a:MxN"
+// hierarchical alltoall, "sw:", "so:" and "hier:" compositions).
 package cli
 
 import (
@@ -184,49 +190,61 @@ func ParseRemoteMem(s string) (bw float64, lat uint64, err error) {
 	return bw, lat, nil
 }
 
-// TopologyOptions carries the ring/switch multiplicities for BuildTopology.
+// TopologyOptions carries the ring and switch multiplicities a topology
+// spec is built with.
 type TopologyOptions struct {
 	LocalRings      int
 	HorizontalRings int
 	VerticalRings   int
 	GlobalSwitches  int
+	// LocalSwitches is the per-package switch count of the switched
+	// ("sw:") topology.
+	LocalSwitches int
 }
 
-// DefaultTopologyOptions matches Table IV.
+// DefaultTopologyOptions matches Table IV, with one local switch per
+// package.
 func DefaultTopologyOptions() TopologyOptions {
-	return TopologyOptions{LocalRings: 2, HorizontalRings: 2, VerticalRings: 2, GlobalSwitches: 2}
+	return TopologyOptions{LocalRings: 2, HorizontalRings: 2, VerticalRings: 2, GlobalSwitches: 2, LocalSwitches: 1}
 }
 
-// BuildTopology parses a topology spec and constructs it, updating cfg's
-// topology fields in place:
+// Torus returns the 3D torus ring counts.
+func (o TopologyOptions) Torus() topology.TorusConfig {
+	return topology.TorusConfig{LocalRings: o.LocalRings, HorizontalRings: o.HorizontalRings, VerticalRings: o.VerticalRings}
+}
+
+// TorusND returns the ring counts of an n-dimensional torus: the local,
+// vertical and horizontal rings for its first three axes (NewTorusND
+// gives every further axis 2 bidirectional rings).
+func (o TopologyOptions) TorusND(n int) topology.TorusNDConfig {
+	rings := []int{o.LocalRings, o.VerticalRings, o.HorizontalRings}
+	return topology.TorusNDConfig{Rings: rings[:min(n, len(rings))]}
+}
+
+// BuildTopology parses a topology spec and constructs it:
 //
 //	"MxNxK"        hierarchical 3D torus (local x horizontal x vertical)
 //	"MxA1x...xAd"  N-dimensional torus for d != 2 inter axes
 //	"a2a:MxN"      hierarchical alltoall with opts.GlobalSwitches switches
-//	"sw:MxN"       switch-based (NVSwitch-style): per-package local
-//	               switches plus opts.GlobalSwitches global switches
+//	"sw:MxN"       switch-based (NVSwitch-style): opts.LocalSwitches
+//	               per-package switches plus opts.GlobalSwitches global
+//	               switches
 //	"so:MxNxK/P"   P pods of an MxNxK torus over a scale-out spine with
 //	               opts.GlobalSwitches spine switches
 //	"hier:..."     compositional N-dim topology: comma-separated
 //	               <kind><size>[x<lanes>][@<class>] dimensions (see
 //	               ParseHierSpec), e.g. "hier:sw8,fc4,ring32" for a
 //	               DGX-like NVSwitch + multi-rail + ring scale-out
-func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topology.Topology, error) {
+//
+// The *config.System argument is unused: the topology's shape lives only
+// in the returned topology.Topology. It stays for existing callers.
+func BuildTopology(spec string, opts TopologyOptions, _ *config.System) (topology.Topology, error) {
 	if hierSpec, ok := strings.CutPrefix(spec, "hier:"); ok {
 		specs, err := ParseHierSpec(hierSpec, opts)
 		if err != nil {
 			return nil, err
 		}
-		h, err := topology.NewHierarchical(specs)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.Hierarchical
-		cfg.LocalSize = specs[0].Size
-		cfg.HorizontalSize = h.NumNPUs() / specs[0].Size
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return h, nil
+		return topology.NewHierarchical(specs)
 	}
 	if swSpec, ok := strings.CutPrefix(spec, "sw:"); ok {
 		dims, err := ParseDims(swSpec)
@@ -236,11 +254,8 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if len(dims) != 2 {
 			return nil, fmt.Errorf("cli: switched topology %q: want MxN", spec)
 		}
-		cfg.Topology = config.AllToAll
-		cfg.LocalSize, cfg.HorizontalSize = dims[0], dims[1]
-		cfg.GlobalSwitches = opts.GlobalSwitches
 		return topology.NewSwitched(dims[0], dims[1], topology.SwitchedConfig{
-			LocalSwitches: 1, GlobalSwitches: opts.GlobalSwitches})
+			LocalSwitches: opts.LocalSwitches, GlobalSwitches: opts.GlobalSwitches})
 	}
 	if soSpec, ok := strings.CutPrefix(spec, "so:"); ok {
 		podSpec, podsStr, ok := strings.Cut(soSpec, "/")
@@ -258,21 +273,11 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if err != nil || pods <= 1 {
 			return nil, fmt.Errorf("cli: scale-out pods %q: want an integer >= 2", podsStr)
 		}
-		pod, err := topology.NewTorus(dims[0], dims[1], dims[2], topology.TorusConfig{
-			LocalRings: opts.LocalRings, HorizontalRings: opts.HorizontalRings, VerticalRings: opts.VerticalRings})
+		pod, err := topology.NewTorus(dims[0], dims[1], dims[2], opts.Torus())
 		if err != nil {
 			return nil, err
 		}
-		so, err := topology.NewScaleOut(pod, pods, opts.GlobalSwitches)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.TorusND
-		cfg.LocalSize = dims[0]
-		cfg.HorizontalSize = so.NumNPUs() / dims[0]
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return so, nil
+		return topology.NewScaleOut(pod, pods, opts.GlobalSwitches)
 	}
 	if a2aSpec, ok := strings.CutPrefix(spec, "a2a:"); ok {
 		dims, err := ParseDims(a2aSpec)
@@ -282,9 +287,6 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if len(dims) != 2 {
 			return nil, fmt.Errorf("cli: alltoall topology %q: want MxN", spec)
 		}
-		cfg.Topology = config.AllToAll
-		cfg.LocalSize, cfg.HorizontalSize = dims[0], dims[1]
-		cfg.LocalRings, cfg.GlobalSwitches = opts.LocalRings, opts.GlobalSwitches
 		return topology.NewA2A(dims[0], dims[1], topology.A2AConfig{
 			LocalRings: opts.LocalRings, GlobalSwitches: opts.GlobalSwitches})
 	}
@@ -296,32 +298,8 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 	case len(dims) < 2:
 		return nil, fmt.Errorf("cli: topology %q: want at least local x axis", spec)
 	case len(dims) == 3:
-		cfg.Topology = config.Torus3D
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = dims[0], dims[1], dims[2]
-		cfg.LocalRings, cfg.HorizontalRings, cfg.VerticalRings = opts.LocalRings, opts.HorizontalRings, opts.VerticalRings
-		return topology.NewTorus(dims[0], dims[1], dims[2], topology.TorusConfig{
-			LocalRings: opts.LocalRings, HorizontalRings: opts.HorizontalRings, VerticalRings: opts.VerticalRings})
+		return topology.NewTorus(dims[0], dims[1], dims[2], opts.Torus())
 	default:
-		rings := []int{opts.LocalRings}
-		for i := 1; i < len(dims); i++ {
-			switch i {
-			case 1:
-				rings = append(rings, opts.VerticalRings)
-			case 2:
-				rings = append(rings, opts.HorizontalRings)
-			default:
-				rings = append(rings, 2)
-			}
-		}
-		nd, err := topology.NewTorusND(dims, topology.TorusNDConfig{Rings: rings})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.TorusND
-		cfg.LocalSize = dims[0]
-		cfg.HorizontalSize = nd.NumNPUs() / dims[0]
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return nd, nil
+		return topology.NewTorusND(dims, opts.TorusND(len(dims)))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"astrasim/internal/config"
+	"astrasim/internal/topology"
 )
 
 func TestParseSize(t *testing.T) {
@@ -47,8 +48,8 @@ func TestBuildTopologyTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 32 || cfg.Topology != config.Torus3D {
-		t.Errorf("topo = %s, cfg kind %v", topo.Name(), cfg.Topology)
+	if topo.NumNPUs() != 32 {
+		t.Errorf("topo = %s (%d NPUs), want 32", topo.Name(), topo.NumNPUs())
 	}
 }
 
@@ -60,8 +61,8 @@ func TestBuildTopologyA2A(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 8 || cfg.Topology != config.AllToAll || cfg.GlobalSwitches != 7 {
-		t.Errorf("topo = %s, cfg %+v", topo.Name(), cfg)
+	if a2a, ok := topo.(*topology.A2A); !ok || topo.NumNPUs() != 8 || a2a.Switches() != 7 {
+		t.Errorf("topo = %s (%T), want 8 NPUs and 7 switches", topo.Name(), topo)
 	}
 }
 
@@ -71,8 +72,8 @@ func TestBuildTopologyND(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 16 || cfg.Topology != config.TorusND {
-		t.Errorf("topo = %s (%d NPUs), kind %v", topo.Name(), topo.NumNPUs(), cfg.Topology)
+	if topo.NumNPUs() != 16 {
+		t.Errorf("topo = %s (%d NPUs), want 16", topo.Name(), topo.NumNPUs())
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("ND config invalid: %v", err)

@@ -32,40 +32,22 @@ func TestDefaultsMatchTableIV(t *testing.T) {
 	}
 }
 
-func TestNumNPUsAndPackages(t *testing.T) {
-	s := DefaultSystem() // 4x4x4 torus
-	if s.NumNPUs() != 64 {
-		t.Errorf("NumNPUs = %d, want 64", s.NumNPUs())
-	}
-	if s.NumPackages() != 16 {
-		t.Errorf("NumPackages = %d, want 16", s.NumPackages())
-	}
-	s.Topology = AllToAll
-	s.LocalSize, s.HorizontalSize = 2, 3
-	if s.NumNPUs() != 6 || s.NumPackages() != 3 {
-		t.Errorf("alltoall NPUs/packages = %d/%d, want 6/3", s.NumNPUs(), s.NumPackages())
-	}
-}
-
 func TestValidation(t *testing.T) {
-	good := Default()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if err := DefaultSystem().Validate(); err != nil {
+		t.Fatalf("default system invalid: %v", err)
 	}
-	bad := Default()
-	bad.Network.LocalLinkEfficiency = 1.5
-	if err := bad.Validate(); err == nil {
+	if err := DefaultNetwork().Validate(); err != nil {
+		t.Fatalf("default network invalid: %v", err)
+	}
+	badNet := DefaultNetwork()
+	badNet.LocalLinkEfficiency = 1.5
+	if err := badNet.Validate(); err == nil {
 		t.Error("expected error for efficiency > 1")
 	}
-	bad = Default()
-	bad.System.PreferredSetSplits = 0
-	if err := bad.Validate(); err == nil {
+	badSys := DefaultSystem()
+	badSys.PreferredSetSplits = 0
+	if err := badSys.Validate(); err == nil {
 		t.Error("expected error for zero set splits")
-	}
-	bad = Default()
-	bad.Workload.NumPasses = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for zero passes")
 	}
 }
 
@@ -90,8 +72,6 @@ func TestStringers(t *testing.T) {
 		FIFO.String():                "FIFO",
 		Baseline.String():            "baseline",
 		Enhanced.String():            "enhanced",
-		Torus3D.String():             "Torus3D",
-		AllToAll.String():            "AllToAll",
 		SoftwareRouting.String():     "software",
 		HardwareRouting.String():     "hardware",
 		NormalInjection.String():     "normal",
@@ -135,9 +115,6 @@ func TestPriorityPolicyParse(t *testing.T) {
 	}
 	if Priority.String() != "PRIORITY" {
 		t.Errorf("Priority.String() = %q", Priority.String())
-	}
-	if TorusND.String() != "TorusND" {
-		t.Errorf("TorusND.String() = %q", TorusND.String())
 	}
 }
 

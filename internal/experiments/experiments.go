@@ -147,11 +147,6 @@ func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, o O
 		return nil, config.System{}, err
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = m, n, k
-	cfg.LocalRings = tc.LocalRings
-	cfg.HorizontalRings = tc.HorizontalRings
-	cfg.VerticalRings = tc.VerticalRings
 	cfg.Algorithm = alg
 	cfg.Backend = o.Backend
 	cfg.IntraParallel = o.IntraParallel
@@ -167,10 +162,6 @@ func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, o Options)
 		return nil, config.System{}, err
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.AllToAll
-	cfg.LocalSize, cfg.HorizontalSize = m, n
-	cfg.LocalRings = ac.LocalRings
-	cfg.GlobalSwitches = ac.GlobalSwitches
 	cfg.Algorithm = alg
 	cfg.Backend = o.Backend
 	cfg.IntraParallel = o.IntraParallel

@@ -45,10 +45,6 @@ func Ext4D(o Options) ([]*report.Table, error) {
 			return 0, err
 		}
 		cfg := config.DefaultSystem()
-		cfg.Topology = config.TorusND
-		cfg.LocalSize = s[0]
-		cfg.HorizontalSize = tp.NumNPUs() / s[0]
-		cfg.VerticalSize = 1
 		cfg.Backend = o.Backend
 		cfg.IntraParallel = o.IntraParallel
 		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, size)
@@ -140,8 +136,6 @@ func ExtMapping(o Options) ([]*report.Table, error) {
 			return 0, err
 		}
 		cfg := config.DefaultSystem()
-		cfg.Topology = config.TorusND
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 64, 1
 		cfg.Backend = o.Backend
 		cfg.IntraParallel = o.IntraParallel
 		h, err := system.RunCollective(mapped, cfg, net, collectives.AllReduce, size)
@@ -320,8 +314,6 @@ func ExtScaleOut(o Options) ([]*report.Table, error) {
 		return nil, err
 	}
 	soCfg := config.DefaultSystem()
-	soCfg.Topology = config.TorusND
-	soCfg.LocalSize, soCfg.HorizontalSize, soCfg.VerticalSize = 2, 16, 1
 	soCfg.Algorithm = config.Enhanced
 	soCfg.Backend = o.Backend
 	soCfg.IntraParallel = o.IntraParallel
@@ -372,8 +364,6 @@ func ExtSwitched(o Options) ([]*report.Table, error) {
 		return nil, err
 	}
 	swCfg := config.DefaultSystem()
-	swCfg.Topology = config.AllToAll
-	swCfg.LocalSize, swCfg.HorizontalSize = 4, 4
 	swCfg.Backend = o.Backend
 	swCfg.IntraParallel = o.IntraParallel
 

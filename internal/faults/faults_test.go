@@ -20,8 +20,6 @@ func newInstance(t *testing.T) *system.Instance {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.VerticalSize, cfg.HorizontalSize = 2, 2, 2
 	net := config.DefaultNetwork()
 	net.MaxPacketsPerMessage = 16
 	inst, err := system.NewInstance(tp, cfg, net)
@@ -251,8 +249,6 @@ func TestAttachAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.Topology = config.Torus3D
-		cfg.LocalSize, cfg.VerticalSize, cfg.HorizontalSize = 2, 2, 2
 		net := config.DefaultNetwork()
 		net.MaxPacketsPerMessage = 16
 		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, 256<<10)

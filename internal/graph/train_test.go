@@ -39,8 +39,6 @@ func runPipelineTrains(t *testing.T, trains bool) pipelineTrainRun {
 		t.Fatal(err)
 	}
 	sc := config.DefaultSystem()
-	sc.Topology = config.Torus3D
-	sc.LocalSize, sc.HorizontalSize, sc.VerticalSize = 4, 2, 1
 	inst, err := system.NewInstance(tp, sc, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)

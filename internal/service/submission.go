@@ -3,10 +3,11 @@ package service
 // Submission schema and validation. Everything a client can send is
 // checked here, before any simulation state exists: the submission
 // either compiles into a runnable job or is rejected with a 4xx naming
-// the offending field. Validation reuses the same parsers as the CLI
-// tools (internal/cli topology grammar, config token parsers, the
-// faults/graph/workload loaders), so the service accepts exactly the
-// configuration language the rest of the repo speaks.
+// the offending field. The run settings decode into the same
+// cli.RunSpec the CLI tools fill from their flags, checked by the same
+// exclusion table, and the job reuses the same graph/workload/model
+// loaders, so the service accepts exactly the configuration language the
+// rest of the repo speaks.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"strings"
 
 	"astrasim"
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/modelgen"
@@ -120,6 +122,8 @@ func badf(format string, args ...any) error {
 	return &badRequest{msg: fmt.Sprintf(format, args...)}
 }
 
+func asBad(err error) error { return &badRequest{msg: err.Error()} }
+
 // compiled is a validated submission, ready to run: the platform is
 // fully configured (backend, fault plan, network parameters) and the
 // job kind resolved. id is the content address.
@@ -136,72 +140,72 @@ type compiled struct {
 	graph    *astrasim.WorkloadGraph
 }
 
+// RunSpec decodes the submission's run settings into a cli.RunSpec. Every
+// omitted field resolves to its Table IV default, and the exclusion table
+// (cli.RunSpec.Validate) rejects unsupported combinations, naming the
+// JSON keys. Every rejection is a *badRequest (→ 400).
+func (sub *Submission) RunSpec() (cli.RunSpec, error) {
+	if sub.Topology == "" {
+		return cli.RunSpec{}, badf("topology is required")
+	}
+	s := cli.NewRunSpec(sub.Topology)
+	if err := s.SetTokens(sub.Backend, sub.Algorithm, sub.Scheduling); err != nil {
+		return cli.RunSpec{}, asBad(err)
+	}
+	if sub.Network != nil {
+		s.Network = *sub.Network
+	}
+	if err := s.Network.Validate(); err != nil {
+		return cli.RunSpec{}, asBad(err)
+	}
+	for _, knob := range []struct {
+		dst *int
+		v   int
+	}{
+		{&s.Rings.LocalRings, sub.LocalRings}, {&s.Rings.HorizontalRings, sub.HorizontalRings},
+		{&s.Rings.VerticalRings, sub.VerticalRings}, {&s.Rings.GlobalSwitches, sub.GlobalSwitches},
+		{&s.System.PreferredSetSplits, sub.SetSplits},
+	} {
+		if knob.v != 0 {
+			*knob.dst = knob.v
+		}
+	}
+	s.System.RemoteMemBandwidth, s.System.RemoteMemLatency = sub.RemoteMemBandwidth, sub.RemoteMemLatency
+	s.System.IntraParallel = sub.IntraParallel
+	if len(sub.Faults) > 0 {
+		var err error
+		if s.Faults, err = astrasim.ParseFaultPlan(bytes.NewReader(sub.Faults)); err != nil {
+			return cli.RunSpec{}, asBad(err)
+		}
+	}
+	if err := s.Validate(cli.JSONNames); err != nil {
+		return cli.RunSpec{}, asBad(err)
+	}
+	return s, nil
+}
+
 // compile validates a submission end to end and returns the runnable
 // job plus its content address. Every rejection is a *badRequest (→
 // 400); nothing here mutates shared state.
 func compile(sub *Submission) (*compiled, error) {
-	if sub.Topology == "" {
-		return nil, badf("topology is required")
-	}
-	backend := config.PacketBackend
-	if sub.Backend != "" {
-		var err error
-		if backend, err = config.ParseBackend(sub.Backend); err != nil {
-			return nil, &badRequest{msg: err.Error()}
-		}
-	}
-	alg := config.Baseline
-	if sub.Algorithm != "" {
-		var err error
-		if alg, err = config.ParseAlgorithm(sub.Algorithm); err != nil {
-			return nil, &badRequest{msg: err.Error()}
-		}
-	}
-	policy := config.LIFO
-	if sub.Scheduling != "" {
-		var err error
-		if policy, err = config.ParseSchedulingPolicy(sub.Scheduling); err != nil {
-			return nil, &badRequest{msg: err.Error()}
-		}
-	}
-	net := config.DefaultNetwork()
-	if sub.Network != nil {
-		net = *sub.Network
-	}
-	if err := net.Validate(); err != nil {
-		return nil, &badRequest{msg: err.Error()}
-	}
-
-	if sub.IntraParallel < 0 {
-		return nil, badf("intra_parallel must be >= 0, got %d", sub.IntraParallel)
-	}
-	if sub.RemoteMemBandwidth < 0 {
-		return nil, badf("remote_mem_bandwidth must be >= 0, got %v", sub.RemoteMemBandwidth)
-	}
-	if sub.RemoteMemBandwidth == 0 && sub.RemoteMemLatency != 0 {
-		return nil, badf("remote_mem_latency needs remote_mem_bandwidth > 0")
-	}
-	opts := []astrasim.Option{
-		astrasim.WithBackend(backend),
-		astrasim.WithIntraParallel(sub.IntraParallel),
-		astrasim.WithAlgorithm(alg),
-		astrasim.WithSchedulingPolicy(policy),
-		astrasim.WithNetwork(net),
-		astrasim.WithRemoteMemory(sub.RemoteMemBandwidth, sub.RemoteMemLatency),
-	}
-	if sub.SetSplits != 0 {
-		if sub.SetSplits < 1 {
-			return nil, badf("set_splits must be >= 1, got %d", sub.SetSplits)
-		}
-		opts = append(opts, astrasim.WithSetSplits(sub.SetSplits))
-	}
-	rings := ringDefaults(sub)
-	opts = append(opts, astrasim.WithRings(rings[0], rings[1], rings[2]),
-		astrasim.WithGlobalSwitches(rings[3]))
-
-	p, err := astrasim.NewPlatformFromSpec(sub.Topology, opts...)
+	spec, err := sub.RunSpec()
 	if err != nil {
-		return nil, &badRequest{msg: err.Error()}
+		return nil, err
+	}
+	p, err := astrasim.NewPlatformFromSpec(spec.Topology, func(s *cli.RunSpec) { *s = spec })
+	if err != nil {
+		return nil, asBad(err)
+	}
+	if spec.Faults != nil {
+		// The library applies straggler selectors leniently (nodes
+		// outside the topology are skipped, so one plan can drive a
+		// whole sweep); a service submission names one topology, so an
+		// out-of-range node is a client error.
+		for _, s := range spec.Faults.Stragglers {
+			if s.Node >= p.NumNPUs() {
+				return nil, badf("fault plan straggler node %d out of range (%d NPUs)", s.Node, p.NumNPUs())
+			}
+		}
 	}
 
 	c := &compiled{platform: p, priority: sub.Priority}
@@ -224,20 +228,22 @@ func compile(sub *Submission) (*compiled, error) {
 		return nil, badf("exactly one of collective, workload, graph, model+plan is required")
 	}
 
+	var job canonicalJob
 	switch {
 	case sub.Collective != nil:
 		c.kind = "collective"
 		if c.op, err = collectives.ParseOp(strings.ToUpper(sub.Collective.Op)); err != nil {
-			return nil, &badRequest{msg: err.Error()}
+			return nil, asBad(err)
 		}
 		if sub.Collective.Bytes <= 0 {
 			return nil, badf("collective bytes must be positive, got %d", sub.Collective.Bytes)
 		}
 		c.bytes = sub.Collective.Bytes
+		job.Op, job.Bytes = c.op.String(), c.bytes
 
 	case sub.Workload != nil:
 		c.kind = "train"
-		if c.def, c.passes, err = compileWorkload(sub.Workload); err != nil {
+		if c.def, c.passes, job.Workload, err = compileWorkload(sub.Workload); err != nil {
 			return nil, err
 		}
 
@@ -252,61 +258,45 @@ func compile(sub *Submission) (*compiled, error) {
 		if sub.ModelSteps < 0 {
 			return nil, badf("model_steps must be >= 0, got %d", sub.ModelSteps)
 		}
-		spec, err := modelgen.ParseSpec("submission model", bytes.NewReader(sub.Model))
+		job.Steps = max(sub.ModelSteps, 1)
+		mspec, err := modelgen.ParseSpec("submission model", bytes.NewReader(sub.Model))
 		if err != nil {
-			return nil, &badRequest{msg: err.Error()}
+			return nil, asBad(err)
 		}
 		plan, err := modelgen.ParsePlan("submission plan", bytes.NewReader(sub.Plan))
 		if err != nil {
-			return nil, &badRequest{msg: err.Error()}
+			return nil, asBad(err)
 		}
-		g, err := modelgen.Compile(spec, plan, modelgen.Options{Steps: sub.ModelSteps})
-		if err != nil {
-			return nil, &badRequest{msg: err.Error()}
+		if c.graph, err = modelgen.Compile(mspec, plan, modelgen.Options{Steps: job.Steps}); err != nil {
+			return nil, asBad(err)
 		}
-		if err := checkGraphEndpoints(g, p.NumNPUs(), sub.IntraParallel); err != nil {
-			return nil, err
+		if job.Model, err = canonicalJSON(sub.Model); err != nil {
+			return nil, badf("model: %v", err)
 		}
-		c.graph = g
+		if job.Plan, err = canonicalJSON(sub.Plan); err != nil {
+			return nil, badf("plan: %v", err)
+		}
 
 	default:
 		c.kind = "graph"
-		g, err := astrasim.ParseGraph("submission", bytes.NewReader(sub.Graph))
-		if err != nil {
-			return nil, &badRequest{msg: err.Error()}
+		if c.graph, err = astrasim.ParseGraph("submission", bytes.NewReader(sub.Graph)); err != nil {
+			return nil, asBad(err)
 		}
-		if err := checkGraphEndpoints(g, p.NumNPUs(), sub.IntraParallel); err != nil {
+		if job.Graph, err = canonicalJSON(sub.Graph); err != nil {
+			return nil, badf("graph: %v", err)
+		}
+	}
+	if c.graph != nil {
+		if err := checkGraphEndpoints(c.graph, p.NumNPUs()); err != nil {
 			return nil, err
 		}
-		c.graph = g
-	}
-
-	if len(sub.Faults) > 0 {
-		if backend != config.PacketBackend {
-			return nil, badf("faults require the packet backend; the %v backend does not model faults", backend)
-		}
-		if sub.IntraParallel > 0 {
-			return nil, badf("faults and intra_parallel are mutually exclusive; fault injection needs the serial engine")
-		}
-		plan, err := astrasim.ParseFaultPlan(bytes.NewReader(sub.Faults))
-		if err != nil {
-			return nil, &badRequest{msg: err.Error()}
-		}
-		// The library applies straggler selectors leniently (nodes
-		// outside the topology are skipped, so one plan can drive a
-		// whole sweep); a service submission names one topology, so an
-		// out-of-range node is a client error.
-		for _, s := range plan.Stragglers {
-			if s.Node >= p.NumNPUs() {
-				return nil, badf("fault plan straggler node %d out of range (%d NPUs)", s.Node, p.NumNPUs())
-			}
-		}
-		if err := p.SetFaultPlan(plan); err != nil {
-			return nil, &badRequest{msg: err.Error()}
+		if err := spec.ValidateGraph(c.graph, cli.JSONNames); err != nil {
+			return nil, asBad(err)
 		}
 	}
 
-	if c.id, err = contentAddress(sub, backend, alg, policy, net, rings); err != nil {
+	job.Kind = c.kind
+	if c.id, err = contentAddress(spec, job); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -316,147 +306,103 @@ func compile(sub *Submission) (*compiled, error) {
 // against the submission's topology. The graph engine checks these when
 // the run starts; checking here turns a bad graph (inline or compiled
 // from a model) into a 400 instead of a failed job.
-func checkGraphEndpoints(g *astrasim.WorkloadGraph, npus, intraParallel int) error {
+func checkGraphEndpoints(g *astrasim.WorkloadGraph, npus int) error {
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.Replica < 0 || n.Replica >= npus {
 			return badf("graph node %q: replica %d out of range (%d NPUs)", n.ID, n.Replica, npus)
 		}
-		if n.Kind == "SEND" || n.Kind == "RECV" {
-			if n.Src < 0 || n.Src >= npus || n.Dst < 0 || n.Dst >= npus {
-				return badf("graph node %q: endpoint %d->%d out of range (%d NPUs)", n.ID, n.Src, n.Dst, npus)
-			}
-			if intraParallel > 0 {
-				return badf("graph node %q: SEND/RECV needs point-to-point sends, which intra_parallel does not support", n.ID)
-			}
+		if (n.Kind == "SEND" || n.Kind == "RECV") && (n.Src < 0 || n.Src >= npus || n.Dst < 0 || n.Dst >= npus) {
+			return badf("graph node %q: endpoint %d->%d out of range (%d NPUs)", n.ID, n.Src, n.Dst, npus)
 		}
 	}
 	return nil
 }
 
-// ringDefaults resolves the four multiplicity knobs against Table IV.
-func ringDefaults(sub *Submission) [4]int {
-	r := [4]int{2, 2, 2, 2} // local, horizontal, vertical, switches
-	if sub.LocalRings != 0 {
-		r[0] = sub.LocalRings
+// compileWorkload resolves a workload job: the definition to train, the
+// pass count, and the spec with every default resolved, for hashing.
+func compileWorkload(w *WorkloadSpec) (astrasim.Definition, int, *WorkloadSpec, error) {
+	r := &WorkloadSpec{Text: w.Text, Passes: w.Passes, Batch: w.Batch, SeqLen: w.SeqLen}
+	if r.Passes == 0 {
+		r.Passes = 1
 	}
-	if sub.HorizontalRings != 0 {
-		r[1] = sub.HorizontalRings
-	}
-	if sub.VerticalRings != 0 {
-		r[2] = sub.VerticalRings
-	}
-	if sub.GlobalSwitches != 0 {
-		r[3] = sub.GlobalSwitches
-	}
-	return r
-}
-
-func compileWorkload(w *WorkloadSpec) (astrasim.Definition, int, error) {
-	passes := w.Passes
-	if passes == 0 {
-		passes = 1
-	}
-	if passes < 1 {
-		return astrasim.Definition{}, 0, badf("workload passes must be >= 1, got %d", w.Passes)
+	if r.Passes < 1 {
+		return astrasim.Definition{}, 0, nil, badf("workload passes must be >= 1, got %d", w.Passes)
 	}
 	if (w.Model == "") == (w.Text == "") {
-		return astrasim.Definition{}, 0, badf("workload wants exactly one of model, text")
+		return astrasim.Definition{}, 0, nil, badf("workload wants exactly one of model, text")
 	}
 	if w.Text != "" {
 		def, err := astrasim.ParseWorkload("submission", strings.NewReader(w.Text))
 		if err != nil {
-			return astrasim.Definition{}, 0, &badRequest{msg: err.Error()}
+			return astrasim.Definition{}, 0, nil, asBad(err)
 		}
-		return def, passes, nil
+		r.Batch, r.SeqLen = 0, 0 // a definition carries its own sizes
+		return def, r.Passes, r, nil
 	}
-	batch := w.Batch
-	if batch == 0 {
-		batch = 32
+	if r.Batch == 0 {
+		r.Batch = 32
 	}
-	if batch < 1 {
-		return astrasim.Definition{}, 0, badf("workload batch must be >= 1, got %d", w.Batch)
+	if r.Batch < 1 {
+		return astrasim.Definition{}, 0, nil, badf("workload batch must be >= 1, got %d", w.Batch)
 	}
-	seqLen := w.SeqLen
-	if seqLen == 0 {
-		seqLen = 128
+	if r.SeqLen == 0 {
+		r.SeqLen = 128
 	}
-	if seqLen < 1 {
-		return astrasim.Definition{}, 0, badf("workload seq_len must be >= 1, got %d", w.SeqLen)
+	if r.SeqLen < 1 {
+		return astrasim.Definition{}, 0, nil, badf("workload seq_len must be >= 1, got %d", w.SeqLen)
 	}
-	switch strings.ToLower(w.Model) {
+	r.Model = strings.ToLower(w.Model)
+	var def astrasim.Definition
+	switch r.Model {
 	case "resnet50":
-		return astrasim.ResNet50(batch), passes, nil
+		def = astrasim.ResNet50(r.Batch)
 	case "vgg16":
-		return astrasim.VGG16(batch), passes, nil
+		def = astrasim.VGG16(r.Batch)
 	case "bertlarge":
-		return astrasim.BERTLarge(batch, seqLen), passes, nil
+		def = astrasim.BERTLarge(r.Batch, r.SeqLen)
 	case "transformer":
-		return astrasim.Transformer(batch, seqLen), passes, nil
+		def = astrasim.Transformer(r.Batch, r.SeqLen)
 	case "dlrm":
-		return astrasim.DLRM(batch), passes, nil
+		def = astrasim.DLRM(r.Batch)
+	default:
+		return astrasim.Definition{}, 0, nil, badf("unknown workload model %q (want resnet50|vgg16|bertlarge|transformer|dlrm)", w.Model)
 	}
-	return astrasim.Definition{}, 0, badf("unknown workload model %q (want resnet50|vgg16|bertlarge|transformer|dlrm)", w.Model)
+	if r.Model != "bertlarge" && r.Model != "transformer" {
+		r.SeqLen = 0 // only the sequence models read it
+	}
+	return def, r.Passes, r, nil
 }
 
-// canonicalSubmission is the hashed representation: every knob resolved
-// to its effective value, raw JSON sections re-marshaled canonically
-// (Go maps marshal with sorted keys), priority excluded. Two
-// submissions that simulate identically hash identically regardless of
-// which defaults they spelled out.
-type canonicalSubmission struct {
-	Topology           string
-	Backend            string
-	Algorithm          string
-	Scheduling         string
-	SetSplits          int
-	Rings              [4]int
-	Network            config.Network
-	RemoteMemBandwidth float64
-	RemoteMemLatency   uint64
-	Collective         *CollectiveSpec
-	Workload           *WorkloadSpec
-	Graph              json.RawMessage
-	Model              json.RawMessage
-	Plan               json.RawMessage
-	ModelSteps         int
-	Faults             json.RawMessage
+// canonicalJob is the job half of the hashed form: the job kind with
+// every field resolved to its effective value, and raw JSON sections
+// re-marshaled canonically (Go maps marshal with sorted keys).
+type canonicalJob struct {
+	Kind     string
+	Op       string          `json:",omitempty"`
+	Bytes    int64           `json:",omitempty"`
+	Workload *WorkloadSpec   `json:",omitempty"`
+	Graph    json.RawMessage `json:",omitempty"`
+	Model    json.RawMessage `json:",omitempty"`
+	Plan     json.RawMessage `json:",omitempty"`
+	Steps    int             `json:",omitempty"`
 }
 
-// contentAddress derives the job's cache key: sha256 over the canonical
-// submission. The simulator is deterministic (DESIGN.md §9: bit-equal
-// reruns), so equal addresses imply byte-equal results — the invariant
-// the response cache is built on.
-func contentAddress(sub *Submission, backend config.Backend, alg config.Algorithm,
-	policy config.SchedulingPolicy, net config.Network, rings [4]int) (string, error) {
-	canon := canonicalSubmission{
-		Topology:           sub.Topology,
-		Backend:            backend.String(),
-		Algorithm:          alg.String(),
-		Scheduling:         policy.String(),
-		SetSplits:          sub.SetSplits,
-		Rings:              rings,
-		Network:            net,
-		RemoteMemBandwidth: sub.RemoteMemBandwidth,
-		RemoteMemLatency:   sub.RemoteMemLatency,
-		Collective:         sub.Collective,
-		Workload:           sub.Workload,
+// contentAddress derives the job's cache key: sha256 over the run spec's
+// canonical form and the canonical job. Priority is in neither, and the
+// canonical spec drops intra_parallel: both change when or how a job
+// runs, never what it computes. The simulator is deterministic
+// (DESIGN.md §9: bit-equal reruns), so equal addresses imply byte-equal
+// results — the invariant the response cache is built on.
+func contentAddress(spec cli.RunSpec, job canonicalJob) (string, error) {
+	run, err := spec.Canonical()
+	if err != nil {
+		return "", fmt.Errorf("service: canonicalizing submission: %w", err)
 	}
-	canon.ModelSteps = sub.ModelSteps
-	var err error
-	if canon.Graph, err = canonicalJSON(sub.Graph); err != nil {
-		return "", badf("graph: %v", err)
-	}
-	if canon.Model, err = canonicalJSON(sub.Model); err != nil {
-		return "", badf("model: %v", err)
-	}
-	if canon.Plan, err = canonicalJSON(sub.Plan); err != nil {
-		return "", badf("plan: %v", err)
-	}
-	if canon.Faults, err = canonicalJSON(sub.Faults); err != nil {
-		return "", badf("faults: %v", err)
-	}
-	b, err := json.Marshal(canon)
+	b, err := json.Marshal(struct {
+		Run json.RawMessage
+		Job canonicalJob
+	}{run, job})
 	if err != nil {
 		return "", fmt.Errorf("service: canonicalizing submission: %w", err)
 	}

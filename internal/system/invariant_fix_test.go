@@ -17,7 +17,7 @@ import (
 // zero while Done() was already true, so Duration underflowed.
 func TestZeroPhaseCollectiveCompletesAtIssueTime(t *testing.T) {
 	tp := torus(t, 1, 1, 1, topology.TorusConfig{LocalRings: 1, HorizontalRings: 1, VerticalRings: 1})
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestZeroPhaseCollectiveCompletesAtIssueTime(t *testing.T) {
 // completion callback (the done flag, not chunk arithmetic, is the truth).
 func TestDoneMatchesOnComplete(t *testing.T) {
 	tp := torus(t, 1, 4, 1, topology.DefaultTorusConfig())
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDoneMatchesOnComplete(t *testing.T) {
 // 1.5 with an odd EndpointDelay), understating straggler impact.
 func TestEndpointDelayFractionalCarry(t *testing.T) {
 	tp := torus(t, 2, 2, 1, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.EndpointDelay = 11 // odd: x1.5 = 16.5 cycles per message
 	inst, err := NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
@@ -120,7 +120,7 @@ func TestEndpointDelayFractionalCarry(t *testing.T) {
 func TestFractionalStragglerSlowsCollective(t *testing.T) {
 	run := func(factor float64) eventq.Time {
 		tp := torus(t, 1, 8, 1, topology.DefaultTorusConfig())
-		cfg := sysCfgFor(tp)
+		cfg := config.DefaultSystem()
 		cfg.EndpointDelay = 1 // x1.5 = 1.5: pre-fix truncation hid the straggler entirely
 		inst, err := NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {

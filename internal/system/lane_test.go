@@ -1,149 +1,12 @@
 package system
 
 import (
-	"slices"
 	"testing"
 
-	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
-	"astrasim/internal/eventq"
-	"astrasim/internal/noc"
 	"astrasim/internal/topology"
 )
-
-// recordNet is a Network that records the messages sent through it and
-// delivers none; sendStep touches nothing else.
-type recordNet struct {
-	Network
-	sent []*noc.Message
-}
-
-func (r *recordNet) Send(m *noc.Message) { r.sent = append(r.sent, m) }
-
-// hop is one expected message: destination and physical route.
-type hop struct {
-	dst  topology.Node
-	path []topology.LinkID
-}
-
-// topoHops derives node n's sends for step s of phase ph on channel ch
-// straight from the topology, independently of the lane tables:
-// RingOf().Next for rings, a Group scan plus HalvingPartnerIndex for
-// halving, every other Group member for direct exchanges, and
-// Topo.PathLinks for every route.
-func topoHops(topo topology.Topology, ph collectives.Phase, ch int, n topology.Node, s int) []hop {
-	route := func(dst topology.Node) hop {
-		return hop{dst, topo.PathLinks(ph.Dim, ch, n, dst)}
-	}
-	switch {
-	case ph.Halving:
-		group := topo.Group(ph.Dim, n)
-		return []hop{route(group[ph.HalvingPartnerIndex(slices.Index(group, n), s)])}
-	case ph.Direct:
-		var out []hop
-		for _, peer := range topo.Group(ph.Dim, n) {
-			if peer != n {
-				out = append(out, route(peer))
-			}
-		}
-		return out
-	}
-	return []hop{route(topo.RingOf(ph.Dim, n, ch).Next(n))}
-}
-
-// TestLaneRoutesMatchTopology is the lane tables' differential check: for
-// every topology family, every dimension, channel, phase kind, node and
-// step, the messages sendStep builds from the lane carry exactly the
-// destination and route the topology itself returns.
-func TestLaneRoutesMatchTopology(t *testing.T) {
-	specs := []string{
-		"1x8x1", "2x2x2", "2x4x2", "4x4x4", "2x2x2x2",
-		"a2a:2x4", "sw:4x2", "so:2x2x1/2", "so:2x2x2/4",
-		"hier:sw4,fc3,ring4",     // switch + fully-connected + ring
-		"hier:ring2,sw8",         // halving on a pow2 switch dimension
-		"hier:fc4,ring2x1,sw2",   // explicit lane count, halving switch
-		"hier:ring2,ring4,ring2", // all-ring composition
-		"hier:sw4x2,fc4x3,ring3", // multi-lane switch and fc dimensions
-	}
-	type named struct {
-		name string
-		topo topology.Topology
-	}
-	var topos []named
-	for _, spec := range specs {
-		cfg := config.DefaultSystem()
-		topo, err := cli.BuildTopology(spec, cli.DefaultTopologyOptions(), &cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		topos = append(topos, named{spec, topo})
-	}
-	// A logical torus mapped onto a physical ring: multi-hop ring routes.
-	phys := torus(t, 1, 16, 1, topology.DefaultTorusConfig())
-	mapped, err := topology.NewMapped(torus(t, 2, 2, 4, topology.DefaultTorusConfig()), phys, topology.IdentityMapping(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	topos = append(topos, named{"mapped 2x2x4 on 1x16x1", mapped})
-
-	ops := []collectives.Op{collectives.ReduceScatter, collectives.AllGather,
-		collectives.AllReduce, collectives.AllToAll}
-	var ring, direct, halving int
-	for _, tc := range topos {
-		net := &recordNet{}
-		s, err := New(eventq.New(), tc.topo, net, config.DefaultSystem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range tc.topo.Dims() {
-			if d.Size <= 1 {
-				continue
-			}
-			for _, op := range ops {
-				phases, err := collectives.CompileScoped(op, tc.topo, config.Baseline, []topology.Dim{d.Dim})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, ph := range phases {
-					switch {
-					case ph.Halving:
-						halving++
-					case ph.Direct:
-						direct++
-					default:
-						ring++
-					}
-					for ch := 0; ch < d.Channels; ch++ {
-						c := &chunk{sys: s, coll: &Handle{phases: []collectives.Phase{ph}}, bytes: 1 << 20}
-						c.lane = s.laneFor(s.dimIndex(d.Dim), ch, ph.Direct || ph.Halving)
-						for n := 0; n < tc.topo.NumNPUs(); n++ {
-							node := topology.Node(n)
-							for step := 0; step < ph.NumSteps(); step++ {
-								net.sent = net.sent[:0]
-								c.sendStep(node, 0, step)
-								want := topoHops(tc.topo, ph, ch, node, step)
-								if len(net.sent) != len(want) {
-									t.Fatalf("%s %v ch%d node %d step %d: %d messages, want %d",
-										tc.name, ph, ch, n, step, len(net.sent), len(want))
-								}
-								for i, m := range net.sent {
-									if m.Src != node || m.Dst != want[i].dst || !slices.Equal(m.Path, want[i].path) {
-										t.Fatalf("%s %v ch%d node %d step %d message %d: %d->%d via %v, want %d->%d via %v",
-											tc.name, ph, ch, n, step, i, m.Src, m.Dst, m.Path, node, want[i].dst, want[i].path)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if ring == 0 || direct == 0 || halving == 0 {
-		t.Fatalf("corpus left a phase kind unchecked: %d ring, %d direct, %d halving phases", ring, direct, halving)
-	}
-}
 
 // TestSendPathAllocsPerChunk pins the steady-state send path at zero
 // allocations per message. A fast-backend 4x4x4 all-reduce at 64 chunks
@@ -160,7 +23,7 @@ func TestSendPathAllocsPerChunk(t *testing.T) {
 func testSendPathAllocsPerChunk(t *testing.T, backend config.Backend) {
 	topo := torus(t, 4, 4, 4, topology.DefaultTorusConfig())
 	run := func(splits int) (allocs float64, chunks int, msgs int64) {
-		cfg := sysCfgFor(topo)
+		cfg := config.DefaultSystem()
 		cfg.Backend = backend
 		cfg.Algorithm = config.Enhanced
 		cfg.PreferredSetSplits = splits

@@ -19,7 +19,6 @@ func newRemoteMemInstance(t *testing.T, bw float64, lat uint64) *system.Instance
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 1
 	cfg.RemoteMemBandwidth = bw
 	cfg.RemoteMemLatency = lat
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())

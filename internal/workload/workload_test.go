@@ -152,7 +152,6 @@ func newInstance(t *testing.T) *system.Instance {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 1
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +354,6 @@ func TestLIFONotWorseThanFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 1
 		cfg.SchedulingPolicy = policy
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
@@ -460,7 +458,6 @@ func TestPipelineRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +513,6 @@ func TestPipelineBubbleShrinksWithMicrobatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
@@ -553,7 +549,6 @@ func TestPipeline1F1BNotSlowerThanGPipe(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
@@ -619,7 +614,6 @@ func TestScopedTrainingRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 2
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)

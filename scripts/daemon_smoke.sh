@@ -10,7 +10,10 @@
 #      served from the cache (X-Astrasim-Cache: hit, byte-identical
 #      result, run counter unchanged);
 #   3. sends a malformed submission, asserts a 4xx, and asserts the
-#      process is still alive and serving afterwards.
+#      process is still alive and serving afterwards;
+#   4. resubmits the body with its defaults spelled out and the op in
+#      another case, and asserts a cache hit with the run counter
+#      unchanged (the content address is taken over resolved values).
 #
 # Requires: go, curl. No other dependencies.
 set -euo pipefail
@@ -86,5 +89,13 @@ curl -sf "$BASE/healthz" >/dev/null || fail "daemon unhealthy after malformed su
 curl -s -D "$TMP/h4" -o /dev/null "$BASE/jobs" -d "$SUBMISSION"
 grep -qi '^X-Astrasim-Cache: hit' "$TMP/h4" || fail "daemon not serving cache hits after malformed submission"
 echo "daemon_smoke: malformed submission rejected ($code), daemon still serving"
+
+# 4. Defaults spelled out: the same simulation, so the same content address.
+SPELLED='{"topology": "4x4x4", "backend": "fast", "algorithm": "baseline", "set_splits": 64, "local_rings": 2, "collective": {"op": "AllReduce", "bytes": 4194304}}'
+curl -s -D "$TMP/h5" -o "$TMP/r5" "$BASE/jobs" -d "$SPELLED" || fail "spelled-out submission failed"
+grep -qi '^X-Astrasim-Cache: hit' "$TMP/h5" || fail "spelled-out defaults not served from cache: $(cat "$TMP/r5")"
+runs=$(curl -s "$BASE/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
+[ "$runs" = "1" ] || fail "expected the run counter to stay at 1 after the spelled-out resubmission, got $runs"
+echo "daemon_smoke: spelled-out defaults served from cache, runs=1"
 
 echo "daemon_smoke: PASS"
