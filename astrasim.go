@@ -393,7 +393,10 @@ func NewTorusPlatform(local, horizontal, vertical int, opts ...Option) (*Platfor
 // bidirectional rings).
 func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
 	return newPlatform("", opts, func(s *cli.RunSpec) (topology.Topology, error) {
-		return topology.NewTorusND(sizes, s.Rings.TorusND(len(sizes)))
+		if len(sizes) < 2 {
+			return nil, fmt.Errorf("astrasim: an N-dimensional torus needs a local and at least one package axis, got %v", sizes)
+		}
+		return topology.NewHierarchical(s.Rings.TorusSpecs(sizes))
 	})
 }
 

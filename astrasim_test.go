@@ -125,6 +125,9 @@ func TestTorusNDAndScaleOutPlatforms(t *testing.T) {
 	if nd.NumNPUs() != 16 {
 		t.Errorf("4D platform NPUs = %d, want 16", nd.NumNPUs())
 	}
+	if _, err := astrasim.NewTorusNDPlatform([]int{8}); err == nil {
+		t.Error("a one-axis N-D torus platform built")
+	}
 	res, err := nd.RunCollective(astrasim.AllReduce, 1<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -136,10 +136,7 @@ func ParseHierSpec(spec string, opts TopologyOptions) ([]topology.DimSpec, error
 		default:
 			lanes = 1
 		}
-		class := topology.InterPackage
-		if i == 0 {
-			class = topology.IntraPackage
-		}
+		class := topology.DefaultDimClass(i)
 		if hasClass {
 			switch classStr {
 			case "local":
@@ -213,18 +210,28 @@ func (o TopologyOptions) Torus() topology.TorusConfig {
 	return topology.TorusConfig{LocalRings: o.LocalRings, HorizontalRings: o.HorizontalRings, VerticalRings: o.VerticalRings}
 }
 
-// TorusND returns the ring counts of an n-dimensional torus: the local,
-// vertical and horizontal rings for its first three axes (NewTorusND
-// gives every further axis 2 bidirectional rings).
-func (o TopologyOptions) TorusND(n int) topology.TorusNDConfig {
+// TorusSpecs returns the all-ring composition of an N-dimensional torus
+// with the given axis sizes, local axis first: the local, vertical and
+// horizontal ring counts on the first three axes, 2 bidirectional rings on
+// every further axis, and the default link classes.
+func (o TopologyOptions) TorusSpecs(sizes []int) []topology.DimSpec {
 	rings := []int{o.LocalRings, o.VerticalRings, o.HorizontalRings}
-	return topology.TorusNDConfig{Rings: rings[:min(n, len(rings))]}
+	specs := make([]topology.DimSpec, len(sizes))
+	for i, size := range sizes {
+		lanes := 2
+		if i < len(rings) {
+			lanes = rings[i]
+		}
+		specs[i] = topology.DimSpec{Kind: topology.KindRing, Size: size, Lanes: lanes, Class: topology.DefaultDimClass(i)}
+	}
+	return specs
 }
 
 // BuildTopology parses a topology spec and constructs it:
 //
 //	"MxNxK"        hierarchical 3D torus (local x horizontal x vertical)
-//	"MxA1x...xAd"  N-dimensional torus for d != 2 inter axes
+//	"MxA1x...xAd"  N-dimensional torus for d != 2 inter axes: the
+//	               all-ring composition opts.TorusSpecs describes
 //	"a2a:MxN"      hierarchical alltoall with opts.GlobalSwitches switches
 //	"sw:MxN"       switch-based (NVSwitch-style): opts.LocalSwitches
 //	               per-package switches plus opts.GlobalSwitches global
@@ -300,6 +307,6 @@ func BuildTopology(spec string, opts TopologyOptions, _ *config.System) (topolog
 	case len(dims) == 3:
 		return topology.NewTorus(dims[0], dims[1], dims[2], opts.Torus())
 	default:
-		return topology.NewTorusND(dims, opts.TorusND(len(dims)))
+		return topology.NewHierarchical(opts.TorusSpecs(dims))
 	}
 }

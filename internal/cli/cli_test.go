@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"testing"
 
 	"astrasim/internal/config"
@@ -78,13 +79,37 @@ func TestBuildTopologyND(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("ND config invalid: %v", err)
 	}
-	// 2D spec (local x one axis) also goes through TorusND.
+	if topo.Name() != "2x2x2x2 torus" {
+		t.Errorf("Name = %q, want %q", topo.Name(), "2x2x2x2 torus")
+	}
+	// A 2D spec (local x one axis) is an N-D torus too.
 	topo, err = BuildTopology("4x16", DefaultTopologyOptions(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if topo.NumNPUs() != 64 {
 		t.Errorf("4x16 NPUs = %d, want 64", topo.NumNPUs())
+	}
+}
+
+// A shape whose NPU count overflows int is an error naming
+// topology.ErrNPUOverflow on every family, never a wrapped count, a
+// makeslice panic or an out-of-memory kill.
+func TestBuildTopologyRejectsNPUOverflow(t *testing.T) {
+	for _, spec := range []string{
+		"hier:ring100000,ring100000,ring100000,ring100000",
+		"hier:sw100000,fc100000,ring100000,ring100000",
+		"100000x100000x100000x100000",
+		"65536x65536x65536x65536x65536",
+		"4294967296x4294967296x2",
+		"a2a:4294967296x4294967296",
+		"sw:4294967296x4294967296",
+		"so:2x1x1/9223372036854775807",
+	} {
+		_, err := BuildTopology(spec, DefaultTopologyOptions(), nil)
+		if !errors.Is(err, topology.ErrNPUOverflow) {
+			t.Errorf("BuildTopology(%q): err = %v, want topology.ErrNPUOverflow", spec, err)
+		}
 	}
 }
 

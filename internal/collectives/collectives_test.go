@@ -555,18 +555,26 @@ func TestStepBytesNeverZero(t *testing.T) {
 	}
 }
 
+// ndTorus builds the N-dimensional hierarchical torus over sizes: one
+// all-ring composition with 2 lanes per dimension and the default link
+// classes, as the "2x2x2x2" topology spec builds it.
+func ndTorus(t *testing.T, sizes ...int) topology.Topology {
+	t.Helper()
+	specs := make([]topology.DimSpec, len(sizes))
+	for i, s := range sizes {
+		specs[i] = topology.DimSpec{Kind: topology.KindRing, Size: s, Lanes: 2, Class: topology.DefaultDimClass(i)}
+	}
+	tp, err := topology.NewHierarchical(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
 // The N-dimensional torus extension must produce correct all-reduce and
 // all-to-all schedules too.
 func TestTorusNDCollectiveCorrectness(t *testing.T) {
-	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, topology.TorusNDConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd5, err := topology.NewTorusND([]int{2, 2, 2, 2, 2}, topology.TorusNDConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range []topology.Topology{nd, nd5} {
+	for _, tp := range []topology.Topology{ndTorus(t, 2, 2, 2, 2), ndTorus(t, 2, 2, 2, 2, 2)} {
 		for _, alg := range []config.Algorithm{config.Baseline, config.Enhanced} {
 			phases, err := Compile(AllReduce, tp, alg)
 			if err != nil {

@@ -37,7 +37,7 @@ var conservationTopos = []string{
 	"hier:sw4,fc3,ring4",     // DGX-like switch + FC + ring composition
 	"hier:ring2,sw8",         // halving-doubling through a pow2 switch dim
 	"hier:fc4,ring2x1,sw2",   // FC-first with an explicit lane count
-	"hier:ring2,ring4,ring2", // all-ring composition (TorusND-equivalent)
+	"hier:ring2,ring4,ring2", // all-ring composition (an N-D torus)
 }
 
 func TestByteConservationAcrossConfigs(t *testing.T) {
@@ -284,14 +284,15 @@ func TestOracleBoundsWithDispatcherConcurrency(t *testing.T) {
 	}
 }
 
-// TestHierEquivalentToTorusND pins the compositional builder against the
-// topology it generalizes at the simulation level: "hier:ring2,ring2,
-// ring2,ring2" constructs the 2x2x2x2 TorusND link-for-link (the
-// structural half lives in internal/topology), so every collective must
-// run byte-identically on the two specs — same completion cycles, same
-// injected traffic — on both network backends, with and without chunk
-// splitting. Zero tolerance: any divergence means the hier ring
-// construction or its schedule drifted from the torus path.
+// TestHierEquivalentToTorusND pins the two spellings of the 4D torus
+// against each other at the simulation level: the "2x2x2x2" spec
+// (cli.TopologyOptions.TorusSpecs) and the "hier:ring2,ring2,ring2,ring2"
+// composition (cli.ParseHierSpec) must run every collective
+// byte-identically — same completion cycles, same injected traffic — on
+// both network backends, with and without chunk splitting. The structural
+// half, digests recorded from the standalone N-D torus type both spellings
+// replaced, lives in internal/topology. Zero tolerance: any divergence
+// means one grammar drifted from the other.
 func TestHierEquivalentToTorusND(t *testing.T) {
 	ops := []collectives.Op{
 		collectives.ReduceScatter, collectives.AllGather,

@@ -48,8 +48,12 @@
 // engine, key order within a cycle equals creation order, so the append
 // is already sorted. Only InjectAt can bring a key below a bucket's tail;
 // such an event is placed by walking back from the tail, so the
-// six-field order holds exactly on every engine. Events that compare
-// equal (which valid keys never do) fire in scheduling order.
+// six-field order holds exactly on every engine. Keys injected ahead of
+// their creation cycle, like fastnet's multi-hop arrivals, can crowd a
+// cycle and land far below its tail, mostly next to the previous such
+// key; so a walk that gets long resumes forward from the bucket's finger,
+// the event the last long placement inserted. Events that compare equal
+// (which valid keys never do) fire in scheduling order.
 //
 // Events live in a paged slot arena: fixed-size pages that are never
 // copied or released, plus a free list that fired events return their
@@ -130,6 +134,7 @@ const (
 type bucket struct {
 	at         Time
 	head, tail int32 // slot ids; a free bucket's head links the free list
+	finger     int32 // the last event placed far below the tail (0 = none)
 }
 
 // cycle pairs a firing cycle with its bucket: an entry of the
@@ -199,6 +204,11 @@ func (q *queue) bucket(at Time) int32 {
 	return b
 }
 
+// fingerWalk is how far push walks back from a bucket's tail before it
+// tries the bucket's finger. Most out-of-order keys (packet trains) land
+// within a step or two of the tail; only crowded cycles walk further.
+const fingerWalk = 4
+
 // push enqueues an event at cycle at, in key order within its bucket.
 func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
 	id := q.alloc()
@@ -219,19 +229,40 @@ func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
 		bk.tail = id
 		return
 	}
-	for t != bk.head {
-		t = ts.prev
-		ts = q.slot(t)
-		if !k.less(ts.key) { // insert after t
-			s.next, s.prev = ts.next, t
-			q.slot(ts.next).prev = id
-			ts.next = id
-			return
+	// Find after, the last event that sorts at or before k (0: none), by
+	// walking back from the tail. After fingerWalk steps, search forward
+	// from the finger instead when it sorts at or before k: it then lies
+	// before t, and t sorts after k, so the search stops at t at the
+	// latest. A placement that walks that far becomes the finger.
+	var after int32
+	steps := 0
+	for ; t != bk.head; steps++ {
+		if f := bk.finger; steps == fingerWalk && f != 0 && !k.less(q.slot(f).key) {
+			after = f
+			for n := q.slot(f).next; !k.less(q.slot(n).key); n = q.slot(n).next {
+				after = n
+			}
+			break
+		}
+		t = q.slot(t).prev
+		if !k.less(q.slot(t).key) {
+			after = t
+			break
 		}
 	}
-	s.next, s.prev = bk.head, 0
-	q.slot(bk.head).prev = id
-	bk.head = id
+	if steps >= fingerWalk {
+		bk.finger = id
+	}
+	if after == 0 {
+		s.next, s.prev = bk.head, 0
+		q.slot(bk.head).prev = id
+		bk.head = id
+		return
+	}
+	as := q.slot(after)
+	s.next, s.prev = as.next, after
+	q.slot(as.next).prev = id
+	as.next = id
 }
 
 // pop removes the earliest event and returns its cycle, key and callback.
@@ -242,6 +273,9 @@ func (q *queue) pop() (Time, key, CallFunc, any, any) {
 	id := bk.head
 	s := q.slot(id)
 	k, fn, a, b := s.key, s.fn, s.a, s.b
+	if bk.finger == id {
+		bk.finger = 0
+	}
 	if bk.head = s.next; bk.head == 0 {
 		q.dropEarliest()
 	}

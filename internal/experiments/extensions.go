@@ -3,11 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"astrasim/internal/analytic"
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/energy"
 	"astrasim/internal/eventq"
+	"astrasim/internal/oracle"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/system"
@@ -40,7 +41,7 @@ func Ext4D(o Options) ([]*report.Table, error) {
 	nShapes := len(shapes)
 	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
 		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, err := topology.NewTorusND(s, topology.TorusNDConfig{})
+		tp, err := topology.NewHierarchical(cli.DefaultTopologyOptions().TorusSpecs(s))
 		if err != nil {
 			return 0, err
 		}
@@ -412,7 +413,7 @@ func ExtSwitched(o Options) ([]*report.Table, error) {
 }
 
 // ExtValidate tables the event-driven simulator against the closed-form
-// alpha-beta model (internal/analytic) across topologies, operations and
+// alpha-beta bounds (oracle.Model.Bounds) across topologies, operations and
 // sizes: the simulation must never beat the analytic lower bound, and the
 // ratio shows how much latency the detailed model adds over the
 // first-order one.
@@ -450,7 +451,11 @@ func ExtValidate(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := analytic.CollectiveBounds(op, tg.topo, tg.cfg.Algorithm, net, tg.cfg, size)
+		m, err := oracle.NewModel(tg.topo, tg.cfg, net)
+		if err != nil {
+			return nil, err
+		}
+		b, err := m.Bounds(op, size)
 		if err != nil {
 			return nil, err
 		}

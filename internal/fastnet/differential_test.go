@@ -43,7 +43,7 @@ var corpusTopos = []string{
 	"hier:sw4,fc3,ring4",     // DGX-like switch + FC + ring composition
 	"hier:ring2,sw8",         // halving-doubling through a pow2 switch dim
 	"hier:fc4,ring2x1,sw2",   // FC-first with an explicit lane count
-	"hier:ring2,ring4,ring2", // all-ring composition (TorusND-equivalent)
+	"hier:ring2,ring4,ring2", // all-ring composition (an N-D torus)
 }
 
 var corpusOps = []collectives.Op{

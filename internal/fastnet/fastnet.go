@@ -33,9 +33,12 @@
 // Multi-hop paths (switch and scale-out fabrics) keep one arrival event
 // per packet per downstream hop, because packets from different sources
 // interleave there in arrival order; the serialization at each hop is
-// still charged eagerly, one noc.SerStep per packet. Both backends run
-// the one kernel, iterated rather than telescoped, so the float stream is
-// bit-identical to internal/noc's.
+// still charged eagerly, one noc.SerStep per packet. Each arrival event
+// carries the ordering key the packet backend's would (created when the
+// packet's upstream serialization ends), so same-cycle arrivals from
+// different sources serialize in the same order on both backends. Both
+// backends run the one kernel, iterated rather than telescoped, so the
+// float stream is bit-identical to internal/noc's.
 //
 // Fault injection (outages, degradation windows, drops) is packet-only:
 // congestion-unaware timing under loss is not meaningful, and callers are
@@ -252,9 +255,21 @@ func (n *Network) Send(msg *noc.Message) {
 		first.stats.Packets++
 		first.stats.Bytes += b
 		first.stats.BusyCycles += ser
-		n.eng.CallAt(finish+hop, fastArrive, next, n.allocPacket(msg, b, 1, i == numPkts-1))
+		n.hopAt(finish+hop, finish, finish-ser, fastArrive, next, n.allocPacket(msg, b, 1, i == numPkts-1))
 	}
 	first.busyUntil = finish
+}
+
+// hopAt schedules a packet's next stage under the ordering key the packet
+// backend gives it: its linkArrive (or packetDelivered) event is created
+// when the packet's serialization ends, by the linkSerDone event created
+// when it started. Packets from different sources that reach one link in
+// the same cycle then serialize there in the packet backend's order, not
+// in the order their senders injected them.
+func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a, b any) {
+	k := n.eng.EventKey()
+	k.Ctime, k.Gen2 = serEnd, serStart
+	n.eng.InjectAt(at, k, 0, fn, a, b)
 }
 
 // allocPacket takes an fpkt from the free list, or heap-allocates when the
@@ -291,14 +306,14 @@ func fastArrive(a, b any) {
 	if p.pathPos+1 < len(msg.Path) {
 		next := n.links[msg.Path[p.pathPos+1]]
 		p.pathPos++
-		n.eng.CallAt(finish+l.hopDelay(), fastArrive, next, p)
+		n.hopAt(finish+l.hopDelay(), finish, start, fastArrive, next, p)
 		return
 	}
 	last := p.last
 	p.msg = nil
 	n.pktFree = append(n.pktFree, p)
 	if last {
-		n.eng.CallAt(finish+l.hopDelay(), fastDeliver, n, msg)
+		n.hopAt(finish+l.hopDelay(), finish, start, fastDeliver, n, msg)
 	}
 }
 

@@ -290,8 +290,9 @@ func hierTopoSpec(specs []topology.DimSpec) string {
 // link classes, so the completion time may shift only by per-step flit and
 // message quantization. The relation is banded, not exact: different
 // phase orders round chunk subdivisions differently (measured deltas stay
-// well under 1%), unlike the all-ring TorusND equivalence, which is
-// byte-identical because the construction coincides link-for-link.
+// well under 1%), unlike the equivalence of an "MxA1x...xAd" torus spec
+// and its spelled-out all-ring hier: composition, which is byte-identical
+// because both build the same dimensions.
 func checkHierDimPermutation(c Case) error {
 	if !strings.HasPrefix(c.Topo, "hier:") {
 		return nil // rule only applies to hierarchical compositions

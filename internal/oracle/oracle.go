@@ -46,10 +46,11 @@
 // the simulated completion lies in [max over chunks of the solo-chunk
 // prediction, sum over chunks of the solo-chunk predictions].
 //
-// Estimate is the pure float α-β closed form over the same phase algebra
-// (no carries, no tie-breaking): exactly the back-of-envelope arithmetic
-// of DESIGN.md §9, near-exact for ring phases and a coarse guide for
-// switch phases.
+// Bounds is the first-order α-β envelope over the same phase algebra (no
+// carries, no tie-breaking): a lower bound no simulation can beat and an
+// uncongested estimate, valid at any chunk split. It is the
+// back-of-envelope arithmetic of DESIGN.md §9 and the cost model of the
+// extvalidate study.
 package oracle
 
 import (
@@ -364,103 +365,82 @@ func (m *Model) PredictBounds(op collectives.Op, bytes int64) (lower, upper even
 	return lower, upper, nil
 }
 
-// Estimate is the pure α-β closed form (float cycles, no carry or
-// tie-break arithmetic): per phase,
+// Bounds is the first-order α-β envelope of one collective.
+type Bounds struct {
+	// Lower is a time no correct simulation can beat (cycles).
+	Lower float64
+	// Estimate is the expected uncongested completion time (cycles).
+	Estimate float64
+}
+
+// Bounds returns the α-β envelope of op over bytes at any chunk split.
+// Each phase costs max(bandwidth, latency) as its lower bound and their
+// sum as its estimate:
 //
-//	T_phase = Σ_steps [ mult x B_step/bw  +  Σ_path (latency + router)  +  recv x ep ]
+//	bandwidth = (bytes a node transmits in the phase) / (lanes x bw)
+//	latency   = steps x (hops x (latency + router) + ep)
 //
-// where mult folds shared-switch serialization (ceil((Size-1)/channels)
-// for direct phases, 1 for rings), bw is the first-hop effective
-// bandwidth, and recv is the per-step receive count. For ring phases this
-// is the exact dependent-step recurrence modulo sub-cycle rounding; for
-// direct phases it is a coarse contention model. Predict is the exact
-// refinement of this formula.
-func (m *Model) Estimate(op collectives.Op, bytes int64) (float64, error) {
+// where lanes counts the dimension's channels (at most Size-1 peers for a
+// direct exchange), a direct step crosses 2 hops (NPU, switch, NPU), and
+// ep is the endpoint delay (plus the transport delay on scale-out). Chunk
+// pipelining overlaps phases, so the collective's lower bound is its
+// bottleneck phase while the estimate adds every phase.
+func (m *Model) Bounds(op collectives.Op, bytes int64) (Bounds, error) {
 	phases, err := CompilePhases(op, m.topo, m.sys.Algorithm)
 	if err != nil {
-		return 0, err
+		return Bounds{}, err
 	}
-	links := m.topo.Links()
 	channels := make(map[topology.Dim]int)
 	for _, d := range m.topo.Dims() {
 		channels[d.Dim] = d.Channels
 	}
-	var total float64
+	var out Bounds
 	for _, ph := range phases {
-		path := m.samplePath(ph)
-		bw := m.linkBW(links[path[0]].Class)
-		var alpha float64
-		for _, id := range path {
-			alpha += float64(m.linkLatency(links[id].Class)) + float64(m.net.RouterLatency)
-		}
-		ep := float64(m.sys.EndpointDelay)
-		if ph.Dim == topology.DimScaleOut {
-			ep += float64(m.sys.TransportDelay)
-		}
-		mult := 1.0
+		bw, latency, _ := m.classParams(dimClass(ph.Dim))
+		hops := 1.0
 		if ph.Direct {
-			ch := channels[ph.Dim]
-			mult = float64((ph.Size - 2 + ch) / ch) // ceil((Size-1)/channels)
+			hops = 2
 		}
+		perStep := hops*float64(latency+m.net.RouterLatency) + float64(m.sys.EndpointDelay)
+		if ph.Dim == topology.DimScaleOut {
+			perStep += float64(m.sys.TransportDelay)
+		}
+		lanes := float64(channels[ph.Dim])
+		if peers := float64(ph.Size - 1); ph.Direct && peers < lanes {
+			lanes = peers
+		}
+		var sent int64
 		for s := 0; s < ph.NumSteps(); s++ {
-			b := float64(ph.StepBytes(s, bytes))
-			total += mult*b/bw + alpha + float64(ph.messagesPerStep())*ep
+			sent += ph.StepBytes(s, bytes) * int64(ph.messagesPerStep())
 		}
+		bwTime := float64(sent) / (lanes * bw)
+		latTime := float64(ph.NumSteps()) * perStep
+		out.Lower = max(out.Lower, bwTime, latTime)
+		out.Estimate += bwTime + latTime
 	}
-	return total, nil
+	return out, nil
 }
 
-// samplePath returns a representative message path for one phase: node
-// 0's group-neighbor transfer (ring successor, first direct peer, or the
-// first halving partner).
-func (m *Model) samplePath(ph Phase) []topology.LinkID {
-	group := m.topo.Group(ph.Dim, 0)
-	src := group[0]
-	if ph.Halving {
-		return m.topo.PathLinks(ph.Dim, 0, src, group[ph.halvingPartnerIndex(0, 0)])
+// dimClass is the link class a dimension's phases travel over.
+func dimClass(d topology.Dim) topology.LinkClass {
+	switch d {
+	case topology.DimLocal:
+		return topology.IntraPackage
+	case topology.DimScaleOut:
+		return topology.ScaleOutLink
 	}
-	if ph.Direct {
-		for _, peer := range group {
-			if peer != src {
-				return m.topo.PathLinks(ph.Dim, 0, src, peer)
-			}
-		}
-		panic(fmt.Sprintf("oracle: direct dimension %v has no peer for node %d", ph.Dim, src))
-	}
-	ring := m.topo.RingOf(ph.Dim, src, 0)
-	return m.topo.PathLinks(ph.Dim, 0, src, ring.Next(src))
+	return topology.InterPackage
 }
 
-// linkBW returns a class's effective bandwidth (bandwidth x efficiency),
-// the β of the α-β model.
-func (m *Model) linkBW(c topology.LinkClass) float64 {
+// classParams returns a link class's effective bandwidth (bandwidth x
+// efficiency, the β of the α-β model), traversal latency and packet size.
+func (m *Model) classParams(c topology.LinkClass) (bw float64, latency uint64, pktSize int) {
+	n := m.net
 	switch c {
 	case topology.IntraPackage:
-		return m.net.LocalLinkBandwidth * m.net.LocalLinkEfficiency
+		return n.LocalLinkBandwidth * n.LocalLinkEfficiency, n.LocalLinkLatency, n.LocalPacketSize
 	case topology.InterPackage:
-		return m.net.PackageLinkBandwidth * m.net.PackageLinkEfficiency
+		return n.PackageLinkBandwidth * n.PackageLinkEfficiency, n.PackageLinkLatency, n.PackagePacketSize
 	}
-	return m.net.ScaleOutLinkBandwidth * m.net.ScaleOutLinkEfficiency
-}
-
-// linkLatency returns a class's traversal latency.
-func (m *Model) linkLatency(c topology.LinkClass) uint64 {
-	switch c {
-	case topology.IntraPackage:
-		return m.net.LocalLinkLatency
-	case topology.InterPackage:
-		return m.net.PackageLinkLatency
-	}
-	return m.net.ScaleOutLinkLatency
-}
-
-// packetSizeFor mirrors the network layer's per-class packet size table.
-func (m *Model) packetSizeFor(c topology.LinkClass) int {
-	switch c {
-	case topology.IntraPackage:
-		return m.net.LocalPacketSize
-	case topology.InterPackage:
-		return m.net.PackagePacketSize
-	}
-	return m.net.ScaleOutPacketSize
+	return n.ScaleOutLinkBandwidth * n.ScaleOutLinkEfficiency, n.ScaleOutLinkLatency, n.ScaleOutPacketSize
 }

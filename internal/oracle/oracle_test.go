@@ -1,16 +1,13 @@
 package oracle_test
 
 // White-box checks of the oracle itself: its independent phase compiler
-// must agree with internal/collectives field-for-field, its validity
-// preconditions must be enforced loudly, and the float α-β Estimate must
-// track the exact Predict on ring topologies (where the closed form is
-// the exact recurrence modulo sub-cycle rounding). The zero-tolerance
-// differential corpus against the simulator lives in
-// internal/collectives/conservation_test.go.
+// must agree with internal/collectives field-for-field, and its validity
+// preconditions must be enforced loudly. The α-β Bounds are checked in
+// bounds_test.go; the zero-tolerance differential corpus against the
+// simulator lives in internal/collectives/conservation_test.go.
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -144,42 +141,6 @@ func TestPredictZeroPhaseCollective(t *testing.T) {
 	}
 	if pred.Cycles != 0 || len(pred.Phases) != 0 || len(pred.PhaseEnds) != 0 {
 		t.Fatalf("zero-phase prediction = %+v, want empty", pred)
-	}
-}
-
-// On single-ring topologies the α-β Estimate is the exact dependent-step
-// recurrence up to sub-cycle rounding, so it must land within a tight
-// relative band of Predict — and both must grow monotonically with size.
-func TestEstimateTracksPredictOnRings(t *testing.T) {
-	cfg := config.DefaultSystem()
-	cfg.PreferredSetSplits = 1
-	topo, err := cli.BuildTopology("1x8x1", cli.DefaultTopologyOptions(), &cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := oracle.NewModel(topo, cfg, config.DefaultNetwork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []collectives.Op{collectives.ReduceScatter, collectives.AllGather, collectives.AllReduce, collectives.AllToAll} {
-		var prev float64
-		for _, bytes := range []int64{1 << 16, 1 << 20, 1 << 24} {
-			pred, err := m.Predict(op, bytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := m.Estimate(op, bytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rel := math.Abs(est-float64(pred.Cycles)) / float64(pred.Cycles); rel > 0.05 {
-				t.Fatalf("%v/%d: estimate %.0f vs exact %d (off %.1f%%)", op, bytes, est, pred.Cycles, 100*rel)
-			}
-			if est <= prev {
-				t.Fatalf("%v: estimate not monotone in size: %.0f after %.0f", op, est, prev)
-			}
-			prev = est
-		}
 	}
 }
 

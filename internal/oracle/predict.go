@@ -87,7 +87,7 @@ func (w *workList) pop() workItem {
 // olink is the per-link recurrence state: one serializer with a
 // fractional-cycle carry and a bounded input buffer.
 type olink struct {
-	class      topology.LinkClass
+	pktSize    int64
 	effBW      float64
 	latency    eventq.Time
 	capPackets int
@@ -171,17 +171,13 @@ func (m *Model) predictChunk(op collectives.Op, chunkBytes int64) (Prediction, e
 		flitBytes = 1
 	}
 	for i, spec := range m.topo.Links() {
-		pkt := m.packetSizeFor(spec.Class)
+		bw, latency, pkt := m.classParams(spec.Class)
 		capBytes := m.net.VCsPerVNet * m.net.BuffersPerVC * flitBytes
-		capPkts := capBytes / pkt
-		if capPkts < 1 {
-			capPkts = 1
-		}
 		e.links[i] = olink{
-			class:      spec.Class,
-			effBW:      m.linkBW(spec.Class),
-			latency:    eventq.Time(m.linkLatency(spec.Class)),
-			capPackets: capPkts,
+			pktSize:    int64(pkt),
+			effBW:      bw,
+			latency:    eventq.Time(latency),
+			capPackets: max(1, capBytes/pkt),
 		}
 	}
 
@@ -232,11 +228,9 @@ func (e *evaluator) scheduleAt(at eventq.Time, fn func()) {
 // MaxPacketsPerMessage with the per-packet size scaled up to compensate.
 func (e *evaluator) send(msg *omsg) {
 	first := &e.links[msg.path[0]]
-	pktSize := int64(e.m.packetSizeFor(e.links[msg.path[0]].class))
+	pktSize := first.pktSize
 	for _, id := range msg.path[1:] {
-		if ps := int64(e.m.packetSizeFor(e.links[id].class)); ps < pktSize {
-			pktSize = ps
-		}
+		pktSize = min(pktSize, e.links[id].pktSize)
 	}
 	numPkts := (msg.bytes + pktSize - 1) / pktSize
 	if maxP := int64(e.m.net.MaxPacketsPerMessage); maxP > 0 && numPkts > maxP {
@@ -342,14 +336,6 @@ func (e *evaluator) endpointReceive(node topology.Node, extra eventq.Time, fn fu
 
 // --- phase recurrence ------------------------------------------------
 
-// neededPerStep is how many messages a node must receive per step.
-func neededPerStep(ph Phase) int {
-	if ph.Direct {
-		return ph.Size - 1
-	}
-	return 1
-}
-
 // nextPhase advances the chunk into the next synchronized phase, or
 // completes it. Phases start synchronized: every node issues step 0 the
 // moment the previous phase's last node finishes.
@@ -446,7 +432,7 @@ func (e *evaluator) drainEarly(n topology.Node) {
 		if cnt == 0 {
 			return
 		}
-		need := neededPerStep(e.phases[e.phase]) - st.recvd
+		need := e.phases[e.phase].messagesPerStep() - st.recvd
 		take := cnt
 		if take > need {
 			take = need
@@ -469,7 +455,7 @@ func (e *evaluator) drainEarly(n topology.Node) {
 func (e *evaluator) advance(n topology.Node) bool {
 	st := &e.nodes[n]
 	ph := e.phases[e.phase]
-	if st.recvd < neededPerStep(ph) {
+	if st.recvd < ph.messagesPerStep() {
 		return false
 	}
 	st.recvd = 0

@@ -270,6 +270,28 @@ func TestMalformedSubmissions4xx(t *testing.T) {
 	}
 }
 
+// TestOverflowingTopology400 submits shapes whose NPU count overflows
+// int: each is a 400 naming the overflow, never a handler panic (which
+// the client sees as EOF) or a 500, and the daemon keeps serving.
+func TestOverflowingTopology400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, topo := range []string{
+		"hier:ring100000,ring100000,ring100000,ring100000",
+		"100000x100000x100000x100000",
+		"65536x65536x65536x65536x65536",
+		"4294967296x4294967296x2",
+	} {
+		body := fmt.Sprintf(`{"topology": %q, "backend": "fast", "collective": {"op": "allreduce", "bytes": 65536}}`, topo)
+		resp, out := submit(t, ts, body, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "overflows") {
+			t.Errorf("%s: status %d (%s), want 400 naming the overflow", topo, resp.StatusCode, out)
+		}
+	}
+	if resp, body := submit(t, ts, smallAllReduce, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid submission after overflowing shapes: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestPanicBackstop injects a panic into a running job: the submitter
 // gets a 500, and the daemon serves the next request normally.
 func TestPanicBackstop(t *testing.T) {

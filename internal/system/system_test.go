@@ -344,7 +344,11 @@ func TestMappedCollectiveRuns(t *testing.T) {
 
 // A 4D torus runs all collectives to completion.
 func TestTorusNDCollectivesComplete(t *testing.T) {
-	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, topology.TorusNDConfig{})
+	specs := make([]topology.DimSpec, 4)
+	for i := range specs {
+		specs[i] = topology.DimSpec{Kind: topology.KindRing, Size: 2, Lanes: 2, Class: topology.DefaultDimClass(i)}
+	}
+	nd, err := topology.NewHierarchical(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,9 @@ func NewA2A(local, packages int, cfg A2AConfig) (*A2A, error) {
 	if local <= 0 || packages <= 0 {
 		return nil, fmt.Errorf("topology: invalid alltoall size %dx%d", local, packages)
 	}
+	if _, err := npuCount(local, packages); err != nil {
+		return nil, err
+	}
 	if cfg.LocalRings <= 0 || cfg.GlobalSwitches <= 0 {
 		return nil, fmt.Errorf("topology: ring/switch counts must be positive, got %+v", cfg)
 	}

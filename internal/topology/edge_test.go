@@ -69,33 +69,6 @@ func TestSingleActiveDimensionTorus(t *testing.T) {
 	}
 }
 
-func TestTorusNDWithUnitAxes(t *testing.T) {
-	nd := mustND(t, []int{1, 4, 1})
-	if nd.NumNPUs() != 4 {
-		t.Fatalf("1x4x1 ND torus has %d NPUs", nd.NumNPUs())
-	}
-	seen := map[Node]bool{}
-	for i := 0; i < nd.NumNPUs(); i++ {
-		for _, d := range nd.Dims() {
-			g := nd.Group(d.Dim, Node(i))
-			if d.Size == 1 && len(g) != 1 {
-				t.Fatalf("unit axis %v group = %v", d.Dim, g)
-			}
-			for _, n := range g {
-				seen[n] = true
-			}
-		}
-	}
-	if len(seen) != nd.NumNPUs() {
-		t.Fatalf("groups cover %d of %d nodes", len(seen), nd.NumNPUs())
-	}
-
-	all1 := mustND(t, []int{1, 1})
-	if all1.NumNPUs() != 1 || len(all1.Links()) != 0 {
-		t.Fatalf("1x1 ND torus: %d NPUs, %d links", all1.NumNPUs(), len(all1.Links()))
-	}
-}
-
 func TestConstructorRejectsDegenerateShapes(t *testing.T) {
 	if _, err := NewTorus(0, 4, 4, DefaultTorusConfig()); err == nil {
 		t.Fatal("NewTorus accepted a zero dimension")
@@ -105,15 +78,6 @@ func TestConstructorRejectsDegenerateShapes(t *testing.T) {
 	}
 	if _, err := NewTorus(2, 2, 2, TorusConfig{LocalRings: 0, HorizontalRings: 2, VerticalRings: 2}); err == nil {
 		t.Fatal("NewTorus accepted zero rings")
-	}
-	if _, err := NewTorusND([]int{8}, TorusNDConfig{}); err == nil {
-		t.Fatal("NewTorusND accepted a single axis")
-	}
-	if _, err := NewTorusND([]int{2, 0, 2}, TorusNDConfig{}); err == nil {
-		t.Fatal("NewTorusND accepted a zero axis")
-	}
-	if _, err := NewTorusND([]int{2, 2}, TorusNDConfig{Rings: []int{0}}); err == nil {
-		t.Fatal("NewTorusND accepted zero rings")
 	}
 	if _, err := NewA2A(0, 4, DefaultA2AConfig()); err == nil {
 		t.Fatal("NewA2A accepted a zero dimension")

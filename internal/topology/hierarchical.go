@@ -11,7 +11,7 @@ type DimKind int
 
 const (
 	// KindRing connects each group as parallel unidirectional rings
-	// (split-bidirectional beyond dimension 0, exactly like TorusND).
+	// (split-bidirectional beyond dimension 0, as on the 3D torus).
 	KindRing DimKind = iota
 	// KindFullyConnected gives every ordered pair in a group a dedicated
 	// unidirectional link per lane (direct single-step exchange).
@@ -77,16 +77,19 @@ type fcKey struct {
 // topology: dimension 0 is the intra-package ("local") dimension, higher
 // dimensions connect NPUs with equal lower coordinates across groups —
 // the compositional network generalization of ASTRA-sim 2.0. Ring
-// dimensions reproduce TorusND's construction link-for-link (the
-// equivalence test pins this), fully-connected dimensions add a dedicated
-// unidirectional link per ordered pair per lane, and switch dimensions
-// add per-group switch nodes with up/down links per lane.
+// dimensions connect each group as parallel unidirectional rings,
+// fully-connected dimensions add a dedicated unidirectional link per
+// ordered pair per lane, and switch dimensions add per-group switch nodes
+// with up/down links per lane. An all-ring composition is the
+// N-dimensional hierarchical torus (the paper's 4D/5D future-work
+// topologies): the "MxA1x...xAd" topology spec builds one here.
 //
-// Node numbering matches TorusND: with sizes [S0, S1, ..., Sd] the
-// package index is mixed-radix over (S1..Sd) with S1 fastest, and
-// NPU id = pkg*S0 + local. Switch nodes occupy ids [NumNPUs, NumNodes).
+// Node numbering: with sizes [S0, S1, ..., Sd] the package index is
+// mixed-radix over (S1..Sd) with S1 fastest, and NPU id = pkg*S0 + local.
+// Switch nodes occupy ids [NumNPUs, NumNodes).
 type Hierarchical struct {
 	specs   []DimSpec
+	npus    int
 	chans   []int // scheduling channels per dimension
 	strides []int // node-id distance between neighbours along each dimension
 
@@ -112,6 +115,7 @@ func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
 		return nil, fmt.Errorf("topology: hierarchical composition needs at least one dimension")
 	}
 	h := &Hierarchical{specs: append([]DimSpec(nil), specs...)}
+	sizes := make([]int, len(specs))
 	for i, s := range specs {
 		switch s.Kind {
 		case KindRing, KindFullyConnected, KindSwitch:
@@ -131,9 +135,14 @@ func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
 		}
 		ch := s.Lanes
 		if s.Kind == KindRing && i > 0 {
-			ch = 2 * s.Lanes // split bidirectional rings, as in TorusND
+			ch = 2 * s.Lanes // split bidirectional rings
 		}
 		h.chans = append(h.chans, ch)
+		sizes[i] = s.Size
+	}
+	var err error
+	if h.npus, err = npuCount(sizes...); err != nil {
+		return nil, err
 	}
 	stride := 1
 	h.strides = make([]int, len(specs))
@@ -164,7 +173,7 @@ func (h *Hierarchical) makeRing(d Dim, channel int, base []Node, class LinkClass
 }
 
 // dimOf maps a dimension index to its Dim identifier (local first, then
-// the inter-package axes in declaration order, as in TorusND).
+// the inter-package axes in declaration order).
 func dimOf(i int) Dim {
 	if i == 0 {
 		return DimLocal
@@ -276,26 +285,26 @@ func (h *Hierarchical) buildFCGroup(dim int, spec DimSpec, base []Node) {
 	}
 }
 
-// Specs returns a copy of the composition's dimension specs.
-func (h *Hierarchical) Specs() []DimSpec { return append([]DimSpec(nil), h.specs...) }
-
-// Name implements Topology.
+// Name implements Topology. An all-ring composition with the default
+// link classes is the N-dimensional torus and prints as one ("2x2x2x2
+// torus"); any other composition lists its dimensions ("sw8+fc4+ring4
+// hier").
 func (h *Hierarchical) Name() string {
-	parts := make([]string, len(h.specs))
+	dims := make([]string, len(h.specs))
+	sizes := make([]string, len(h.specs))
+	torus := true
 	for i, s := range h.specs {
-		parts[i] = s.String()
+		dims[i], sizes[i] = s.String(), fmt.Sprint(s.Size)
+		torus = torus && s.Kind == KindRing && s.Class == DefaultDimClass(i)
 	}
-	return strings.Join(parts, "+") + " hier"
+	if torus {
+		return strings.Join(sizes, "x") + " torus"
+	}
+	return strings.Join(dims, "+") + " hier"
 }
 
 // NumNPUs implements Topology.
-func (h *Hierarchical) NumNPUs() int {
-	n := 1
-	for _, s := range h.specs {
-		n *= s.Size
-	}
-	return n
-}
+func (h *Hierarchical) NumNPUs() int { return h.npus }
 
 // NumNodes implements Topology.
 func (h *Hierarchical) NumNodes() int { return h.NumNPUs() + h.switches }

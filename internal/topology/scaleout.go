@@ -37,6 +37,9 @@ func NewScaleOut(pod Topology, pods, spines int) (*ScaleOut, error) {
 	if pod.NumNodes() != pod.NumNPUs() {
 		return nil, fmt.Errorf("topology: scale-out pods must be switch-free, %s is not", pod.Name())
 	}
+	if _, err := npuCount(pod.NumNPUs(), pods); err != nil {
+		return nil, err
+	}
 	s := &ScaleOut{
 		pod:      pod,
 		pods:     pods,

@@ -45,6 +45,9 @@ func NewSwitched(local, packages int, cfg SwitchedConfig) (*Switched, error) {
 	if local <= 0 || packages <= 0 {
 		return nil, fmt.Errorf("topology: invalid switched size %dx%d", local, packages)
 	}
+	if _, err := npuCount(local, packages); err != nil {
+		return nil, err
+	}
 	if cfg.LocalSwitches <= 0 || cfg.GlobalSwitches <= 0 {
 		return nil, fmt.Errorf("topology: switch counts must be positive, got %+v", cfg)
 	}

@@ -18,9 +18,30 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
+
+// ErrNPUOverflow reports a topology shape whose NPU count does not fit in
+// an int. Every constructor checks its shape with npuCount before
+// allocating, so such a shape fails with this error instead of wrapping
+// to a small count or exhausting memory.
+var ErrNPUOverflow = errors.New("topology: NPU count overflows int")
+
+// npuCount returns the product of positive dimension sizes, or an error
+// wrapping ErrNPUOverflow when the product does not fit in an int.
+func npuCount(sizes ...int) (int, error) {
+	n := 1
+	for _, s := range sizes {
+		if s > math.MaxInt/n {
+			return 0, fmt.Errorf("%w: shape %v", ErrNPUOverflow, sizes)
+		}
+		n *= s
+	}
+	return n, nil
+}
 
 // Node identifies a network endpoint. NPUs occupy ids [0, NumNPUs); global
 // switches (alltoall topology only) occupy ids [NumNPUs, NumNodes).
@@ -142,6 +163,16 @@ const (
 	// between pods (~12.5 GB/s, microsecond-scale latency).
 	ScaleOutLink
 )
+
+// DefaultDimClass is the link class of dimension i of a layered fabric
+// when none is given: intra-package links on the local dimension 0,
+// inter-package links beyond it.
+func DefaultDimClass(i int) LinkClass {
+	if i == 0 {
+		return IntraPackage
+	}
+	return InterPackage
+}
 
 func (c LinkClass) String() string {
 	switch c {

@@ -42,6 +42,9 @@ func NewTorus(local, horizontal, vertical int, cfg TorusConfig) (*Torus, error) 
 	if local <= 0 || horizontal <= 0 || vertical <= 0 {
 		return nil, fmt.Errorf("topology: invalid torus size %dx%dx%d", local, horizontal, vertical)
 	}
+	if _, err := npuCount(local, horizontal, vertical); err != nil {
+		return nil, err
+	}
 	if cfg.LocalRings <= 0 || cfg.HorizontalRings <= 0 || cfg.VerticalRings <= 0 {
 		return nil, fmt.Errorf("topology: ring counts must be positive, got %+v", cfg)
 	}

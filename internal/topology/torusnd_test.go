@@ -1,37 +1,59 @@
-package topology
+package topology_test
 
-import "testing"
+// N-dimensional hierarchical tori, built the way every surface builds
+// them: from an "MxA1x...xAd" spec through cli.BuildTopology, which
+// composes all-ring Hierarchical dimensions. A 3-axis N-D torus has no
+// such spec ("MxNxK" is the 3D torus), so it is spelled as the equivalent
+// all-ring "hier:" composition.
 
-func mustND(t *testing.T, sizes []int) *TorusND {
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"astrasim/internal/cli"
+	"astrasim/internal/topology"
+)
+
+func mustND(t *testing.T, sizes []int) topology.Topology {
 	t.Helper()
-	nd, err := NewTorusND(sizes, TorusNDConfig{})
+	parts := make([]string, len(sizes))
+	for i, s := range sizes {
+		parts[i] = fmt.Sprint(s)
+	}
+	spec := strings.Join(parts, "x")
+	if len(sizes) == 3 {
+		spec = "hier:ring" + strings.Join(parts, ",ring")
+	}
+	nd, err := cli.BuildTopology(spec, cli.DefaultTopologyOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := strings.Join(parts, "x") + " torus"; nd.Name() != want {
+		t.Fatalf("%s built %q, want %q", spec, nd.Name(), want)
 	}
 	return nd
 }
 
 func TestTorusNDBasics(t *testing.T) {
 	nd := mustND(t, []int{2, 2, 2, 2}) // 4D: 16 NPUs
-	if nd.NumNPUs() != 16 {
-		t.Errorf("NumNPUs = %d, want 16", nd.NumNPUs())
-	}
-	if nd.Name() != "2x2x2x2 torus" {
-		t.Errorf("Name = %q", nd.Name())
+	if nd.NumNPUs() != 16 || nd.NumNodes() != 16 {
+		t.Errorf("NumNPUs/NumNodes = %d/%d, want 16/16", nd.NumNPUs(), nd.NumNodes())
 	}
 	dims := nd.Dims()
 	if len(dims) != 4 {
 		t.Fatalf("dims = %d, want 4", len(dims))
 	}
-	if dims[0].Dim != DimLocal || dims[0].Channels != 2 {
+	if dims[0].Dim != topology.DimLocal || dims[0].Channels != 2 {
 		t.Errorf("dims[0] = %+v", dims[0])
 	}
 	for i := 1; i < 4; i++ {
 		if dims[i].Channels != 4 { // 2 bidirectional rings
 			t.Errorf("dims[%d].Channels = %d, want 4", i, dims[i].Channels)
 		}
-		if dims[i].Size != 2 {
-			t.Errorf("dims[%d].Size = %d, want 2", i, dims[i].Size)
+		if dims[i].Size != 2 || dims[i].Direct || dims[i].Halving {
+			t.Errorf("dims[%d] = %+v, want a size-2 ring dimension", i, dims[i])
 		}
 	}
 	if dims[3].Dim.String() != "axis3" {
@@ -42,15 +64,15 @@ func TestTorusNDBasics(t *testing.T) {
 func TestTorusNDGroupsPartition(t *testing.T) {
 	nd := mustND(t, []int{2, 3, 2, 2})
 	for _, d := range nd.Dims() {
-		counts := make(map[Node]int)
+		counts := make(map[topology.Node]int)
 		for n := 0; n < nd.NumNPUs(); n++ {
-			g := nd.Group(d.Dim, Node(n))
+			g := nd.Group(d.Dim, topology.Node(n))
 			if len(g) != d.Size {
 				t.Fatalf("dim %v: group size %d, want %d", d.Dim, len(g), d.Size)
 			}
 			found := false
 			for _, m := range g {
-				if m == Node(n) {
+				if m == topology.Node(n) {
 					found = true
 				}
 				counts[m]++
@@ -88,11 +110,14 @@ func TestTorusNDRingsCycle(t *testing.T) {
 	}
 }
 
-// TorusND([m, k, n]) must expose the same dimension sizes and link counts
-// as NewTorus(m, n, k).
+// An N-D torus over [m, k, n] must expose the same dimension sizes and
+// link counts as the 3D torus NewTorus(m, n, k).
 func TestTorusNDMatches3D(t *testing.T) {
 	nd := mustND(t, []int{2, 3, 4})
-	td := mustTorus(t, 2, 4, 3)
+	td, err := topology.NewTorus(2, 4, 3, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if nd.NumNPUs() != td.NumNPUs() {
 		t.Fatalf("NPUs %d vs %d", nd.NumNPUs(), td.NumNPUs())
 	}
@@ -111,7 +136,7 @@ func TestTorusNDLinkClasses(t *testing.T) {
 	nd := mustND(t, []int{2, 2, 2})
 	var intra, inter int
 	for _, l := range nd.Links() {
-		if l.Class == IntraPackage {
+		if l.Class == topology.IntraPackage {
 			intra++
 		} else {
 			inter++
@@ -139,26 +164,63 @@ func TestTorusNDPathLinks(t *testing.T) {
 	}
 }
 
+func TestTorusNDWithUnitAxes(t *testing.T) {
+	nd := mustND(t, []int{1, 4, 1, 1})
+	if nd.NumNPUs() != 4 {
+		t.Fatalf("1x4x1x1 N-D torus has %d NPUs", nd.NumNPUs())
+	}
+	seen := map[topology.Node]bool{}
+	for i := 0; i < nd.NumNPUs(); i++ {
+		for _, d := range nd.Dims() {
+			g := nd.Group(d.Dim, topology.Node(i))
+			if d.Size == 1 && len(g) != 1 {
+				t.Fatalf("unit axis %v group = %v", d.Dim, g)
+			}
+			for _, n := range g {
+				seen[n] = true
+			}
+		}
+	}
+	if len(seen) != nd.NumNPUs() {
+		t.Fatalf("groups cover %d of %d nodes", len(seen), nd.NumNPUs())
+	}
+
+	all1 := mustND(t, []int{1, 1})
+	if all1.NumNPUs() != 1 || len(all1.Links()) != 0 {
+		t.Fatalf("1x1 N-D torus: %d NPUs, %d links", all1.NumNPUs(), len(all1.Links()))
+	}
+}
+
 func TestTorusNDErrors(t *testing.T) {
-	if _, err := NewTorusND([]int{4}, TorusNDConfig{}); err == nil {
-		t.Error("expected error for single axis")
+	opts := cli.DefaultTopologyOptions()
+	for _, spec := range []string{"8", "2x0x2x2", "2x-1"} {
+		if _, err := cli.BuildTopology(spec, opts, nil); err == nil {
+			t.Errorf("%q: expected an error", spec)
+		}
 	}
-	if _, err := NewTorusND([]int{2, 0, 2}, TorusNDConfig{}); err == nil {
-		t.Error("expected error for zero axis size")
+	zero := opts
+	zero.LocalRings = 0
+	if _, err := cli.BuildTopology("2x2", zero, nil); err == nil {
+		t.Error("expected an error for zero local rings")
 	}
-	if _, err := NewTorusND([]int{2, 2}, TorusNDConfig{Rings: []int{0}}); err == nil {
-		t.Error("expected error for zero ring count")
+	zero = opts
+	zero.HorizontalRings = 0
+	if _, err := cli.BuildTopology("2x2x2x2", zero, nil); err == nil {
+		t.Error("expected an error for zero horizontal rings")
+	}
+	if _, err := cli.BuildTopology("65536x65536x65536x65536x65536", opts, nil); !errors.Is(err, topology.ErrNPUOverflow) {
+		t.Errorf("overflowing shape: err = %v, want topology.ErrNPUOverflow", err)
 	}
 }
 
 func TestAxisDim(t *testing.T) {
-	if AxisDim(0) != DimVertical || AxisDim(1) != DimHorizontal {
+	if topology.AxisDim(0) != topology.DimVertical || topology.AxisDim(1) != topology.DimHorizontal {
 		t.Error("first two axes must reuse vertical/horizontal")
 	}
-	if AxisDim(2) == AxisDim(3) {
+	if topology.AxisDim(2) == topology.AxisDim(3) {
 		t.Error("higher axes must get distinct identifiers")
 	}
-	if AxisDim(2).String() != "axis3" {
-		t.Errorf("AxisDim(2) = %q, want axis3", AxisDim(2).String())
+	if topology.AxisDim(2).String() != "axis3" {
+		t.Errorf("AxisDim(2) = %q, want axis3", topology.AxisDim(2).String())
 	}
 }
