@@ -136,6 +136,27 @@ func BenchmarkAllReduce4x4x4_4MB_ExactPackets(b *testing.B) {
 	}
 }
 
+// BenchmarkAllReduce4x4x4_4MB_IntraParallel2 is the bench workload
+// allreduce-pdes2: BenchmarkAllReduce4x4x4_4MB on the partitioned engine
+// with a 2-worker shard pool. Results are byte-identical to the serial
+// run; what it measures is the pdes window protocol — the main engine's
+// window, the pool round and the flush of shard→main deliveries at each
+// barrier (DESIGN.md §13.2).
+func BenchmarkAllReduce4x4x4_4MB_IntraParallel2(b *testing.B) {
+	b.ReportAllocs()
+	p, err := astrasim.NewTorusPlatform(4, 4, 4,
+		astrasim.WithAlgorithm(astrasim.Enhanced),
+		astrasim.WithIntraParallel(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunCollective(astrasim.AllReduce, 4<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllReduce8x8x8_64MB_Fast is the bench workload allreduce-fast:
 // a 64 MiB enhanced all-reduce over 512 NPUs on the fast backend with the
 // default 64-way chunk split. The network charges each single-link

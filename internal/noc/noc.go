@@ -366,10 +366,12 @@ type Network struct {
 	shortfallByClass [int(topology.ScaleOutLink) + 1]int64
 
 	// shards, when non-nil, are the per-partition execution contexts of
-	// an intra-run parallel simulation (see Partition); crossOut is
-	// FlushCross's reused merge buffer.
-	shards   []*shard
-	crossOut []outEvent
+	// an intra-run parallel simulation (see Partition). crossTree is
+	// FlushCross's tournament tree over the shards' outboxes (mergeCross),
+	// allocated once by Partition: finalists in the lower half, subtree
+	// winners while the tree is built in the upper half.
+	shards    []*shard
+	crossTree []int32
 	// noTrains disables packet trains for A/B testing (SetFlowCollapse).
 	noTrains bool
 	// ser is the serial links' serialization memo.
@@ -709,7 +711,7 @@ func (l *link) forward(p *packet) {
 		// main engine. Buffer it in the shard's outbox under a key that
 		// places it exactly where the serial engine would fire it; the
 		// pdes runner injects it at the window barrier.
-		l.sh.out = append(l.sh.out, outEvent{
+		l.sh.push(outEvent{
 			at:  l.eng.Now() + l.hopDelay(),
 			key: l.eng.EventKey(),
 			msg: p.msg,

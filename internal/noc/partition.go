@@ -9,9 +9,7 @@ package noc
 // differential suite in internal/pdes compares full runs byte-for-byte.
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"astrasim/internal/eventq"
 )
@@ -19,12 +17,13 @@ import (
 // shard is the execution context of one partition: the engine its links
 // run on, a private packet free list (so the hot path stays lock-free
 // and allocation-free per shard), the outbox buffering deliveries bound
-// for the main engine until the next window barrier, and the
-// serialization memo of the pool worker that runs it.
+// for the main engine until the next window barrier (kept ascending by
+// push), and the serialization memo of the pool worker that runs it.
 type shard struct {
 	eng  *eventq.Engine
 	free []*packet
 	out  []outEvent
+	next int // FlushCross's read cursor into out
 	ser  *SerTable
 }
 
@@ -34,6 +33,40 @@ type outEvent struct {
 	at  eventq.Time
 	key eventq.Key
 	msg *Message
+}
+
+// lessOut orders buffered deliveries as the main engine fires them: by
+// time, then key. No two deliveries share a full key (components differ
+// across shards, seq within one), so the order is total.
+func lessOut(a, b *outEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.key.Ctime != b.key.Ctime {
+		return a.key.Ctime < b.key.Ctime
+	}
+	if a.key.Gen2 != b.key.Gen2 {
+		return a.key.Gen2 < b.key.Gen2
+	}
+	if a.key.Comp != b.key.Comp {
+		return a.key.Comp < b.key.Comp
+	}
+	return a.key.Seq < b.key.Seq
+}
+
+// push buffers one delivery in the shard's outbox, keeping the outbox
+// ascending by lessOut. It runs on the shard's own pool worker, so the
+// ordering work is spread across workers rather than left to the flush.
+// Deliveries are created nearly in firing order, so the walk back from
+// the tail is empty or a step or two.
+func (sh *shard) push(e outEvent) {
+	out := append(sh.out, e)
+	i := len(out) - 1
+	for ; i > 0 && lessOut(&e, &out[i-1]); i-- {
+		out[i] = out[i-1]
+	}
+	out[i] = e
+	sh.out = out
 }
 
 // Partition rebinds the network's links to shard engines for intra-run
@@ -66,6 +99,7 @@ func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, 
 		tables[i] = newTrainTable()
 	}
 	n.shards = make([]*shard, len(shards))
+	n.crossTree = make([]int32, 2*len(shards))
 	for i, eng := range shards {
 		n.shards[i] = &shard{eng: eng, ser: &tables[i%len(tables)]}
 	}
@@ -131,35 +165,70 @@ func (n *Network) SetFlowCollapse(on bool) { n.noTrains = !on }
 // order. They are injected in that order, too: same-cycle deliveries from
 // different shards interleave by component, and injecting them shard by
 // shard would make each one walk back through its cycle's bucket.
+//
+// Every outbox is already ascending (push), so the flush merges them
+// (mergeCross) instead of sorting.
 func (n *Network) FlushCross() {
-	out := n.crossOut[:0]
-	for _, sh := range n.shards {
-		out = append(out, sh.out...)
-		clear(sh.out)
-		sh.out = sh.out[:0]
-	}
-	slices.SortFunc(out, compareOut)
-	for i := range out {
-		n.eng.InjectAt(out[i].at, out[i].key, 0, packetDelivered, n, out[i].msg)
-	}
-	clear(out)
-	n.crossOut = out[:0]
+	n.mergeCross(func(e *outEvent) {
+		n.eng.InjectAt(e.at, e.key, 0, packetDelivered, n, e.msg)
+	})
 }
 
-// compareOut orders buffered deliveries as the main engine fires them:
-// by time, then key.
-func compareOut(a, b outEvent) int {
-	switch {
-	case a.at != b.at:
-		return cmp.Compare(a.at, b.at)
-	case a.key.Ctime != b.key.Ctime:
-		return cmp.Compare(a.key.Ctime, b.key.Ctime)
-	case a.key.Gen2 != b.key.Gen2:
-		return cmp.Compare(a.key.Gen2, b.key.Gen2)
-	case a.key.Comp != b.key.Comp:
-		return cmp.Compare(a.key.Comp, b.key.Comp)
+// mergeCross passes every buffered delivery to emit in ascending lessOut
+// order and empties the outboxes. It merges the ascending outboxes in
+// place with a tournament tree over the shards: log2(shards) comparisons
+// per delivery and no copies. The tree is reused, so a merge allocates
+// nothing.
+func (n *Network) mergeCross(emit func(*outEvent)) {
+	k := len(n.shards)
+	loser, win := n.crossTree[:k], n.crossTree[k:]
+	// Play the tournament bottom-up. Node p's children are 2p and 2p+1;
+	// node k+i is shard i's leaf. win[p] is the winner below node p, and
+	// loser[p] the shard that lost the match at p.
+	sub := func(c int) int32 {
+		if c >= k {
+			return int32(c - k)
+		}
+		return win[c]
 	}
-	return cmp.Compare(a.key.Seq, b.key.Seq)
+	w := int32(0)
+	for p := k - 1; p >= 1; p-- {
+		a, b := sub(2*p), sub(2*p+1)
+		if n.crossBefore(b, a) {
+			a, b = b, a
+		}
+		win[p], loser[p] = a, b
+		w = a
+	}
+	for {
+		sh := n.shards[w]
+		if sh.next == len(sh.out) {
+			break // a drained outbox wins only when all are drained
+		}
+		emit(&sh.out[sh.next])
+		sh.next++
+		// Replay the winner's path: its next delivery meets the shards
+		// it beat on the way up.
+		for p := (int(w) + k) / 2; p >= 1; p /= 2 {
+			if n.crossBefore(loser[p], w) {
+				loser[p], w = w, loser[p]
+			}
+		}
+	}
+	for _, sh := range n.shards {
+		clear(sh.out)
+		sh.out, sh.next = sh.out[:0], 0
+	}
+}
+
+// crossBefore reports whether shard i's next buffered delivery fires
+// before shard j's during mergeCross. A drained outbox sorts last.
+func (n *Network) crossBefore(i, j int32) bool {
+	a, b := n.shards[i], n.shards[j]
+	if b.next == len(b.out) {
+		return a.next < len(a.out)
+	}
+	return a.next < len(a.out) && lessOut(&a.out[a.next], &b.out[b.next])
 }
 
 // shardInject is the eventq.CallFunc a deferred Send lands on: it runs on

@@ -118,7 +118,7 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 
 	dk := l.key(s.last.end, s.last.start)
 	if at := s.last.end + l.hopDelay(); l.sh != nil {
-		l.sh.out = append(l.sh.out, outEvent{at: at, key: dk, msg: msg})
+		l.sh.push(outEvent{at: at, key: dk, msg: msg})
 	} else {
 		l.eng.InjectAt(at, dk, 0, packetDelivered, l.net, msg)
 	}

@@ -25,8 +25,10 @@
 // strided round over N shards with a full barrier per round — Run does
 // not return until every worker has finished, so shard state needs no
 // locks between rounds. A ShardPool is owned by one driving goroutine;
-// only Run and Close may be called on it, never concurrently. Worker
-// panics are re-raised on the caller lowest-index-first after the
+// only Run and Close may be called on it, never concurrently. Worker 0
+// is that driving goroutine: Run executes worker 0's share itself and
+// hands workers 1..N-1 to N-1 parked goroutines. Worker panics, worker
+// 0's included, are re-raised on the caller lowest-index-first after the
 // barrier, leaving the pool reusable.
 package parallel
 

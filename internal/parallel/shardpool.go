@@ -7,24 +7,28 @@ import "sync"
 // times per run (once per lookahead window), so the pool keeps its
 // goroutines parked between rounds instead of spawning per round.
 //
-// Concurrency contract: Run is a barrier — it returns only after every
-// worker finished the round — so the caller regains exclusive access to
-// everything the workers touched (the happens-before edges run through
-// the dispatch channels and the round WaitGroup, satisfying the race
-// detector). Like parallel.Map, a width of 1 degrades to an inline call
-// on the caller's goroutine with zero synchronization, which keeps the
-// single-worker configuration byte- and schedule-identical to serial
-// code while paying no pool overhead.
+// Concurrency contract: worker 0 is the goroutine that calls Run — it
+// runs its own share of the round while workers 1..N-1 run theirs on
+// N-1 parked goroutines — so a round costs N-1 park/wake pairs and the
+// driving goroutine keeps its CPU. Run is a barrier — it returns only
+// after every worker finished the round — so the caller regains
+// exclusive access to everything the workers touched (the
+// happens-before edges run through the dispatch channels and the round
+// WaitGroup, satisfying the race detector). Like parallel.Map, a width
+// of 1 degrades to an inline call on the caller's goroutine with zero
+// synchronization, which keeps the single-worker configuration byte- and
+// schedule-identical to serial code while paying no pool overhead.
 type ShardPool struct {
 	workers int
-	work    []chan func(int)
-	wg      sync.WaitGroup
-	pans    []any
+	// work[w-1] dispatches worker w's share; worker 0 has no channel.
+	work []chan func(int)
+	wg   sync.WaitGroup
+	pans []any
 }
 
 // NewShardPool builds a pool of the given width; values < 1 select 1.
-// A width-1 pool spawns no goroutines. Close must be called when done
-// (widths > 1 park goroutines otherwise).
+// A pool of width N parks N-1 goroutines (none at width 1). Close must
+// be called when done.
 func NewShardPool(workers int) *ShardPool {
 	if workers < 1 {
 		workers = 1
@@ -33,16 +37,16 @@ func NewShardPool(workers int) *ShardPool {
 	if workers == 1 {
 		return p
 	}
-	p.work = make([]chan func(int), workers)
+	p.work = make([]chan func(int), workers-1)
 	p.pans = make([]any, workers)
-	for w := range p.work {
+	for i := range p.work {
 		ch := make(chan func(int))
-		p.work[w] = ch
+		p.work[i] = ch
 		go func(w int, ch chan func(int)) {
 			for fn := range ch {
 				p.runOne(w, fn)
 			}
-		}(w, ch)
+		}(i+1, ch)
 	}
 	return p
 }
@@ -62,9 +66,10 @@ func (p *ShardPool) runOne(w int, fn func(int)) {
 func (p *ShardPool) Workers() int { return p.workers }
 
 // Run executes fn(w) for every worker id w in [0, Workers()) and returns
-// when all calls complete. A panic in any worker is re-raised on the
-// calling goroutine (lowest worker index first), so pool-driven code
-// fails the same way inline code does.
+// when all calls complete; fn(0) runs on the calling goroutine. A panic
+// in any worker, worker 0 included, is re-raised on the calling
+// goroutine once the whole round has finished (lowest worker index
+// first), so pool-driven code fails the same way inline code does.
 func (p *ShardPool) Run(fn func(w int)) {
 	if p.work == nil {
 		fn(0)
@@ -74,6 +79,7 @@ func (p *ShardPool) Run(fn func(w int)) {
 	for _, ch := range p.work {
 		ch <- fn
 	}
+	p.runOne(0, fn)
 	p.wg.Wait()
 	for w, pan := range p.pans {
 		if pan != nil {

@@ -52,12 +52,14 @@
 // A Runner is owned by the goroutine driving the main engine (Drive is
 // installed as that engine's driver and must not be called directly).
 // During a window's parallel phase, each shard engine — and every link
-// bound to it — is owned exclusively by one parallel.ShardPool worker;
-// the barrier at the window's end transfers that ownership back before
-// the flush runs, so no shard state is ever accessed by two goroutines
-// at once and the hot path takes no locks. Everything outside the
-// window protocol (system layer, workload, stats reads) stays on the
-// main goroutine exactly as in a serial run.
+// bound to it — is owned exclusively by one parallel.ShardPool worker.
+// Worker 0 is the driving goroutine itself: it advances shards 0,
+// workers, 2·workers, … while the pool's other goroutines advance the
+// rest. The barrier at the window's end transfers that ownership back
+// before the flush runs, so no shard state is ever accessed by two
+// goroutines at once and the hot path takes no locks. Everything
+// outside the window protocol (system layer, workload, stats reads)
+// stays on the main goroutine exactly as in a serial run.
 package pdes
 
 import (
@@ -307,9 +309,9 @@ func (r *Runner) Drive(deadline eventq.Time, bounded bool) eventq.Time {
 		// Shards are mutually independent inside the window (any
 		// cross-component influence is at least Lookahead away), so the
 		// pool may advance them in any order. Shard i always runs on
-		// worker i % workers, one after another: state shared by the
-		// shards of one worker (noc's per-worker serialization memo) is
-		// never touched concurrently.
+		// worker i % workers, one after another, and worker 0 is this
+		// goroutine: state shared by the shards of one worker (noc's
+		// per-worker serialization memo) is never touched concurrently.
 		pool.Run(func(w int) {
 			for i := w; i < nshards; i += r.workers {
 				if r.onShard != nil {

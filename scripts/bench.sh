@@ -41,12 +41,14 @@ COUNT=5
 # 8x8x8 all-reduce is the bench workload allreduce-fast: it covers the
 # system layer's per-message send path and the serialization memo. The
 # exact-packets 4x4x4 all-reduce runs without the packet cap, so packet
-# trains hundreds of packets long carry its cost.
+# trains hundreds of packets long carry its cost. The 2-worker 4x4x4
+# all-reduce is the bench workload allreduce-pdes2: the one partitioned
+# run, covering the pdes window protocol (shard pool, flush).
 # EVQ is the event-queue set: a schedule-then-drain run and two
 # steady-state hold shapes: many events over few cycles (packet
 # all-reduce) and nearly every event at a cycle of its own (the bucketed
 # queue's worst case).
-CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
+CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
 EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
 # plus the intra-run parallelism pair at 16384 NPUs (serial engine vs
