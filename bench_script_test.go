@@ -143,3 +143,35 @@ func TestBenchJSONMedian(t *testing.T) {
 		t.Fatalf("tojson wrote\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestBenchJSONEvents: a simulation benchmark's events/op, which go test
+// prints between ns/op and B/op, becomes events_per_op (the median over
+// samples) without shifting the other values; a benchmark without it
+// gets no such key.
+func TestBenchJSONEvents(t *testing.T) {
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "bench.txt")
+	lines := "BenchmarkSim-2 \t 1\t 900 ns/op\t 147456 events/op\t 40 B/op\t 4 allocs/op\n" +
+		"BenchmarkSim-2 \t 1\t 700 ns/op\t 147456 events/op\t 60 B/op\t 6 allocs/op\n" +
+		"BenchmarkSim-2 \t 1\t 800 ns/op\t 147456 events/op\t 50 B/op\t 5 allocs/op\n" +
+		"BenchmarkQueue-2 \t 9\t 7 ns/op\t 0 B/op\t 0 allocs/op\n"
+	if err := os.WriteFile(txt, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	json := filepath.Join(dir, "bench.json")
+	if out, err := benchSh(t, "tojson", txt, json); err != nil {
+		t.Fatalf("tojson: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(json)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[
+  {"benchmark":"BenchmarkSim","iterations":1,"samples":3,"ns_per_op":800,"ns_per_op_min":700,"ns_per_op_max":900,"bytes_per_op":50,"allocs_per_op":5,"events_per_op":147456},
+  {"benchmark":"BenchmarkQueue","iterations":9,"samples":1,"ns_per_op":7,"ns_per_op_min":7,"ns_per_op_max":7,"bytes_per_op":0,"allocs_per_op":0}
+]
+`
+	if string(got) != want {
+		t.Fatalf("tojson wrote\n%s\nwant\n%s", got, want)
+	}
+}

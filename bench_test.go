@@ -6,12 +6,61 @@
 package astrasim_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"astrasim"
 	"astrasim/internal/experiments"
+	"astrasim/internal/graph"
+	"astrasim/internal/system"
+	"astrasim/internal/workload"
 )
+
+// eventsPerOp caches each simulation benchmark's event count by name.
+var eventsPerOp = map[string]uint64{}
+
+// reportEvents reports the events one run of the benchmark's simulation
+// fires as events/op, so a slower benchmark shows whether it did more
+// work or the same work more slowly. Runs are deterministic, so one
+// extra run per benchmark and process, untimed, counts them. Call it
+// after the timed loop.
+func reportEvents(b *testing.B, p *astrasim.Platform, run func(*system.Instance) error) {
+	b.Helper()
+	b.StopTimer()
+	n, ok := eventsPerOp[b.Name()]
+	if !ok {
+		var err error
+		if n, err = astrasim.RunEvents(p, run); err != nil {
+			b.Fatal(err)
+		}
+		eventsPerOp[b.Name()] = n
+	}
+	b.ReportMetric(float64(n), "events/op")
+}
+
+// collectiveRun drives one collective of op over bytes to completion.
+func collectiveRun(op astrasim.Op, bytes int64) func(*system.Instance) error {
+	return func(inst *system.Instance) error {
+		h, err := inst.Sys.IssueCollective(op, bytes, op.String(), nil)
+		if err != nil {
+			return err
+		}
+		inst.Eng.Run()
+		if !h.Done() {
+			return fmt.Errorf("%v of %d bytes did not complete", op, bytes)
+		}
+		return nil
+	}
+}
+
+// graphRun replays g to completion.
+func graphRun(g *astrasim.WorkloadGraph) func(*system.Instance) error {
+	return func(inst *system.Instance) error {
+		_, err := graph.Run(inst, g)
+		return err
+	}
+}
 
 // benchFigure runs one figure's experiment with Quick options.
 func benchFigure(b *testing.B, run func(experiments.Options) bool) {
@@ -108,6 +157,7 @@ func BenchmarkAllReduce4x4x4_4MB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 4<<20))
 }
 
 // BenchmarkAllReduce4x4x4_4MB_ExactPackets is BenchmarkAllReduce4x4x4_4MB
@@ -134,6 +184,7 @@ func BenchmarkAllReduce4x4x4_4MB_ExactPackets(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 4<<20))
 }
 
 // BenchmarkAllReduce4x4x4_4MB_IntraParallel2 is the bench workload
@@ -155,6 +206,7 @@ func BenchmarkAllReduce4x4x4_4MB_IntraParallel2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 4<<20))
 }
 
 // BenchmarkAllReduce8x8x8_64MB_Fast is the bench workload allreduce-fast:
@@ -176,6 +228,7 @@ func BenchmarkAllReduce8x8x8_64MB_Fast(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 64<<20))
 }
 
 // benchAllReduce16Cubed is the backend-duality acceptance pair: the same
@@ -209,6 +262,7 @@ func benchAllReduce16Cubed(b *testing.B, backend astrasim.Backend) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 32<<20))
 }
 
 func BenchmarkAllReduce16x16x16_FastMode(b *testing.B) {
@@ -244,6 +298,7 @@ func benchAllReduce16k(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 8<<20))
 }
 
 func BenchmarkAllReduce16x32x32_PacketSerial(b *testing.B) {
@@ -265,20 +320,30 @@ func BenchmarkAllToAll_8Packages_1MB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, collectiveRun(astrasim.AllToAll, 1<<20))
 }
 
 func BenchmarkTrainDLRM_16NPUs(b *testing.B) {
 	b.ReportAllocs()
 	def := astrasim.DLRM(128)
+	var p *astrasim.Platform
 	for i := 0; i < b.N; i++ {
-		p, err := astrasim.NewTorusPlatform(4, 4, 1)
-		if err != nil {
+		var err error
+		if p, err = astrasim.NewTorusPlatform(4, 4, 1); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := p.Train(def, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, func(inst *system.Instance) error {
+		tr, err := workload.NewTrainer(inst, def, 1)
+		if err != nil {
+			return err
+		}
+		_, err = tr.Run()
+		return err
+	})
 }
 
 // Extension-study benchmarks (future-work experiments).
@@ -338,18 +403,24 @@ func BenchmarkPipelineResNet50_8Stages(b *testing.B) {
 	for i, bd := range boundaries {
 		bb[i] = acts[bd-1] / 4
 	}
+	cfg := astrasim.PipelineConfig{
+		Boundaries: boundaries, StageNodes: nodes,
+		Microbatches: 4, BoundaryBytes: bb,
+	}
+	var p *astrasim.Platform
 	for i := 0; i < b.N; i++ {
-		p, err := astrasim.NewTorusPlatform(1, 8, 1)
-		if err != nil {
+		var err error
+		if p, err = astrasim.NewTorusPlatform(1, 8, 1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.TrainPipeline(def, astrasim.PipelineConfig{
-			Boundaries: boundaries, StageNodes: nodes,
-			Microbatches: 4, BoundaryBytes: bb,
-		}, 1); err != nil {
+		if _, err := p.TrainPipeline(def, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportEvents(b, p, func(inst *system.Instance) error {
+		_, err := workload.RunPipeline(inst, def, cfg, 1)
+		return err
+	})
 }
 
 func BenchmarkGraphReplayPipeline(b *testing.B) {
@@ -372,9 +443,9 @@ func BenchmarkGraphReplayPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var p *astrasim.Platform
 	run := func() {
-		p, err := astrasim.NewTorusPlatform(1, 8, 1)
-		if err != nil {
+		if p, err = astrasim.NewTorusPlatform(1, 8, 1); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := p.RunGraph(g); err != nil {
@@ -386,6 +457,7 @@ func BenchmarkGraphReplayPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+	reportEvents(b, p, graphRun(g))
 }
 
 // modelgenBenchPair is the fixture BenchmarkModelgenCompile and
@@ -430,9 +502,9 @@ func BenchmarkModelReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var p *astrasim.Platform
 	run := func() {
-		p, err := astrasim.NewTorusPlatform(2, 2, 2)
-		if err != nil {
+		if p, err = astrasim.NewTorusPlatform(2, 2, 2); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := p.RunGraph(g); err != nil {
@@ -444,4 +516,5 @@ func BenchmarkModelReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+	reportEvents(b, p, graphRun(g))
 }

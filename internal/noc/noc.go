@@ -22,7 +22,12 @@
 // closed form, with results identical to the per-packet model (train.go).
 // SetFlowCollapse(false) turns trains off for A/B comparison. A train
 // message is charged by the serialization kernel (serkernel.go), which
-// internal/fastnet shares and which memoizes long messages.
+// internal/fastnet shares and which memoizes long messages. It costs one
+// delivery event: its segment of the train retires lazily, with an event
+// only when a queued packet or a blocked upstream link must react. So the
+// link-state reads (LinkStatsFor, TotalBytesByClass, UtilizationByClass,
+// Quiet, DebugLinks) first retire what has ended and report the state the
+// engine's last run left; they are made between runs, not from handlers.
 //
 // Links optionally carry fault state (SetLinkFaults, driven by the
 // internal/faults subsystem): bandwidth degradation windows and outage
@@ -570,8 +575,12 @@ func (l *link) qlen() int { return len(l.queue) - l.head }
 
 // qpush appends a packet behind virt unserialized train packets,
 // recycling the backing array's dead prefix once the queue fully drains
-// (the steady state between message bursts).
+// (the steady state between message bursts). A packet queuing behind a
+// live train arms the train's last segment-done event.
 func (l *link) qpush(p *packet, virt int) {
+	if virt > 0 {
+		l.armTail()
+	}
 	if l.head > 0 && l.head == len(l.queue) {
 		l.queue = l.queue[:0]
 		l.head = 0
@@ -773,11 +782,16 @@ func (l *link) releaseWaiters() {
 }
 
 // LinkStatsFor returns a copy of the counters for one link.
-func (n *Network) LinkStatsFor(id topology.LinkID) LinkStats { return n.links[id].stats }
+func (n *Network) LinkStatsFor(id topology.LinkID) LinkStats {
+	l := n.links[id]
+	l.settle()
+	return l.stats
+}
 
 // TotalBytesByClass sums bytes carried per link class.
 func (n *Network) TotalBytesByClass() (intra, inter, scaleOut int64) {
 	for _, l := range n.links {
+		l.settle()
 		switch l.spec.Class {
 		case topology.IntraPackage:
 			intra += l.stats.Bytes
@@ -871,6 +885,7 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 		return out
 	}
 	for _, l := range n.links {
+		l.settle()
 		u := out[l.spec.Class]
 		u.Links++
 		busy := float64(l.stats.BusyCycles) / float64(until)
@@ -892,6 +907,7 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 // engine.
 func (n *Network) Quiet() bool {
 	for _, l := range n.links {
+		l.settle()
 		if l.busy || l.qlen() > 0 || l.reserved > 0 {
 			return false
 		}
@@ -911,7 +927,8 @@ type LinkDebugState struct {
 	Class topology.LinkClass
 	// Queued packets, Reserved in-flight buffer slots, and Waiters
 	// (upstream links stalled on this buffer) must all be zero at
-	// quiescence; Busy/Blocked must be false.
+	// quiescence; Busy/Blocked must be false. Queued counts a train's
+	// unserialized packets too, as the per-packet model queues them.
 	Queued   int
 	Reserved int
 	Waiters  int
@@ -927,7 +944,7 @@ func (n *Network) DebugLinks() []LinkDebugState {
 		out[i] = LinkDebugState{
 			ID:       l.spec.ID,
 			Class:    l.spec.Class,
-			Queued:   l.qlen(),
+			Queued:   l.qlen() + l.trainLeft(l.readKey()),
 			Reserved: l.reserved,
 			Waiters:  len(l.waiters),
 			Busy:     l.busy,

@@ -8,11 +8,19 @@ package noc
 // such a link, while no real packet is queued there, joins the link's
 // train: its packets serialize in closed form behind the train's earlier
 // messages, starting at max(now, train end), with the exact per-packet
-// carry chain and one-cycle clamp. The message then costs one
-// segment-done event, under the key its last packet's linkSerDone would
-// carry, plus one delivery under the key of that packet's packetDelivered,
-// instead of two events per packet. Intermediate deliveries only decrement
-// packetsLeft, so they are never materialized.
+// carry chain and one-cycle clamp. The message then costs one event, a
+// delivery under the key its last packet's packetDelivered would carry,
+// instead of two events per packet. Intermediate deliveries only
+// decrement packetsLeft, so they are never materialized.
+//
+// Each message becomes a train segment, which retires when its last
+// packet's linkSerDone would fire. The segment reserves that event's key
+// when it is appended but schedules no event: it is retired lazily, by
+// the next train operation or link-state read that sees its key as
+// already fired (retire). Its segment-done event is scheduled, under the
+// reserved key, only when something must react at that moment: a real
+// packet queued behind the train, which the serializer restarts for, or
+// an upstream link blocked on the train's buffer (armRelease).
 //
 // Point-to-point sends on a serial run may still route multi-hop through
 // a train link. The per-packet model stays observable there: the train's
@@ -35,6 +43,10 @@ type segment struct {
 	// cycle of the event that started it.
 	gen0 eventq.Time
 	last vpkt // the final packet
+	// seq is the seq of the segment-done key reserved at append time. The
+	// rest of the key is the last packet's linkSerDone key: (last.start,
+	// last.gen, link comp).
+	seq uint64
 }
 
 // vpkt is one virtual packet: its serialization interval and the gen2 of
@@ -51,6 +63,9 @@ type train struct {
 	// relPkt is the head-segment packet an armed trainRelease retires.
 	relPkt   int64
 	relArmed bool
+	// headArmed marks the head segment's segment-done event as scheduled
+	// by armRelease.
+	headArmed bool
 }
 
 // chain replays a segment's carry chain one packet at a time.
@@ -91,6 +106,7 @@ func (l *link) key(ctime, gen2 eventq.Time) eventq.Key {
 // appendTrain serializes msg in closed form at the back of l's train. fk
 // is the injecting event's key.
 func (l *link) appendTrain(msg *Message, fk eventq.Key) {
+	l.retire(fk)
 	t := &l.train
 	pktSize, numPkts := l.net.packetPlan(msg)
 	s := segment{bytes: msg.Bytes, pktSize: pktSize, numPkts: numPkts,
@@ -122,7 +138,9 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	} else {
 		l.eng.InjectAt(at, dk, 0, packetDelivered, l.net, msg)
 	}
-	l.eng.InjectAt(s.last.end, l.key(s.last.start, s.last.gen), 0, trainSegDone, l, nil)
+	// Reserve the segment-done key's seq in creation order, so every other
+	// event's key is as if the event were scheduled now.
+	s.seq = l.eng.EventKey().Seq
 	t.segs = append(t.segs, s)
 	t.pkts += int(numPkts)
 	l.busy = true
@@ -148,7 +166,7 @@ func (l *link) fired(p vpkt, fk eventq.Key) bool {
 
 // headLive returns the index and replay of the head segment's first
 // packet whose linkSerDone has not fired as seen from fk. The last packet
-// is live until its segment-done event fires.
+// is live until its segment retires.
 func (l *link) headLive(fk eventq.Key) (int64, vpkt) {
 	t := &l.train
 	s := &t.segs[t.head]
@@ -164,6 +182,7 @@ func (l *link) headLive(fk eventq.Key) (int64, vpkt) {
 // trainLeft counts the train's virtual packets still queued or
 // serializing as seen from fk. Only the head segment can have started.
 func (l *link) trainLeft(fk eventq.Key) int {
+	l.retire(fk)
 	t := &l.train
 	if t.pkts == 0 {
 		return 0
@@ -177,20 +196,116 @@ func (l *link) trainLeft(fk eventq.Key) int {
 }
 
 // armRelease schedules a trainRelease at the next virtual packet's end
-// when upstream links wait on l's buffer. The last packet of the head
-// segment needs none: its segment-done event releases waiters.
+// when upstream links wait on l's buffer. For the head segment's last
+// packet it schedules the segment's segment-done event instead, which
+// releases waiters as it retires the segment.
 func (l *link) armRelease(fk eventq.Key) {
 	t := &l.train
-	if t.pkts == 0 || t.relArmed || len(l.waiters) == 0 {
+	if t.relArmed || len(l.waiters) == 0 {
+		return
+	}
+	if l.retire(fk); t.pkts == 0 {
 		return
 	}
 	k, p := l.headLive(fk)
 	if k == t.segs[t.head].numPkts-1 {
+		if !l.armed(t.head) {
+			t.headArmed = true
+			l.schedule(t.head)
+		}
 		return
 	}
 	t.relArmed, t.relPkt = true, k
 	l.eng.InjectAt(p.end, l.key(p.start, p.gen), 0, trainRelease, l, nil)
 }
+
+// armTail schedules the tail segment's segment-done event when a real
+// packet is about to queue behind a live train: that event restarts the
+// serializer. Only the first such packet arms it, because no message
+// joins the train while a real packet is queued.
+func (l *link) armTail() {
+	t := &l.train
+	if i := len(t.segs) - 1; t.pkts > 0 && l.qlen() == 0 && !l.armed(i) {
+		l.schedule(i)
+	}
+}
+
+// armed reports whether segment i's segment-done event is in the queue:
+// the head's once armRelease scheduled it, the tail's once a real packet
+// queued behind it (armTail).
+func (l *link) armed(i int) bool {
+	t := &l.train
+	return (i == t.head && t.headArmed) || (i == len(t.segs)-1 && l.qlen() > 0)
+}
+
+// schedule injects segment i's segment-done event under its reserved key.
+func (l *link) schedule(i int) {
+	s := &l.train.segs[i]
+	l.eng.InjectAt(s.last.end, l.doneKey(s), 0, trainSegDone, l, nil)
+}
+
+// doneKey is the key reserved for segment s's segment-done event.
+func (l *link) doneKey(s *segment) eventq.Key {
+	return eventq.Key{Ctime: s.last.start, Gen2: s.last.gen, Comp: l.comp, Seq: s.seq}
+}
+
+// keyLE reports whether key a sorts no later than b among one cycle's
+// events (eventq's order without sub).
+func keyLE(a, b eventq.Key) bool {
+	if a.Ctime != b.Ctime {
+		return a.Ctime < b.Ctime
+	}
+	if a.Gen2 != b.Gen2 {
+		return a.Gen2 < b.Gen2
+	}
+	if a.Comp != b.Comp {
+		return a.Comp < b.Comp
+	}
+	return a.Seq <= b.Seq
+}
+
+// retire drops the head segments whose segment-done event would have
+// fired by the time the event keyed fk runs: those ending before now, and
+// those ending now whose reserved key sorts no later than fk. It commits
+// their counters as the event would have and, once the train is empty,
+// frees the serializer flag; it never restarts the serializer, which an
+// armed segment-done event does (armTail).
+func (l *link) retire(fk eventq.Key) {
+	t := &l.train
+	now := l.eng.Now()
+	for t.pkts > 0 {
+		s := &t.segs[t.head]
+		if s.last.end > now || (s.last.end == now && !keyLE(l.doneKey(s), fk)) {
+			return
+		}
+		l.stats.Packets += uint64(s.numPkts)
+		l.stats.Bytes += s.bytes
+		l.stats.BusyCycles += s.last.end - s.start
+		t.pkts -= int(s.numPkts)
+		t.head++
+		t.done = 0
+		t.headArmed = false
+		if t.pkts == 0 {
+			t.segs, t.head = t.segs[:0], 0
+			l.busy = false
+		}
+	}
+}
+
+// readKey is the key a link-state read from outside any handler sees the
+// train from. An unstopped Run or RunUntil has fired every event up to
+// now, so it sorts after all of them; when Stop froze the run inside a
+// cycle, it is the stopping event's.
+func (l *link) readKey() eventq.Key {
+	if l.eng.Stopped() {
+		return l.eng.FiringKey()
+	}
+	return eventq.Key{Ctime: ^eventq.Time(0)}
+}
+
+// settle retires what a link-state read from outside any handler must see
+// retired.
+func (l *link) settle() { l.retire(l.readKey()) }
 
 // trainRelease is the eventq.CallFunc standing in for an intermediate
 // virtual packet's linkSerDone while upstream links wait on link a.
@@ -203,24 +318,18 @@ func trainRelease(a, _ any) {
 	l.armRelease(l.eng.FiringKey())
 }
 
-// trainSegDone is the eventq.CallFunc that retires link a's head segment
-// at its last packet's end: it commits the segment's stats and, once the
-// train is empty, frees the serializer for real packets queued behind it.
+// trainSegDone is the eventq.CallFunc that fires at an armed segment's
+// last packet's end, under its reserved key. It retires the segment and
+// the unarmed ones ahead of it and, once the train is empty, restarts the
+// serializer for the real packets queued behind it; then it releases
+// waiting upstream links.
 func trainSegDone(a, _ any) {
 	l := a.(*link)
-	t := &l.train
-	s := &t.segs[t.head]
-	l.stats.Packets += uint64(s.numPkts)
-	l.stats.Bytes += s.bytes
-	l.stats.BusyCycles += s.last.end - s.start
-	t.pkts -= int(s.numPkts)
-	t.head++
-	t.done = 0
-	if t.head == len(t.segs) {
-		t.segs, t.head = t.segs[:0], 0
-		l.busy = false
+	fk := l.eng.FiringKey()
+	l.retire(fk)
+	if l.train.pkts == 0 {
 		l.kick()
 	}
 	l.releaseWaiters()
-	l.armRelease(l.eng.FiringKey())
+	l.armRelease(fk)
 }

@@ -2,12 +2,15 @@ package noc
 
 // Packet-train exactness: a run with trains on must be observationally
 // identical to the per-packet model (SetFlowCollapse(false)) — every
-// message's serialization start and delivery cycle, and every link's
-// counters, PeakQueue included — also where multi-hop point-to-point
-// traffic lands on, and blocks behind, a live train.
+// message's serialization start and delivery cycle, every link's
+// counters, PeakQueue included, and mid-run link state — also where
+// multi-hop point-to-point traffic lands on, and blocks behind, a live
+// train.
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"astrasim/internal/config"
@@ -23,18 +26,38 @@ type trainSend struct {
 	bytes int64
 }
 
+// trainProbe reads the network's state mid-run at cycle at: between runs,
+// after RunUntil(at) fired every event up to it, or, when stop is set,
+// inside the cycle, where an event created at cycle created stops the
+// run. The earlier the stop event was created, the earlier it sorts
+// among the cycle's events.
+type trainProbe struct {
+	at, created eventq.Time
+	stop        bool
+}
+
+// probeState is what a probe reads: whether the network is quiet and each
+// link's state, counters left out. A train commits its counters per
+// message, the per-packet model per packet.
+type probeState struct {
+	quiet bool
+	links []LinkDebugState
+}
+
 // trainRun is everything observable about one schedule's run.
 type trainRun struct {
 	serStart, delivered []eventq.Time
 	links               []LinkDebugState
+	probes              []probeState
 	fired               uint64
 }
 
 // runTrainSchedule replays sends on a 4-node single-channel local ring
 // whose links are source-fed in the partition plan's sense, each its own
-// ordering component, as system.NewInstance labels a torus ring. prep,
-// when non-nil, adjusts the network before any traffic.
-func runTrainSchedule(t testing.TB, p config.Network, sends []trainSend, trains bool, prep func(*Network, *topology.Ring)) trainRun {
+// ordering component, as system.NewInstance labels a torus ring, reading
+// the network at each probe (sorted by cycle, stop probes first within
+// one). prep, when non-nil, adjusts the network before any traffic.
+func runTrainSchedule(t testing.TB, p config.Network, sends []trainSend, probes []trainProbe, trains bool, prep func(*Network, *topology.Ring)) trainRun {
 	t.Helper()
 	eng, topo, net := ring4(t, p)
 	sourceFed(t, net)
@@ -55,6 +78,23 @@ func runTrainSchedule(t testing.TB, p config.Network, sends []trainSend, trains 
 				run.serStart[m.CtxA], run.delivered[m.CtxA] = m.SerStart, m.Delivered
 			}}
 		eng.At(s.at, func() { net.Send(msg) })
+	}
+	for _, pr := range probes {
+		if pr.stop {
+			eng.At(pr.created, func() { eng.At(pr.at, eng.Stop) })
+		}
+	}
+	for _, pr := range probes {
+		if pr.stop {
+			eng.Run()
+		} else {
+			eng.RunUntil(pr.at)
+		}
+		ps := probeState{quiet: net.Quiet(), links: net.DebugLinks()}
+		for i := range ps.links {
+			ps.links[i].Stats = LinkStats{}
+		}
+		run.probes = append(run.probes, ps)
 	}
 	eng.Run()
 	if !net.Quiet() {
@@ -80,8 +120,21 @@ func newTrainSend(at eventq.Time, src int, twoHop bool, bytes int64) trainSend {
 // identical results; it returns both runs.
 func mustMatchTrains(t testing.TB, p config.Network, sends []trainSend, prep func(*Network, *topology.Ring)) (off, on trainRun) {
 	t.Helper()
-	off = runTrainSchedule(t, p, sends, false, prep)
-	on = runTrainSchedule(t, p, sends, true, prep)
+	return mustMatchProbed(t, p, sends, nil, prep)
+}
+
+// mustMatchProbed is mustMatchTrains with the network also read, and
+// required identical, at every probe.
+func mustMatchProbed(t testing.TB, p config.Network, sends []trainSend, probes []trainProbe, prep func(*Network, *topology.Ring)) (off, on trainRun) {
+	t.Helper()
+	off = runTrainSchedule(t, p, sends, probes, false, prep)
+	on = runTrainSchedule(t, p, sends, probes, true, prep)
+	for i, pr := range probes {
+		a, b := on.probes[i], off.probes[i]
+		if a.quiet != b.quiet || !slices.Equal(a.links, b.links) {
+			t.Fatalf("probe %+v: trains read quiet=%v %+v; per-packet quiet=%v %+v", pr, a.quiet, a.links, b.quiet, b.links)
+		}
+	}
 	for i := range sends {
 		if on.delivered[i] == 0 {
 			t.Fatalf("send %d %+v never delivered", i, sends[i])
@@ -200,11 +253,14 @@ func TestTrainBandwidthChargedPerSegment(t *testing.T) {
 	}
 }
 
-// decodeTrainSchedule turns fuzz bytes into network parameters and a send
-// schedule: byte 0 sets the input buffer depth (1-16 packets), byte 1 the
-// link latency and packet cap, then every 4 bytes are one send (time
-// step, source, hop count and size).
-func decodeTrainSchedule(data []byte) (config.Network, []trainSend) {
+// decodeTrainSchedule turns fuzz bytes into network parameters, a send
+// schedule and probes: byte 0 sets the input buffer depth (1-16 packets),
+// byte 1 the link latency and packet cap, then every 4 bytes are one send
+// (time step, source, hop count and size) and one probe, up to 1008
+// cycles after the send, of the kind the time step's top two bits pick:
+// between runs, or a stop created at cycle 0, one cycle before, or in
+// the probed cycle.
+func decodeTrainSchedule(data []byte) (config.Network, []trainSend, []trainProbe) {
 	p := smallBuffers()
 	if len(data) >= 2 {
 		p.BuffersPerVC = 4 * (1 + int(data[0]%16))
@@ -213,25 +269,48 @@ func decodeTrainSchedule(data []byte) (config.Network, []trainSend) {
 		data = data[2:]
 	}
 	var sends []trainSend
+	var probes []trainProbe
 	var at eventq.Time
 	for ; len(data) >= 4 && len(sends) < 48; data = data[4:] {
 		at += eventq.Time(data[0] % 64)
 		size := 1 + int64(data[3])*(1+int64(data[2]>>1))*4
 		sends = append(sends, newTrainSend(at, int(data[1]%4), data[2]&1 == 1, size))
+		pr := trainProbe{at: at + 16*eventq.Time(data[1]>>2)}
+		switch data[0] >> 6 {
+		case 1:
+			pr.stop = true
+		case 2:
+			pr.stop, pr.created = true, pr.at-min(pr.at, 1)
+		case 3:
+			pr.stop, pr.created = true, pr.at
+		}
+		probes = append(probes, pr)
 	}
-	return p, sends
+	slices.SortStableFunc(probes, func(a, b trainProbe) int {
+		switch {
+		case a.at != b.at:
+			return cmp.Compare(a.at, b.at)
+		case a.stop == b.stop:
+			return 0
+		case a.stop:
+			return -1
+		}
+		return 1
+	})
+	return p, sends, probes
 }
 
 // FuzzTrainEquivalence: any schedule of 1- and 2-hop sends, at any sizes,
-// times and buffer depths, delivers every message at the same cycle and
-// leaves every link in the same state with trains on as with trains off.
+// times and buffer depths, delivers every message at the same cycle,
+// shows the same link state at every probe and leaves every link in the
+// same state with trains on as with trains off.
 func FuzzTrainEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x00, 0x01, 0x20, 0x80, 0x00, 0x00, 0x01, 0x40, 0x05, 0x01, 0x00, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, sends := decodeTrainSchedule(data)
+		p, sends, probes := decodeTrainSchedule(data)
 		if len(sends) == 0 {
 			return
 		}
-		mustMatchTrains(t, p, sends, nil)
+		mustMatchProbed(t, p, sends, probes, nil)
 	})
 }

@@ -25,8 +25,9 @@
 #                                         a temp dir), compare vs baseline
 #
 # Run record mode before and after a perf-sensitive change; the JSON keys
-# (ns_per_op, bytes_per_op, allocs_per_op) are the numbers PR descriptions
-# should quote. Each benchmark runs COUNT samples of BENCHTIME iterations
+# (ns_per_op, bytes_per_op, allocs_per_op, and events_per_op for the
+# simulation benchmarks, which report Engine.Fired() as events/op) are
+# the numbers PR descriptions should quote. Each benchmark runs COUNT samples of BENCHTIME iterations
 # each; the JSON reports the median of every key over the samples, and
 # ns_per_op_min/ns_per_op_max give the spread, so a number is never a
 # single-sample fluke.
@@ -77,19 +78,33 @@ tojson() {
       name = $1; sub(/-[0-9]+$/, "", name)
       if (!(name in count)) { order[++n] = name; iters[name] = $2 }
       k = ++count[name]
-      vals[name, k, "ns"] = $3; vals[name, k, "bytes"] = $5; vals[name, k, "allocs"] = $7
+      # Each value precedes its unit; events/op, reported by the
+      # simulation benchmarks, sits between ns/op and B/op.
+      for (i = 4; i <= NF; i++) {
+        if ($i == "ns/op") vals[name, k, "ns"] = $(i - 1)
+        else if ($i == "B/op") vals[name, k, "bytes"] = $(i - 1)
+        else if ($i == "allocs/op") vals[name, k, "allocs"] = $(i - 1)
+        else if ($i == "events/op") { vals[name, k, "events"] = $(i - 1); hasEvents[name] = 1 }
+      }
     }
     END {
       for (i = 1; i <= n; i++) {
         name = order[i]; k = count[name]
         bytes = median(name, k, "bytes"); allocs = median(name, k, "allocs")
+        events = (name in hasEvents) ? sprintf(",\"events_per_op\":%.0f", median(name, k, "events")) : ""
         ns = median(name, k, "ns")
-        printf("%s{\"benchmark\":\"%s\",\"iterations\":%s,\"samples\":%d,\"ns_per_op\":%.0f,\"ns_per_op_min\":%.0f,\"ns_per_op_max\":%.0f,\"bytes_per_op\":%.0f,\"allocs_per_op\":%.0f}",
-               (i > 1 ? ",\n  " : "[\n  "), name, iters[name], k, ns, lo, hi, bytes, allocs)
+        printf("%s{\"benchmark\":\"%s\",\"iterations\":%s,\"samples\":%d,\"ns_per_op\":%.0f,\"ns_per_op_min\":%.0f,\"ns_per_op_max\":%.0f,\"bytes_per_op\":%.0f,\"allocs_per_op\":%.0f%s}",
+               (i > 1 ? ",\n  " : "[\n  "), name, iters[name], k, ns, lo, hi, bytes, allocs, events)
       }
       if (n) print "\n]"; else print "[]"
     }
   ' "$1" > "$2"
+}
+
+# hostline labels a recording with the host's CPU count: the numbers are
+# only comparable between recordings on hosts of one size.
+hostline() {
+  echo "# recorded on a $(getconf _NPROCESSORS_ONLN)-vCPU host"
 }
 
 # check TXT NAMES: fail with a named error when any benchmark in NAMES
@@ -117,6 +132,7 @@ record() {
   txt="$out/BENCH_core.txt"
   json="$out/BENCH_core.json"
   {
+    hostline
     go test -run '^$' -bench "$CORE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
     go test -run '^$' -bench "$EVQ" -benchmem -benchtime 100x -count "$COUNT" ./internal/eventq/
   } | tee "$txt"
@@ -125,15 +141,18 @@ record() {
   echo "wrote $txt and $json" >&2
 }
 
-# record_large DIR: run the LARGE set once per benchmark (1x keeps the
-# set tractable) into BENCH_large.{txt,json}.
+# record_large DIR: run the LARGE set, COUNT samples of one iteration
+# per benchmark (1x keeps the set tractable), into BENCH_large.{txt,json}.
 record_large() {
   out="$1"
   mkdir -p "$out"
   txt="$out/BENCH_large.txt"
   json="$out/BENCH_large.json"
-  go test -run '^$' -bench "$LARGE" -benchmem -benchtime "${BENCHTIME_LARGE:-1x}" \
-    -timeout 60m . | tee "$txt"
+  {
+    hostline
+    go test -run '^$' -bench "$LARGE" -benchmem -benchtime "${BENCHTIME_LARGE:-1x}" \
+      -count "$COUNT" -timeout 60m .
+  } | tee "$txt"
   check "$txt" "$LARGE"
   tojson "$txt" "$json"
   echo "wrote $txt and $json" >&2
