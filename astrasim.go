@@ -208,12 +208,13 @@ func (p *Platform) SetBackend(b Backend) {
 var optionNames = cli.Names{Faults: "a fault plan", IntraParallel: "WithIntraParallel", SetSplits: "WithSetSplits",
 	RemoteMemBandwidth: "WithRemoteMemory bandwidth", RemoteMemLatency: "WithRemoteMemory latency"}
 
-// instance validates the platform configuration, against g too when it
-// is non-nil, and builds a fresh wired simulation with the platform's
-// fault injections applied. The auditor is nil unless SetAudit(true).
-// The configuration is snapshotted under the read lock, so a run
-// observes a consistent view even if Set* mutators race with it.
-func (p *Platform) instance(g *WorkloadGraph) (*system.Instance, *audit.Auditor, error) {
+// instance validates the platform configuration, and the workload's
+// own row when check is non-nil, then builds a fresh wired simulation
+// with the platform's fault injections applied. The auditor is nil
+// unless SetAudit(true). The configuration is snapshotted under the read
+// lock, so a run observes a consistent view even if Set* mutators race
+// with it.
+func (p *Platform) instance(check func(*cli.RunSpec) error) (*system.Instance, *audit.Auditor, error) {
 	p.mu.RLock()
 	spec := p.spec
 	var stragglers map[NodeID]float64
@@ -228,8 +229,8 @@ func (p *Platform) instance(g *WorkloadGraph) (*system.Instance, *audit.Auditor,
 	if err := spec.Validate(optionNames); err != nil {
 		return nil, nil, err
 	}
-	if g != nil {
-		if err := spec.ValidateGraph(g, optionNames); err != nil {
+	if check != nil {
+		if err := check(&spec); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -592,9 +593,11 @@ func AutoPartition(def Definition, stages int) []int {
 
 // TrainPipeline simulates pipeline-parallel training: stages run their
 // layer ranges on their NPUs, and microbatch activations/gradients cross
-// stage boundaries point-to-point over the fabric.
+// stage boundaries point-to-point over the fabric. Point-to-point sends
+// need the serial engine, so a platform built WithIntraParallel rejects
+// it up front, as RunGraph rejects a graph with SEND/RECV nodes.
 func (p *Platform) TrainPipeline(def Definition, cfg PipelineConfig, passes int) (PipelineResult, error) {
-	inst, aud, err := p.instance(nil)
+	inst, aud, err := p.instance(func(s *cli.RunSpec) error { return s.ValidateSends("TrainPipeline", optionNames) })
 	if err != nil {
 		return PipelineResult{}, err
 	}
@@ -690,7 +693,7 @@ func CompileModel(spec *ModelSpec, plan *ParallelismPlan, steps int) (*WorkloadG
 // per-node accounting into a TrainingResult (per-layer compute, raw and
 // exposed communication).
 func (p *Platform) RunGraph(g *WorkloadGraph) (TrainingResult, error) {
-	inst, aud, err := p.instance(g)
+	inst, aud, err := p.instance(func(s *cli.RunSpec) error { return s.ValidateGraph(g, optionNames) })
 	if err != nil {
 		return TrainingResult{}, err
 	}

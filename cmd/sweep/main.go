@@ -14,11 +14,18 @@
 // extenergy, extablation, ...), or all; -ext adds the extension studies
 // to -fig all.
 //
+// The four engine flags below bind one cli.RunSpec. Every point of every
+// figure copies that spec, sets its own topology, algorithm and network,
+// and builds through it, so each point passes the same Validate table as
+// the other tools and a rejected point ends the sweep with exit 1 and
+// the table's reason.
+//
 // -backend selects the network transport for every simulation: packet
 // (congestion-aware, the default — what the committed golden CSVs were
 // recorded with) or fast (congestion-unaware analytical mode for quick
 // design sweeps; see DESIGN.md §11). -faults requires the packet
-// backend; the degradation study always runs on it.
+// backend; the degradation study always runs on the serial packet
+// engine.
 //
 // -audit attaches the invariant auditor (byte conservation, quiescence,
 // free-list poisoning) to every simulation instance the sweep creates and
@@ -28,7 +35,10 @@
 // packet drops with retransmit; see DESIGN.md §8) to every simulation the
 // sweep creates — "rerun the paper's figures on a lossy fabric" is one
 // flag. Fault decisions derive from the plan's seed, so results stay
-// byte-identical for every -parallel value.
+// byte-identical for every -parallel value. The degradation study applies
+// its own plans after this one. extintrapar partitions its own points, so
+// a sweep that reaches it rejects -faults with the table's "-faults and
+// -intra-parallel are mutually exclusive".
 //
 // Full mode sweeps the paper's message-size ranges and runs two training
 // iterations of ResNet-50 and Transformer; -quick shrinks everything for a
@@ -37,7 +47,10 @@
 // -intra-parallel N additionally partitions each packet-mode simulation
 // point across N shard-pool workers (intra-run parallelism, DESIGN.md
 // §13) — use it when a few huge points dominate a sweep. CSVs stay
-// byte-identical at any value. Incompatible with -faults.
+// byte-identical at any value. Incompatible with -faults. Point-to-point
+// sends need the serial engine, so the studies that replay graphs with
+// SEND/RECV nodes (extgraph, and extparallel's pipelined layouts) reject
+// it, naming the first such node.
 //
 // Each figure's independent simulation points fan out across -parallel
 // worker goroutines (default: all CPUs). Every point still runs on its own
@@ -59,7 +72,6 @@ import (
 	"astrasim/internal/audit"
 	"astrasim/internal/cli"
 	"astrasim/internal/experiments"
-	"astrasim/internal/faults"
 )
 
 // options is the parsed and validated command line.
@@ -110,26 +122,15 @@ func main() {
 		fatal(err)
 	}
 
-	var collector *audit.Collector
-	if o.spec.Audit {
-		collector = &audit.Collector{}
-		defer audit.AttachAll(collector)()
-	}
-	if o.spec.Faults != nil {
-		restore, err := faults.AttachAll(o.spec.Faults)
-		if err != nil {
-			fatal(err)
-		}
-		defer restore()
-	}
-
 	opts := experiments.Full()
 	if o.quick {
 		opts = experiments.Quick()
 	}
 	opts.Workers = o.workers
-	opts.Backend = o.spec.System.Backend
-	opts.IntraParallel = o.spec.System.IntraParallel
+	opts.Spec = o.spec
+	if o.spec.Audit {
+		opts.Audits = &audit.Collector{}
+	}
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		fatal(err)
 	}
@@ -173,9 +174,9 @@ func main() {
 	if ran == 0 {
 		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", o.fig))
 	}
-	if collector != nil {
-		fmt.Println(collector.Summary())
-		if v := collector.Violations(); len(v) > 0 {
+	if c := opts.Audits; c != nil {
+		fmt.Println(c.Summary())
+		if v := c.Violations(); len(v) > 0 {
 			for _, s := range v {
 				fmt.Fprintln(os.Stderr, "sweep: audit:", s)
 			}

@@ -21,8 +21,10 @@ func TestFlagSurface(t *testing.T) {
 	clitest.FlagSurface(t, fs)
 }
 
-// TestExclusionMatrix drives every matrix cell the command can express
-// (its figures issue no point-to-point sends) through parseArgs.
+// TestExclusionMatrix drives every matrix cell the flags can express
+// through parseArgs. The SEND/RECV cells depend on a figure's graph, not
+// on the flags: extgraph and extparallel reject them when their points
+// are validated (TestSpecRejections in internal/experiments).
 func TestExclusionMatrix(t *testing.T) {
 	plan := filepath.Join(t.TempDir(), "plan.json")
 	if err := os.WriteFile(plan, []byte(clitest.PlanJSON), 0o644); err != nil {

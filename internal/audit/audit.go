@@ -28,9 +28,10 @@
 //     elapsed simulated time (serializer busy and blocked intervals are
 //     disjoint), so per-class utilization is always <= 1.
 //
-// Attach one auditor to one instance (audit.Attach), or register the
-// global seam (audit.AttachAll) to audit every instance a sweep creates
-// — cmd/sweep -audit and the corpus integration test use the latter.
+// Attach one auditor to one instance (audit.Attach); cli.RunSpec's
+// NewInstance does so for every run with Audit set. A sweep gathers the
+// verdicts of many instances by handing each auditor to a Collector
+// (Collector.Add) — cmd/sweep -audit and the corpus integration test do.
 package audit
 
 import (
@@ -75,7 +76,7 @@ type Auditor struct {
 	expectClassBytes [numLinkClasses]int64
 
 	// collector, when non-nil, receives this auditor's result at every
-	// event-queue drain (the AttachAll sweep mode).
+	// event-queue drain (see Collector.Add).
 	collector *Collector
 	reported  bool
 }
@@ -340,20 +341,12 @@ func (c *Collector) Summary() string {
 		len(c.violations), c.runs, strings.Join(c.violations, "\n  "))
 }
 
-// AttachAll audits every instance subsequently created through
-// system.NewInstance, recording each verdict into c when its engine
-// drains. It returns a restore function that reinstates the previous
-// hook; callers must not run simulations concurrently with AttachAll or
-// restore themselves (instances created after the hook is set may run on
-// parallel workers — that is safe).
-func AttachAll(c *Collector) (restore func()) {
-	prev := system.InstanceHook
-	system.InstanceHook = func(inst *system.Instance) {
-		if prev != nil {
-			prev(inst)
-		}
-		a := Attach(inst.Sys, inst.Net)
+// Add records a's verdict into c when a's engine drains, once per
+// instance, plus any violation a later drain finds. Either side may be
+// nil (no collector, or an instance built without an auditor); Add then
+// does nothing. Call it before the instance runs.
+func (c *Collector) Add(a *Auditor) {
+	if c != nil && a != nil {
 		a.collector = c
 	}
-	return func() { system.InstanceHook = prev }
 }

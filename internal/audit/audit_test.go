@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"astrasim/internal/audit"
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/noc"
@@ -129,19 +130,29 @@ func TestAuditDetectsUnaccountedTraffic(t *testing.T) {
 	}
 }
 
-// The AttachAll seam must audit instances created through
-// system.NewInstance and aggregate into the collector.
-func TestAttachAllCollects(t *testing.T) {
+// A collector records the verdict of every auditor handed to it once
+// its instance runs, and ignores instances it was not handed. Add is
+// nil-safe on both sides.
+func TestCollectorAdd(t *testing.T) {
+	spec := cli.NewRunSpec("2x2x1")
+	spec.Audit = true
+	topo, err := spec.BuildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := &audit.Collector{}
-	restore := audit.AttachAll(c)
-	defer restore()
-
-	for i := 0; i < 3; i++ {
-		inst := newTorusInstance(t, 2, 2, 1)
-		if _, err := inst.Sys.IssueCollective(collectives.AllReduce, 256<<10, "ar", nil); err != nil {
+	run := func(add func(*audit.Auditor)) {
+		inst, aud, err := spec.NewInstance(topo, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		inst.Eng.Run()
+		add(aud)
+		if _, err := inst.RunCollective(collectives.AllReduce, 256<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run(c.Add)
 	}
 	if c.Runs() != 3 {
 		t.Fatalf("collector recorded %d runs, want 3", c.Runs())
@@ -153,12 +164,12 @@ func TestAttachAllCollects(t *testing.T) {
 		t.Fatalf("summary = %q", c.Summary())
 	}
 
-	restore()
-	before := c.Runs()
-	inst := newTorusInstance(t, 2, 2, 1)
-	_ = inst
-	if c.Runs() != before {
-		t.Fatal("restore did not detach the instance hook")
+	var none *audit.Collector
+	run(none.Add)
+	run(func(*audit.Auditor) {})
+	c.Add(nil)
+	if c.Runs() != 3 {
+		t.Fatalf("collector recorded %d runs after runs it was not handed, want 3", c.Runs())
 	}
 }
 

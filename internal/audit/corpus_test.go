@@ -10,7 +10,6 @@ import (
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/experiments"
-	"astrasim/internal/system"
 )
 
 // TestAuditCorpus runs the entire evaluation corpus — every figure of the
@@ -23,14 +22,13 @@ func TestAuditCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus audit is minutes-long; skipped with -short")
 	}
-	c := &audit.Collector{}
-	restore := audit.AttachAll(c)
-	defer restore()
-
 	// Quick-scale options keep the corpus tractable; every figure and
 	// extension still runs, and the invariants are scale-independent.
 	opts := experiments.Quick()
 	opts.Workers = runtime.NumCPU()
+	opts.Spec.Audit = true
+	c := &audit.Collector{}
+	opts.Audits = c
 
 	figures := append(experiments.Figures(), experiments.Extensions()...)
 	if len(figures) == 0 {
@@ -46,15 +44,21 @@ func TestAuditCorpus(t *testing.T) {
 	}
 	// Some figures reuse another figure's memoized result (fig15 reads
 	// fig14's cached ResNet run), so instance creation is asserted in
-	// aggregate, not per figure.
-	if c.Runs() == 0 {
-		t.Fatal("corpus created no audited instances (InstanceHook seam bypassed?)")
+	// aggregate, not per figure. Every point builds through Options.Spec,
+	// so a point that bypasses it shows up as a lower count.
+	if got, want := c.Runs(), corpusRuns; got != want {
+		t.Fatalf("corpus audited %d instances, want %d", got, want)
 	}
 	if v := c.Violations(); len(v) != 0 {
 		t.Fatalf("corpus audit failed:\n%v", v)
 	}
 	t.Log(c.Summary())
 }
+
+// corpusRuns is the number of simulation instances the quick corpus
+// builds: one per point, the degradation study's baseline included, and
+// one per distinct memoized ResNet-50 run.
+const corpusRuns = 157
 
 // TestAuditCorpusIntraParallel re-checks every conservation invariant
 // under intra-run parallelism: the same byte-ledger, LSQ, slot and
@@ -64,22 +68,25 @@ func TestAuditCorpus(t *testing.T) {
 // the serial corpus never exercises.
 func TestAuditCorpusIntraParallel(t *testing.T) {
 	c := &audit.Collector{}
-	restore := audit.AttachAll(c)
-	defer restore()
-
-	for _, spec := range []string{"1x8x1", "2x4x2", "a2a:2x4", "sw:4x2", "so:2x2x1/2"} {
+	for _, topo := range []string{"1x8x1", "2x4x2", "a2a:2x4", "sw:4x2", "so:2x2x1/2"} {
 		for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
 			for _, workers := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/%v/w%d", spec, op, workers), func(t *testing.T) {
-					cfg := config.DefaultSystem()
-					cfg.Algorithm = config.Enhanced
-					cfg.PreferredSetSplits = 8
-					cfg.IntraParallel = workers
-					topo, err := cli.BuildTopology(spec, cli.DefaultTopologyOptions(), &cfg)
+				t.Run(fmt.Sprintf("%s/%v/w%d", topo, op, workers), func(t *testing.T) {
+					spec := cli.NewRunSpec(topo)
+					spec.Audit = true
+					spec.System.Algorithm = config.Enhanced
+					spec.System.PreferredSetSplits = 8
+					spec.System.IntraParallel = workers
+					tp, err := spec.BuildTopology()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := system.RunCollective(topo, cfg, config.DefaultNetwork(), op, 1<<20); err != nil {
+					inst, aud, err := spec.NewInstance(tp, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.Add(aud)
+					if _, err := inst.RunCollective(op, 1<<20); err != nil {
 						t.Fatal(err)
 					}
 					if v := c.Violations(); len(v) > 0 {

@@ -126,22 +126,40 @@ func (c Cell) Args(plan string) []string {
 // report.
 func (c Cell) Want(t *testing.T, n cli.Names) error {
 	t.Helper()
-	s := cli.NewRunSpec("1x4x1")
-	s.System.Backend, s.System.IntraParallel = c.Backend, c.IntraParallel
-	var err error
-	if c.Faults {
-		if s.Faults, err = faults.Parse(strings.NewReader(PlanJSON)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	g, err := graph.Parse("matrix", strings.NewReader(GraphJSON(c.SendRecv)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.spec(t)
 	if err := s.Validate(n); err != nil {
 		return err
 	}
 	return s.ValidateGraph(g, n)
+}
+
+// WantSends is Want for a SEND/RECV cell whose workload, named what,
+// sends point to point without a graph (cli.RunSpec.ValidateSends).
+func (c Cell) WantSends(t *testing.T, n cli.Names, what string) error {
+	t.Helper()
+	s := c.spec(t)
+	if err := s.Validate(n); err != nil {
+		return err
+	}
+	return s.ValidateSends(what, n)
+}
+
+// spec returns the cell's run configuration on a 1x4x1 torus.
+func (c Cell) spec(t *testing.T) cli.RunSpec {
+	t.Helper()
+	s := cli.NewRunSpec("1x4x1")
+	s.System.Backend, s.System.IntraParallel = c.Backend, c.IntraParallel
+	if c.Faults {
+		var err error
+		if s.Faults, err = faults.Parse(strings.NewReader(PlanJSON)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
 }
 
 // Check fails the test unless a surface's outcome got matches the

@@ -91,8 +91,17 @@ func (s *RunSpec) ValidateGraph(g *graph.Graph, n Names) error {
 	}
 	for i := range g.Nodes {
 		if k := g.Nodes[i].Kind; k == graph.KindSend || k == graph.KindRecv {
-			return fmt.Errorf("graph node %q: SEND/RECV needs point-to-point sends, which %s does not support", g.Nodes[i].ID, n.IntraParallel)
+			return s.ValidateSends(fmt.Sprintf("graph node %q: SEND/RECV", g.Nodes[i].ID), n)
 		}
+	}
+	return nil
+}
+
+// ValidateSends is ValidateGraph's row for a workload that sends point
+// to point without a graph to point at; what names it in the rejection.
+func (s *RunSpec) ValidateSends(what string, n Names) error {
+	if s.System.IntraParallel > 0 {
+		return fmt.Errorf("%s needs point-to-point sends, which %s does not support", what, n.IntraParallel)
 	}
 	return nil
 }

@@ -11,7 +11,9 @@ import (
 
 	"astrasim/internal/cli"
 	"astrasim/internal/cli/clitest"
+	"astrasim/internal/collectives"
 	"astrasim/internal/config"
+	"astrasim/internal/faults"
 )
 
 // TestExclusionTable pins the table's verdict on every matrix cell. The
@@ -122,5 +124,36 @@ func TestCanonicalDropsIntraParallel(t *testing.T) {
 		if bytes.Equal(canon(base), canon(s)) {
 			t.Errorf("%+v canonicalizes like the defaults", s)
 		}
+	}
+}
+
+// TestNewInstanceAppliesFaults: every instance NewInstance builds carries
+// the spec's fault plan, and a spec without one builds clean instances.
+func TestNewInstanceAppliesFaults(t *testing.T) {
+	run := func(plan *faults.Plan) int64 {
+		s := cli.NewRunSpec("2x2x2")
+		s.Network.MaxPacketsPerMessage = 16
+		s.Faults = plan
+		topo, err := s.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, _, err := s.NewInstance(topo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := inst.RunCollective(collectives.AllReduce, 256<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(h.Duration())
+	}
+	clean := run(nil)
+	straggler := &faults.Plan{Stragglers: []faults.Straggler{{Node: 0, Factor: 8}}}
+	if faulted := run(straggler); faulted <= clean {
+		t.Errorf("straggler run (%d cycles) not slower than clean (%d cycles)", faulted, clean)
+	}
+	if again := run(nil); again != clean {
+		t.Errorf("clean rerun = %d cycles, want %d", again, clean)
 	}
 }

@@ -14,33 +14,25 @@ import (
 )
 
 // faultedRun executes one all-reduce of size bytes on a fresh 4x4x4
-// enhanced instance under the given fault plan and returns the handle
-// plus the instance (for drop/retransmit counters).
-func faultedRun(plan *faults.Plan, net config.Network, size int64) (*system.Handle, *system.Instance, error) {
-	// Fault injection is packet-only, so the degradation study always
-	// runs on the packet backend regardless of Options.Backend.
-	tp, cfg, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, Options{Backend: config.PacketBackend})
+// enhanced instance under the given fault plan, applied after the spec's
+// own, and returns the handle plus the instance (for drop/retransmit
+// counters). Fault injection needs the serial packet engine, so the
+// study runs on it whatever o.Spec selects.
+func faultedRun(o Options, plan *faults.Plan, net config.Network, size int64) (*system.Handle, *system.Instance, error) {
+	tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	inst, err := system.NewInstance(tp, cfg, net)
+	spec.System.Backend, spec.System.IntraParallel = config.PacketBackend, 0
+	inst, err := o.newInstance(spec, tp)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := faults.Apply(plan, inst); err != nil {
 		return nil, nil, err
 	}
-	done := false
-	h, err := inst.Sys.IssueCollective(collectives.AllReduce, size, "faulted all-reduce", func(*system.Handle) { done = true })
-	if err != nil {
-		return nil, nil, err
-	}
-	inst.Eng.Run()
-	if !done {
-		return nil, nil, fmt.Errorf("faulted all-reduce (%d bytes) did not complete; %d events fired",
-			size, inst.Eng.Fired())
-	}
-	return h, inst, nil
+	h, err := inst.RunCollective(collectives.AllReduce, size)
+	return h, inst, err
 }
 
 // ExtDegradation is the graceful-degradation study: how an enhanced
@@ -57,7 +49,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 
 	// Fault-free baseline anchors both sweeps (outage durations are
 	// expressed as fractions of it).
-	h0, _, err := faultedRun(&faults.Plan{}, net, size)
+	h0, _, err := faultedRun(o, &faults.Plan{}, net, size)
 	if err != nil {
 		return nil, fmt.Errorf("extdegrade baseline: %w", err)
 	}
@@ -80,7 +72,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 				Start:   0, End: uint64(dur),
 			}}
 		}
-		h, _, err := faultedRun(plan, net, size)
+		h, _, err := faultedRun(o, plan, net, size)
 		if err != nil {
 			return 0, fmt.Errorf("extdegrade outage %s: %w", fracs[i].label, err)
 		}
@@ -118,7 +110,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 				Probability: probs[i],
 			}}
 		}
-		h, inst, err := faultedRun(plan, net, size)
+		h, inst, err := faultedRun(o, plan, net, size)
 		if err != nil {
 			return dropRes{}, fmt.Errorf("extdegrade drop %g: %w", probs[i], err)
 		}

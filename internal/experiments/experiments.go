@@ -9,6 +9,8 @@ package experiments
 import (
 	"fmt"
 
+	"astrasim/internal/audit"
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
@@ -63,19 +65,17 @@ type Options struct {
 	// collected in submission order, so tables are byte-identical for
 	// every worker count.
 	Workers int
-	// Backend selects the network transport for every simulation a figure
-	// runs: config.PacketBackend (the zero value — congestion-aware,
-	// packet-granularity, what the committed golden CSVs were recorded
-	// with) or config.FastBackend (congestion-unaware analytical mode for
-	// quick design sweeps). The fault-injection studies are packet-only
-	// and ignore this field.
-	Backend config.Backend
-
-	// IntraParallel partitions each packet-backend simulation across this
-	// many shard-pool workers (internal/pdes; DESIGN.md §13). 0 keeps the
-	// serial engine. Results are byte-identical at any value, so golden
-	// CSVs do not depend on it. Ignored by the fast backend.
-	IntraParallel int
+	// Spec is the run configuration every point starts from; cmd/sweep
+	// binds -backend, -intra-parallel, -faults and -audit into it. A point
+	// sets its own algorithm, network and knobs on a copy and builds
+	// through newInstance, so it passes Validate and gets the fault plan
+	// and auditor that Spec.NewInstance attaches. The degradation study
+	// always runs on the serial packet engine, and extintrapar sets its
+	// own worker counts.
+	Spec cli.RunSpec
+	// Audits, when non-nil, gathers the verdicts of the auditors that
+	// Spec.Audit attaches.
+	Audits *audit.Collector
 }
 
 // runner returns the sweep executor for o's worker count.
@@ -101,6 +101,7 @@ func Full() Options {
 		Fig18Scales:       []float64{0.5, 1, 2, 4},
 		IntraParShapes:    [][3]int{{8, 8, 8}, {16, 16, 16}, {16, 32, 32}},
 		IntraParBytes:     8 << 20,
+		Spec:              cli.NewRunSpec(""),
 	}
 }
 
@@ -119,6 +120,7 @@ func Quick() Options {
 		Fig18Scales:       []float64{0.5, 2},
 		IntraParShapes:    [][3]int{{2, 2, 2}, {2, 4, 2}},
 		IntraParBytes:     1 << 20,
+		Spec:              cli.NewRunSpec(""),
 	}
 }
 
@@ -138,34 +140,50 @@ func asymmetricNet(pktCap int) config.Network {
 	return n
 }
 
-// torusSystem builds a torus topology plus a matching system config on
-// the requested network backend; o also carries the intra-run
-// parallelism setting into every instance the figure creates.
-func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, o Options) (*topology.Torus, config.System, error) {
-	tp, err := topology.NewTorus(m, n, k, tc)
-	if err != nil {
-		return nil, config.System{}, err
-	}
-	cfg := config.DefaultSystem()
-	cfg.Algorithm = alg
-	cfg.Backend = o.Backend
-	cfg.IntraParallel = o.IntraParallel
-	return tp, cfg, nil
+// spec returns the point spec for alg on net: o.Spec with the point's
+// algorithm and network.
+func (o Options) spec(alg config.Algorithm, net config.Network) cli.RunSpec {
+	s := o.Spec
+	s.System.Algorithm, s.Network = alg, net
+	return s
 }
 
-// a2aSystem builds an alltoall topology plus a matching system config on
-// the requested network backend; o also carries the intra-run
-// parallelism setting.
-func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, o Options) (*topology.A2A, config.System, error) {
-	tp, err := topology.NewA2A(m, n, ac)
-	if err != nil {
-		return nil, config.System{}, err
+// newInstance validates one point's spec and builds its instance on
+// topo, handing the instance's auditor to o.Audits.
+func (o Options) newInstance(spec cli.RunSpec, topo topology.Topology) (*system.Instance, error) {
+	if err := spec.Validate(cli.FlagNames); err != nil {
+		return nil, err
 	}
-	cfg := config.DefaultSystem()
-	cfg.Algorithm = alg
-	cfg.Backend = o.Backend
-	cfg.IntraParallel = o.IntraParallel
-	return tp, cfg, nil
+	inst, aud, err := spec.NewInstance(topo, nil)
+	if err != nil {
+		return nil, err
+	}
+	o.Audits.Add(aud)
+	return inst, nil
+}
+
+// runCollective runs one collective of op/bytes to completion on a fresh
+// instance of spec on topo.
+func (o Options) runCollective(spec cli.RunSpec, topo topology.Topology, op collectives.Op, bytes int64) (*system.Handle, *system.Instance, error) {
+	inst, err := o.newInstance(spec, topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	h, err := inst.RunCollective(op, bytes)
+	return h, inst, err
+}
+
+// torusSystem builds a torus topology plus the point spec for alg on net.
+func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Torus, cli.RunSpec, error) {
+	tp, err := topology.NewTorus(m, n, k, tc)
+	return tp, o.spec(alg, net), err
+}
+
+// a2aSystem builds an alltoall topology plus the point spec for alg on
+// net.
+func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, net config.Network, o Options) (*topology.A2A, cli.RunSpec, error) {
+	tp, err := topology.NewA2A(m, n, ac)
+	return tp, o.spec(alg, net), err
 }
 
 // Fig9 compares the 1x8 alltoall topology (7 global switches, one link
@@ -173,17 +191,17 @@ func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, o Options)
 // peer) for the all-to-all and all-reduce collectives across message
 // sizes (§V-A).
 func Fig9(o Options) ([]*report.Table, error) {
-	torusTp, torusCfg, err := torusSystem(1, 8, 1,
-		topology.TorusConfig{LocalRings: 1, HorizontalRings: 4, VerticalRings: 1}, config.Baseline, o)
-	if err != nil {
-		return nil, err
-	}
-	a2aTp, a2aCfg, err := a2aSystem(1, 8,
-		topology.A2AConfig{LocalRings: 1, GlobalSwitches: 7}, config.Baseline, o)
-	if err != nil {
-		return nil, err
-	}
 	net := asymmetricNet(o.CollectivePktCap)
+	torusTp, torusSpec, err := torusSystem(1, 8, 1,
+		topology.TorusConfig{LocalRings: 1, HorizontalRings: 4, VerticalRings: 1}, config.Baseline, net, o)
+	if err != nil {
+		return nil, err
+	}
+	a2aTp, a2aSpec, err := a2aSystem(1, 8,
+		topology.A2AConfig{LocalRings: 1, GlobalSwitches: 7}, config.Baseline, net, o)
+	if err != nil {
+		return nil, err
+	}
 
 	colls := []struct {
 		id, title string
@@ -197,17 +215,17 @@ func Fig9(o Options) ([]*report.Table, error) {
 	topos := []struct {
 		name string
 		tp   topology.Topology
-		cfg  config.System
+		spec cli.RunSpec
 	}{
-		{"alltoall", a2aTp, a2aCfg},
-		{"torus", torusTp, torusCfg},
+		{"alltoall", a2aTp, a2aSpec},
+		{"torus", torusTp, torusSpec},
 	}
 	nSizes, nTopos := len(o.SweepSizes), len(topos)
 	durs, err := parallel.Map(o.runner(), len(colls)*nSizes*nTopos, func(i int) (eventq.Time, error) {
 		c := colls[i/(nSizes*nTopos)]
 		size := o.SweepSizes[i/nTopos%nSizes]
 		pt := topos[i%nTopos]
-		h, err := system.RunCollective(pt.tp, pt.cfg, net, c.op, size)
+		h, _, err := o.runCollective(pt.spec, pt.tp, c.op, size)
 		if err != nil {
 			return 0, fmt.Errorf("%s %s %d: %w", c.id, pt.name, size, err)
 		}
@@ -240,11 +258,11 @@ func Fig10(o Options) ([]*report.Table, error) {
 	nShapes := len(shapes)
 	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
 		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, cfg, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Baseline, o)
+		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Baseline, net, o)
 		if err != nil {
 			return 0, err
 		}
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, size)
+		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
 		if err != nil {
 			return 0, fmt.Errorf("fig10 %v %d: %w", s, size, err)
 		}
@@ -289,11 +307,11 @@ func Fig11(o Options) ([]*report.Table, error) {
 		nVar := len(variants)
 		durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nVar, func(i int) (eventq.Time, error) {
 			size, v := o.SweepSizes[i/nVar], variants[i%nVar]
-			tp, cfg, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, o)
+			tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, v.net, o)
 			if err != nil {
 				return 0, err
 			}
-			h, err := system.RunCollective(tp, cfg, v.net, op, size)
+			h, _, err := o.runCollective(spec, tp, op, size)
 			if err != nil {
 				return 0, fmt.Errorf("%s %s %d: %w", id, v.name, size, err)
 			}
@@ -343,11 +361,11 @@ func Fig12(o Options) ([]*report.Table, error) {
 	}
 	points, err := parallel.Map(o.runner(), len(shapes), func(i int) (point, error) {
 		s := shapes[i]
-		tp, cfg, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, o)
+		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, net, o)
 		if err != nil {
 			return point{}, err
 		}
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, o.Fig12Bytes)
+		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, o.Fig12Bytes)
 		if err != nil {
 			return point{}, fmt.Errorf("fig12 %v: %w", s, err)
 		}

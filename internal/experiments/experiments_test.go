@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"astrasim/internal/cli/clitest"
+	"astrasim/internal/faults"
+	"astrasim/internal/report"
 )
 
 // cell parses a numeric table cell.
@@ -300,5 +304,34 @@ func TestExtAblationShape(t *testing.T) {
 	if cell(t, lsq[1][1]) > cell(t, lsq[0][1]) {
 		t.Errorf("LSQ width 2 (%v) should not lose to width 1 (%v)",
 			cell(t, lsq[1][1]), cell(t, lsq[0][1]))
+	}
+}
+
+// TestSpecRejections: a study whose points cannot honour Options.Spec
+// fails with the exclusion table's reason, not a panic or a guard deep
+// in the engine. extintrapar partitions its own points, so a fault plan
+// is rejected there; extgraph's pipelines send point to point, so
+// intra-run parallelism is rejected there.
+func TestSpecRejections(t *testing.T) {
+	plan, err := faults.Parse(strings.NewReader(clitest.PlanJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := Quick()
+	faulted.Spec.Faults = plan
+	partitioned := Quick()
+	partitioned.Spec.System.IntraParallel = 2
+	for _, tc := range []struct {
+		name string
+		run  func(Options) ([]*report.Table, error)
+		o    Options
+		want string
+	}{
+		{"extintrapar", ExtIntraPar, faulted, "-faults and -intra-parallel are mutually exclusive"},
+		{"extgraph", ExtGraph, partitioned, "SEND/RECV needs point-to-point sends, which -intra-parallel does not support"},
+	} {
+		if _, err := tc.run(tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"astrasim/internal/oracle"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 	"astrasim/internal/topology"
 )
 
@@ -41,14 +40,11 @@ func Ext4D(o Options) ([]*report.Table, error) {
 	nShapes := len(shapes)
 	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
 		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, err := topology.NewHierarchical(cli.DefaultTopologyOptions().TorusSpecs(s))
+		tp, err := topology.NewHierarchical(o.Spec.Rings.TorusSpecs(s))
 		if err != nil {
 			return 0, err
 		}
-		cfg := config.DefaultSystem()
-		cfg.Backend = o.Backend
-		cfg.IntraParallel = o.IntraParallel
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, size)
+		h, _, err := o.runCollective(o.spec(config.Baseline, net), tp, collectives.AllReduce, size)
 		if err != nil {
 			return 0, fmt.Errorf("ext4d %v %d: %w", s, size, err)
 		}
@@ -136,10 +132,7 @@ func ExtMapping(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		cfg := config.DefaultSystem()
-		cfg.Backend = o.Backend
-		cfg.IntraParallel = o.IntraParallel
-		h, err := system.RunCollective(mapped, cfg, net, collectives.AllReduce, size)
+		h, _, err := o.runCollective(o.spec(config.Baseline, net), mapped, collectives.AllReduce, size)
 		if err != nil {
 			return 0, fmt.Errorf("extmap %s %d: %w", l.name, size, err)
 		}
@@ -175,22 +168,13 @@ func ExtEnergy(o Options) ([]*report.Table, error) {
 	}
 	rows, err := parallel.Map(o.runner(), len(variants), func(i int) ([]string, error) {
 		v := variants[i]
-		tp, cfg, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, o)
+		tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, asymmetricNet(o.CollectivePktCap), o)
 		if err != nil {
 			return nil, err
 		}
-		inst, err := system.NewInstance(tp, cfg, asymmetricNet(o.CollectivePktCap))
+		h, inst, err := o.runCollective(spec, tp, collectives.AllReduce, size)
 		if err != nil {
-			return nil, err
-		}
-		done := false
-		h, err := inst.Sys.IssueCollective(collectives.AllReduce, size, v.name, func(*system.Handle) { done = true })
-		if err != nil {
-			return nil, err
-		}
-		inst.Eng.Run()
-		if !done {
-			return nil, fmt.Errorf("extenergy %s: did not complete", v.name)
+			return nil, fmt.Errorf("extenergy %s: %w", v.name, err)
 		}
 		e := energy.CommEnergy(inst.Net, energy.Default())
 		return []string{v.name, report.Int(int64(h.Duration())),
@@ -217,12 +201,12 @@ func ExtAblation(o Options) ([]*report.Table, error) {
 	size := o.SweepSizes[len(o.SweepSizes)-1]
 	net := asymmetricNet(o.CollectivePktCap)
 	run := func(mutate func(*config.System)) (int64, error) {
-		tp, cfg, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, o)
+		tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
 		if err != nil {
 			return 0, err
 		}
-		mutate(&cfg)
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, size)
+		mutate(&spec.System)
+		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
 		if err != nil {
 			return 0, err
 		}
@@ -302,7 +286,8 @@ func Extensions() []Figure {
 // 2x2x2 joined by the ethernet-like spine, across collective sizes — the
 // scale-out extension's headline study.
 func ExtScaleOut(o Options) ([]*report.Table, error) {
-	up, upCfg, err := torusSystem(2, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, o)
+	net := asymmetricNet(o.CollectivePktCap)
+	up, spec, err := torusSystem(2, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
 	if err != nil {
 		return nil, err
 	}
@@ -314,20 +299,14 @@ func ExtScaleOut(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	soCfg := config.DefaultSystem()
-	soCfg.Algorithm = config.Enhanced
-	soCfg.Backend = o.Backend
-	soCfg.IntraParallel = o.IntraParallel
-
-	net := asymmetricNet(o.CollectivePktCap)
 	type pair struct{ up, so eventq.Time }
 	pairs, err := parallel.Map(o.runner(), len(o.SweepSizes), func(i int) (pair, error) {
 		size := o.SweepSizes[i]
-		hu, err := system.RunCollective(up, upCfg, net, collectives.AllReduce, size)
+		hu, _, err := o.runCollective(spec, up, collectives.AllReduce, size)
 		if err != nil {
 			return pair{}, fmt.Errorf("extscaleout up %d: %w", size, err)
 		}
-		hs, err := system.RunCollective(so, soCfg, net, collectives.AllReduce, size)
+		hs, _, err := o.runCollective(spec, so, collectives.AllReduce, size)
 		if err != nil {
 			return pair{}, fmt.Errorf("extscaleout so %d: %w", size, err)
 		}
@@ -352,11 +331,12 @@ func ExtScaleOut(o Options) ([]*report.Table, error) {
 // §III-C future work) against the ring torus and hierarchical alltoall at
 // 16 NPUs for both headline collectives.
 func ExtSwitched(o Options) ([]*report.Table, error) {
-	torusTp, torusCfg, err := torusSystem(4, 4, 1, topology.DefaultTorusConfig(), config.Baseline, o)
+	net := asymmetricNet(o.CollectivePktCap)
+	torusTp, spec, err := torusSystem(4, 4, 1, topology.DefaultTorusConfig(), config.Baseline, net, o)
 	if err != nil {
 		return nil, err
 	}
-	a2aTp, a2aCfg, err := a2aSystem(4, 4, topology.A2AConfig{LocalRings: 2, GlobalSwitches: 2}, config.Baseline, o)
+	a2aTp, err := topology.NewA2A(4, 4, topology.A2AConfig{LocalRings: 2, GlobalSwitches: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +344,6 @@ func ExtSwitched(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	swCfg := config.DefaultSystem()
-	swCfg.Backend = o.Backend
-	swCfg.IntraParallel = o.IntraParallel
-
-	net := asymmetricNet(o.CollectivePktCap)
 	colls := []struct {
 		id, title string
 		op        collectives.Op
@@ -376,20 +351,12 @@ func ExtSwitched(o Options) ([]*report.Table, error) {
 		{"extswitch-ar", "16 NPUs: all-reduce on torus vs alltoall vs switched (comm cycles)", collectives.AllReduce},
 		{"extswitch-a2a", "16 NPUs: all-to-all on torus vs alltoall vs switched (comm cycles)", collectives.AllToAll},
 	}
-	topos := []struct {
-		tp  topology.Topology
-		cfg config.System
-	}{
-		{torusTp, torusCfg},
-		{a2aTp, a2aCfg},
-		{swTp, swCfg},
-	}
+	topos := []topology.Topology{torusTp, a2aTp, swTp}
 	nSizes, nTopos := len(o.SweepSizes), len(topos)
 	durs, err := parallel.Map(o.runner(), len(colls)*nSizes*nTopos, func(i int) (eventq.Time, error) {
 		c := colls[i/(nSizes*nTopos)]
 		size := o.SweepSizes[i/nTopos%nSizes]
-		pt := topos[i%nTopos]
-		h, err := system.RunCollective(pt.tp, pt.cfg, net, c.op, size)
+		h, _, err := o.runCollective(spec, topos[i%nTopos], c.op, size)
 		if err != nil {
 			return 0, err
 		}
@@ -421,37 +388,36 @@ func ExtValidate(o Options) ([]*report.Table, error) {
 	type target struct {
 		name string
 		topo topology.Topology
-		cfg  config.System
+		spec cli.RunSpec
 	}
-	var targets []target
-	t3, c3, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, o)
-	if err != nil {
-		return nil, err
-	}
-	targets = append(targets, target{"4x4x4 enhanced", t3, c3})
-	t1, c1, err := torusSystem(1, 8, 1, topology.DefaultTorusConfig(), config.Baseline, o)
-	if err != nil {
-		return nil, err
-	}
-	targets = append(targets, target{"1x8x1", t1, c1})
-	ta, ca, err := a2aSystem(2, 4, topology.DefaultA2AConfig(), config.Baseline, o)
-	if err != nil {
-		return nil, err
-	}
-	targets = append(targets, target{"2x4 alltoall", ta, ca})
-
 	net := asymmetricNet(o.CollectivePktCap)
+	var targets []target
+	t3, s3, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
+	if err != nil {
+		return nil, err
+	}
+	targets = append(targets, target{"4x4x4 enhanced", t3, s3})
+	t1, s1, err := torusSystem(1, 8, 1, topology.DefaultTorusConfig(), config.Baseline, net, o)
+	if err != nil {
+		return nil, err
+	}
+	targets = append(targets, target{"1x8x1", t1, s1})
+	ta, sa, err := a2aSystem(2, 4, topology.DefaultA2AConfig(), config.Baseline, net, o)
+	if err != nil {
+		return nil, err
+	}
+	targets = append(targets, target{"2x4 alltoall", ta, sa})
 	ops := []collectives.Op{collectives.AllReduce, collectives.AllToAll}
 	nOps, nSizes := len(ops), len(o.SweepSizes)
 	rows, err := parallel.Map(o.runner(), len(targets)*nOps*nSizes, func(i int) ([]string, error) {
 		tg := targets[i/(nOps*nSizes)]
 		op := ops[i/nSizes%nOps]
 		size := o.SweepSizes[i%nSizes]
-		h, err := system.RunCollective(tg.topo, tg.cfg, net, op, size)
+		h, _, err := o.runCollective(tg.spec, tg.topo, op, size)
 		if err != nil {
 			return nil, err
 		}
-		m, err := oracle.NewModel(tg.topo, tg.cfg, net)
+		m, err := oracle.NewModel(tg.topo, tg.spec.System, net)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"astrasim/internal/modelgen"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 )
 
 // ExtParallel sweeps modern parallelization strategies over one model:
@@ -52,14 +51,16 @@ func ExtParallel(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return 0, fmt.Errorf("extparallel %s: %w", plan.Name, err)
 		}
-		cfg := config.DefaultSystem()
-		cfg.Algorithm = config.Enhanced
-		cfg.Backend = o.Backend
-		tp, err := cli.BuildTopology("hier:sw2,fc2,ring2", cli.DefaultTopologyOptions(), &cfg)
+		spec := o.spec(config.Enhanced, net)
+		spec.Topology = "hier:sw2,fc2,ring2"
+		if err := spec.ValidateGraph(g, cli.FlagNames); err != nil {
+			return 0, fmt.Errorf("extparallel %s: %w", plan.Name, err)
+		}
+		tp, err := spec.BuildTopology()
 		if err != nil {
 			return 0, err
 		}
-		inst, err := system.NewInstance(tp, cfg, net)
+		inst, err := o.newInstance(spec, tp)
 		if err != nil {
 			return 0, err
 		}

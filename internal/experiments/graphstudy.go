@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"astrasim/internal/cli"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/graph"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
@@ -35,12 +35,9 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 	microbatches := []int{1, 2, 4, 8, 16}
 	const boundaryTotal = 1 << 20 // activation bytes per boundary per minibatch
 
-	newInst := func() (*system.Instance, error) {
-		tp, cfg, err := torusSystem(1, 4, 1, topology.DefaultTorusConfig(), config.Enhanced, o)
-		if err != nil {
-			return nil, err
-		}
-		return system.NewInstance(tp, cfg, asymmetricNet(o.TrainingPktCap))
+	tp, spec, err := torusSystem(1, 4, 1, topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(o.TrainingPktCap), o)
+	if err != nil {
+		return nil, err
 	}
 
 	type point struct {
@@ -57,10 +54,13 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 			BoundaryBytes: []int64{boundaryTotal / int64(m), boundaryTotal / int64(m), boundaryTotal / int64(m)},
 		}
 		g, err := workload.Pipeline1F1B(def, cfg, o.Passes)
+		if err == nil {
+			err = spec.ValidateGraph(g, cli.FlagNames)
+		}
 		if err != nil {
 			return point{}, fmt.Errorf("extgraph m=%d: %w", m, err)
 		}
-		inst, err := newInst()
+		inst, err := o.newInstance(spec, tp)
 		if err != nil {
 			return point{}, err
 		}
@@ -71,7 +71,7 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 		// The dynamic scheduler's view of the same configuration.
 		dcfg := cfg
 		dcfg.Schedule = workload.OneFOneBSchedule
-		dinst, err := newInst()
+		dinst, err := o.newInstance(spec, tp)
 		if err != nil {
 			return point{}, err
 		}

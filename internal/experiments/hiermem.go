@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
@@ -11,7 +10,6 @@ import (
 	"astrasim/internal/models"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
@@ -31,18 +29,15 @@ func ExtHier(o Options) ([]*report.Table, error) {
 	net := asymmetricNet(o.CollectivePktCap)
 	nSpecs := len(specs)
 	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nSpecs, func(i int) (eventq.Time, error) {
-		size, spec := o.SweepSizes[i/nSpecs], specs[i%nSpecs]
-		cfg := config.DefaultSystem()
-		cfg.Algorithm = config.Enhanced
-		cfg.Backend = o.Backend
-		cfg.IntraParallel = o.IntraParallel
-		tp, err := cli.BuildTopology(spec, cli.DefaultTopologyOptions(), &cfg)
+		size, spec := o.SweepSizes[i/nSpecs], o.spec(config.Enhanced, net)
+		spec.Topology = specs[i%nSpecs]
+		tp, err := spec.BuildTopology()
 		if err != nil {
 			return 0, err
 		}
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, size)
+		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
 		if err != nil {
-			return 0, fmt.Errorf("exthier %s %d: %w", spec, size, err)
+			return 0, fmt.Errorf("exthier %s %d: %w", spec.Topology, size, err)
 		}
 		return h.Duration(), nil
 	})
@@ -90,13 +85,13 @@ func ExtMem(o Options) ([]*report.Table, error) {
 		for li := range def.Layers {
 			def.Layers[li].Placement = place
 		}
-		tp, cfg, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, o)
+		tp, spec, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(o.TrainingPktCap), o)
 		if err != nil {
 			return 0, err
 		}
-		cfg.RemoteMemBandwidth = pool.bw
-		cfg.RemoteMemLatency = pool.latency
-		inst, err := system.NewInstance(tp, cfg, asymmetricNet(o.TrainingPktCap))
+		spec.System.RemoteMemBandwidth = pool.bw
+		spec.System.RemoteMemLatency = pool.latency
+		inst, err := o.newInstance(spec, tp)
 		if err != nil {
 			return 0, err
 		}

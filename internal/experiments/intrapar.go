@@ -7,7 +7,6 @@ import (
 	"astrasim/internal/config"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/system"
 	"astrasim/internal/topology"
 )
 
@@ -46,24 +45,15 @@ func ExtIntraPar(o Options) ([]*report.Table, error) {
 	cells, err := parallel.Map(o.runner(), len(shapes)*nW, func(i int) (cell, error) {
 		s := shapes[i/nW]
 		workers := intraParWorkers[i%nW]
-		tp, cfg, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, o)
+		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, net, o)
 		if err != nil {
 			return cell{}, err
 		}
-		cfg.IntraParallel = workers
-		cfg.PreferredSetSplits = 1
-		inst, err := system.NewInstance(tp, cfg, net)
+		spec.System.IntraParallel = workers
+		spec.System.PreferredSetSplits = 1
+		h, inst, err := o.runCollective(spec, tp, collectives.AllReduce, size)
 		if err != nil {
-			return cell{}, err
-		}
-		done := false
-		h, err := inst.Sys.IssueCollective(collectives.AllReduce, size, "intrapar", func(*system.Handle) { done = true })
-		if err != nil {
-			return cell{}, err
-		}
-		inst.Eng.Run()
-		if !done {
-			return cell{}, fmt.Errorf("extintrapar %v w=%d: did not complete", s, workers)
+			return cell{}, fmt.Errorf("extintrapar %v w=%d: %w", s, workers, err)
 		}
 		c := cell{cycles: int64(h.Duration()), events: inst.Eng.Fired()}
 		if inst.Par != nil {

@@ -17,12 +17,12 @@ import (
 // runTraining simulates a workload on an MxNxK torus with the enhanced
 // collective algorithm and Table IV network parameters.
 func runTraining(def workload.Definition, shape [3]int, policy config.SchedulingPolicy, passes, pktCap int, o Options) (workload.Result, error) {
-	tp, cfg, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, o)
+	tp, spec, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(pktCap), o)
 	if err != nil {
 		return workload.Result{}, err
 	}
-	cfg.SchedulingPolicy = policy
-	inst, err := system.NewInstance(tp, cfg, asymmetricNet(pktCap))
+	spec.System.SchedulingPolicy = policy
+	inst, err := o.newInstance(spec, tp)
 	if err != nil {
 		return workload.Result{}, err
 	}

@@ -23,8 +23,9 @@
 // Link and node selectors outside the instance's topology are ignored, so
 // one plan can drive a sweep spanning many topology sizes (class-based
 // selectors are the portable spelling). Apply wires one instance;
-// AttachAll interposes on system.InstanceHook — the same seam the audit
-// layer uses — to fault every instance a sweep creates.
+// cli.RunSpec's NewInstance applies a run's plan to every instance it
+// builds, which is how the command-line tools, the daemon and cmd/sweep
+// -faults fault a whole run or sweep.
 //
 // Invariant: fault runs conserve goodput bytes exactly. Retransmitted
 // traffic accrues to a dedicated ledger (system.System.RetransmittedBytes)
@@ -310,28 +311,4 @@ func Apply(p *Plan, inst *system.Instance) error {
 		})
 	}
 	return nil
-}
-
-// AttachAll validates the plan once, then applies it to every instance
-// subsequently created through system.NewInstance — the fleet-wide seam
-// for faulting a whole sweep (cmd/sweep -faults). It returns a restore
-// function reinstating the previous hook; like audit.AttachAll, callers
-// must not set or restore the hook concurrently with running simulations
-// (instances *created* after the hook is set may run on parallel workers).
-func AttachAll(p *Plan) (restore func(), err error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	prev := system.InstanceHook
-	system.InstanceHook = func(inst *system.Instance) {
-		if prev != nil {
-			prev(inst)
-		}
-		if err := Apply(p, inst); err != nil {
-			// Apply re-validates the already-validated plan; per-instance
-			// application cannot otherwise fail (selectors are lenient).
-			panic(fmt.Sprintf("faults: applying validated plan: %v", err))
-		}
-	}
-	return func() { system.InstanceHook = prev }, nil
 }

@@ -240,35 +240,3 @@ func TestDropDeterminismPerSeed(t *testing.T) {
 			h3.Duration(), i3.Net.DropStats())
 	}
 }
-
-func TestAttachAll(t *testing.T) {
-	plan := &Plan{Stragglers: []Straggler{{Node: 0, Factor: 8}}}
-	base := func() eventq.Time {
-		tp, err := topology.NewTorus(2, 2, 2, topology.DefaultTorusConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := config.DefaultSystem()
-		net := config.DefaultNetwork()
-		net.MaxPacketsPerMessage = 16
-		h, err := system.RunCollective(tp, cfg, net, collectives.AllReduce, 256<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h.Duration()
-	}
-	clean := base()
-	restore, err := AttachAll(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted := base()
-	restore()
-	restored := base()
-	if faulted <= clean {
-		t.Errorf("AttachAll straggler run (%d cycles) not slower than clean (%d cycles)", faulted, clean)
-	}
-	if restored != clean {
-		t.Errorf("after restore, run = %d cycles, want clean %d", restored, clean)
-	}
-}

@@ -26,13 +26,6 @@ type Instance struct {
 	Par *pdes.Runner
 }
 
-// InstanceHook, when non-nil, observes every Instance NewInstance returns —
-// the seam the audit layer uses to attach itself to every simulation a
-// sweep or test corpus creates, without threading a flag through each call
-// site. Set it before simulations start; it must tolerate concurrent calls
-// when instances are built from parallel sweep workers.
-var InstanceHook func(*Instance)
-
 // NewInstance wires an engine, network and system layer over topo,
 // selecting the network backend from sysCfg.Backend. With
 // sysCfg.IntraParallel > 0 on the packet backend, the network is
@@ -76,11 +69,7 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Eng: eng, Topo: topo, Net: net, Sys: sys, Par: par}
-	if InstanceHook != nil {
-		InstanceHook(inst)
-	}
-	return inst, nil
+	return &Instance{Eng: eng, Topo: topo, Net: net, Sys: sys, Par: par}, nil
 }
 
 // partitionInstance wires the pdes runner over a packet network: builds
@@ -108,6 +97,12 @@ func RunCollective(topo topology.Topology, sysCfg config.System, netCfg config.N
 	if err != nil {
 		return nil, err
 	}
+	return inst.RunCollective(op, bytes)
+}
+
+// RunCollective issues one collective of op/bytes on the instance, runs
+// the engine until it drains and returns the collective's handle.
+func (inst *Instance) RunCollective(op collectives.Op, bytes int64) (*Handle, error) {
 	done := false
 	h, err := inst.Sys.IssueCollective(op, bytes, op.String(), func(*Handle) { done = true })
 	if err != nil {
