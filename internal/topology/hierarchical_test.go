@@ -7,38 +7,122 @@ import (
 	"testing"
 )
 
-// topoDigest is an FNV-64a hash of a topology's link graph (every link's
-// ID, endpoints and class, in order) and dimension metadata, plus every
-// NPU's group and ring traversal (nodes and links, per channel) on each
-// ring dimension.
+// topoDigest is an FNV-64a hash of a topology's name and node counts,
+// its link graph (every link's ID, endpoints and class, in order) and
+// dimension metadata, plus every NPU's group on each dimension, its ring
+// traversal (nodes and links) and ring-hop path per channel on ring
+// dimensions, and its path to every group peer on channels 0 through
+// Channels on direct dimensions.
 func topoDigest(tp Topology) uint64 {
 	h := fnv.New64a()
+	fmt.Fprintf(h, "N%s/%d/%d;", tp.Name(), tp.NumNPUs(), tp.NumNodes())
 	for _, l := range tp.Links() {
 		fmt.Fprintf(h, "L%d:%d>%d/%d;", l.ID, l.Src, l.Dst, l.Class)
 	}
 	for _, d := range tp.Dims() {
 		fmt.Fprintf(h, "D%d:%d/%d/%t/%t;", d.Dim, d.Size, d.Channels, d.Direct, d.Halving)
 		for n := Node(0); int(n) < tp.NumNPUs(); n++ {
-			fmt.Fprintf(h, "G%v;", tp.Group(d.Dim, n))
-			if d.Direct || d.Size <= 1 {
+			g := tp.Group(d.Dim, n)
+			fmt.Fprintf(h, "G%v;", g)
+			if d.Direct {
+				for _, peer := range g {
+					if peer == n {
+						continue
+					}
+					for c := 0; c <= d.Channels; c++ {
+						fmt.Fprintf(h, "P%d>%d/%d%v;", n, peer, c, tp.PathLinks(d.Dim, c, n, peer))
+					}
+				}
+				continue
+			}
+			if d.Size <= 1 {
 				continue
 			}
 			for c := 0; c < d.Channels; c++ {
 				r := tp.RingOf(d.Dim, n, c)
 				fmt.Fprintf(h, "R%v%v;", r.Nodes, r.Links)
+				fmt.Fprintf(h, "H%v;", tp.PathLinks(d.Dim, c, n, r.Next(n)))
 			}
 		}
 	}
 	return h.Sum64()
 }
 
+// TestTopologyFamilyDigests pins the structure of every topology family:
+// names, node counts, link tables, dimension metadata, groups, rings and
+// the paths of every ring hop and direct-dimension pair. Fault plans name
+// links by ID and schedules are compiled over groups and rings, so any
+// rebuild of these families must reproduce each digest exactly.
+func TestTopologyFamilyDigests(t *testing.T) {
+	torus := func(m, n, k int, cfg TorusConfig) func() (Topology, error) {
+		return func() (Topology, error) { return NewTorus(m, n, k, cfg) }
+	}
+	a2a := func(m, n int, cfg A2AConfig) func() (Topology, error) {
+		return func() (Topology, error) { return NewA2A(m, n, cfg) }
+	}
+	switched := func(m, n int, cfg SwitchedConfig) func() (Topology, error) {
+		return func() (Topology, error) { return NewSwitched(m, n, cfg) }
+	}
+	hier := func(specs ...DimSpec) func() (Topology, error) {
+		return func() (Topology, error) { return NewHierarchical(specs) }
+	}
+	scaleOut := func(pod func() (Topology, error), pods, spines int) func() (Topology, error) {
+		return func() (Topology, error) {
+			p, err := pod()
+			if err != nil {
+				return nil, err
+			}
+			return NewScaleOut(p, pods, spines)
+		}
+	}
+	cases := []struct {
+		name   string
+		build  func() (Topology, error)
+		digest uint64
+	}{
+		{"torus 4x4x4", torus(4, 4, 4, DefaultTorusConfig()), 0xf467ccda9db498a0},
+		{"torus 2x8x4", torus(2, 8, 4, DefaultTorusConfig()), 0x008c30b582c2ea86},
+		{"torus 1x8x1", torus(1, 8, 1, DefaultTorusConfig()), 0xabc28daefaa0f0dc},
+		{"torus 2x4x3 rings 3,1,2", torus(2, 4, 3, TorusConfig{LocalRings: 3, HorizontalRings: 1, VerticalRings: 2}), 0xe858c7fbe6fbe1f7},
+		{"a2a 1x8 7 switches", a2a(1, 8, A2AConfig{LocalRings: 2, GlobalSwitches: 7}), 0xeef448562f84abee},
+		{"a2a 4x8", a2a(4, 8, DefaultA2AConfig()), 0x817243f69c0400e7},
+		{"a2a 3x5", a2a(3, 5, DefaultA2AConfig()), 0x5d024811eb096b9a},
+		{"switched 4x4", switched(4, 4, DefaultSwitchedConfig()), 0xf47a92757b165804},
+		{"switched 8x3 switches 2,3", switched(8, 3, SwitchedConfig{LocalSwitches: 2, GlobalSwitches: 3}), 0xfa230dd2cef09ff7},
+		{"hier sw8,fc4,ring4", hier(
+			DimSpec{Kind: KindSwitch, Size: 8, Lanes: 2, Class: IntraPackage},
+			DimSpec{Kind: KindFullyConnected, Size: 4, Lanes: 1, Class: InterPackage},
+			DimSpec{Kind: KindRing, Size: 4, Lanes: 2, Class: InterPackage}), 0x8c76a4a995a4bbc2},
+		{"hier ring2,sw4,sw1,fc3@so", hier(
+			DimSpec{Kind: KindRing, Size: 2, Lanes: 1, Class: IntraPackage},
+			DimSpec{Kind: KindSwitch, Size: 4, Lanes: 2, Class: InterPackage},
+			DimSpec{Kind: KindSwitch, Size: 1, Lanes: 2, Class: InterPackage},
+			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: ScaleOutLink}), 0x6e5423c081301825},
+		{"so 3 pods of 2x2x2 torus", scaleOut(torus(2, 2, 2, DefaultTorusConfig()), 3, 2), 0x1360271408ddb786},
+		{"so 3 pods of ring2,fc3", scaleOut(hier(
+			DimSpec{Kind: KindRing, Size: 2, Lanes: 1, Class: IntraPackage},
+			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: InterPackage}), 3, 1), 0x933dd57b9071f234},
+	}
+	for _, tc := range cases {
+		tp, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := topoDigest(tp); got != tc.digest {
+			t.Errorf("%s: digest %#016x, want %#016x", tc.name, got, tc.digest)
+		}
+	}
+}
+
 // An all-ring Hierarchical composition with the default link classes is
 // the N-dimensional hierarchical torus, and must stay structurally
 // identical to the standalone N-D torus type it replaced: same links in
 // the same order, same dimension metadata, same groups and ring
-// traversals. The digests below were recorded from that type for the four
-// ring-count cases and the ext4d study's five shapes (2 rings on every
-// axis). This is the foundation of the byte-identical simulation results
+// traversals. Digests of those parts were first recorded from that type
+// for the four ring-count cases and the ext4d study's five shapes (2 rings
+// on every axis); the values below are re-recorded from the same
+// structure after topoDigest grew to cover names and paths. This is the
+// foundation of the byte-identical simulation results
 // across the replacement: once the link graphs and ring traversals
 // coincide, every schedule compiled over them coincides too.
 func TestHierarchicalAllRingEqualsTorusND(t *testing.T) {
@@ -47,15 +131,15 @@ func TestHierarchicalAllRingEqualsTorusND(t *testing.T) {
 		rings  []int
 		digest uint64
 	}{
-		{[]int{2, 4, 2}, []int{2, 2, 2}, 0x4becf47748109a32},
-		{[]int{2, 2, 2, 2}, []int{2, 2, 2, 2}, 0x5c48651c114af79a},
-		{[]int{4, 3}, []int{3, 1}, 0xb24286ce0cee8624},
-		{[]int{1, 8}, []int{2, 2}, 0x0e1f12ee9762bec9},
-		{[]int{1, 64}, nil, 0x0ab97219e7ad6df5},
-		{[]int{1, 8, 8}, nil, 0xc4e78144ea1d3681},
-		{[]int{1, 4, 4, 4}, nil, 0xb43e4c0d6922a493},
-		{[]int{1, 4, 4, 2, 2}, nil, 0xb01804e5aac990fe},
-		{[]int{1, 2, 2, 2, 2, 4}, nil, 0xbcefb4f1b8f8fc00},
+		{[]int{2, 4, 2}, []int{2, 2, 2}, 0x8d2c3f70af623b50},
+		{[]int{2, 2, 2, 2}, []int{2, 2, 2, 2}, 0xd82dd1e154960268},
+		{[]int{4, 3}, []int{3, 1}, 0x2749553d74b292db},
+		{[]int{1, 8}, []int{2, 2}, 0xd8f29e56e618bd60},
+		{[]int{1, 64}, nil, 0x802cac7412f1406a},
+		{[]int{1, 8, 8}, nil, 0xc0c6ab4ed2b418f0},
+		{[]int{1, 4, 4, 4}, nil, 0x56a3fe96b5cba74c},
+		{[]int{1, 4, 4, 2, 2}, nil, 0x7322601974cb5cdb},
+		{[]int{1, 2, 2, 2, 2, 4}, nil, 0xf89f02766a7dc9e9},
 	}
 	for _, tc := range cases {
 		specs := make([]DimSpec, len(tc.sizes))
