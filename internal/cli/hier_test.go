@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -155,4 +157,73 @@ func TestBuildTopologyHier(t *testing.T) {
 		!strings.Contains(err.Error(), `"spine4"`) {
 		t.Fatalf("bad dimension not named: %v", err)
 	}
+}
+
+// structDigest hashes a topology's link table, dimension metadata, groups
+// and ring traversals.
+func structDigest(tp topology.Topology) uint64 {
+	h := fnv.New64a()
+	for _, l := range tp.Links() {
+		fmt.Fprintf(h, "L%d:%d>%d/%d;", l.ID, l.Src, l.Dst, l.Class)
+	}
+	for _, d := range tp.Dims() {
+		fmt.Fprintf(h, "D%d:%d/%d/%t/%t;", d.Dim, d.Size, d.Channels, d.Direct, d.Halving)
+		for n := topology.Node(0); int(n) < tp.NumNPUs(); n++ {
+			fmt.Fprintf(h, "G%v;", tp.Group(d.Dim, n))
+			for c := 0; !d.Direct && c < d.Channels; c++ {
+				r := tp.RingOf(d.Dim, n, c)
+				fmt.Fprintf(h, "R%v%v;", r.Nodes, r.Links)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// A topology named "... torus" is the one its spec builds: feeding the
+// name back to BuildTopology without the suffix gives the same structure.
+// All-ring compositions with two inter-package axes print as compositions,
+// since "MxNxK" is the 3D torus, whose numbering differs.
+func TestTorusNamesRoundTrip(t *testing.T) {
+	opts := DefaultTopologyOptions()
+	specs := []string{
+		"4x4x4", "2x4x2", "1x8x1", "1x64", "4x16", "2x2x2x2", "1x4x4x2x2",
+		"hier:ring2,ring4,ring2", "hier:ring1,ring8,ring8", "hier:ring2,ring4",
+		"hier:ring6", "hier:ring2,ring2,ring2,ring2", "hier:ring2@pkg,ring4",
+		"a2a:4x4", "sw:4x4", "so:2x2x2/3",
+	}
+	names := 0
+	for _, spec := range specs {
+		tp, err := BuildTopology(spec, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape, ok := strings.CutSuffix(tp.Name(), " torus")
+		if !ok {
+			continue
+		}
+		names++
+		back, err := BuildTopology(shape, opts, nil)
+		if err != nil {
+			t.Errorf("%s is named %q, but %q does not build: %v", spec, tp.Name(), shape, err)
+			continue
+		}
+		if structDigest(back) != structDigest(tp) {
+			t.Errorf("%s is named %q, but %q builds a different topology", spec, tp.Name(), shape)
+		}
+	}
+	if names < 7 {
+		t.Errorf("only %d specs print as a torus", names)
+	}
+	if got, want := mustBuild(t, "hier:ring2,ring4,ring2").Name(), "ring2+ring4+ring2 hier"; got != want {
+		t.Errorf("3-dimension all-ring composition is named %q, want %q", got, want)
+	}
+}
+
+func mustBuild(t *testing.T, spec string) topology.Topology {
+	t.Helper()
+	tp, err := BuildTopology(spec, DefaultTopologyOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
 }

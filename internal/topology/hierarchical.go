@@ -286,13 +286,15 @@ func (h *Hierarchical) buildFCGroup(dim int, spec DimSpec, base []Node) {
 }
 
 // Name implements Topology. An all-ring composition with the default
-// link classes is the N-dimensional torus and prints as one ("2x2x2x2
-// torus"); any other composition lists its dimensions ("sw8+fc4+ring4
-// hier").
+// link classes and one or at least three inter-package axes is the
+// N-dimensional torus its "MxA1x...xAd" spec builds, and prints as one
+// ("2x2x2x2 torus"). Any other composition lists its dimensions
+// ("sw8+fc4+ring4 hier"), including the all-ring one with two axes:
+// "MxNxK torus" names the 3D torus, whose numbering differs.
 func (h *Hierarchical) Name() string {
 	dims := make([]string, len(h.specs))
 	sizes := make([]string, len(h.specs))
-	torus := true
+	torus := len(h.specs) == 2 || len(h.specs) > 3
 	for i, s := range h.specs {
 		dims[i], sizes[i] = s.String(), fmt.Sprint(s.Size)
 		torus = torus && s.Kind == KindRing && s.Class == DefaultDimClass(i)

@@ -30,7 +30,12 @@ func mustND(t *testing.T, sizes []int) topology.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := strings.Join(parts, "x") + " torus"; nd.Name() != want {
+	want := strings.Join(parts, "x") + " torus"
+	if len(sizes) == 3 {
+		// "MxNxK torus" names the 3D torus, not this composition.
+		want = "ring" + strings.Join(parts, "+ring") + " hier"
+	}
+	if nd.Name() != want {
 		t.Fatalf("%s built %q, want %q", spec, nd.Name(), want)
 	}
 	return nd
