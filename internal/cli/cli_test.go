@@ -62,8 +62,8 @@ func TestBuildTopologyA2A(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2a, ok := topo.(*topology.A2A); !ok || topo.NumNPUs() != 8 || a2a.Switches() != 7 {
-		t.Errorf("topo = %s (%T), want 8 NPUs and 7 switches", topo.Name(), topo)
+	if topo.Name() != "1x8 alltoall" || topo.NumNPUs() != 8 || topo.NumNodes() != 8+7 {
+		t.Errorf("topo = %s (%d nodes), want 8 NPUs and 7 switches", topo.Name(), topo.NumNodes())
 	}
 }
 

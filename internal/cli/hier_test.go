@@ -146,12 +146,11 @@ func TestBuildTopologyHier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := topo.(*topology.Hierarchical)
-	if !ok {
-		t.Fatalf("BuildTopology returned %T, want *topology.Hierarchical", topo)
+	if topo.Name() != "sw4+fc2+ring3 hier" {
+		t.Fatalf("BuildTopology built %q, want the sw4+fc2+ring3 composition", topo.Name())
 	}
-	if h.NumNPUs() != 24 {
-		t.Fatalf("NumNPUs = %d, want 24", h.NumNPUs())
+	if topo.NumNPUs() != 24 {
+		t.Fatalf("NumNPUs = %d, want 24", topo.NumNPUs())
 	}
 	if _, err := BuildTopology("hier:ring2,spine4", DefaultTopologyOptions(), &cfg); err == nil ||
 		!strings.Contains(err.Error(), `"spine4"`) {

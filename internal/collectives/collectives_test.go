@@ -9,7 +9,7 @@ import (
 	"astrasim/internal/topology"
 )
 
-func mustTorus(t *testing.T, m, n, k int) *topology.Torus {
+func mustTorus(t *testing.T, m, n, k int) *topology.Fabric {
 	t.Helper()
 	tp, err := topology.NewTorus(m, n, k, topology.DefaultTorusConfig())
 	if err != nil {
@@ -18,7 +18,7 @@ func mustTorus(t *testing.T, m, n, k int) *topology.Torus {
 	return tp
 }
 
-func mustA2A(t *testing.T, m, n, switches int) *topology.A2A {
+func mustA2A(t *testing.T, m, n, switches int) *topology.Fabric {
 	t.Helper()
 	tp, err := topology.NewA2A(m, n, topology.A2AConfig{LocalRings: 2, GlobalSwitches: switches})
 	if err != nil {

@@ -174,14 +174,14 @@ func (o Options) runCollective(spec cli.RunSpec, topo topology.Topology, op coll
 }
 
 // torusSystem builds a torus topology plus the point spec for alg on net.
-func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Torus, cli.RunSpec, error) {
+func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Fabric, cli.RunSpec, error) {
 	tp, err := topology.NewTorus(m, n, k, tc)
 	return tp, o.spec(alg, net), err
 }
 
 // a2aSystem builds an alltoall topology plus the point spec for alg on
 // net.
-func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, net config.Network, o Options) (*topology.A2A, cli.RunSpec, error) {
+func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Fabric, cli.RunSpec, error) {
 	tp, err := topology.NewA2A(m, n, ac)
 	return tp, o.spec(alg, net), err
 }

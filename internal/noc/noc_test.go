@@ -9,7 +9,7 @@ import (
 )
 
 // ring4 builds a 4-node local ring (single channel) with default params.
-func ring4(t testing.TB, p config.Network) (*eventq.Engine, *topology.Torus, *Network) {
+func ring4(t testing.TB, p config.Network) (*eventq.Engine, *topology.Fabric, *Network) {
 	t.Helper()
 	topo, err := topology.NewTorus(4, 1, 1, topology.TorusConfig{LocalRings: 1, HorizontalRings: 1, VerticalRings: 1})
 	if err != nil {

@@ -184,7 +184,7 @@ func FuzzSerKernel(f *testing.F) {
 // 4-byte local and 2-byte package packets, both links at 25 bytes/cycle,
 // 64 packets per message at most. A 200-byte message then runs as 50
 // local packets, or as 64 package packets of 4 bytes (14 of them empty).
-func cappedTorus(t *testing.T) (*topology.Torus, config.Network) {
+func cappedTorus(t *testing.T) (*topology.Fabric, config.Network) {
 	t.Helper()
 	topo, err := topology.NewTorus(2, 2, 1, topology.TorusConfig{LocalRings: 1, HorizontalRings: 1, VerticalRings: 1})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"astrasim/internal/topology"
 )
 
-func torus(t *testing.T, m, n, k int, cfg topology.TorusConfig) *topology.Torus {
+func torus(t *testing.T, m, n, k int, cfg topology.TorusConfig) *topology.Fabric {
 	t.Helper()
 	tp, err := topology.NewTorus(m, n, k, cfg)
 	if err != nil {

@@ -321,7 +321,7 @@ func refGroup(specs []DimSpec, dim int, n Node) []Node {
 }
 
 // TestHierarchicalGroupsAndSwitchIndices: groups and switch-dimension
-// positions are computed arithmetically from node strides. For every
+// positions are recorded as the builder adds groups. For every
 // node and dimension the group must equal a coordinate-decoding scan, and
 // for every ordered pair on a switch dimension (members and strangers
 // alike) the positions, the membership verdict and the lanes PathLinks
@@ -366,7 +366,7 @@ func TestHierarchicalGroupsAndSwitchIndices(t *testing.T) {
 						}
 					}
 					member := si >= 0 && di >= 0 && si != di
-					gotSi, gotDi, ok := switchIndicesOK(h, d, dim, src, dst)
+					gotSi, gotDi, ok := peersOK(h, dim, src, dst)
 					if ok != member {
 						t.Fatalf("%s dim %d %d->%d: accepted=%v, group scan says member=%v", name, dim, src, dst, ok, member)
 					}
@@ -378,7 +378,8 @@ func TestHierarchicalGroupsAndSwitchIndices(t *testing.T) {
 					}
 					for c := 0; c < spec.Lanes+1; c++ {
 						lane := (matchRound(si, di, len(g)) + c) % spec.Lanes
-						want := []LinkID{h.swUp[dim][src][lane], h.swDown[dim][dst][lane]}
+						fd := &h.dims[dim]
+						want := []LinkID{fd.up[int(src)*spec.Lanes+lane], fd.down[int(dst)*spec.Lanes+lane]}
 						if got := h.PathLinks(d, c, src, dst); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s dim %d %d->%d ch %d: path %v, want %v", name, dim, src, dst, c, got, want)
 						}
@@ -389,15 +390,15 @@ func TestHierarchicalGroupsAndSwitchIndices(t *testing.T) {
 	}
 }
 
-// switchIndicesOK calls switchIndices and reports whether it accepted the
-// pair instead of panicking.
-func switchIndicesOK(h *Hierarchical, d Dim, dim int, src, dst Node) (si, di int, ok bool) {
+// peersOK calls peers and reports whether it accepted the pair instead of
+// panicking.
+func peersOK(h *Fabric, dim int, src, dst Node) (si, di int, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	si, di = h.switchIndices(d, dim, src, dst)
+	si, di = h.peers(dim, src, dst)
 	return si, di, true
 }
 

@@ -2,7 +2,7 @@ package topology
 
 import "testing"
 
-func mustScaleOut(t *testing.T, m, n, k, pods, spines int) *ScaleOut {
+func mustScaleOut(t *testing.T, m, n, k, pods, spines int) *Fabric {
 	t.Helper()
 	pod := mustTorus(t, m, n, k)
 	s, err := NewScaleOut(pod, pods, spines)

@@ -2,7 +2,7 @@ package topology
 
 import "testing"
 
-func mustSwitched(t *testing.T, m, n int, cfg SwitchedConfig) *Switched {
+func mustSwitched(t *testing.T, m, n int, cfg SwitchedConfig) *Fabric {
 	t.Helper()
 	s, err := NewSwitched(m, n, cfg)
 	if err != nil {

@@ -1,13 +1,21 @@
-// Package topology models the logical scale-up topologies of the paper:
-// the hierarchical 3D torus (Fig. 3a) and the hierarchical alltoall
-// (Fig. 3b), together with the physical links each one owns.
+// Package topology models the logical scale-up and scale-out topologies
+// of the paper and its future-work list, together with the physical links
+// each one owns. Every family is one Fabric: ordered dimensions whose
+// groups are joined by unidirectional rings, dedicated pair links or
+// switches. The constructors build:
 //
-// A hierarchical torus of size MxNxK has a "local" dimension of M NPUs per
-// package connected by fast intra-package rings, and "horizontal" (N) and
-// "vertical" (K) dimensions of inter-package rings connecting NPUs with the
-// same local index across packages. The hierarchical alltoall of size MxN
-// keeps the local rings and connects every NPU to a set of global switches
-// that provide alltoall connectivity between packages.
+//   - NewTorus: the hierarchical MxNxK torus (Fig. 3a), with a "local"
+//     dimension of M NPUs per package on fast intra-package rings and
+//     "horizontal" (N) and "vertical" (K) dimensions of inter-package
+//     rings joining NPUs with the same local index across packages;
+//   - NewA2A: the hierarchical MxN alltoall (Fig. 3b), which keeps the
+//     local rings and connects every NPU to a set of global switches;
+//   - NewSwitched: NVSwitch-style local and global switch tiers;
+//   - NewHierarchical: any ordered composition of ring, fully-connected
+//     and switch dimensions, the N-dimensional torus among them;
+//   - NewScaleOut: pods of a switch-free fabric joined by a spine.
+//
+// Mapped runs one topology's logical structure over another's links.
 //
 // Every *bidirectional* inter-package ring is split into two unidirectional
 // rings (paper §III-C), and every unidirectional ring owns its own physical
@@ -43,8 +51,8 @@ func npuCount(sizes ...int) (int, error) {
 	return n, nil
 }
 
-// Node identifies a network endpoint. NPUs occupy ids [0, NumNPUs); global
-// switches (alltoall topology only) occupy ids [NumNPUs, NumNodes).
+// Node identifies a network endpoint. NPUs occupy ids [0, NumNPUs);
+// switches occupy ids [NumNPUs, NumNodes).
 type Node int
 
 // Dim names a dimension of the hierarchical topology. Dimensions are also
@@ -65,7 +73,7 @@ const (
 	DimPackage
 )
 
-// DimScaleOut is the scale-out dimension of the ScaleOut extension: pods
+// DimScaleOut is the scale-out dimension of NewScaleOut's fabric: pods
 // of scale-up fabric connected through an ethernet-like spine (the
 // paper's concluding future-work item). It uses a value far above the
 // inter-package axis range so N-dimensional tori can never collide with
@@ -252,7 +260,7 @@ type DimInfo struct {
 	Direct bool
 	// Halving is true when the dimension prefers recursive
 	// halving-doubling schedules for reduce-scatter/all-gather/all-reduce
-	// (power-of-two switch dimensions of the Hierarchical builder).
+	// (power-of-two switch dimensions of NewHierarchical compositions).
 	// Halving implies Direct: any pair of group members is reachable in
 	// one step, which is what the XOR-partner exchange requires.
 	Halving bool

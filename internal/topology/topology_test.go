@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func mustTorus(t *testing.T, m, n, k int) *Torus {
+func mustTorus(t *testing.T, m, n, k int) *Fabric {
 	t.Helper()
 	tp, err := NewTorus(m, n, k, DefaultTorusConfig())
 	if err != nil {
