@@ -236,16 +236,24 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	var endAt eventq.Time
 	bwdDone := 0
 	var runPass func(pass int)
+	// send carries a boundary tensor between stages. The first send the
+	// system layer refuses stops the engine, and RunPipeline returns it.
+	var sendErr error
+	send := func(src, dst int, bytes int64, recv func()) {
+		if sendErr != nil {
+			return
+		}
+		if err := inst.Sys.SendPointToPoint(cfg.StageNodes[src], cfg.StageNodes[dst], bytes, recv); err != nil {
+			sendErr = fmt.Errorf("workload: pipeline boundary send stage %d -> %d: %w", src, dst, err)
+			inst.Eng.Stop()
+		}
+	}
 
 	var fwdStart, bwdStart func(pass, s, m int)
 	fwdStart = func(pass, s, m int) {
 		stages[s].enqueue(pipeJob{micro: m, cycles: fwd[s], done: func() {
 			if s+1 < numStages {
-				err := inst.Sys.SendPointToPoint(cfg.StageNodes[s], cfg.StageNodes[s+1],
-					cfg.BoundaryBytes[s], func() { fwdStart(pass, s+1, m) })
-				if err != nil {
-					panic(err)
-				}
+				send(s, s+1, cfg.BoundaryBytes[s], func() { fwdStart(pass, s+1, m) })
 				return
 			}
 			// Last stage: loss gradient available immediately.
@@ -255,11 +263,7 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	bwdStart = func(pass, s, m int) {
 		stages[s].enqueue(pipeJob{micro: m, backward: true, cycles: bwd[s], done: func() {
 			if s > 0 {
-				err := inst.Sys.SendPointToPoint(cfg.StageNodes[s], cfg.StageNodes[s-1],
-					cfg.BoundaryBytes[s-1], func() { bwdStart(pass, s-1, m) })
-				if err != nil {
-					panic(err)
-				}
+				send(s, s-1, cfg.BoundaryBytes[s-1], func() { bwdStart(pass, s-1, m) })
 				return
 			}
 			bwdDone++
@@ -281,6 +285,9 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	}
 	runPass(0)
 	inst.Eng.Run()
+	if sendErr != nil {
+		return PipelineResult{}, sendErr
+	}
 	if !finished {
 		return PipelineResult{}, fmt.Errorf("workload: pipeline did not complete")
 	}

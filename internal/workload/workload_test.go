@@ -637,3 +637,32 @@ func TestScopedTrainingRuns(t *testing.T) {
 		t.Errorf("scoped collectives not accounted: %+v", res.Layers[0])
 	}
 }
+
+// A stage-boundary send the system layer refuses ends the run with an
+// error instead of a panic inside the event handler: the partitioned
+// packet engine has no point-to-point sends.
+func TestPipelineReturnsSendError(t *testing.T) {
+	tp, err := topology.NewTorus(1, 8, 1, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.DefaultSystem()
+	cfg.IntraParallel = 2
+	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := Definition{Name: "pipe", Parallelism: ModelParallel}
+	for i := 0; i < 2; i++ {
+		def.Layers = append(def.Layers, Layer{Name: "l", FwdCompute: 8000, IGCompute: 8000, WGCompute: 8000})
+	}
+	_, err = RunPipeline(inst, def, PipelineConfig{
+		Boundaries:    []int{1},
+		StageNodes:    []topology.Node{0, 1},
+		Microbatches:  4,
+		BoundaryBytes: []int64{64 << 10},
+	}, 1)
+	if err == nil || !strings.Contains(err.Error(), "intra-run parallelism") {
+		t.Fatalf("RunPipeline = %v, want the refused point-to-point send", err)
+	}
+}
