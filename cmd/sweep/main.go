@@ -17,8 +17,10 @@
 // The four engine flags below bind one cli.RunSpec. Every point of every
 // figure copies that spec, sets its own topology, algorithm and network,
 // and builds through it, so each point passes the same Validate table as
-// the other tools and a rejected point ends the sweep with exit 1 and
-// the table's reason.
+// the other tools. Before the first point runs, every selected figure
+// checks the spec as its points will run it; a figure that cannot run it
+// ends the sweep with exit 1, the figure's ID and the table's reason,
+// and no CSV written.
 //
 // -backend selects the network transport for every simulation: packet
 // (congestion-aware, the default — what the committed golden CSVs were
@@ -37,7 +39,7 @@
 // flag. Fault decisions derive from the plan's seed, so results stay
 // byte-identical for every -parallel value. The degradation study applies
 // its own plans after this one. extintrapar partitions its own points, so
-// a sweep that reaches it rejects -faults with the table's "-faults and
+// a sweep that selects it rejects -faults with the table's "-faults and
 // -intra-parallel are mutually exclusive".
 //
 // Full mode sweeps the paper's message-size ranges and runs two training
@@ -48,9 +50,8 @@
 // point across N shard-pool workers (intra-run parallelism, DESIGN.md
 // §13) — use it when a few huge points dominate a sweep. CSVs stay
 // byte-identical at any value. Incompatible with -faults. Point-to-point
-// sends need the serial engine, so the studies that replay graphs with
-// SEND/RECV nodes (extgraph, and extparallel's pipelined layouts) reject
-// it, naming the first such node.
+// sends need the serial engine, so a sweep that selects a study replaying
+// SEND/RECV pipelines (extgraph, extparallel) rejects it.
 //
 // Each figure's independent simulation points fan out across -parallel
 // worker goroutines (default: all CPUs). Every point still runs on its own
@@ -131,20 +132,32 @@ func main() {
 	if o.spec.Audit {
 		opts.Audits = &audit.Collector{}
 	}
+
+	all := experiments.Figures()
+	if o.ext || o.fig != "all" {
+		all = append(all, experiments.Extensions()...)
+	}
+	var figures []experiments.Figure
+	for _, f := range all {
+		if o.fig == "all" || strings.HasPrefix(f.ID, o.fig) {
+			figures = append(figures, f)
+		}
+	}
+	if len(figures) == 0 {
+		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", o.fig))
+	}
+	// Refuse the whole sweep before the first point runs if any selected
+	// figure cannot run the spec.
+	for _, f := range figures {
+		if err := f.Check(o.spec); err != nil {
+			fatal(fmt.Errorf("%s: %w", f.ID, err))
+		}
+	}
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		fatal(err)
 	}
 
-	figures := experiments.Figures()
-	if o.ext || o.fig != "all" {
-		figures = append(figures, experiments.Extensions()...)
-	}
-	var ran int
 	for _, f := range figures {
-		if o.fig != "all" && !strings.HasPrefix(f.ID, o.fig) && f.ID != o.fig {
-			continue
-		}
-		ran++
 		start := time.Now()
 		fmt.Printf("=== %s: %s\n", f.ID, f.Title)
 		tables, err := f.Run(opts)
@@ -170,9 +183,6 @@ func main() {
 			fmt.Printf("wrote %s\n", path)
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", f.ID, time.Since(start).Seconds())
-	}
-	if ran == 0 {
-		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", o.fig))
 	}
 	if c := opts.Audits; c != nil {
 		fmt.Println(c.Summary())

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"astrasim/internal/cli"
@@ -22,9 +26,10 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestExclusionMatrix drives every matrix cell the flags can express
-// through parseArgs. The SEND/RECV cells depend on a figure's graph, not
-// on the flags: extgraph and extparallel reject them when their points
-// are validated (TestSpecRejections in internal/experiments).
+// through parseArgs. The SEND/RECV cells depend on the figures selected,
+// not on the flags: extgraph and extparallel reject them before the sweep
+// starts (TestIncompatibleStudyRejectedUpFront, and TestFigureChecks in
+// internal/experiments).
 func TestExclusionMatrix(t *testing.T) {
 	plan := filepath.Join(t.TempDir(), "plan.json")
 	if err := os.WriteFile(plan, []byte(clitest.PlanJSON), 0o644); err != nil {
@@ -36,5 +41,50 @@ func TestExclusionMatrix(t *testing.T) {
 		}
 		_, err := parseArgs(c.Args(plan))
 		clitest.Check(t, c, err, c.Want(t, cli.FlagNames))
+	}
+}
+
+// TestMain runs the command itself when the test binary is re-executed
+// with SWEEP_MAIN=1, so tests can check its exit status and output files.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A sweep whose spec a selected study cannot run exits 1 naming the study
+// and the exclusion table's reason before any point runs: no CSV is
+// written, not even for the figures that precede the study.
+func TestIncompatibleStudyRejectedUpFront(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(plan, []byte(clitest.PlanJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", plan}, "extintrapar: -faults and -intra-parallel are mutually exclusive"},
+		{[]string{"-intra-parallel", "2"}, "extgraph: the study's SEND/RECV pipeline needs point-to-point sends, which -intra-parallel does not support"},
+	} {
+		out := filepath.Join(t.TempDir(), "out")
+		args := append([]string{"-quick", "-ext", "-parallel", "1", "-out", out}, tc.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SWEEP_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("sweep %v: %v, want exit status 1", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("sweep %v: stderr %q, want %q", tc.args, stderr.String(), tc.want)
+		}
+		if csvs, _ := filepath.Glob(filepath.Join(out, "*.csv")); len(csvs) > 0 {
+			t.Errorf("sweep %v wrote %d CSVs before rejecting the spec", tc.args, len(csvs))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"astrasim/internal/cli"
 	"astrasim/internal/cli/clitest"
 	"astrasim/internal/faults"
 	"astrasim/internal/report"
@@ -332,6 +333,34 @@ func TestSpecRejections(t *testing.T) {
 	} {
 		if _, err := tc.run(tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFigureChecks: Figure.Check refuses a spec exactly where the
+// figure's points would, so a sweep can reject it before running any.
+func TestFigureChecks(t *testing.T) {
+	plan, err := faults.Parse(strings.NewReader(clitest.PlanJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := Quick().Spec
+	faulted.Faults = plan
+	partitioned := Quick().Spec
+	partitioned.System.IntraParallel = 2
+	for _, f := range append(Figures(), Extensions()...) {
+		for _, tc := range []struct {
+			spec   string
+			s      cli.RunSpec
+			refuse bool
+		}{
+			{"default", Quick().Spec, false},
+			{"faults", faulted, f.ID == "extintrapar"},
+			{"intra-parallel", partitioned, f.ID == "extgraph" || f.ID == "extparallel"},
+		} {
+			if err := f.Check(tc.s); (err != nil) != tc.refuse {
+				t.Errorf("%s.Check(%s) = %v, want refused=%v", f.ID, tc.spec, err, tc.refuse)
+			}
 		}
 	}
 }

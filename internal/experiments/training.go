@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"astrasim/internal/cli"
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
 	"astrasim/internal/models"
@@ -225,6 +226,22 @@ type Figure struct {
 	ID    string
 	Title string
 	Run   func(Options) ([]*report.Table, error)
+}
+
+// Check rejects a spec the figure's points cannot run, with the exclusion
+// table's reason, so a sweep can refuse it before any point runs. Most
+// figures run the spec as given; extintrapar partitions its own points,
+// and extgraph and extparallel replay pipelines that send point to point.
+func (f Figure) Check(s cli.RunSpec) error {
+	switch f.ID {
+	case "extintrapar":
+		s.System.IntraParallel = intraParWorkers[len(intraParWorkers)-1]
+	case "extgraph", "extparallel":
+		if err := s.ValidateSends("the study's SEND/RECV pipeline", cli.FlagNames); err != nil {
+			return err
+		}
+	}
+	return s.Validate(cli.FlagNames)
 }
 
 // Figures lists every reproducible figure in paper order.
