@@ -527,14 +527,9 @@ func (p *Platform) RunCollectiveDetailed(op Op, bytes int64) (*CollectiveRun, er
 	if err != nil {
 		return nil, err
 	}
-	done := false
-	h, err := inst.Sys.IssueCollective(op, bytes, op.String(), func(*system.Handle) { done = true })
+	h, err := inst.RunCollective(op, bytes)
 	if err != nil {
 		return nil, err
-	}
-	inst.Eng.Run()
-	if !done {
-		return nil, fmt.Errorf("astrasim: collective %v (%d bytes) did not complete", op, bytes)
 	}
 	if err := auditErr(aud); err != nil {
 		return nil, err

@@ -185,14 +185,9 @@ func main() {
 		if err != nil {
 			return result{}, err
 		}
-		done := false
-		h, err := inst.Sys.IssueCollective(o.op, o.sizes[i], o.op.String(), func(*system.Handle) { done = true })
+		h, err := inst.RunCollective(o.op, o.sizes[i])
 		if err != nil {
 			return result{}, err
-		}
-		inst.Eng.Run()
-		if !done {
-			return result{}, fmt.Errorf("collective of %d bytes did not complete", o.sizes[i])
 		}
 		r := result{inst: inst, h: h}
 		if aud != nil {
