@@ -28,8 +28,9 @@ type fabricDim struct {
 	info  DimInfo
 	kind  DimKind
 	class LinkClass
-	// slot[n] is NPU n's group and pos[n] its position in that group.
-	slot, pos []int
+	// slot[n] is NPU n's group; on direct dimensions pos[n] is its
+	// position in that group.
+	slot, pos []int32
 	groups    [][]Node
 	// rings[slot][channel] on ring dimensions.
 	rings [][]*Ring
@@ -47,8 +48,10 @@ func newFabric(name string, npus int) *Fabric {
 // addDim appends a dimension whose groups own links of the given class
 // and returns its index.
 func (f *Fabric) addDim(info DimInfo, kind DimKind, class LinkClass) int {
-	d := fabricDim{info: info, kind: kind, class: class,
-		slot: make([]int, f.npus), pos: make([]int, f.npus)}
+	d := fabricDim{info: info, kind: kind, class: class, slot: make([]int32, f.npus)}
+	if kind != KindRing {
+		d.pos = make([]int32, f.npus)
+	}
 	if kind == KindSwitch {
 		d.up = make([]LinkID, f.npus*info.Channels)
 		d.down = make([]LinkID, f.npus*info.Channels)
@@ -70,21 +73,43 @@ func (f *Fabric) addLink(src, dst Node, class LinkClass) LinkID {
 // addPort.
 func (f *Fabric) addGroup(i int, members []Node) {
 	d := &f.dims[i]
-	slot := len(d.groups)
+	slot := int32(len(d.groups))
 	for p, n := range members {
-		d.slot[n], d.pos[n] = slot, p
+		d.slot[n] = slot
+		if d.pos != nil {
+			d.pos[n] = int32(p)
+		}
 	}
 	d.groups = append(d.groups, members)
 	switch d.kind {
 	case KindRing:
-		rings := make([]*Ring, d.info.Channels)
-		for c := range rings {
-			nodes := ringDirection(members, c)
-			r := &Ring{Dim: d.info.Dim, Channel: c, Nodes: nodes}
-			if len(nodes) > 1 {
-				r.Links = make([]LinkID, len(nodes))
-				for k := range nodes {
-					r.Links[k] = f.addLink(nodes[k], nodes[(k+1)%len(nodes)], d.class)
+		// Channel 0 runs over members itself; the other channels' node
+		// lists, all link lists and the rings take one allocation each.
+		size, chans := len(members), d.info.Channels
+		rs := make([]Ring, chans)
+		nodes := make([]Node, (chans-1)*size)
+		var links []LinkID
+		if size > 1 {
+			links = make([]LinkID, chans*size)
+		}
+		rings := make([]*Ring, chans)
+		for c := range rs {
+			r := &rs[c]
+			*r = Ring{Dim: d.info.Dim, Channel: c, Nodes: members}
+			if c > 0 {
+				r.Nodes = nodes[(c-1)*size : c*size : c*size]
+				for k, n := range members {
+					if c%2 == 0 {
+						r.Nodes[k] = n
+					} else {
+						r.Nodes[size-1-k] = n
+					}
+				}
+			}
+			if size > 1 {
+				r.Links = links[c*size : (c+1)*size : (c+1)*size]
+				for k := range r.Nodes {
+					r.Links[k] = f.addLink(r.Nodes[k], r.Nodes[(k+1)%size], d.class)
 				}
 			}
 			rings[c] = r
@@ -215,7 +240,7 @@ func (f *Fabric) peers(i int, src, dst Node) (si, di int) {
 	if dst < 0 || int(dst) >= f.npus || dim.slot[src] != dim.slot[dst] || src == dst {
 		panic(fmt.Sprintf("topology: %d and %d are not distinct %v peers in %s", src, dst, dim.info.Dim, f.name))
 	}
-	return dim.pos[src], dim.pos[dst]
+	return int(dim.pos[src]), int(dim.pos[dst])
 }
 
 // matchRound returns the round-robin tournament round in which teams i and

@@ -292,20 +292,3 @@ type Topology interface {
 	// Links lists every physical link.
 	Links() []LinkSpec
 }
-
-// ringDirection returns base nodes in ascending (even channel) or
-// descending (odd channel) order, implementing "each bidirectional ring is
-// divided into two unidirectional rings" and alternating unidirectional
-// local rings.
-func ringDirection(base []Node, channel int) []Node {
-	if channel%2 == 0 {
-		out := make([]Node, len(base))
-		copy(out, base)
-		return out
-	}
-	out := make([]Node, len(base))
-	for i, n := range base {
-		out[len(base)-1-i] = n
-	}
-	return out
-}
