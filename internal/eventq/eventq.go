@@ -42,18 +42,22 @@
 // The queue is time-bucketed. Pending events are grouped by firing
 // cycle: a small binary min-heap orders the distinct pending cycles, and
 // each cycle owns a bucket — a doubly linked list of its events in key
-// order. Firing takes the head of the earliest bucket. Scheduling finds
-// the bucket for its cycle through a one-entry cache of the last bucket
-// used, then a hash table from cycle to bucket, and appends: on one
-// engine, key order within a cycle equals creation order, so the append
-// is already sorted. Only InjectAt can bring a key below a bucket's tail;
-// such an event is placed by walking back from the tail, so the
-// six-field order holds exactly on every engine. Keys injected ahead of
-// their creation cycle, like fastnet's multi-hop arrivals, can crowd a
-// cycle and land far below its tail, mostly next to the previous such
-// key; so a walk that gets long resumes forward from the bucket's finger,
-// the event the last long placement inserted. Events that compare equal
-// (which valid keys never do) fire in scheduling order.
+// order. Each event is written once into its arena slot and read once
+// from it. Scheduling takes a slot, writes the key and payload into it,
+// and links it into the bucket for its cycle, found through a one-entry
+// cache of the last bucket used, then a hash table from cycle to bucket.
+// The link appends: on one engine, key order within a cycle equals
+// creation order, so the append is already sorted. Only InjectAt can
+// bring a key below a bucket's tail; such an event is placed by walking
+// back from the tail, so the six-field order holds exactly on every
+// engine. Keys injected ahead of their creation cycle, like fastnet's
+// multi-hop arrivals, can crowd a cycle and land far below its tail,
+// mostly next to the previous such key; so a walk that gets long resumes
+// forward from the bucket's finger, the event the last long placement
+// inserted. Events that compare equal (which valid keys never do) fire
+// in scheduling order. Firing reads the earliest bucket's head slot in
+// place and frees the slot before the handler runs, so the handler's
+// first schedule reuses it.
 //
 // Events live in a paged slot arena: fixed-size pages that are never
 // copied or released, plus a free list that fired events return their
@@ -204,16 +208,14 @@ func (q *queue) bucket(at Time) int32 {
 	return b
 }
 
-// fingerWalk is how far push walks back from a bucket's tail before it
+// fingerWalk is how far link walks back from a bucket's tail before it
 // tries the bucket's finger. Most out-of-order keys (packet trains) land
 // within a step or two of the tail; only crowded cycles walk further.
 const fingerWalk = 4
 
-// push enqueues an event at cycle at, in key order within its bucket.
-func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
-	id := q.alloc()
-	s := q.slot(id)
-	s.key, s.fn, s.a, s.b = k, fn, a, b
+// link places slot id, whose key and payload are already written, among
+// the events of cycle at in key order.
+func (q *queue) link(at Time, id int32, s *slot) {
 	q.n++
 	bk := &q.buckets[q.bucket(at)]
 	t := bk.tail
@@ -222,6 +224,7 @@ func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
 		bk.head, bk.tail = id, id
 		return
 	}
+	k := &s.key
 	ts := q.slot(t)
 	if !k.less(ts.key) { // the common case: sorts after the tail
 		s.next, s.prev = 0, t
@@ -263,29 +266,6 @@ func (q *queue) push(at Time, k key, fn CallFunc, a, b any) {
 	s.next, s.prev = as.next, after
 	q.slot(as.next).prev = id
 	as.next = id
-}
-
-// pop removes the earliest event and returns its cycle, key and callback.
-// The queue must not be empty.
-func (q *queue) pop() (Time, key, CallFunc, any, any) {
-	top := q.cycles[0]
-	bk := &q.buckets[top.b]
-	id := bk.head
-	s := q.slot(id)
-	k, fn, a, b := s.key, s.fn, s.a, s.b
-	if bk.finger == id {
-		bk.finger = 0
-	}
-	if bk.head = s.next; bk.head == 0 {
-		q.dropEarliest()
-	}
-	// Clear the vacated slot so the arena does not retain the callback
-	// (and whatever it captures) after the event fired.
-	s.fn, s.a, s.b = nil, nil, nil
-	s.next = q.free
-	q.free = id
-	q.n--
-	return top.at, k, fn, a, b
 }
 
 // dropEarliest releases the emptied bucket of the earliest cycle.
@@ -489,7 +469,11 @@ func (e *Engine) At(at Time, h Handler) {
 		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
 	}
 	e.seq++
-	e.q.push(at, key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}, callHandler, h, nil)
+	id := e.q.alloc()
+	s := e.q.slot(id)
+	s.key = key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}
+	s.fn, s.a, s.b = callHandler, h, nil
+	e.q.link(at, id, s)
 }
 
 // Call enqueues fn(a, b) to fire delay cycles from now. Unlike Schedule it
@@ -509,7 +493,11 @@ func (e *Engine) CallAt(at Time, fn CallFunc, a, b any) {
 		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
 	}
 	e.seq++
-	e.q.push(at, key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}, fn, a, b)
+	id := e.q.alloc()
+	s := e.q.slot(id)
+	s.key = key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}
+	s.fn, s.a, s.b = fn, a, b
+	e.q.link(at, id, s)
 }
 
 // EventKey allocates the ordering key a locally created event would
@@ -557,7 +545,11 @@ func (e *Engine) InjectAt(at Time, k Key, sub uint32, fn CallFunc, a, b any) {
 	if at < e.now {
 		panic(fmt.Sprintf("eventq: injecting into the past (at=%d now=%d)", at, e.now))
 	}
-	e.q.push(at, key{ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub}, fn, a, b)
+	id := e.q.alloc()
+	s := e.q.slot(id)
+	s.key = key{ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub}
+	s.fn, s.a, s.b = fn, a, b
+	e.q.link(at, id, s)
 }
 
 // SetFiringComp reassigns the firing context's component. A handler that
@@ -578,10 +570,30 @@ func (e *Engine) Step() bool {
 	if e.q.n == 0 {
 		return false
 	}
-	at, k, fn, a, b := e.q.pop()
-	e.now = at
+	// Read the earliest bucket's head in place, then free its slot before
+	// the handler runs: the free list is LIFO, so the handler's first
+	// schedule reuses the slot that is still in cache.
+	q := &e.q
+	top := q.cycles[0]
+	bk := &q.buckets[top.b]
+	id := bk.head
+	s := q.slot(id)
+	fn, a, b := s.fn, s.a, s.b
+	e.now = top.at
 	e.fired++
-	e.fireCtime, e.fireGen2, e.fireComp, e.fireSeq, e.fireSub = k.ctime, k.gen2, k.comp, k.seq, 0
+	e.fireCtime, e.fireGen2, e.fireComp, e.fireSeq, e.fireSub = s.ctime, s.gen2, s.comp, s.seq, 0
+	if bk.finger == id {
+		bk.finger = 0
+	}
+	if bk.head = s.next; bk.head == 0 {
+		q.dropEarliest()
+	}
+	// Clear the vacated slot so the arena does not retain the callback
+	// (and whatever it captures) after the event fired.
+	s.fn, s.a, s.b = nil, nil, nil
+	s.next = q.free
+	q.free = id
+	q.n--
 	fn(a, b)
 	return true
 }
