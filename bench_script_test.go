@@ -1,10 +1,11 @@
 // Regression tests for scripts/bench.sh: the missing-benchmark guard
 // (a renamed/removed LARGE benchmark must be a named failure, not a
 // silently empty JSON), the per-sample median aggregation, and the
-// compare path's baseline join.
+// compare path's baseline join and event-count check.
 package astrasim_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -110,6 +111,62 @@ func TestBenchComparePath(t *testing.T) {
 	}
 	if !strings.Contains(out, "BenchmarkNotInBaseline") {
 		t.Fatalf("benchmark missing from baseline was silently skipped:\n%s", out)
+	}
+}
+
+// TestBenchCompareEvents: compare mode fails, naming the benchmark, when a
+// fresh run's events_per_op differs from the baseline's, and passes when
+// the counts match even though the timings differ. The script runs from a
+// copy in a temporary repository root, so the baseline is a hand-written
+// BENCH_core.json rather than the committed one.
+func TestBenchCompareEvents(t *testing.T) {
+	script, err := os.ReadFile("scripts/bench.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	write := func(path, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(filepath.Join(root, "scripts", "bench.sh"), string(script))
+	record := func(name string, ns, events int) string {
+		return fmt.Sprintf(`  {"benchmark":"%s","iterations":1,"ns_per_op":%d,"bytes_per_op":8,"allocs_per_op":1,"events_per_op":%d}`,
+			name, ns, events)
+	}
+	write(filepath.Join(root, "BENCH_core.json"), "[\n"+
+		record("BenchmarkSimA", 1000, 147456)+",\n"+record("BenchmarkSimB", 1000, 2752512)+"\n]\n")
+
+	compare := func(fresh string) (string, error) {
+		t.Helper()
+		work := t.TempDir()
+		write(filepath.Join(work, "BENCH_core.json"), fresh)
+		out, err := exec.Command("sh", filepath.Join(root, "scripts", "bench.sh"), "compare", work).CombinedOutput()
+		return string(out), err
+	}
+
+	out, err := compare("[\n" + record("BenchmarkSimA", 1100, 147456) + ",\n" + record("BenchmarkSimB", 900, 2752512) + "\n]\n")
+	if err != nil {
+		t.Fatalf("compare failed on equal event counts: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "::error") {
+		t.Fatalf("equal event counts raised an error:\n%s", out)
+	}
+
+	out, err = compare("[\n" + record("BenchmarkSimA", 1000, 147456) + ",\n" + record("BenchmarkSimB", 1000, 2752513) + "\n]\n")
+	if err == nil {
+		t.Fatalf("compare exited 0 on a changed event count:\n%s", out)
+	}
+	if !strings.Contains(out, "::error") || !strings.Contains(out, "BenchmarkSimB") {
+		t.Fatalf("event-count failure does not name BenchmarkSimB:\n%s", out)
+	}
+	if strings.Contains(out, "BenchmarkSimA events") {
+		t.Fatalf("failure names BenchmarkSimA, whose count did not change:\n%s", out)
 	}
 }
 

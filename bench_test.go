@@ -194,10 +194,21 @@ func BenchmarkAllReduce4x4x4_4MB_ExactPackets(b *testing.B) {
 // window, the pool round and the flush of shard→main deliveries at each
 // barrier (DESIGN.md §13.2).
 func BenchmarkAllReduce4x4x4_4MB_IntraParallel2(b *testing.B) {
+	benchAllReduce4Cubed(b, 2)
+}
+
+// BenchmarkAllReduce4x4x4_4MB_IntraParallel1 runs the partitioned engine
+// on one worker: the window protocol's cost with no parallelism, between
+// the serial BenchmarkAllReduce4x4x4_4MB and the 2-worker run above.
+func BenchmarkAllReduce4x4x4_4MB_IntraParallel1(b *testing.B) {
+	benchAllReduce4Cubed(b, 1)
+}
+
+func benchAllReduce4Cubed(b *testing.B, workers int) {
 	b.ReportAllocs()
 	p, err := astrasim.NewTorusPlatform(4, 4, 4,
 		astrasim.WithAlgorithm(astrasim.Enhanced),
-		astrasim.WithIntraParallel(2))
+		astrasim.WithIntraParallel(workers))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,6 +318,12 @@ func BenchmarkAllReduce16x32x32_PacketSerial(b *testing.B) {
 
 func BenchmarkAllReduce16x32x32_IntraParallel(b *testing.B) {
 	benchAllReduce16k(b, runtime.NumCPU())
+}
+
+// BenchmarkAllReduce16x32x32_IntraParallel1 is the partitioned engine on
+// one worker, the window protocol without parallelism.
+func BenchmarkAllReduce16x32x32_IntraParallel1(b *testing.B) {
+	benchAllReduce16k(b, 1)
 }
 
 func BenchmarkAllToAll_8Packages_1MB(b *testing.B) {

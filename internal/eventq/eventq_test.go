@@ -475,6 +475,35 @@ func BenchmarkQueueClustered(b *testing.B) { benchHold(b, 10000, 100) }
 // case for a time-bucketed queue.
 func BenchmarkQueueDistinct(b *testing.B) { benchHold(b, 10000, 1<<20) }
 
+// BenchmarkQueueCrowded injects the pattern packet trains produce: 16
+// trains of 64 deliveries each land in one future cycle under per-packet
+// keys whose creation cycles lie ahead of now and interleave across the
+// trains. Each train arrives after the ones before it, so its keys land
+// below the cycle's tail, each next to the train's previous key: the walk
+// back from the tail and the finger place them. One op injects and fires
+// the 1024 events.
+func BenchmarkQueueCrowded(b *testing.B) {
+	const trains, perTrain = 16, 64
+	e := New()
+	fn := func(a, b any) {}
+	crowd := func() {
+		at := e.Now() + trains*perTrain
+		for t := 0; t < trains; t++ {
+			for p := 0; p < perTrain; p++ {
+				n := p*trains + t
+				e.InjectAt(at, Key{Ctime: e.Now() + Time(n), Seq: uint64(n)}, 0, fn, nil, nil)
+			}
+		}
+		e.Run()
+	}
+	crowd() // warm the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		crowd()
+	}
+}
+
 func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

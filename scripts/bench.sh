@@ -9,12 +9,17 @@
 # Compare mode diffs a fresh run against the committed baseline
 # (BENCH_core.json at the repo root) and emits a GitHub Actions
 # `::warning::` annotation for every benchmark whose ns/op, B/op, or
-# allocs/op regressed by more than 15%. Regressions warn, they do not fail: CI
-# runners are noisy, and the committed baseline is the reviewed source of
-# truth that perf-sensitive PRs re-record deliberately.
+# allocs/op regressed by more than 15%. Timing regressions warn, they do
+# not fail: CI runners are noisy, and the committed baseline is the
+# reviewed source of truth that perf-sensitive PRs re-record deliberately.
+# A changed events_per_op is an `::error::` and exits 1: event counts are
+# deterministic and counted in an untimed run, so they do not depend on
+# BENCHTIME or the host, and a different count means the simulated work
+# changed.
 #
 # Large mode runs the LARGE set — the 16x16x16 (4096-NPU) all-reduce on
-# both network backends — and writes BENCH_large.{txt,json}. It is kept
+# both network backends and the 16x32x32 (16384-NPU) one on the serial
+# and the partitioned engine — and writes BENCH_large.{txt,json}. It is kept
 # out of compare mode and CI: the set takes a few minutes per recording
 # (the recorded ratios live in EXPERIMENTS.md).
 #
@@ -44,17 +49,20 @@ COUNT=5
 # exact-packets 4x4x4 all-reduce runs without the packet cap, so packet
 # trains hundreds of packets long carry its cost. The 2-worker 4x4x4
 # all-reduce is the bench workload allreduce-pdes2: the one partitioned
-# run, covering the pdes window protocol (shard pool, flush).
-# EVQ is the event-queue set: a schedule-then-drain run and two
+# run, covering the pdes window protocol (shard pool, flush); its
+# 1-worker twin gives the protocol's cost without parallelism.
+# EVQ is the event-queue set: a schedule-then-drain run, two
 # steady-state hold shapes: many events over few cycles (packet
 # all-reduce) and nearly every event at a cycle of its own (the bucketed
-# queue's worst case).
-CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
-EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct'
+# queue's worst case), and a crowded cycle: interleaved packet-train
+# deliveries injected below a future cycle's tail (the walk and the
+# finger).
+CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel1|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
+EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct|BenchmarkQueueCrowded'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
-# plus the intra-run parallelism pair at 16384 NPUs (serial engine vs
-# -intra-parallel at NumCPU workers; DESIGN.md §13).
-LARGE='BenchmarkAllReduce16x16x16_FastMode|BenchmarkAllReduce16x16x16_PacketMode|BenchmarkAllReduce16x32x32_PacketSerial|BenchmarkAllReduce16x32x32_IntraParallel'
+# plus the intra-run parallelism set at 16384 NPUs (serial engine vs
+# -intra-parallel at one and at NumCPU workers; DESIGN.md §13).
+LARGE='BenchmarkAllReduce16x16x16_FastMode|BenchmarkAllReduce16x16x16_PacketMode|BenchmarkAllReduce16x32x32_PacketSerial|BenchmarkAllReduce16x32x32_IntraParallel|BenchmarkAllReduce16x32x32_IntraParallel1'
 
 # tojson TXT JSON: convert "BenchmarkX  N  ns/op  B/op  allocs/op" lines
 # from TXT into one JSON record per benchmark in JSON, in first-seen
@@ -206,9 +214,10 @@ awk '
   /"benchmark":/ {
     name = val($0, "benchmark"); gsub(/"/, "", name)
     ns = val($0, "ns_per_op"); allocs = val($0, "allocs_per_op")
-    bytes = val($0, "bytes_per_op")
+    bytes = val($0, "bytes_per_op"); events = val($0, "events_per_op")
     if (FNR == NR) {
       base_ns[name] = ns; base_allocs[name] = allocs; base_bytes[name] = bytes
+      base_events[name] = events
       next
     }
     if (!(name in base_ns)) {
@@ -216,6 +225,11 @@ awk '
       next
     }
     checked++
+    if (base_events[name] != "" && events != "" && events != base_events[name]) {
+      printf("::error title=bench events changed::%s events/op %s -> %s (the simulated work changed)\n",
+             name, base_events[name], events)
+      failed++
+    }
     if (base_ns[name] + 0 > 0 && ns + 0 > 1.15 * base_ns[name]) {
       printf("::warning title=bench regression::%s ns/op %.0f -> %.0f (+%.1f%%, threshold 15%%)\n",
              name, base_ns[name], ns, 100 * (ns / base_ns[name] - 1))
@@ -233,7 +247,8 @@ awk '
     }
   }
   END {
-    printf("bench compare: %d benchmarks checked against the baseline, %d regression warnings\n",
-           checked + 0, flagged + 0) > "/dev/stderr"
+    printf("bench compare: %d benchmarks checked against the baseline, %d regression warnings, %d event-count changes\n",
+           checked + 0, flagged + 0, failed + 0) > "/dev/stderr"
+    if (failed) exit 1
   }
 ' "$baseline" "$fresh"
