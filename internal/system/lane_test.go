@@ -57,3 +57,44 @@ func testSendPathAllocsPerChunk(t *testing.T, backend config.Backend) {
 	}
 	t.Logf("%d -> %d chunks, %d -> %d messages: %.0f -> %.0f allocations", c16, c64, m16, m64, a16, a64)
 }
+
+// TestWarmQueuesAllocFree: on a warmed System, the ready queue and the
+// logical scheduling queues reuse their arrays, so a repeated collective
+// allocates only its own state: the chunks, each chunk's per-node states
+// and a fixed handful per collective. Two collectives are issued at once,
+// so LIFO inserts the second at the head of a non-empty ready queue, and
+// the LSQs run one chunk at a time, so every phase queues.
+func TestWarmQueuesAllocFree(t *testing.T) {
+	for _, backend := range []config.Backend{config.FastBackend, config.PacketBackend} {
+		t.Run(backend.String(), func(t *testing.T) {
+			cfg := config.DefaultSystem()
+			cfg.Backend = backend
+			cfg.LSQWidth = 1
+			inst, err := NewInstance(torus(t, 4, 4, 4, topology.DefaultTorusConfig()), cfg, config.DefaultNetwork())
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := 0
+			run := func() {
+				for i := 0; i < 2; i++ {
+					h, err := inst.Sys.IssueCollective(collectives.AllReduce, 1<<20, "", nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					chunks += h.NumChunks()
+				}
+				inst.Eng.Run()
+			}
+			run() // warm the queues, the event arena and the network
+			chunks = 0
+			allocs := testing.AllocsPerRun(3, run)
+			perRun := chunks / 4 // AllocsPerRun makes one warm-up call and 3 measured runs
+			const perCollective = 16
+			if budget := float64(2*perRun + 2*perCollective); allocs > budget {
+				t.Fatalf("two warm collectives, %d chunks in all, allocate %.0f: over the budget of %.0f (2 per chunk, %d per collective)",
+					perRun, allocs, budget, perCollective)
+			}
+			t.Logf("two warm collectives, %d chunks in all: %.0f allocations", perRun, allocs)
+		})
+	}
+}

@@ -255,11 +255,37 @@ func (s *System) freeMsg(m *noc.Message) { s.msgFree = append(s.msgFree, m) }
 type injector struct {
 	capacity int // 0 = unlimited (aggressive)
 	inFlight int
-	queue    []*noc.Message
-	head     int
+	queue    fifo[*noc.Message]
 }
 
-func (in *injector) qlen() int { return len(in.queue) - in.head }
+// fifo is a queue popped through a head index, so a pop keeps the
+// backing array: a push into a full array first slides the live items
+// back to its start when at least half of it holds popped slots, and the
+// array grows only while the queue does.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if n := len(f.items); n == cap(f.items) && f.head > 0 && 2*f.head >= n {
+		live := copy(f.items, f.items[f.head:])
+		clear(f.items[live:])
+		f.items, f.head = f.items[:live], 0
+	}
+	f.items = append(f.items, v)
+}
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	return v
+}
 
 // inject sends msg now if a slot is free, else queues it.
 func (s *System) inject(node topology.Node, msg *noc.Message) {
@@ -269,22 +295,15 @@ func (s *System) inject(node topology.Node, msg *noc.Message) {
 		s.Net.Send(msg)
 		return
 	}
-	if in.head > 0 && in.head == len(in.queue) {
-		in.queue = in.queue[:0]
-		in.head = 0
-	}
-	in.queue = append(in.queue, msg)
+	in.queue.push(msg)
 }
 
 // injectDone releases node's slot when a message is delivered, launching
 // the next queued send.
 func (s *System) injectDone(node topology.Node) {
 	in := &s.injectors[node]
-	if in.head < len(in.queue) {
-		next := in.queue[in.head]
-		in.queue[in.head] = nil
-		in.head++
-		s.Net.Send(next)
+	if in.queue.len() > 0 {
+		s.Net.Send(in.queue.pop())
 		return
 	}
 	in.inFlight--
@@ -397,7 +416,7 @@ type lsqKey struct {
 type lsq struct {
 	width  int
 	active int
-	queue  []*chunk
+	queue  fifo[*chunk]
 }
 
 // enqueue admits a chunk, activating it immediately if a slot is free.
@@ -407,16 +426,14 @@ func (q *lsq) enqueue(c *chunk) {
 		c.activate()
 		return
 	}
-	q.queue = append(q.queue, c)
+	q.queue.push(c)
 }
 
 // release frees the slot held by a finishing chunk and activates the next
 // queued one.
 func (q *lsq) release(*chunk) {
-	if len(q.queue) > 0 {
-		next := q.queue[0]
-		q.queue = q.queue[1:]
-		next.activate()
+	if q.queue.len() > 0 {
+		q.queue.pop().activate()
 		return
 	}
 	q.active--
@@ -577,28 +594,29 @@ func (s *System) makeChunks(h *Handle) []*chunk {
 // (prioritizing late-issued early-layer gradients, §III-E), FIFO at the
 // tail, and Priority inserts by the collective's explicit priority
 // (FIFO-stable among equals). Chunk order within a collective is always
-// preserved.
+// preserved. The chunks are inserted in place: the queue's array grows
+// only while the queue does.
 func (s *System) enqueueReady(chunks []*chunk) {
 	for _, c := range chunks {
 		c.readyAt = s.Eng.Now()
 	}
+	n := len(s.ready)
+	at := n
 	switch s.Cfg.SchedulingPolicy {
 	case config.LIFO:
-		s.ready = append(append([]*chunk{}, chunks...), s.ready...)
+		at = 0
 	case config.Priority:
 		pri := chunks[0].coll.Priority
-		at := len(s.ready)
 		for i, c := range s.ready {
 			if c.coll.Priority > pri {
 				at = i
 				break
 			}
 		}
-		rest := append([]*chunk{}, s.ready[at:]...)
-		s.ready = append(append(s.ready[:at:at], chunks...), rest...)
-	default:
-		s.ready = append(s.ready, chunks...)
 	}
+	s.ready = append(s.ready, chunks...)
+	copy(s.ready[at+len(chunks):], s.ready[at:n])
+	copy(s.ready[at:], chunks)
 }
 
 // dispatch is the paper's dispatcher: while fewer than T chunks are in
@@ -609,8 +627,15 @@ func (s *System) dispatch() {
 		if batch > len(s.ready) {
 			batch = len(s.ready)
 		}
-		issue := s.ready[:batch]
-		s.ready = s.ready[batch:]
+		// Copy the batch out and close the gap, so the queue keeps its
+		// array. c.start may issue a collective whose chunks
+		// enqueueReady inserts in place; issue must not alias s.ready.
+		// The default batch (16) fits buf, which stays on the stack.
+		var buf [16]*chunk
+		issue := append(buf[:0], s.ready[:batch]...)
+		n := copy(s.ready, s.ready[batch:])
+		clear(s.ready[n:])
+		s.ready = s.ready[:n]
 		for _, c := range issue {
 			s.inFirstPhase++
 			c.coll.queueSum[0] += s.Eng.Now() - c.readyAt
@@ -744,11 +769,11 @@ func (s *System) DebugState() DebugState {
 	}
 	for _, q := range s.lsqs {
 		st.LSQActive += q.active
-		st.LSQQueued += len(q.queue)
+		st.LSQQueued += q.queue.len()
 	}
 	for i := range s.injectors {
 		st.InjectorsInFlight += s.injectors[i].inFlight
-		st.InjectorsQueued += s.injectors[i].qlen()
+		st.InjectorsQueued += s.injectors[i].queue.len()
 	}
 	return st
 }
