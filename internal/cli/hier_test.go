@@ -181,13 +181,16 @@ func structDigest(tp topology.Topology) uint64 {
 // A topology named "... torus" is the one its spec builds: feeding the
 // name back to BuildTopology without the suffix gives the same structure.
 // All-ring compositions with two inter-package axes print as compositions,
-// since "MxNxK" is the 3D torus, whose numbering differs.
+// since "MxNxK" is the 3D torus, whose numbering differs, and so do ring
+// dimensions with other than the default two rings: "hier:ring2x1,ring4"
+// and "2x4" once shared the name "2x4 torus" but ran different cycles.
 func TestTorusNamesRoundTrip(t *testing.T) {
 	opts := DefaultTopologyOptions()
 	specs := []string{
 		"4x4x4", "2x4x2", "1x8x1", "1x64", "4x16", "2x2x2x2", "1x4x4x2x2",
 		"hier:ring2,ring4,ring2", "hier:ring1,ring8,ring8", "hier:ring2,ring4",
 		"hier:ring6", "hier:ring2,ring2,ring2,ring2", "hier:ring2@pkg,ring4",
+		"hier:ring2x1,ring4", "hier:ring2,ring4x3,ring2,ring2",
 		"a2a:4x4", "sw:4x4", "so:2x2x2/3",
 	}
 	names := 0
@@ -213,8 +216,14 @@ func TestTorusNamesRoundTrip(t *testing.T) {
 	if names < 7 {
 		t.Errorf("only %d specs print as a torus", names)
 	}
-	if got, want := mustBuild(t, "hier:ring2,ring4,ring2").Name(), "ring2+ring4+ring2 hier"; got != want {
-		t.Errorf("3-dimension all-ring composition is named %q, want %q", got, want)
+	for spec, want := range map[string]string{
+		"hier:ring2,ring4,ring2": "ring2+ring4+ring2 hier",
+		"hier:ring2x1,ring4":     "ring2x1+ring4 hier",
+		"hier:ring2,ring4":       "2x4 torus",
+	} {
+		if got := mustBuild(t, spec).Name(); got != want {
+			t.Errorf("%s is named %q, want %q", spec, got, want)
+		}
 	}
 }
 

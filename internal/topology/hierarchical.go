@@ -161,18 +161,24 @@ func dimOf(i int) Dim {
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // hierName names a composition. An all-ring composition with the default
-// link classes and one or at least three inter-package axes is the
-// N-dimensional torus its "MxA1x...xAd" spec builds, and prints as one
-// ("2x2x2x2 torus"). Any other composition lists its dimensions
-// ("sw8+fc4+ring4 hier"), including the all-ring one with two axes:
-// "MxNxK torus" names the 3D torus, whose numbering differs.
+// link classes, the default two rings per dimension, and one or at least
+// three inter-package axes is the N-dimensional torus its "MxA1x...xAd"
+// spec builds with default options, and prints as one ("2x2x2x2 torus").
+// Any other composition lists its dimensions ("sw8+fc4+ring4 hier"),
+// including the all-ring one with two axes: "MxNxK torus" names the 3D
+// torus, whose numbering differs. A ring dimension with other than two
+// rings names its count ("ring2x1+ring4 hier"), so a torus name always
+// means the default ring counts.
 func hierName(specs []DimSpec) string {
 	dims := make([]string, len(specs))
 	sizes := make([]string, len(specs))
 	torus := len(specs) == 2 || len(specs) > 3
 	for i, s := range specs {
 		dims[i], sizes[i] = s.String(), fmt.Sprint(s.Size)
-		torus = torus && s.Kind == KindRing && s.Class == DefaultDimClass(i)
+		if s.Kind == KindRing && s.Lanes != 2 {
+			dims[i] += fmt.Sprintf("x%d", s.Lanes)
+		}
+		torus = torus && s.Kind == KindRing && s.Lanes == 2 && s.Class == DefaultDimClass(i)
 	}
 	if torus {
 		return strings.Join(sizes, "x") + " torus"

@@ -52,7 +52,10 @@ func topoDigest(tp Topology) uint64 {
 // names, node counts, link tables, dimension metadata, groups, rings and
 // the paths of every ring hop and direct-dimension pair. Fault plans name
 // links by ID and schedules are compiled over groups and rings, so any
-// rebuild of these families must reproduce each digest exactly.
+// rebuild of these families must reproduce each digest exactly. The two
+// compositions with a one-ring dimension were re-recorded when names
+// began to carry non-default ring counts ("ring2x1+..."); with the name
+// left out of the digest, both hash as before.
 func TestTopologyFamilyDigests(t *testing.T) {
 	torus := func(m, n, k int, cfg TorusConfig) func() (Topology, error) {
 		return func() (Topology, error) { return NewTorus(m, n, k, cfg) }
@@ -97,11 +100,11 @@ func TestTopologyFamilyDigests(t *testing.T) {
 			DimSpec{Kind: KindRing, Size: 2, Lanes: 1, Class: IntraPackage},
 			DimSpec{Kind: KindSwitch, Size: 4, Lanes: 2, Class: InterPackage},
 			DimSpec{Kind: KindSwitch, Size: 1, Lanes: 2, Class: InterPackage},
-			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: ScaleOutLink}), 0x6e5423c081301825},
+			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: ScaleOutLink}), 0x6379e4949c333312},
 		{"so 3 pods of 2x2x2 torus", scaleOut(torus(2, 2, 2, DefaultTorusConfig()), 3, 2), 0x1360271408ddb786},
 		{"so 3 pods of ring2,fc3", scaleOut(hier(
 			DimSpec{Kind: KindRing, Size: 2, Lanes: 1, Class: IntraPackage},
-			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: InterPackage}), 3, 1), 0x933dd57b9071f234},
+			DimSpec{Kind: KindFullyConnected, Size: 3, Lanes: 2, Class: InterPackage}), 3, 1), 0x5ff47f692187fb5f},
 	}
 	for _, tc := range cases {
 		tp, err := tc.build()
@@ -133,7 +136,10 @@ func TestHierarchicalAllRingEqualsTorusND(t *testing.T) {
 	}{
 		{[]int{2, 4, 2}, []int{2, 2, 2}, 0x268a98d1963145e5},
 		{[]int{2, 2, 2, 2}, []int{2, 2, 2, 2}, 0xd82dd1e154960268},
-		{[]int{4, 3}, []int{3, 1}, 0x2749553d74b292db},
+		// Named "ring4x3+ring3x1 hier" since names carry non-default
+		// ring counts; with the old name "4x3 torus" the digest is the
+		// recorded 0x2749553d74b292db.
+		{[]int{4, 3}, []int{3, 1}, 0xc171ae822930d181},
 		{[]int{1, 8}, []int{2, 2}, 0xd8f29e56e618bd60},
 		{[]int{1, 64}, nil, 0x802cac7412f1406a},
 		{[]int{1, 8, 8}, nil, 0x49dac832191b567b},
