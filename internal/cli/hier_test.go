@@ -183,7 +183,7 @@ func structDigest(tp topology.Topology) uint64 {
 // All-ring compositions with two inter-package axes print as compositions,
 // since "MxNxK" is the 3D torus, whose numbering differs, and so do ring
 // dimensions with other than the default two rings: "hier:ring2x1,ring4"
-// and "2x4" once shared the name "2x4 torus" but ran different cycles.
+// runs different cycles than "2x4", so it must not share its name.
 func TestTorusNamesRoundTrip(t *testing.T) {
 	opts := DefaultTopologyOptions()
 	specs := []string{

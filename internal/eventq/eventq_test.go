@@ -479,9 +479,9 @@ func BenchmarkQueueDistinct(b *testing.B) { benchHold(b, 10000, 1<<20) }
 // trains of 64 deliveries each land in one future cycle under per-packet
 // keys whose creation cycles lie ahead of now and interleave across the
 // trains. Each train arrives after the ones before it, so its keys land
-// below the cycle's tail, each next to the train's previous key: the walk
-// back from the tail and the finger place them. One op injects and fires
-// the 1024 events.
+// below the cycle's tail, each a few keys after the train's previous key:
+// the walk back from the tail and the finger place them. One op injects
+// and fires the 1024 events.
 func BenchmarkQueueCrowded(b *testing.B) {
 	const trains, perTrain = 16, 64
 	e := New()
