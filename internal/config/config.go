@@ -96,23 +96,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("config: unknown algorithm %q", s)
 }
 
-// PacketRouting is Table III parameter #14. All paper experiments use
-// software routing: every collective step talks to a ring neighbor (or a
-// global switch), so packets never route adaptively inside the fabric.
-type PacketRouting int
-
-const (
-	SoftwareRouting PacketRouting = iota
-	HardwareRouting
-)
-
-func (r PacketRouting) String() string {
-	if r == SoftwareRouting {
-		return "software"
-	}
-	return "hardware"
-}
-
 // InjectionPolicy is Table III parameter #15: how many messages may be
 // injected at once under hardware routing.
 type InjectionPolicy int
@@ -141,11 +124,12 @@ const (
 	// fault injection. The zero value, so existing configs keep their
 	// behavior.
 	PacketBackend Backend = iota
-	// FastBackend is the congestion-unaware analytical model
-	// (internal/fastnet): closed-form link serialization with infinite
-	// buffers, derived from the oracle's alpha-beta recurrence. Exact
-	// whenever the packet model's buffers never fill; several times faster
-	// on large fabrics.
+	// FastBackend is the congestion-unaware analytical model, internal/noc
+	// with unbounded buffers (noc.NewFast): closed-form link serialization
+	// derived from the oracle's alpha-beta recurrence, on its own send
+	// path over the packet model's per-link state. Exact whenever the
+	// packet model's buffers never fill; several times faster on large
+	// fabrics.
 	FastBackend
 )
 
@@ -318,8 +302,9 @@ type System struct {
 	TransportDelay uint64
 	// SchedulingPolicy orders the ready queue (LIFO in the paper runs).
 	SchedulingPolicy SchedulingPolicy
-	// PacketRouting and InjectionPolicy are Table III #14-15.
-	PacketRouting   PacketRouting
+	// InjectionPolicy is Table III #15. Table III #14, packet routing, is
+	// always software routing: the system layer gives every message its
+	// explicit link path, as in all paper experiments.
 	InjectionPolicy InjectionPolicy
 	// PreferredSetSplits is Table III #16: how many chunks each set is
 	// divided into for pipelining.
@@ -370,7 +355,6 @@ func DefaultSystem() System {
 		EndpointDelay:      10,
 		TransportDelay:     500,
 		SchedulingPolicy:   LIFO,
-		PacketRouting:      SoftwareRouting,
 		InjectionPolicy:    AggressiveInjection,
 		PreferredSetSplits: 64,
 		LSQWidth:           2,

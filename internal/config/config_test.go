@@ -72,8 +72,6 @@ func TestStringers(t *testing.T) {
 		FIFO.String():                "FIFO",
 		Baseline.String():            "baseline",
 		Enhanced.String():            "enhanced",
-		SoftwareRouting.String():     "software",
-		HardwareRouting.String():     "hardware",
 		NormalInjection.String():     "normal",
 		AggressiveInjection.String(): "aggressive",
 	}
