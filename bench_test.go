@@ -224,8 +224,8 @@ func benchAllReduce4Cubed(b *testing.B, workers int) {
 // a 64 MiB enhanced all-reduce over 512 NPUs on the fast backend with the
 // default 64-way chunk split. The network charges each single-link
 // message in closed form, so the system layer's per-message send path
-// (lane lookup, message set-up) and fastnet's serialization memo are
-// most of its cost.
+// (lane lookup, message set-up) and the fast backend's serialization
+// memo are most of its cost.
 func BenchmarkAllReduce8x8x8_64MB_Fast(b *testing.B) {
 	b.ReportAllocs()
 	p, err := astrasim.NewTorusPlatform(8, 8, 8,

@@ -16,7 +16,7 @@ import (
 
 // TestRepeatedRunsSteadyStateMemory runs the same job many times on one
 // platform and asserts the live heap stays flat: every per-run structure
-// (instance, event queue, fastnet memoization) must be reclaimable, so a
+// (instance, event queue, serialization memo) must be reclaimable, so a
 // daemon serving thousands of identical jobs reaches a steady state.
 func TestRepeatedRunsSteadyStateMemory(t *testing.T) {
 	for _, backend := range []astrasim.Backend{astrasim.PacketBackend, astrasim.FastBackend} {

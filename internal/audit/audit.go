@@ -47,8 +47,9 @@ import (
 )
 
 // numLinkClasses sizes the per-class accumulators (intra-package,
-// inter-package, scale-out). noc.PacketSizeFor panics on any class beyond
-// these, so an out-of-range class can never reach the accounting.
+// inter-package, scale-out). noc.New and noc.NewFast reject a topology
+// with any other link class, so an out-of-range class can never reach the
+// accounting.
 const numLinkClasses = int(topology.ScaleOutLink) + 1
 
 // Auditor observes one simulation instance through the layer hooks and
@@ -82,11 +83,13 @@ type Auditor struct {
 }
 
 // Attach registers an auditor on one instance's system and network layers
-// (overwriting any previously attached hooks) and, on the packet backend,
-// enables free-list poisoning (the fast backend has no packet free list to
-// poison; every other invariant family applies to both backends). The
-// returned Auditor checks invariants whenever the engine drains; call
-// Report for the verdict.
+// (overwriting any previously attached hooks) and enables free-list
+// poisoning on the network. Both backends are a *noc.Network and both
+// recycle packets through the poisoned free list: the packet model on
+// every hop, the fast backend's unbounded model on multi-hop paths. Every
+// other invariant family applies to both backends too. The returned
+// Auditor checks invariants whenever the engine drains; call Report for
+// the verdict.
 func Attach(sys *system.System, net system.Network) *Auditor {
 	a := &Auditor{sys: sys, net: net, eng: sys.Eng}
 	links := sys.Topo.Links()

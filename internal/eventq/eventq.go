@@ -50,8 +50,8 @@
 // creation order, so the append is already sorted. Only InjectAt can
 // bring a key below a bucket's tail; such an event is placed by walking
 // back from the tail, so the six-field order holds exactly on every
-// engine. Keys injected ahead of their creation cycle, like fastnet's
-// multi-hop arrivals, can crowd a cycle and land far below its tail,
+// engine. Keys injected ahead of their creation cycle, like the fast
+// backend's multi-hop arrivals, can crowd a cycle and land far below its tail,
 // mostly next to the previous such key; so a walk that gets long resumes
 // forward from the bucket's finger, the event the last long placement
 // inserted. Events that compare equal (which valid keys never do) fire

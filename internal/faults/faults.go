@@ -42,6 +42,7 @@ import (
 	"os"
 	"strings"
 
+	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/noc"
 	"astrasim/internal/system"
@@ -244,9 +245,10 @@ func Apply(p *Plan, inst *system.Instance) error {
 	// lives in the packet backend; congestion-unaware timing under loss
 	// is not meaningful. Stragglers and retry are system-layer and would
 	// work anywhere, but a plan is all-or-nothing: reject early rather
-	// than silently apply half of it.
+	// than silently apply half of it. Both backends are *noc.Network, so
+	// the backend, not the type, decides.
 	pktNet, ok := inst.Net.(*noc.Network)
-	if !ok {
+	if !ok || inst.Net.Backend() != config.PacketBackend {
 		return fmt.Errorf("faults: fault injection requires the packet backend (config.PacketBackend); the %v backend does not model faults", inst.Net.Backend())
 	}
 	links := inst.Topo.Links()

@@ -240,3 +240,24 @@ func TestDropDeterminismPerSeed(t *testing.T) {
 			h3.Duration(), i3.Net.DropStats())
 	}
 }
+
+// A plan is rejected on the fast backend by backend, not by network type:
+// both backends are a *noc.Network, and a straggler-only plan installs no
+// link fault that could fail on its own.
+func TestApplyRejectsFastBackend(t *testing.T) {
+	tp, err := topology.NewTorus(2, 2, 2, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.DefaultSystem()
+	cfg.Backend = config.FastBackend
+	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &Plan{Stragglers: []Straggler{{Node: 1, Factor: 2}}}
+	err = Apply(plan, inst)
+	if err == nil || !strings.Contains(err.Error(), "requires the packet backend") {
+		t.Fatalf("Apply of a straggler-only plan on the fast backend: err %v, want the packet-backend rejection", err)
+	}
+}

@@ -1,4 +1,4 @@
-package fastnet
+package noc_test
 
 // The serialization-charge memoization was sized for one-shot CLI runs;
 // a daemon keeps instances alive for whole jobs and must not let an
@@ -17,14 +17,14 @@ import (
 
 // sendDistinct pushes n single-link messages with n distinct payload
 // sizes through a fresh fast network and returns it.
-func sendDistinct(t *testing.T, n int) *Network {
+func sendDistinct(t *testing.T, n int) *noc.Network {
 	t.Helper()
 	topo, err := topology.NewTorus(1, 8, 1, topology.DefaultTorusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := eventq.New()
-	net, err := New(eng, topo, config.DefaultNetwork())
+	net, err := noc.NewFast(eng, topo, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestSerCacheBounded(t *testing.T) {
 		t.Skip("sends SerTableMaxEntries+ messages")
 	}
 	net := sendDistinct(t, noc.SerTableMaxEntries+100)
-	if got := net.ser.Len(); got > noc.SerTableMaxEntries {
+	if got := net.SerLen(); got > noc.SerTableMaxEntries {
 		t.Fatalf("the memo holds %d entries, cap is %d", got, noc.SerTableMaxEntries)
 	}
 	// The 100 post-overflow inserts must live in a fresh generation.
-	if got := net.ser.Len(); got > 200 {
+	if got := net.SerLen(); got > 200 {
 		t.Fatalf("the memo holds %d entries after overflow; want the post-clear generation only", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestSerCacheOverflowDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := eventq.New()
-		net, err := New(eng, topo, config.DefaultNetwork())
+		net, err := noc.NewFast(eng, topo, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestMemoKeysPacketCount(t *testing.T) {
 	want := eventq.Time(50 + p.LocalLinkLatency + p.RouterLatency)
 	for _, warm := range []bool{false, true} {
 		eng := eventq.New()
-		net, err := New(eng, topo, p)
+		net, err := noc.NewFast(eng, topo, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSingleLinkSendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := eventq.New()
-	net, err := New(eng, topo, config.DefaultNetwork())
+	net, err := noc.NewFast(eng, topo, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSingleLinkSendZeroAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(100, send); got != 0 {
 		t.Fatalf("steady-state single-link send: %v allocations, want 0", got)
 	}
-	if net.ser.Len() == 0 {
+	if net.SerLen() == 0 {
 		t.Fatal("messages were not memoized")
 	}
 }

@@ -1,16 +1,16 @@
-package fastnet_test
+package noc_test
 
 // Differential verification of the backend duality: the congestion-unaware
-// analytical backend (fastnet) against the congestion-aware packet backend
-// (noc), and both against the closed-form oracle.
+// fast backend (the unbounded model, NewFast) against the congestion-aware
+// packet backend (New), and both against the closed-form oracle.
 //
 // On the oracle's uncongested validity domain (single-chunk, aggressive
 // injection, fault-free — the same 112-config corpus as the collectives
 // package's TestOracleExactAcrossConfigs) all three must agree EXACTLY,
 // zero tolerance: end-to-end cycles, per-phase breakdowns, and per-class
-// byte totals. The fast backend and the packet backend are fully
-// independent code paths sharing only the noc.Message type, so any drift
-// in either transport's arithmetic fails here.
+// byte totals. The two backends share the per-link wire state, the packet
+// plan and the serialization kernel, but each has its own send path, so
+// any drift in either path's arithmetic or event ordering fails here.
 //
 // Outside that domain (the default 64-way chunk split, where dispatcher
 // and LSQ concurrency interleave traffic) exactness is not guaranteed —

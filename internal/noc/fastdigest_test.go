@@ -35,8 +35,8 @@ type fastDigestCase struct {
 //	collectives -backend fast -op <op> -topology <spec> -size <bytes>
 //	    -algorithm <alg> -preferred-set-splits <splits>
 //
-// The values were recorded on the fast backend's original standalone
-// package and must never be re-recorded for a refactor.
+// The values pin the fast backend's behaviour: never re-record them for
+// a refactor.
 var fastDigestCorpus = []fastDigestCase{
 	// Packet runs 96,709 cycles here (ROADMAP item 3).
 	{"hier:sw8,fc4,ring4", config.Baseline, 64, collectives.AllReduce, 4 << 20, 96699, 2129920, 0x4ea76f6dd49ac405},

@@ -1,4 +1,4 @@
-package fastnet_test
+package noc_test
 
 // FuzzBackendEquivalence widens the fixed differential corpus of
 // TestFastExactAcrossConfigs to random uncongested points: a fabric family

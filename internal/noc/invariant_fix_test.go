@@ -1,9 +1,10 @@
 package noc
 
-// Regression tests for the path-class packet sizing fix, the exhaustive
-// PacketSizeFor switch, and free-list poisoning.
+// Regression tests for the path-class packet sizing fix, the rejection of
+// unconfigured link classes, and free-list poisoning.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,8 +47,11 @@ func TestMixedClassPathUsesSmallestPacketSize(t *testing.T) {
 	if links[localLink].Class == links[horizLink].Class {
 		t.Fatalf("test topology lost its mixed-class path: both links are %v", links[localLink].Class)
 	}
-	small := net.PacketSizeFor(links[horizLink].Class)
-	if big := net.PacketSizeFor(links[localLink].Class); big <= small {
+	if links[localLink].Class != topology.IntraPackage || links[horizLink].Class != topology.InterPackage {
+		t.Fatalf("test path is %v then %v, want intra- then inter-package", links[localLink].Class, links[horizLink].Class)
+	}
+	small := p.PackagePacketSize
+	if big := p.LocalPacketSize; big <= small {
 		t.Fatalf("default config no longer has local packets (%d) larger than package packets (%d)", big, small)
 	}
 
@@ -76,20 +80,32 @@ func TestMixedClassPathUsesSmallestPacketSize(t *testing.T) {
 	}
 }
 
-// PacketSizeFor must refuse unknown link classes instead of silently
-// defaulting to the inter-package size.
-func TestPacketSizeForUnknownClassPanics(t *testing.T) {
-	_, _, net := ring4(t, config.DefaultNetwork())
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("PacketSizeFor(unknown class) did not panic")
+// badClassTopo is a topology whose link 1 has a class no network
+// parameter configures.
+type badClassTopo struct{ topology.Topology }
+
+func (b badClassTopo) Links() []topology.LinkSpec {
+	links := slices.Clone(b.Topology.Links())
+	links[1].Class = topology.LinkClass(42)
+	return links
+}
+
+// Both models must refuse a link class without configured bandwidth,
+// latency and packet size at construction, naming the link, instead of
+// serializing it at rate zero or with some other class's packet size.
+func TestUnknownLinkClassRejected(t *testing.T) {
+	topo, err := topology.NewTorus(2, 2, 1, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(*eventq.Engine, topology.Topology, config.Network) (*Network, error){
+		"New": New, "NewFast": NewFast,
+	} {
+		_, err := build(eventq.New(), badClassTopo{topo}, config.DefaultNetwork())
+		if err == nil || !strings.Contains(err.Error(), "link 1 ") {
+			t.Fatalf("%s accepted a link of class 42 (err %v), want an error naming link 1", name, err)
 		}
-		if !strings.Contains(r.(string), "no packet size") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	net.PacketSizeFor(topology.LinkClass(42))
+	}
 }
 
 // With poisoning on, a full multi-packet run must still complete cleanly:

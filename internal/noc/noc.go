@@ -22,12 +22,17 @@
 // closed form, with results identical to the per-packet model (train.go).
 // SetFlowCollapse(false) turns trains off for A/B comparison. A train
 // message is charged by the serialization kernel (serkernel.go), which
-// internal/fastnet shares and which memoizes long messages. It costs one
-// delivery event: its segment of the train retires lazily, with an event
-// only when a queued packet or a blocked upstream link must react. So the
-// link-state reads (LinkStatsFor, TotalBytesByClass, UtilizationByClass,
-// Quiet, DebugLinks) first retire what has ended and report the state the
-// engine's last run left; they are made between runs, not from handlers.
+// memoizes long messages. It costs one delivery event: its segment of the
+// train retires lazily, with an event only when a queued packet or a
+// blocked upstream link must react. So the link-state reads (LinkStatsFor,
+// TotalBytesByClass, UtilizationByClass, Quiet, DebugLinks) first retire
+// what has ended and report the state the engine's last run left; they
+// are made between runs, not from handlers.
+//
+// NewFast builds the same network with unbounded buffers: the
+// congestion-unaware half of the backend duality (config.FastBackend),
+// with a send path of its own over the same per-link wire state
+// (unbounded.go).
 //
 // Links optionally carry fault state (SetLinkFaults, driven by the
 // internal/faults subsystem): bandwidth degradation windows and outage
@@ -53,6 +58,12 @@
 // shards of one pool worker, which the runner advances one after another
 // (see Partition). No locks are taken on the packet hot path in either
 // mode; the window protocol is the synchronization.
+//
+// An unbounded network (NewFast) is always serial: it is owned by the
+// goroutine advancing its engine, and Partition and AssignOrderingComps
+// reject it (config.System.IntraParallel is a packet-model knob). Distinct
+// networks of either model share nothing and may run on distinct
+// goroutines freely, which is how sweeps parallelize.
 package noc
 
 import (
@@ -254,9 +265,36 @@ type LinkStats struct {
 	PeakQueue int
 }
 
-type link struct {
+// wire is the per-link state both models keep: the link itself, its
+// serializer's rate and carry, its hop latency and packet size, and its
+// counters. The packet model's link embeds it; the unbounded model keeps
+// nothing else per link, so a wire must stay within 128 bytes
+// (TestWireSize): the fast backend's hot loop walks them.
+type wire struct {
 	spec topology.LinkSpec
 	net  *Network
+	// effBW is the serialization rate in effective bytes/cycle
+	// (bandwidth x efficiency).
+	effBW float64
+	// serCarry accumulates sub-cycle serialization remainders.
+	serCarry float64
+	latency  eventq.Time
+	// pktSize is the link class's packet size.
+	pktSize int64
+	// busyUntil is when the unbounded model's serializer frees up; the
+	// packet model tracks its serializer in link instead.
+	busyUntil eventq.Time
+	stats     LinkStats
+}
+
+// hopDelay is the post-serialization delay to the next stage: wire latency
+// plus one router pipeline.
+func (w *wire) hopDelay() eventq.Time {
+	return w.latency + eventq.Time(w.net.params.RouterLatency)
+}
+
+type link struct {
+	wire
 	// eng is the engine this link's events run on: the network's main
 	// engine, or — when the network is partitioned for intra-run
 	// parallelism — the shard engine owning the link's component.
@@ -279,14 +317,9 @@ type link struct {
 	// train holds the closed-form messages serializing ahead of queue.
 	train train
 
-	// serialization rate in effective bytes/cycle (bandwidth x efficiency)
-	effBW float64
-	// serCarry accumulates sub-cycle serialization remainders.
-	serCarry float64
 	// ser memoizes train charges: the network's table in serial mode,
 	// the owning shard's pool worker's otherwise.
-	ser     *SerTable
-	latency eventq.Time
+	ser *SerTable
 	// capPackets bounds the queue for packets arriving from another link
 	// (switch input buffering). Source injection is unbounded: endpoint
 	// queuing is the system-layer "queue delay".
@@ -316,8 +349,6 @@ type link struct {
 	// fault, when non-nil, is the link's fault-injection state machine
 	// (degradation, outages, drops); nil on every fault-free run.
 	fault *linkFault
-
-	stats LinkStats
 }
 
 // serCycles returns the serialization time for one packet, carrying the
@@ -335,13 +366,23 @@ func (l *link) serCycles(bytes int64) eventq.Time {
 	return c
 }
 
-// Network simulates the fabric over a topology's physical links.
+// Network simulates the fabric over a topology's physical links, with
+// the packet model (New) or with unbounded buffers (NewFast).
 type Network struct {
 	eng    *eventq.Engine
-	topo   topology.Topology
 	params config.Network
+	// wires holds every link's shared state, indexed by LinkID: pointers
+	// into links on the packet model, into one flat array on the
+	// unbounded one.
+	wires []*wire
+	// links is the packet model's links; nil on an unbounded network.
 	links  []*link
 	nextID uint64
+	// unbounded selects the unbounded-buffer send path (NewFast).
+	unbounded bool
+	// inFlight counts the unbounded model's injected but undelivered
+	// messages (Quiet).
+	inFlight int
 
 	// pktFree recycles retired packet objects (see allocPacket); noFreeList
 	// disables recycling so tests can compare against the allocating path.
@@ -379,7 +420,8 @@ type Network struct {
 	crossTree []int32
 	// noTrains disables packet trains for A/B testing (SetFlowCollapse).
 	noTrains bool
-	// ser is the serial links' serialization memo.
+	// ser is the serial links' serialization memo, or the unbounded
+	// model's, which memoizes every single-link send.
 	ser SerTable
 }
 
@@ -394,8 +436,13 @@ func (n *Network) SetPoisonFreeList(on bool) { n.poison = on }
 // observer — the system.Network interface form of the OnSend field.
 func (n *Network) SetOnSend(fn func(*Message)) { n.OnSend = fn }
 
-// Backend identifies this implementation in the backend duality.
-func (n *Network) Backend() config.Backend { return config.PacketBackend }
+// Backend identifies the model in the backend duality.
+func (n *Network) Backend() config.Backend {
+	if n.unbounded {
+		return config.FastBackend
+	}
+	return config.PacketBackend
+}
 
 // checkAlive panics if p was freed and not reallocated — a use-after-free.
 func (n *Network) checkAlive(p *packet, site string) {
@@ -404,39 +451,61 @@ func (n *Network) checkAlive(p *packet, site string) {
 	}
 }
 
-// New builds the network for topo using the given Garnet-level parameters.
+// New builds the packet model of topo's fabric with the given Garnet-level
+// parameters.
 func New(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network, error) {
+	return build(eng, topo, p, false)
+}
+
+// NewFast builds the unbounded-buffer model of topo's fabric with the same
+// parameters as New; buffer capacities are ignored (see unbounded.go).
+func NewFast(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network, error) {
+	return build(eng, topo, p, true)
+}
+
+// build is New and NewFast: one wire per link, resolved from the link's
+// class, inside a packet link or in one flat array.
+func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbounded bool) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, topo: topo, params: p, ser: newTrainTable()}
-	flitBytes := p.FlitWidthBits / 8
-	if flitBytes == 0 {
-		flitBytes = 1
+	specs := topo.Links()
+	n := &Network{eng: eng, params: p, unbounded: unbounded, wires: make([]*wire, len(specs))}
+	var flat []wire
+	if unbounded {
+		n.ser = NewSerTable()
+		flat = make([]wire, len(specs))
+	} else {
+		n.ser = newTrainTable()
+		n.links = make([]*link, len(specs))
 	}
-	for _, spec := range topo.Links() {
-		l := &link{spec: spec, net: n, eng: eng, pool: &n.pktFree, ser: &n.ser}
+	flitBytes := max(p.FlitWidthBits/8, 1)
+	for i, spec := range specs {
+		var bw, eff float64
+		var lat uint64
+		var pkt int
 		switch spec.Class {
 		case topology.IntraPackage:
-			l.effBW = p.LocalLinkBandwidth * p.LocalLinkEfficiency
-			l.latency = eventq.Time(p.LocalLinkLatency)
-			l.capPackets = bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, p.LocalPacketSize)
+			bw, eff, lat, pkt = p.LocalLinkBandwidth, p.LocalLinkEfficiency, p.LocalLinkLatency, p.LocalPacketSize
 		case topology.InterPackage:
-			l.effBW = p.PackageLinkBandwidth * p.PackageLinkEfficiency
-			l.latency = eventq.Time(p.PackageLinkLatency)
-			l.capPackets = bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, p.PackagePacketSize)
+			bw, eff, lat, pkt = p.PackageLinkBandwidth, p.PackageLinkEfficiency, p.PackageLinkLatency, p.PackagePacketSize
 		case topology.ScaleOutLink:
-			l.effBW = p.ScaleOutLinkBandwidth * p.ScaleOutLinkEfficiency
-			l.latency = eventq.Time(p.ScaleOutLinkLatency)
-			l.capPackets = bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, p.ScaleOutPacketSize)
+			bw, eff, lat, pkt = p.ScaleOutLinkBandwidth, p.ScaleOutLinkEfficiency, p.ScaleOutLinkLatency, p.ScaleOutPacketSize
 		default:
 			// A link class without configured bandwidth/latency/packet-size
 			// parameters would serialize at rate zero; refuse at
-			// construction instead of diverging (or panicking in
-			// PacketSizeFor) mid-simulation.
+			// construction instead of diverging mid-simulation.
 			return nil, fmt.Errorf("noc: link %d has class %v with no configured network parameters", spec.ID, spec.Class)
 		}
-		n.links = append(n.links, l)
+		w := wire{spec: spec, net: n, effBW: bw * eff, latency: eventq.Time(lat), pktSize: int64(pkt)}
+		if unbounded {
+			flat[i] = w
+			n.wires[i] = &flat[i]
+			continue
+		}
+		l := &link{wire: w, eng: eng, pool: &n.pktFree, ser: &n.ser,
+			capPackets: bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, pkt)}
+		n.links[i], n.wires[i] = l, &l.wire
 	}
 	return n, nil
 }
@@ -450,33 +519,15 @@ func bufferPackets(vcs, buffersPerVC, flitBytes, packetSize int) int {
 	return cap
 }
 
-// PacketSizeFor returns the configured packet size for a link class. The
-// switch is deliberately exhaustive: a new link class must be given its
-// own packet size here, not silently inherit the inter-package one. The
-// panic is a provably-internal invariant: New rejects topologies carrying
-// any link class not enumerated here, so no user-supplied configuration
-// can reach it.
-func (n *Network) PacketSizeFor(class topology.LinkClass) int {
-	switch class {
-	case topology.IntraPackage:
-		return n.params.LocalPacketSize
-	case topology.InterPackage:
-		return n.params.PackagePacketSize
-	case topology.ScaleOutLink:
-		return n.params.ScaleOutPacketSize
-	}
-	panic(fmt.Sprintf("noc: no packet size configured for link class %v", class))
-}
-
 // pathPacketSize returns the packet size for a message traversing path:
 // the smallest packet-size class along it, so no hop ever carries a
 // packet larger than its class allows (a local-link-entry message that
 // crosses inter-package or scale-out hops must be chunked for the
 // tightest hop — downstream buffer capacities are computed per class).
 func (n *Network) pathPacketSize(path []topology.LinkID) int64 {
-	pktSize := int64(n.PacketSizeFor(n.links[path[0]].spec.Class))
+	pktSize := n.wires[path[0]].pktSize
 	for _, id := range path[1:] {
-		if ps := int64(n.PacketSizeFor(n.links[id].spec.Class)); ps < pktSize {
+		if ps := n.wires[id].pktSize; ps < pktSize {
 			pktSize = ps
 		}
 	}
@@ -501,6 +552,10 @@ func (n *Network) Send(msg *Message) {
 	msg.Injected = n.eng.Now()
 	if n.OnSend != nil {
 		n.OnSend(msg)
+	}
+	if n.unbounded {
+		n.sendUnbounded(msg)
+		return
 	}
 
 	first := n.links[msg.Path[0]]
@@ -684,7 +739,7 @@ func (n *Network) dropPacket(l *link, p *packet) {
 	n.dropStats.DroppedPackets++
 	n.dropStats.DroppedBytes += p.bytes
 	for _, id := range msg.Path[p.pathPos+1:] {
-		n.shortfallByClass[n.links[id].spec.Class] += p.bytes
+		n.shortfallByClass[n.wires[id].spec.Class] += p.bytes
 	}
 	l.finishHead(p)
 	if !msg.lost {
@@ -693,12 +748,6 @@ func (n *Network) dropPacket(l *link, p *packet) {
 			msg.OnDropped(msg)
 		}
 	}
-}
-
-// hopDelay is the post-serialization delay to the next stage: wire latency
-// plus one router pipeline.
-func (l *link) hopDelay() eventq.Time {
-	return l.latency + eventq.Time(l.net.params.RouterLatency)
 }
 
 // forward hands the head packet to its next stage (downstream link or
@@ -781,24 +830,34 @@ func (l *link) releaseWaiters() {
 	}
 }
 
+// settleLinks retires, on every packet link, what a link-state read from
+// outside any handler must see retired (see settle). An unbounded network
+// has nothing to settle: its counters are charged at send time.
+func (n *Network) settleLinks() {
+	for _, l := range n.links {
+		l.settle()
+	}
+}
+
 // LinkStatsFor returns a copy of the counters for one link.
 func (n *Network) LinkStatsFor(id topology.LinkID) LinkStats {
-	l := n.links[id]
-	l.settle()
-	return l.stats
+	if !n.unbounded {
+		n.links[id].settle()
+	}
+	return n.wires[id].stats
 }
 
 // TotalBytesByClass sums bytes carried per link class.
 func (n *Network) TotalBytesByClass() (intra, inter, scaleOut int64) {
-	for _, l := range n.links {
-		l.settle()
-		switch l.spec.Class {
+	n.settleLinks()
+	for _, w := range n.wires {
+		switch w.spec.Class {
 		case topology.IntraPackage:
-			intra += l.stats.Bytes
+			intra += w.stats.Bytes
 		case topology.InterPackage:
-			inter += l.stats.Bytes
+			inter += w.stats.Bytes
 		case topology.ScaleOutLink:
-			scaleOut += l.stats.Bytes
+			scaleOut += w.stats.Bytes
 		}
 	}
 	return intra, inter, scaleOut
@@ -812,7 +871,7 @@ func (n *Network) ScaleLinkBandwidth(id topology.LinkID, factor float64) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("noc: bandwidth scale must be positive, got %v", factor))
 	}
-	n.links[id].effBW *= factor
+	n.wires[id].effBW *= factor
 }
 
 // SetLinkFaults installs (or, with a zero-value LinkFaults, clears) one
@@ -822,8 +881,11 @@ func (n *Network) ScaleLinkBandwidth(id topology.LinkID, factor float64) {
 // Windows must be well-formed (Start < End), degrade factors positive,
 // and DropProb within [0, 1); a malformed configuration is returned as an
 // error so fault state reachable from user-supplied plans can never take
-// a long-running process down.
+// a long-running process down. The unbounded model takes no faults.
 func (n *Network) SetLinkFaults(id topology.LinkID, f LinkFaults, seed uint64) error {
+	if n.unbounded {
+		return fmt.Errorf("noc: link faults need the packet model; the unbounded network does not model them")
+	}
 	if n.shards != nil {
 		return fmt.Errorf("noc: link faults are not supported with intra-run parallelism; run with IntraParallel=0 (serial engine) for fault injection")
 	}
@@ -884,16 +946,16 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 	if until == 0 {
 		return out
 	}
-	for _, l := range n.links {
-		l.settle()
-		u := out[l.spec.Class]
+	n.settleLinks()
+	for _, w := range n.wires {
+		u := out[w.spec.Class]
 		u.Links++
-		busy := float64(l.stats.BusyCycles) / float64(until)
+		busy := float64(w.stats.BusyCycles) / float64(until)
 		u.AvgBusy += busy
 		if busy > u.PeakBusy {
 			u.PeakBusy = busy
 		}
-		out[l.spec.Class] = u
+		out[w.spec.Class] = u
 	}
 	for class, u := range out {
 		u.AvgBusy /= float64(u.Links)
@@ -904,8 +966,12 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 
 // Quiet reports whether no packets are queued or in flight on any link,
 // and (on a partitioned network) no delivery is buffered toward the main
-// engine.
+// engine. An unbounded network is quiet when every message it was sent
+// has been delivered.
 func (n *Network) Quiet() bool {
+	if n.unbounded {
+		return n.inFlight == 0
+	}
 	for _, l := range n.links {
 		l.settle()
 		if l.busy || l.qlen() > 0 || l.reserved > 0 {
@@ -937,20 +1003,20 @@ type LinkDebugState struct {
 	Stats    LinkStats
 }
 
-// DebugLinks snapshots every link's dynamic state.
+// DebugLinks snapshots every link's dynamic state. The unbounded model
+// holds no queues or reservations; its link is busy while its charged
+// serialization extends past now.
 func (n *Network) DebugLinks() []LinkDebugState {
-	out := make([]LinkDebugState, len(n.links))
-	for i, l := range n.links {
-		out[i] = LinkDebugState{
-			ID:       l.spec.ID,
-			Class:    l.spec.Class,
-			Queued:   l.qlen() + l.trainLeft(l.readKey()),
-			Reserved: l.reserved,
-			Waiters:  len(l.waiters),
-			Busy:     l.busy,
-			Blocked:  l.blocked,
-			Stats:    l.stats,
+	n.settleLinks()
+	out := make([]LinkDebugState, len(n.wires))
+	for i, w := range n.wires {
+		d := LinkDebugState{ID: w.spec.ID, Class: w.spec.Class, Busy: w.busyUntil > n.eng.Now(), Stats: w.stats}
+		if !n.unbounded {
+			l := n.links[i]
+			d.Queued, d.Reserved, d.Waiters = l.qlen()+l.trainLeft(l.readKey()), l.reserved, len(l.waiters)
+			d.Busy, d.Blocked = l.busy, l.blocked
 		}
+		out[i] = d
 	}
 	return out
 }

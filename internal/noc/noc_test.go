@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
@@ -329,5 +330,41 @@ func TestUtilizationByClass(t *testing.T) {
 	}
 	if len(net.UtilizationByClass(0)) != 0 {
 		t.Error("zero window should yield empty report")
+	}
+}
+
+// TestWireSize bounds the per-link state the unbounded model walks: a
+// wire past 128 bytes costs the fast backend measurable time and memory.
+func TestWireSize(t *testing.T) {
+	if got := unsafe.Sizeof(wire{}); got > 128 {
+		t.Fatalf("wire is %d bytes, want at most 128", got)
+	}
+}
+
+// The unbounded model has neither fault state nor shards: installing
+// faults or partitioning it must fail, not be ignored.
+func TestUnboundedRejectsFaultsAndPartition(t *testing.T) {
+	topo, err := topology.NewTorus(4, 1, 1, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := eventq.New()
+	net, err := NewFast(eng, topo, config.DefaultNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetLinkFaults(0, LinkFaults{DropProb: 0.5}, 1); err == nil {
+		t.Fatal("SetLinkFaults on an unbounded network returned nil")
+	}
+	comp := make([]int32, len(topo.Links()))
+	for i := range comp {
+		comp[i] = 1
+	}
+	noTransit := make([]bool, len(comp))
+	if err := net.Partition([]*eventq.Engine{eventq.New()}, 1, comp, noTransit); err == nil {
+		t.Fatal("Partition of an unbounded network returned nil")
+	}
+	if err := net.AssignOrderingComps(comp, noTransit); err == nil {
+		t.Fatal("AssignOrderingComps on an unbounded network returned nil")
 	}
 }

@@ -79,6 +79,9 @@ func (sh *shard) push(e outEvent) {
 // same time, so they share one serialization memo. Partition must be
 // called once, before any traffic is injected.
 func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, noTransit []bool) error {
+	if n.unbounded {
+		return fmt.Errorf("noc: the unbounded network cannot be partitioned")
+	}
 	if n.shards != nil {
 		return fmt.Errorf("noc: network is already partitioned")
 	}
@@ -133,6 +136,9 @@ func (n *Network) Partitioned() bool { return n.shards != nil }
 // prefix; and both run packet trains on the same links. Must be called
 // before any traffic is injected.
 func (n *Network) AssignOrderingComps(comp []int32, noTransit []bool) error {
+	if n.unbounded {
+		return fmt.Errorf("noc: the unbounded network cannot be partitioned")
+	}
 	if n.shards != nil {
 		return fmt.Errorf("noc: network is already partitioned")
 	}

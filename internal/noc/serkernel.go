@@ -1,12 +1,12 @@
 package noc
 
 // The serialization kernel: the one definition of how a link's
-// serializer turns bytes into cycles, shared by both network backends.
+// serializer turns bytes into cycles, shared by both network models.
 // SerStep is the single step; SerTable.Charge charges a whole message's
-// packets back to back, memoizing long trains. The packet backend calls
-// Charge for packet trains and SerStep for real packets; internal/fastnet
-// calls the same two for its single-link sends and its per-hop packets,
-// which is why the two backends agree bit for bit.
+// packets back to back, memoizing long trains. The packet model calls
+// Charge for packet trains and SerStep for real packets; the unbounded
+// model calls the same two for its single-link sends and its per-hop
+// packets, which is why the two models agree bit for bit.
 
 import (
 	"math"

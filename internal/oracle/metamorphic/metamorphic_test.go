@@ -32,7 +32,7 @@ func TestSuiteHoldsOnSeededCorpus(t *testing.T) {
 // congestion-unaware fast backend: every relation (bandwidth scaling,
 // size scaling, symmetry, straggler monotonicity, algorithm dominance,
 // retry-noop, oracle exactness) is a transport-independent property of
-// the system layer, so a violation here isolates a fastnet bug.
+// the system layer, so a violation here isolates a fast-backend bug.
 // Fault-dependent rules skip themselves (fault injection is packet-only).
 func TestSuiteHoldsOnSeededCorpusFastBackend(t *testing.T) {
 	if testing.Short() {

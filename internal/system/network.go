@@ -10,15 +10,16 @@ import (
 // Network abstracts the transport under the system layer — the seam of the
 // simulator's congestion-aware/unaware duality (the original ASTRA-SIM
 // ships a Garnet binary and an analytical binary for the same reason).
-// Two implementations exist:
+// Both are one *noc.Network with two send paths over shared per-link
+// state:
 //
-//   - internal/noc (config.PacketBackend): the congestion-aware
+//   - noc.New (config.PacketBackend): the congestion-aware
 //     packet-granularity fabric with finite buffers, head-of-line
 //     backpressure, and fault injection.
-//   - internal/fastnet (config.FastBackend): the congestion-unaware
+//   - noc.NewFast (config.FastBackend): the congestion-unaware
 //     analytical model derived from the oracle's alpha-beta recurrence —
-//     closed-form link serialization with infinite buffers, exact whenever
-//     the packet model's buffers never fill.
+//     closed-form link serialization with unbounded buffers, exact
+//     whenever the packet model's buffers never fill.
 //
 // The system layer drives either implementation identically: chunk phase
 // messages and point-to-point sends go down through Send, delivery comes
@@ -26,9 +27,10 @@ import (
 // (per-class byte totals, utilization, quiescence, link snapshots) feeds
 // the audit layer, the energy model, and the experiment reports unchanged.
 //
-// Capabilities beyond this interface — fault injection windows and packet
-// free-list poisoning — are packet-only; callers type-assert *noc.Network
-// and must fail with a clear error when the assertion does not hold.
+// The interface stays although one type implements it: the system layer's
+// tests drive it with recording fakes. Capabilities beyond it, fault
+// injection and intra-run partitioning, are packet-only; callers check
+// Backend() and must fail with a clear error on the fast backend.
 type Network interface {
 	// Send injects one message; OnDelivered fires when its last packet
 	// reaches the destination.

@@ -6,7 +6,6 @@ import (
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
-	"astrasim/internal/fastnet"
 	"astrasim/internal/noc"
 	"astrasim/internal/pdes"
 	"astrasim/internal/topology"
@@ -38,9 +37,10 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 	var par *pdes.Runner
 	var err error
 	if sysCfg.Backend == config.FastBackend {
-		// The fast backend is already analytic end-to-end; IntraParallel
-		// is a packet-mode knob and is deliberately ignored here.
-		net, err = fastnet.New(eng, topo, netCfg)
+		// The fast backend is noc's unbounded-buffer model, always
+		// serial; IntraParallel is a packet-mode knob and is deliberately
+		// ignored here.
+		net, err = noc.NewFast(eng, topo, netCfg)
 	} else {
 		var nn *noc.Network
 		nn, err = noc.New(eng, topo, netCfg)

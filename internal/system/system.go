@@ -163,9 +163,9 @@ func (h *Handle) AvgPhaseResidence(i int) float64 {
 type System struct {
 	Eng  *eventq.Engine
 	Topo topology.Topology
-	// Net is the transport backend (packet-level noc or analytical
-	// fastnet) selected by Cfg.Backend; the system layer drives both
-	// identically through the Network interface.
+	// Net is the transport backend (noc's packet model or its
+	// unbounded-buffer fast model) selected by Cfg.Backend; the system
+	// layer drives both identically through the Network interface.
 	Net Network
 	Cfg config.System
 	// Tracer, when non-nil, records one queue span and one execution

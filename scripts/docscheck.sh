@@ -16,7 +16,7 @@
 
 set -eu
 
-PKGS="eventq noc fastnet parallel pdes"
+PKGS="eventq noc parallel pdes"
 
 fail=0
 
