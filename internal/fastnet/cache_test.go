@@ -1,4 +1,4 @@
-package noc_test
+package fastnet_test
 
 // The serialization-charge memoization was sized for one-shot CLI runs;
 // a daemon keeps instances alive for whole jobs and must not let an

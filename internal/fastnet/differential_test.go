@@ -1,8 +1,10 @@
-package noc_test
+package fastnet_test
 
 // Differential verification of the backend duality: the congestion-unaware
-// fast backend (the unbounded model, NewFast) against the congestion-aware
-// packet backend (New), and both against the closed-form oracle.
+// fast backend (noc's unbounded model, noc.NewFast) against the
+// congestion-aware packet backend (noc.New), and both against the
+// closed-form oracle. This directory holds only tests: both backends'
+// code is in internal/noc.
 //
 // On the oracle's uncongested validity domain (single-chunk, aggressive
 // injection, fault-free — the same 112-config corpus as the collectives

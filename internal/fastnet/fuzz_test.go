@@ -1,4 +1,4 @@
-package noc_test
+package fastnet_test
 
 // FuzzBackendEquivalence widens the fixed differential corpus of
 // TestFastExactAcrossConfigs to random uncongested points: a fabric family

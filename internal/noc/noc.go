@@ -444,6 +444,10 @@ func (n *Network) Backend() config.Backend {
 	return config.PacketBackend
 }
 
+// SerLen reports the number of charges held in the network's
+// serialization memo (at most SerTableMaxEntries).
+func (n *Network) SerLen() int { return n.ser.Len() }
+
 // checkAlive panics if p was freed and not reallocated — a use-after-free.
 func (n *Network) checkAlive(p *packet, site string) {
 	if p.bytes == poisonBytes {
