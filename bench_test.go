@@ -7,12 +7,16 @@ package astrasim_test
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"astrasim"
 	"astrasim/internal/experiments"
 	"astrasim/internal/graph"
+	"astrasim/internal/service"
 	"astrasim/internal/system"
 	"astrasim/internal/workload"
 )
@@ -340,6 +344,39 @@ func BenchmarkAllToAll_8Packages_1MB(b *testing.B) {
 	reportEvents(b, p, collectiveRun(astrasim.AllToAll, 1<<20))
 }
 
+// BenchmarkAllReduceHierSw8_4MB_Fast is the switched fast-backend run of
+// the noc fast-backend digest corpus: a 4 MiB baseline all-reduce on
+// hier:sw8,fc4,ring4 (128 NPUs; 8-port switches, then fully-connected
+// groups of 4, then rings of 4). Its switch dimension sends every
+// message NPU->switch->NPU, so the unbounded model's switch-fed links
+// carry most of its network cost.
+func BenchmarkAllReduceHierSw8_4MB_Fast(b *testing.B) {
+	benchSwitchedFast(b, "hier:sw8,fc4,ring4", astrasim.AllReduce, 4<<20)
+}
+
+// BenchmarkAllToAllA2A4x8_1MB_Fast is a 1 MiB all-to-all on the 4x8
+// alltoall fabric (two global switches) on the fast backend: up to seven
+// sources converge on each switch->NPU link at once.
+func BenchmarkAllToAllA2A4x8_1MB_Fast(b *testing.B) {
+	benchSwitchedFast(b, "a2a:4x8", astrasim.AllToAll, 1<<20)
+}
+
+func benchSwitchedFast(b *testing.B, spec string, op astrasim.Op, bytes int64) {
+	b.ReportAllocs()
+	p, err := astrasim.NewPlatformFromSpec(spec,
+		astrasim.WithAlgorithm(astrasim.Baseline),
+		astrasim.WithBackend(astrasim.FastBackend))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunCollective(op, bytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEvents(b, p, collectiveRun(op, bytes))
+}
+
 func BenchmarkTrainDLRM_16NPUs(b *testing.B) {
 	b.ReportAllocs()
 	def := astrasim.DLRM(128)
@@ -534,4 +571,28 @@ func BenchmarkModelReplay(b *testing.B) {
 		run()
 	}
 	reportEvents(b, p, graphRun(g))
+}
+
+// daemonRoundTripJob is a daemon-mix collective of the mid size on its
+// switched hierarchical fabric.
+const daemonRoundTripJob = `{"topology": "hier:sw8,fc4,ring4", "backend": "fast", "collective": {"op": "allreduce", "bytes": 557056}}`
+
+// BenchmarkDaemonRoundTrip is the daemon's request path, per layer: one
+// submission that misses (decode, compile, simulate, cache) and its exact
+// repeat, which the result cache answers, through the service handler
+// on a fresh one-worker server.
+func BenchmarkDaemonRoundTrip(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := service.New(service.Config{Workers: 1})
+		h := s.Handler()
+		for _, want := range []string{"miss", "hit"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(daemonRoundTripJob)))
+			if got := rec.Header().Get("X-Astrasim-Cache"); rec.Code != http.StatusOK || got != want {
+				b.Fatalf("status %d, cache %q, want 200 and %q: %s", rec.Code, got, want, rec.Body)
+			}
+		}
+		s.Close()
+	}
 }

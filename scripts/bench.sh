@@ -50,14 +50,18 @@ COUNT=5
 # trains hundreds of packets long carry its cost. The 2-worker 4x4x4
 # all-reduce is the bench workload allreduce-pdes2: the one partitioned
 # run, covering the pdes window protocol (shard pool, flush); its
-# 1-worker twin gives the protocol's cost without parallelism.
+# 1-worker twin gives the protocol's cost without parallelism. The
+# hier:sw8,fc4,ring4 all-reduce and the a2a:4x8 all-to-all are the fast
+# backend's switched runs: most of their network cost is on links a
+# switch feeds. The daemon round trip is one cache miss and its cached
+# repeat through the service handler: the daemon request path.
 # EVQ is the event-queue set: a schedule-then-drain run, two
 # steady-state hold shapes: many events over few cycles (packet
 # all-reduce) and nearly every event at a cycle of its own (the bucketed
 # queue's worst case), and a crowded cycle: interleaved packet-train
 # deliveries injected below a future cycle's tail (the walk and the
 # finger).
-CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel1|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
+CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel1|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllReduceHierSw8_4MB_Fast|BenchmarkAllToAllA2A4x8_1MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkDaemonRoundTrip|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
 EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct|BenchmarkQueueCrowded'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
 # plus the intra-run parallelism set at 16384 NPUs (serial engine vs
