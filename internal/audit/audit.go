@@ -15,8 +15,8 @@
 //     analytic per-node arithmetic of the paper's §V-B (the "(126/64)N vs
 //     (28/8)N" accounting) within per-message rounding tolerance.
 //  2. Quiescence balance. When the event queue drains, every link has an
-//     empty queue, no reserved buffer slots, no waiters, and an idle
-//     serializer; every injection throttle has zero in-flight slots and
+//     empty queue, no reserved buffer slots, no waiters, no pending
+//     arrival records, and an idle serializer; every injection throttle has zero in-flight slots and
 //     an empty deferral queue; every logical scheduling queue is empty
 //     with zero active chunks; the dispatcher's ready queue and
 //     first-phase counter are zero; and every issued collective is Done
@@ -215,10 +215,10 @@ func (a *Auditor) checkConservation() []string {
 func (a *Auditor) checkQuiescence() []string {
 	var v []string
 	for _, l := range a.net.DebugLinks() {
-		if l.Queued != 0 || l.Reserved != 0 || l.Waiters != 0 || l.Busy || l.Blocked {
+		if l.Queued != 0 || l.Reserved != 0 || l.Waiters != 0 || l.Pending != 0 || l.Busy || l.Blocked {
 			v = append(v, fmt.Sprintf(
-				"quiescence: link %d (%v) not drained: queued=%d reserved=%d waiters=%d busy=%v blocked=%v",
-				l.ID, l.Class, l.Queued, l.Reserved, l.Waiters, l.Busy, l.Blocked))
+				"quiescence: link %d (%v) not drained: queued=%d reserved=%d waiters=%d pending=%d busy=%v blocked=%v",
+				l.ID, l.Class, l.Queued, l.Reserved, l.Waiters, l.Pending, l.Busy, l.Blocked))
 		}
 	}
 	st := a.sys.DebugState()

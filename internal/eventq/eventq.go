@@ -511,6 +511,16 @@ func (e *Engine) EventKey() Key {
 	return Key{Ctime: e.now, Gen2: e.fireCtime, Comp: e.fireComp, Seq: e.seq}
 }
 
+// EventKeys allocates count keys at once, as count EventKey calls would,
+// and returns the first; the others differ from it only in Seq, which
+// grows by one per key. A caller that stands for count events with one
+// record keys them without a call per event.
+func (e *Engine) EventKeys(count uint64) Key {
+	k := Key{Ctime: e.now, Gen2: e.fireCtime, Comp: e.fireComp, Seq: e.seq + 1}
+	e.seq += count
+	return k
+}
+
 // SpliceKey returns the key of the currently firing event plus the next
 // splice ordinal. A handler that hands work to another engine mid-flight
 // (the main engine deferring packetization to a link shard) injects it

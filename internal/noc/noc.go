@@ -129,6 +129,9 @@ type packet struct {
 	msg     *Message
 	bytes   int64
 	pathPos int
+	// last marks a message's final packet on the unbounded model, whose
+	// arrival at the final hop delivers the message.
+	last bool
 }
 
 // allocPacket takes a packet from the given free list, or heap-allocates
@@ -141,7 +144,7 @@ func (n *Network) allocPacket(pool *[]*packet, msg *Message, bytes int64, pathPo
 	if last := len(*pool) - 1; last >= 0 && !n.noFreeList {
 		p := (*pool)[last]
 		*pool = (*pool)[:last]
-		p.msg, p.bytes, p.pathPos = msg, bytes, pathPos
+		*p = packet{msg: msg, bytes: bytes, pathPos: pathPos}
 		return p
 	}
 	return &packet{msg: msg, bytes: bytes, pathPos: pathPos}
@@ -383,6 +386,18 @@ type Network struct {
 	// inFlight counts the unbounded model's injected but undelivered
 	// messages (Quiet).
 	inFlight int
+	// npus is the topology's NPU count: nodes from npus up are switches.
+	npus int
+	// pend[id] is the unbounded model's pending arrival records at
+	// switch-fed link id, a min-heap of indices into runs; runFree
+	// recycles run slots (unbounded.go). pend is nil on the packet model
+	// and on switch-free topologies.
+	pend    [][]int32
+	runs    []hopRun
+	runFree []int32
+	// hopEvents makes every unbounded arrival an event, records off: the
+	// per-packet reference the records are tested against.
+	hopEvents bool
 
 	// pktFree recycles retired packet objects (see allocPacket); noFreeList
 	// disables recycling so tests can compare against the allocating path.
@@ -474,11 +489,14 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 		return nil, err
 	}
 	specs := topo.Links()
-	n := &Network{eng: eng, params: p, unbounded: unbounded, wires: make([]*wire, len(specs))}
+	n := &Network{eng: eng, params: p, unbounded: unbounded, wires: make([]*wire, len(specs)), npus: topo.NumNPUs()}
 	var flat []wire
 	if unbounded {
 		n.ser = NewSerTable()
 		flat = make([]wire, len(specs))
+		if topo.NumNodes() > n.npus {
+			n.pend = make([][]int32, len(specs))
+		}
 	} else {
 		n.ser = newTrainTable()
 		n.links = make([]*link, len(specs))
@@ -835,17 +853,20 @@ func (l *link) releaseWaiters() {
 }
 
 // settleLinks retires, on every packet link, what a link-state read from
-// outside any handler must see retired (see settle). An unbounded network
-// has nothing to settle: its counters are charged at send time.
+// outside any handler must see retired (see settle), and charges the
+// unbounded model's arrival records such a read must see charged.
 func (n *Network) settleLinks() {
 	for _, l := range n.links {
 		l.settle()
 	}
+	n.settleRecords()
 }
 
 // LinkStatsFor returns a copy of the counters for one link.
 func (n *Network) LinkStatsFor(id topology.LinkID) LinkStats {
-	if !n.unbounded {
+	if n.unbounded {
+		n.settleRecordsOn(id)
+	} else {
 		n.links[id].settle()
 	}
 	return n.wires[id].stats
@@ -875,6 +896,8 @@ func (n *Network) ScaleLinkBandwidth(id topology.LinkID, factor float64) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("noc: bandwidth scale must be positive, got %v", factor))
 	}
+	// Arrivals already recorded serialize at the old rate.
+	n.settleRecordsOn(id)
 	n.wires[id].effBW *= factor
 }
 
@@ -974,6 +997,7 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 // has been delivered.
 func (n *Network) Quiet() bool {
 	if n.unbounded {
+		n.settleRecords()
 		return n.inFlight == 0
 	}
 	for _, l := range n.links {
@@ -1004,7 +1028,11 @@ type LinkDebugState struct {
 	Waiters  int
 	Busy     bool
 	Blocked  bool
-	Stats    LinkStats
+	// Pending counts the unbounded model's arrival records at the link
+	// that the snapshot's read does not yet see charged: packets still on
+	// the wire toward it. It too must be zero at quiescence.
+	Pending int
+	Stats   LinkStats
 }
 
 // DebugLinks snapshots every link's dynamic state. The unbounded model
@@ -1014,7 +1042,8 @@ func (n *Network) DebugLinks() []LinkDebugState {
 	n.settleLinks()
 	out := make([]LinkDebugState, len(n.wires))
 	for i, w := range n.wires {
-		d := LinkDebugState{ID: w.spec.ID, Class: w.spec.Class, Busy: w.busyUntil > n.eng.Now(), Stats: w.stats}
+		d := LinkDebugState{ID: w.spec.ID, Class: w.spec.Class, Busy: w.busyUntil > n.eng.Now(),
+			Pending: n.pendingRecords(w.spec.ID), Stats: w.stats}
 		if !n.unbounded {
 			l := n.links[i]
 			d.Queued, d.Reserved, d.Waiters = l.qlen()+l.trainLeft(l.readKey()), l.reserved, len(l.waiters)

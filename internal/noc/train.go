@@ -292,16 +292,20 @@ func (l *link) retire(fk eventq.Key) {
 	}
 }
 
-// readKey is the key a link-state read from outside any handler sees the
-// train from. An unstopped Run or RunUntil has fired every event up to
-// now, so it sorts after all of them; when Stop froze the run inside a
-// cycle, it is the stopping event's.
-func (l *link) readKey() eventq.Key {
-	if l.eng.Stopped() {
-		return l.eng.FiringKey()
+// readKey is the key a link-state read from outside any handler sees a
+// link's lazy state (trains, arrival records) from. An unstopped Run or
+// RunUntil has fired every event up to now, so it sorts after all of
+// them; when Stop froze the run inside a cycle, it is the stopping
+// event's.
+func readKey(eng *eventq.Engine) eventq.Key {
+	if eng.Stopped() {
+		return eng.FiringKey()
 	}
 	return eventq.Key{Ctime: ^eventq.Time(0)}
 }
+
+// readKey is the key a read sees l's train from.
+func (l *link) readKey() eventq.Key { return readKey(l.eng) }
 
 // settle retires what a link-state read from outside any handler must see
 // retired.

@@ -31,13 +31,31 @@ package noc
 // symmetric topologies replay one link's carry orbit on every link,
 // collapsing the steady-state cost to O(1) per message.
 //
-// Multi-hop paths (switch and scale-out fabrics) keep one arrival event
-// per packet per downstream hop, because packets from different sources
-// interleave there in arrival order; the serialization at each hop is
-// still charged eagerly, one SerStep per packet. Each arrival event
-// carries the ordering key the packet model's would (created when the
-// packet's upstream serialization ends), so same-cycle arrivals from
-// different sources serialize in the same order on both models.
+// Multi-hop paths (switch and scale-out fabrics) interleave packets from
+// different sources at each downstream hop in arrival order, so their
+// serialization there is charged per packet, one SerStep each, in the
+// order the packet model's arrival events fire. Each arrival carries the
+// ordering key the packet model's would (created when the packet's
+// upstream serialization ends), so same-cycle arrivals from different
+// sources serialize in the same order on both models.
+//
+// An arrival is an event only where its handler creates an event: a
+// packet whose path continues, and a message's last packet at its final
+// hop, which schedules the delivery. Every other final-hop arrival at a
+// switch-fed link (a link whose source is a switch) is a record in that
+// link's pending set instead, under the key its event would carry. Only
+// arrivals touch a switch-fed link: switches never inject, and the first
+// link of every path leaves an NPU. So charging a link's records lazily,
+// in key order, just before the next arrival event there (or a read of
+// the link) runs, charges them in the order their events would have
+// fired, with their own arrival cycles: the results are identical and
+// only the event count drops. A two-hop message into a switch-fed link
+// charges its first link in closed form (SerTable.Charge), as a
+// single-link send does; its records are one hopRun, which replays the
+// first link's per-packet times with SerStep as they are charged, and a
+// single event, its last packet's arrival, stands for the whole message
+// at the second hop. NPU-fed links, including every first link and every
+// torus link, are never recorded: sends charge them eagerly.
 //
 // The unbounded model keeps only a wire per link, in one flat array, and
 // none of the packet model's queues, trains or shards: its hot loop walks
@@ -45,52 +63,82 @@ package noc
 // (SetLinkFaults returns an error): congestion-unaware timing under loss
 // is not meaningful.
 
-import "astrasim/internal/eventq"
+import (
+	"astrasim/internal/eventq"
+	"astrasim/internal/topology"
+)
 
 // sendUnbounded injects msg on an unbounded network: the first link's
 // serialization is charged eagerly in closed form, and the message either
-// completes with a single delivery event (single-link path) or fans out
-// per-packet arrival events to the remaining hops.
+// completes with a single delivery event (single-link path) or lands on
+// the remaining hops as arrival events and records.
 func (n *Network) sendUnbounded(msg *Message) {
 	n.inFlight++
 	pktSize, numPkts := n.packetPlan(msg)
 	first := n.wires[msg.Path[0]]
 	start := max(n.eng.Now(), first.busyUntil)
 	msg.SerStart = start
+	hop := first.hopDelay()
 
-	if len(msg.Path) == 1 {
-		// Single-link fast path: charge all packets back to back with the
-		// kernel, which memoizes the charge, and schedule one delivery
-		// event at the last packet's arrival.
-		v := n.ser.Charge(msg.Bytes, pktSize, numPkts, first.effBW, first.serCarry)
+	if len(msg.Path) == 1 || (len(msg.Path) == 2 && n.recorded(n.wires[msg.Path[1]])) {
+		// Charge all packets back to back with the kernel, which memoizes
+		// the charge.
+		carry := first.serCarry
+		v := n.ser.Charge(msg.Bytes, pktSize, numPkts, first.effBW, carry)
 		first.serCarry = v.Carry
 		finish := start + v.Total
 		first.busyUntil = finish
 		first.stats.Packets += uint64(numPkts)
 		first.stats.Bytes += msg.Bytes
 		first.stats.BusyCycles += v.Total
-		n.eng.CallAt(finish+first.hopDelay(), fastDeliver, n, msg)
+		if len(msg.Path) == 1 {
+			// Single-link fast path: one delivery event at the last
+			// packet's arrival.
+			n.eng.CallAt(finish+hop, fastDeliver, n, msg)
+			return
+		}
+		// Two hops into a switch-fed link: every packet but the last is a
+		// record of one run, and the last arrives as an event.
+		next := n.wires[msg.Path[1]]
+		if numPkts > 1 {
+			b := min(pktSize, msg.Bytes)
+			ser, c := SerStep(b, first.effBW, carry)
+			k := n.eng.EventKeys(uint64(numPkts - 1))
+			k.Ctime, k.Gen2 = start+ser, start
+			n.pushRun(next, hopRun{at: start + ser + hop, key: k, left: numPkts - 1, bytes: b,
+				rest: msg.Bytes - b, pktSize: pktSize, bw: first.effBW, carry: c, hop: hop})
+		}
+		last := max(0, min(pktSize, msg.Bytes-(numPkts-1)*pktSize))
+		p := n.allocPacket(&n.pktFree, msg, last, 1)
+		p.last = true
+		n.hopAt(finish+hop, finish, start+v.Prev, fastArrive, next, p)
 		return
 	}
 
-	// Multi-hop: charge the first link per packet (its FIFO order is the
-	// injection order, so eager charging is exact) and land each packet on
-	// the second hop after the wire delay. Downstream hops interleave
-	// packets from different sources in arrival order, so they are driven
-	// by per-packet events from here on.
+	// Longer paths: charge the first link per packet (its FIFO order is
+	// the injection order, so eager charging is exact) and land each
+	// packet on the second hop, which continues or is not switch-fed,
+	// after the wire delay.
 	finish := start
 	remaining := msg.Bytes
-	hop := first.hopDelay()
 	next := n.wires[msg.Path[1]]
-	msg.packetsLeft = int(numPkts)
-	for range numPkts {
+	for i := range numPkts {
 		b := min(pktSize, remaining)
 		remaining -= b
 		ser := first.charge(b)
 		finish += ser
-		n.hopAt(finish+hop, finish, finish-ser, fastArrive, next, n.allocPacket(&n.pktFree, msg, b, 1))
+		p := n.allocPacket(&n.pktFree, msg, b, 1)
+		p.last = i == numPkts-1
+		n.hopAt(finish+hop, finish, finish-ser, fastArrive, next, p)
 	}
 	first.busyUntil = finish
+}
+
+// recorded reports whether final-hop arrivals at w are records rather
+// than events: w is switch-fed, and the per-packet reference mode
+// (hopEvents, a test hook) is off.
+func (n *Network) recorded(w *wire) bool {
+	return int(w.spec.Src) >= n.npus && !n.hopEvents
 }
 
 // charge serializes one packet on w's never-blocked FIFO with the
@@ -117,33 +165,189 @@ func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a,
 }
 
 // fastArrive is the eventq.CallFunc that lands packet b on wire a: the
-// serialization is charged immediately (start = max(now, busyUntil), the
-// unblockable-FIFO identity), and the packet either moves to its next hop
-// or, on the message's final packet at the final hop, completes delivery.
-// Every hop serializes a message's packets in order, each at least one
-// cycle after the previous, so the final hop's last arrival is the final
-// packet's. With free-list poisoning on (the audit layer sets it on both
-// models), a recycled packet arriving here panics.
+// link's records that sort before this event are charged first, then
+// the packet's serialization (start = max(now, busyUntil), the
+// unblockable-FIFO identity), and the packet either moves to its next
+// hop or, as the message's final packet at the final hop, completes
+// delivery. Every hop serializes a message's packets in order, each at
+// least one cycle after the previous, so the final hop's last arrival is
+// the final packet's. With free-list poisoning on (the audit layer sets
+// it on both models), a recycled packet arriving here panics.
 func fastArrive(a, b any) {
 	w, p := a.(*wire), b.(*packet)
 	n := w.net
 	if n.poison {
 		n.checkAlive(p, "fastArrive")
 	}
-	start := max(n.eng.Now(), w.busyUntil)
+	now := n.eng.Now()
+	if n.pend != nil && len(n.pend[w.spec.ID]) > 0 {
+		n.chargeRecords(w, now, n.eng.FiringKey())
+	}
+	start := max(now, w.busyUntil)
 	finish := start + w.charge(p.bytes)
 	w.busyUntil = finish
 
 	msg := p.msg
-	if p.pathPos+1 < len(msg.Path) {
-		p.pathPos++
-		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, n.wires[msg.Path[p.pathPos]], p)
+	if p.pathPos++; p.pathPos < len(msg.Path) {
+		next := n.wires[msg.Path[p.pathPos]]
+		if p.pathPos == len(msg.Path)-1 && !p.last && n.recorded(next) {
+			k := n.eng.EventKey()
+			k.Ctime, k.Gen2 = finish, start
+			n.pushRun(next, hopRun{at: finish + w.hopDelay(), key: k, left: 1, bytes: p.bytes})
+			n.freePacket(&n.pktFree, p)
+			return
+		}
+		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, next, p)
 		return
 	}
+	last := p.last
 	n.freePacket(&n.pktFree, p)
-	if msg.packetsLeft--; msg.packetsLeft == 0 {
+	if last {
 		n.hopAt(finish+w.hopDelay(), finish, start, fastDeliver, n, msg)
 	}
+}
+
+// hopRun is a run of final-hop arrival records at one switch-fed link:
+// consecutive packets of one message, each standing for the fastArrive
+// event the per-packet model would fire. The head record is the next to
+// charge; the ones behind it replay their upstream serialization with
+// SerStep (the same steps the first link was charged with), so a run
+// holds any number of packets in constant space. A one-record run (from
+// a packet that crossed an event-driven hop) leaves the replay unset.
+type hopRun struct {
+	// at and key are the head record's firing cycle and ordering key: its
+	// upstream serialization end and start (Ctime, Gen2) and the seq its
+	// event would have taken. The run's seqs are consecutive.
+	at  eventq.Time
+	key eventq.Key
+	// left counts the run's records, the head included.
+	left int64
+	// bytes is the head packet's size; rest is the bytes of the packets
+	// behind it, each min(pktSize, what is left).
+	bytes, rest, pktSize int64
+	// bw and carry are the upstream serializer's rate and its carry after
+	// the head packet; hop is the upstream hop delay.
+	bw, carry float64
+	hop       eventq.Time
+}
+
+// next advances r to its following record.
+func (r *hopRun) next() {
+	b := min(r.pktSize, r.rest)
+	r.rest -= b
+	var ser eventq.Time
+	ser, r.carry = SerStep(b, r.bw, r.carry)
+	r.key.Gen2 = r.key.Ctime
+	r.key.Ctime += ser
+	r.key.Seq++
+	r.at = r.key.Ctime + r.hop
+	r.bytes = b
+	r.left--
+}
+
+// before reports whether r's head record fires before the event keyed
+// (at, k).
+func (r *hopRun) before(at eventq.Time, k eventq.Key) bool {
+	return r.at < at || (r.at == at && keyLE(r.key, k))
+}
+
+// pushRun adds r to w's pending records. Runs live in the network's
+// arena and are recycled through runFree, so a warm run allocates
+// nothing; w's pending set is a min-heap of arena indices by head record.
+func (n *Network) pushRun(w *wire, r hopRun) {
+	var id int32
+	if k := len(n.runFree) - 1; k >= 0 {
+		id = n.runFree[k]
+		n.runFree = n.runFree[:k]
+		n.runs[id] = r
+	} else {
+		id = int32(len(n.runs))
+		n.runs = append(n.runs, r)
+	}
+	h := append(n.pend[w.spec.ID], id)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !n.runLess(h[i], h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	n.pend[w.spec.ID] = h
+}
+
+// chargeRecords charges, in key order, w's records that fire before the
+// event keyed (at, k), as their fastArrive events would have: each
+// starts at max(its arrival, busyUntil).
+func (n *Network) chargeRecords(w *wire, at eventq.Time, k eventq.Key) {
+	h := n.pend[w.spec.ID]
+	for len(h) > 0 {
+		r := &n.runs[h[0]]
+		if !r.before(at, k) {
+			break
+		}
+		w.busyUntil = max(r.at, w.busyUntil) + w.charge(r.bytes)
+		if r.left > 1 {
+			r.next()
+		} else {
+			n.runFree = append(n.runFree, h[0])
+			last := len(h) - 1
+			h[0] = h[last]
+			h = h[:last]
+		}
+		n.siftDown(h)
+	}
+	n.pend[w.spec.ID] = h
+}
+
+// siftDown restores the heap order of h after its root changed.
+func (n *Network) siftDown(h []int32) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && n.runLess(h[c+1], h[c]) {
+			c++
+		}
+		if !n.runLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// runLess orders two arena runs by their head records.
+func (n *Network) runLess(a, b int32) bool {
+	rb := &n.runs[b]
+	return n.runs[a].before(rb.at, rb.key)
+}
+
+// settleRecords charges the records a link-state read from outside any
+// handler must see charged (see readKey), on every link.
+func (n *Network) settleRecords() {
+	for id := range n.pend {
+		n.settleRecordsOn(topology.LinkID(id))
+	}
+}
+
+// settleRecordsOn is settleRecords for link id alone.
+func (n *Network) settleRecordsOn(id topology.LinkID) {
+	if n.pend != nil && len(n.pend[id]) > 0 {
+		n.chargeRecords(n.wires[id], n.eng.Now(), readKey(n.eng))
+	}
+}
+
+// pendingRecords counts the records still waiting at link id.
+func (n *Network) pendingRecords(id topology.LinkID) int {
+	var c int64
+	if n.pend != nil {
+		for _, r := range n.pend[id] {
+			c += n.runs[r].left
+		}
+	}
+	return int(c)
 }
 
 // fastDeliver is the eventq.CallFunc that completes message b on network a
