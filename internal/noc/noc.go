@@ -1037,7 +1037,7 @@ type LinkDebugState struct {
 
 // DebugLinks snapshots every link's dynamic state. The unbounded model
 // holds no queues or reservations; its link is busy while its charged
-// serialization extends past now.
+// serialization extends past now, and it reports its pending records.
 func (n *Network) DebugLinks() []LinkDebugState {
 	n.settleLinks()
 	out := make([]LinkDebugState, len(n.wires))
