@@ -164,8 +164,7 @@ func FuzzSwitchHopOrder(f *testing.F) {
 // TestSwitchHopSendZeroAlloc pins the switched send path at zero
 // allocations once warm: messages from three sources converging on one
 // switch->NPU link, recorded, charged in order and delivered, allocate
-// nothing after the event queue, the run arena and the pending heap have
-// grown.
+// nothing after the event queue and the pending heap have grown.
 func TestSwitchHopSendZeroAlloc(t *testing.T) {
 	topo, err := topology.NewHierarchical(hopFabrics[0])
 	if err != nil {

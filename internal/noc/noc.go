@@ -389,12 +389,9 @@ type Network struct {
 	// npus is the topology's NPU count: nodes from npus up are switches.
 	npus int
 	// pend[id] is the unbounded model's pending arrival records at
-	// switch-fed link id, a min-heap of indices into runs; runFree
-	// recycles run slots (unbounded.go). pend is nil on the packet model
-	// and on switch-free topologies.
-	pend    [][]int32
-	runs    []hopRun
-	runFree []int32
+	// switch-fed link id, a min-heap of runs (unbounded.go). pend is nil
+	// on the packet model and on switch-free topologies.
+	pend [][]hopRun
 	// hopEvents makes every unbounded arrival an event, records off: the
 	// per-packet reference the records are tested against.
 	hopEvents bool
@@ -495,7 +492,7 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 		n.ser = NewSerTable()
 		flat = make([]wire, len(specs))
 		if topo.NumNodes() > n.npus {
-			n.pend = make([][]int32, len(specs))
+			n.pend = make([][]hopRun, len(specs))
 		}
 	} else {
 		n.ser = newTrainTable()

@@ -251,23 +251,13 @@ func (r *hopRun) before(at eventq.Time, k eventq.Key) bool {
 	return r.at < at || (r.at == at && keyLE(r.key, k))
 }
 
-// pushRun adds r to w's pending records. Runs live in the network's
-// arena and are recycled through runFree, so a warm run allocates
-// nothing; w's pending set is a min-heap of arena indices by head record.
+// pushRun adds r to w's pending records, a min-heap of runs by head
+// record. A heap keeps its array, so a warm run allocates nothing.
 func (n *Network) pushRun(w *wire, r hopRun) {
-	var id int32
-	if k := len(n.runFree) - 1; k >= 0 {
-		id = n.runFree[k]
-		n.runFree = n.runFree[:k]
-		n.runs[id] = r
-	} else {
-		id = int32(len(n.runs))
-		n.runs = append(n.runs, r)
-	}
-	h := append(n.pend[w.spec.ID], id)
+	h := append(n.pend[w.spec.ID], r)
 	for i := len(h) - 1; i > 0; {
 		up := (i - 1) / 2
-		if !n.runLess(h[i], h[up]) {
+		if !h[i].before(h[up].at, h[up].key) {
 			break
 		}
 		h[i], h[up] = h[up], h[i]
@@ -281,47 +271,37 @@ func (n *Network) pushRun(w *wire, r hopRun) {
 // starts at max(its arrival, busyUntil).
 func (n *Network) chargeRecords(w *wire, at eventq.Time, k eventq.Key) {
 	h := n.pend[w.spec.ID]
-	for len(h) > 0 {
-		r := &n.runs[h[0]]
-		if !r.before(at, k) {
-			break
-		}
+	for len(h) > 0 && h[0].before(at, k) {
+		r := &h[0]
 		w.busyUntil = max(r.at, w.busyUntil) + w.charge(r.bytes)
 		if r.left > 1 {
 			r.next()
 		} else {
-			n.runFree = append(n.runFree, h[0])
 			last := len(h) - 1
 			h[0] = h[last]
 			h = h[:last]
 		}
-		n.siftDown(h)
+		siftDown(h)
 	}
 	n.pend[w.spec.ID] = h
 }
 
 // siftDown restores the heap order of h after its root changed.
-func (n *Network) siftDown(h []int32) {
+func siftDown(h []hopRun) {
 	for i := 0; ; {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && n.runLess(h[c+1], h[c]) {
+		if c+1 < len(h) && h[c+1].before(h[c].at, h[c].key) {
 			c++
 		}
-		if !n.runLess(h[c], h[i]) {
+		if !h[c].before(h[i].at, h[i].key) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// runLess orders two arena runs by their head records.
-func (n *Network) runLess(a, b int32) bool {
-	rb := &n.runs[b]
-	return n.runs[a].before(rb.at, rb.key)
 }
 
 // settleRecords charges the records a link-state read from outside any
@@ -344,7 +324,7 @@ func (n *Network) pendingRecords(id topology.LinkID) int {
 	var c int64
 	if n.pend != nil {
 		for _, r := range n.pend[id] {
-			c += n.runs[r].left
+			c += r.left
 		}
 	}
 	return int(c)
