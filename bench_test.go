@@ -164,6 +164,26 @@ func BenchmarkAllReduce4x4x4_4MB(b *testing.B) {
 	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 4<<20))
 }
 
+// BenchmarkAllReduce4x4x4_4MB_Fast is BenchmarkAllReduce4x4x4_4MB on the
+// fast backend: the same chunks and messages, each charged in closed
+// form with no packet model, so the two side by side give the packet
+// model's cost per message over the fast backend's.
+func BenchmarkAllReduce4x4x4_4MB_Fast(b *testing.B) {
+	b.ReportAllocs()
+	p, err := astrasim.NewTorusPlatform(4, 4, 4,
+		astrasim.WithAlgorithm(astrasim.Enhanced),
+		astrasim.WithBackend(astrasim.FastBackend))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunCollective(astrasim.AllReduce, 4<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEvents(b, p, collectiveRun(astrasim.AllReduce, 4<<20))
+}
+
 // BenchmarkAllReduce4x4x4_4MB_ExactPackets is BenchmarkAllReduce4x4x4_4MB
 // in the LARGE set's configuration: the packet cap off
 // (MaxPacketsPerMessage = 0, one packet per LocalPacketSize or

@@ -100,7 +100,9 @@ type key struct {
 	sub   uint32 // per-handler cross-engine injection order
 }
 
-func (k key) less(o key) bool {
+// less takes both keys by pointer: link compares keys in their arena
+// slots, and by value each compare would copy them to the stack first.
+func (k *key) less(o *key) bool {
 	if k.ctime != o.ctime {
 		return k.ctime < o.ctime
 	}
@@ -226,7 +228,7 @@ func (q *queue) link(at Time, id int32, s *slot) {
 	}
 	k := &s.key
 	ts := q.slot(t)
-	if !k.less(ts.key) { // the common case: sorts after the tail
+	if !k.less(&ts.key) { // the common case: sorts after the tail
 		s.next, s.prev = 0, t
 		ts.next = id
 		bk.tail = id
@@ -240,15 +242,15 @@ func (q *queue) link(at Time, id int32, s *slot) {
 	var after int32
 	steps := 0
 	for ; t != bk.head; steps++ {
-		if f := bk.finger; steps == fingerWalk && f != 0 && !k.less(q.slot(f).key) {
+		if f := bk.finger; steps == fingerWalk && f != 0 && !k.less(&q.slot(f).key) {
 			after = f
-			for n := q.slot(f).next; !k.less(q.slot(n).key); n = q.slot(n).next {
+			for n := q.slot(f).next; !k.less(&q.slot(n).key); n = q.slot(n).next {
 				after = n
 			}
 			break
 		}
 		t = q.slot(t).prev
-		if !k.less(q.slot(t).key) {
+		if !k.less(&q.slot(t).key) {
 			after = t
 			break
 		}

@@ -18,7 +18,7 @@ func (r refEvent) before(o refEvent) bool {
 		return r.at < o.at
 	}
 	if r.k != o.k {
-		return r.k.less(o.k)
+		return r.k.less(&o.k)
 	}
 	return r.id < o.id
 }

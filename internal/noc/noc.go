@@ -54,9 +54,10 @@
 // pool worker is advancing its shard's window, and the only cross-engine
 // traffic is (a) main→shard injections spliced before the shard runs and
 // (b) shard→main deliveries buffered per-shard and flushed by FlushCross
-// under the runner's barrier. The serialization memo is shared by the
-// shards of one pool worker, which the runner advances one after another
-// (see Partition). No locks are taken on the packet hot path in either
+// under the runner's barrier. The serialization memo, with its packet
+// plan memo, is shared by the shards of one pool worker, which the
+// runner advances one after another (see Partition); no table is shared
+// across pool workers. No locks are taken on the packet hot path in either
 // mode; the window protocol is the synchronization.
 //
 // An unbounded network (NewFast) is always serial: it is owned by the
@@ -269,7 +270,7 @@ type LinkStats struct {
 }
 
 // wire is the per-link state both models keep: the link itself, its
-// serializer's rate and carry, its hop latency and packet size, and its
+// serializer's rate and carry, its hop delay and packet size, and its
 // counters. The packet model's link embeds it; the unbounded model keeps
 // nothing else per link, so a wire must stay within 128 bytes
 // (TestWireSize): the fast backend's hot loop walks them.
@@ -281,7 +282,8 @@ type wire struct {
 	effBW float64
 	// serCarry accumulates sub-cycle serialization remainders.
 	serCarry float64
-	latency  eventq.Time
+	// hop is hopDelay's value, resolved at construction.
+	hop eventq.Time
 	// pktSize is the link class's packet size.
 	pktSize int64
 	// busyUntil is when the unbounded model's serializer frees up; the
@@ -292,9 +294,7 @@ type wire struct {
 
 // hopDelay is the post-serialization delay to the next stage: wire latency
 // plus one router pipeline.
-func (w *wire) hopDelay() eventq.Time {
-	return w.latency + eventq.Time(w.net.params.RouterLatency)
-}
+func (w *wire) hopDelay() eventq.Time { return w.hop }
 
 type link struct {
 	wire
@@ -516,7 +516,7 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 			// construction instead of diverging mid-simulation.
 			return nil, fmt.Errorf("noc: link %d has class %v with no configured network parameters", spec.ID, spec.Class)
 		}
-		w := wire{spec: spec, net: n, effBW: bw * eff, latency: eventq.Time(lat), pktSize: int64(pkt)}
+		w := wire{spec: spec, net: n, effBW: bw * eff, hop: eventq.Time(lat + p.RouterLatency), pktSize: int64(pkt)}
 		if unbounded {
 			flat[i] = w
 			n.wires[i] = &flat[i]
@@ -538,13 +538,15 @@ func bufferPackets(vcs, buffersPerVC, flitBytes, packetSize int) int {
 	return cap
 }
 
-// pathPacketSize returns the packet size for a message traversing path:
-// the smallest packet-size class along it, so no hop ever carries a
-// packet larger than its class allows (a local-link-entry message that
-// crosses inter-package or scale-out hops must be chunked for the
-// tightest hop — downstream buffer capacities are computed per class).
-func (n *Network) pathPacketSize(path []topology.LinkID) int64 {
-	pktSize := n.wires[path[0]].pktSize
+// pathPacketSize returns the packet size for a message traversing path,
+// whose first link is first: the smallest packet-size class along it, so
+// no hop ever carries a packet larger than its class allows (a
+// local-link-entry message that crosses inter-package or scale-out hops
+// must be chunked for the tightest hop — downstream buffer capacities are
+// computed per class). The caller has first loaded already, so a
+// one-link path reads no other wire.
+func (n *Network) pathPacketSize(first *wire, path []topology.LinkID) int64 {
+	pktSize := first.pktSize
 	for _, id := range path[1:] {
 		if ps := n.wires[id].pktSize; ps < pktSize {
 			pktSize = ps
@@ -614,23 +616,20 @@ func (n *Network) inject(first *link, msg *Message, fk eventq.Key) {
 	n.packetize(first, msg, first.trainLeft(fk))
 }
 
-// packetPlan computes the packet size and count for msg along its path
-// (smallest class packet size along the path, capped by
-// MaxPacketsPerMessage).
-func (n *Network) packetPlan(msg *Message) (pktSize, numPkts int64) {
-	pktSize = n.pathPacketSize(msg.Path)
-	numPkts = (msg.Bytes + pktSize - 1) / pktSize
-	if maxP := int64(n.params.MaxPacketsPerMessage); maxP > 0 && numPkts > maxP {
-		numPkts = maxP
-		pktSize = (msg.Bytes + numPkts - 1) / numPkts
-	}
-	return pktSize, numPkts
+// packetPlan computes the packet size and count for msg along its path,
+// whose first link is first: the smallest class packet size along the
+// path, capped by MaxPacketsPerMessage. The divisions run through the
+// plan memo of ser, which must be the serialization table of the engine
+// packetizing msg (SerTable.plan): the serial network's own table, or
+// the pool worker's for a link of a partitioned one.
+func (n *Network) packetPlan(msg *Message, first *wire, ser *SerTable) (pktSize, numPkts int64) {
+	return ser.plan(msg.Bytes, n.pathPacketSize(first, msg.Path), int64(n.params.MaxPacketsPerMessage))
 }
 
 // packetize decomposes msg into packets on its first link, behind the
 // link's virt unserialized train packets.
 func (n *Network) packetize(first *link, msg *Message, virt int) {
-	pktSize, numPkts := n.packetPlan(msg)
+	pktSize, numPkts := n.packetPlan(msg, &first.wire, first.ser)
 	msg.packetsLeft = int(numPkts)
 	remaining := msg.Bytes
 	for i := int64(0); i < numPkts; i++ {

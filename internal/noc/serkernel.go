@@ -110,6 +110,45 @@ type SerTable struct {
 	// minPackets is the shortest charge memoized; shorter ones run the
 	// loop.
 	minPackets int64
+	// lastKey and lastVal are the most recent charge. The nodes of a
+	// symmetric collective charge the same key one after another (their
+	// links walk one carry orbit in step), so Charge checks it before it
+	// hashes.
+	lastKey serKey
+	lastVal SerCharge
+	// last is the plan memo: the most recent packet plan (see plan).
+	last planMemo
+}
+
+// planMemo is one packet plan: the size and count of a message's packets
+// (pktSize, numPkts) given its bytes, the smallest class packet size
+// along its path (pathPkt) and the packet cap (maxPkts, 0 for none).
+type planMemo struct {
+	bytes, pathPkt, maxPkts int64
+	pktSize, numPkts        int64
+}
+
+// plan returns the packet size and count of a bytes-byte message whose
+// path's smallest class packet size is pathPkt, capped at maxPkts packets
+// (0: no cap): ceil(bytes/pathPkt) packets of pathPkt bytes, or maxPkts
+// packets of ceil(bytes/maxPkts) bytes when that is more than the cap. It
+// keeps its last answer, because a chunk step sends equal messages from
+// every node, so a plan mostly repeats the previous one and costs no
+// division. Like the rest of the table, the memo has one owner: a serial
+// network's engine, or one pool worker of a partitioned network. It is
+// not kept on the Network, whose links packetize on several pool workers
+// at once when it is partitioned.
+func (t *SerTable) plan(bytes, pathPkt, maxPkts int64) (pktSize, numPkts int64) {
+	if m := &t.last; m.bytes == bytes && m.pathPkt == pathPkt && m.maxPkts == maxPkts {
+		return m.pktSize, m.numPkts
+	}
+	pktSize, numPkts = pathPkt, (bytes+pathPkt-1)/pathPkt
+	if maxPkts > 0 && numPkts > maxPkts {
+		numPkts = maxPkts
+		pktSize = (bytes + numPkts - 1) / numPkts
+	}
+	t.last = planMemo{bytes: bytes, pathPkt: pathPkt, maxPkts: maxPkts, pktSize: pktSize, numPkts: numPkts}
+	return pktSize, numPkts
 }
 
 // NewSerTable returns an empty table that memoizes every charge.
@@ -138,11 +177,17 @@ func (t *SerTable) Charge(bytes, pkt, n int64, bw, carry float64) SerCharge {
 		return serLoop(bytes, pkt, n, bw, carry)
 	}
 	k := serKey{bw: math.Float64bits(bw), carry: math.Float64bits(carry), bytes: bytes, pn: uint64(pkt)<<32 | uint64(n)}
-	if e := t.find(k); e.key.bytes != 0 {
-		return e.val
+	if k == t.lastKey {
+		return t.lastVal
 	}
-	v := serLoop(bytes, pkt, n, bw, carry)
-	t.put(k, v)
+	var v SerCharge
+	if e := t.find(k); e.key.bytes != 0 {
+		v = e.val
+	} else {
+		v = serLoop(bytes, pkt, n, bw, carry)
+		t.put(k, v)
+	}
+	t.lastKey, t.lastVal = k, v
 	return v
 }
 

@@ -308,6 +308,52 @@ func TestTrainSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrainAppendUnderLoadZeroAlloc pins a warm train append at zero
+// allocations on a link whose train never empties: four messages stay
+// queued, and each send is followed by running the engine to one more
+// delivery. The segments retired at the train's head must make room for
+// the ones appended at its tail, not grow the segment array.
+func TestTrainAppendUnderLoadZeroAlloc(t *testing.T) {
+	eng, topo, net := ring4(t, config.DefaultNetwork())
+	sourceFed(t, net)
+	const backlog = 4
+	delivered := 0
+	onDelivered := func(*Message) { delivered++ }
+	path := []topology.LinkID{topo.RingOf(topology.DimLocal, 0, 0).LinkFrom(0)}
+	msgs := make([]Message, backlog+2)
+	next := 0
+	send := func() {
+		m := &msgs[next%len(msgs)]
+		next++
+		*m = Message{Bytes: 64 << 10, Path: path, OnDelivered: onDelivered}
+		net.Send(m)
+	}
+	for range backlog {
+		send()
+	}
+	step := func() {
+		send()
+		for want := delivered + 1; delivered < want; {
+			eng.Step()
+		}
+	}
+	for range 64 {
+		step()
+	}
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Fatalf("warm train append under load: %v allocations, want 0", got)
+	}
+	// AllocsPerRun rounds down, and a growing array allocates only at each
+	// doubling, so bound the array too.
+	l := net.links[path[0]]
+	if l.train.pkts == 0 {
+		t.Fatal("the train emptied; the test no longer keeps the link loaded")
+	}
+	if c := cap(l.train.segs); c > 4*backlog {
+		t.Fatalf("segment array grew to %d after %d appends with %d live, want at most %d", c, next, backlog, 4*backlog)
+	}
+}
+
 // TestTrainLastPacketMatchesChain checks what appendTrain builds from the
 // kernel's three packet boundaries against the per-packet replay the
 // transit paths use: for one- and two-packet messages, capped and exact

@@ -55,7 +55,7 @@ type vpkt struct{ start, end, gen eventq.Time }
 
 // train is a link's FIFO of live segments.
 type train struct {
-	segs []segment // segs[head:] are live
+	segs []segment // segs[head:] are live; see push
 	head int
 	pkts int // virtual packets in the live segments
 	// done counts head-segment packets retired by a trainRelease event.
@@ -68,25 +68,48 @@ type train struct {
 	headArmed bool
 }
 
+// push appends an empty segment behind the live ones and returns it for
+// the caller to fill. A link under steady load may never empty its
+// train, so the dead prefix is reclaimed here, not only when the train
+// drains: an append into a full array first slides the live segments to
+// its start when at least half of it is dead, and the array grows only
+// while the live train does.
+func (t *train) push() *segment {
+	if n := len(t.segs); n == cap(t.segs) && t.head > 0 && 2*t.head >= n {
+		live := copy(t.segs, t.segs[t.head:])
+		t.segs, t.head = t.segs[:live], 0
+	}
+	t.segs = append(t.segs, segment{})
+	return &t.segs[len(t.segs)-1]
+}
+
 // chain replays a segment's carry chain one packet at a time.
 type chain struct {
 	remaining int64
 	carry     float64
-	pkt       vpkt
+	// full is a full packet's exact cycle count, divided once per replay
+	// as serLoop does: the same float operation as SerStep's.
+	full float64
+	pkt  vpkt
 }
 
 // chain starts the replay. The seed packet ends where the first one
 // starts and started at gen0, so next() yields the first packet's key.
 func (s *segment) chain() chain {
-	return chain{remaining: s.bytes, carry: s.carry0, pkt: vpkt{start: s.gen0, end: s.start}}
+	return chain{remaining: s.bytes, carry: s.carry0, full: float64(s.pktSize) / s.bw,
+		pkt: vpkt{start: s.gen0, end: s.start}}
 }
 
 // next advances to the following packet.
 func (c *chain) next(s *segment) {
-	pb := min(s.pktSize, c.remaining)
-	c.remaining -= pb
 	var d eventq.Time
-	d, c.carry = SerStep(pb, s.bw, c.carry)
+	if c.remaining >= s.pktSize {
+		c.remaining -= s.pktSize
+		d, c.carry = serAdvance(c.full, c.carry)
+	} else {
+		d, c.carry = SerStep(c.remaining, s.bw, c.carry)
+		c.remaining = 0
+	}
 	c.pkt = vpkt{start: c.pkt.end, end: c.pkt.end + d, gen: c.pkt.start}
 }
 
@@ -108,40 +131,43 @@ func (l *link) key(ctime, gen2 eventq.Time) eventq.Key {
 func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	l.retire(fk)
 	t := &l.train
-	pktSize, numPkts := l.net.packetPlan(msg)
-	s := segment{bytes: msg.Bytes, pktSize: pktSize, numPkts: numPkts,
-		bw: l.effBW, carry0: l.serCarry, start: l.eng.Now(), gen0: fk.Ctime}
+	pktSize, numPkts := l.net.packetPlan(msg, &l.wire, l.ser)
+	bw, carry0, start, gen0 := l.effBW, l.serCarry, l.eng.Now(), fk.Ctime
 	// The per-packet model queues the whole message at once, behind the
 	// train's unserialized packets; its first packet starts when the
 	// previous one's linkSerDone fires.
 	queued := int(numPkts)
 	if t.pkts > 0 {
 		prev := &t.segs[len(t.segs)-1]
-		s.start, s.gen0 = prev.last.end, prev.last.start
+		start, gen0 = prev.last.end, prev.last.start
 		if t.pkts+queued > l.stats.PeakQueue {
 			queued += l.trainLeft(fk)
 		}
 	}
 	l.stats.PeakQueue = max(l.stats.PeakQueue, queued)
 
-	r := l.ser.Charge(s.bytes, pktSize, numPkts, s.bw, s.carry0)
-	s.last = vpkt{start: s.start + r.Prev, end: s.start + r.Total, gen: s.gen0}
+	r := l.ser.Charge(msg.Bytes, pktSize, numPkts, bw, carry0)
+	last := vpkt{start: start + r.Prev, end: start + r.Total, gen: gen0}
 	if numPkts > 1 {
-		s.last.gen = s.start + r.Prev2
+		last.gen = start + r.Prev2
 	}
 	l.serCarry = r.Carry
-	msg.started, msg.SerStart, msg.packetsLeft = true, s.start, 1
+	msg.started, msg.SerStart, msg.packetsLeft = true, start, 1
 
-	dk := l.key(s.last.end, s.last.start)
-	if at := s.last.end + l.hopDelay(); l.sh != nil {
+	dk := l.key(last.end, last.start)
+	if at := last.end + l.hopDelay(); l.sh != nil {
 		l.sh.push(outEvent{at: at, key: dk, msg: msg})
 	} else {
 		l.eng.InjectAt(at, dk, 0, packetDelivered, l.net, msg)
 	}
+	// The segment is written in place at the train's tail, field by
+	// field: a segment value built first would be copied on the way in.
+	s := t.push()
+	s.bytes, s.pktSize, s.numPkts, s.bw, s.carry0 = msg.Bytes, pktSize, numPkts, bw, carry0
+	s.start, s.gen0, s.last = start, gen0, last
 	// Reserve the segment-done key's seq in creation order, so every other
 	// event's key is as if the event were scheduled now.
 	s.seq = l.eng.EventKey().Seq
-	t.segs = append(t.segs, s)
 	t.pkts += int(numPkts)
 	l.busy = true
 	l.armRelease(fk)
@@ -250,8 +276,9 @@ func (l *link) doneKey(s *segment) eventq.Key {
 }
 
 // keyLE reports whether key a sorts no later than b among one cycle's
-// events (eventq's order without sub).
-func keyLE(a, b eventq.Key) bool {
+// events (eventq's order without sub). It takes the keys by pointer, so
+// comparing a key held in a record or segment copies nothing.
+func keyLE(a, b *eventq.Key) bool {
 	if a.Ctime != b.Ctime {
 		return a.Ctime < b.Ctime
 	}
@@ -275,8 +302,13 @@ func (l *link) retire(fk eventq.Key) {
 	now := l.eng.Now()
 	for t.pkts > 0 {
 		s := &t.segs[t.head]
-		if s.last.end > now || (s.last.end == now && !keyLE(l.doneKey(s), fk)) {
+		if s.last.end > now {
 			return
+		}
+		if s.last.end == now {
+			if dk := l.doneKey(s); !keyLE(&dk, &fk) {
+				return
+			}
 		}
 		l.stats.Packets += uint64(s.numPkts)
 		l.stats.Bytes += s.bytes

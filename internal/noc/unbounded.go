@@ -74,8 +74,8 @@ import (
 // the remaining hops as arrival events and records.
 func (n *Network) sendUnbounded(msg *Message) {
 	n.inFlight++
-	pktSize, numPkts := n.packetPlan(msg)
 	first := n.wires[msg.Path[0]]
+	pktSize, numPkts := n.packetPlan(msg, first, &n.ser)
 	start := max(n.eng.Now(), first.busyUntil)
 	msg.SerStart = start
 	hop := first.hopDelay()
@@ -247,8 +247,8 @@ func (r *hopRun) next() {
 
 // before reports whether r's head record fires before the event keyed
 // (at, k).
-func (r *hopRun) before(at eventq.Time, k eventq.Key) bool {
-	return r.at < at || (r.at == at && keyLE(r.key, k))
+func (r *hopRun) before(at eventq.Time, k *eventq.Key) bool {
+	return r.at < at || (r.at == at && keyLE(&r.key, k))
 }
 
 // pushRun adds r to w's pending records, a min-heap of runs by head
@@ -257,7 +257,7 @@ func (n *Network) pushRun(w *wire, r hopRun) {
 	h := append(n.pend[w.spec.ID], r)
 	for i := len(h) - 1; i > 0; {
 		up := (i - 1) / 2
-		if !h[i].before(h[up].at, h[up].key) {
+		if !h[i].before(h[up].at, &h[up].key) {
 			break
 		}
 		h[i], h[up] = h[up], h[i]
@@ -271,7 +271,7 @@ func (n *Network) pushRun(w *wire, r hopRun) {
 // starts at max(its arrival, busyUntil).
 func (n *Network) chargeRecords(w *wire, at eventq.Time, k eventq.Key) {
 	h := n.pend[w.spec.ID]
-	for len(h) > 0 && h[0].before(at, k) {
+	for len(h) > 0 && h[0].before(at, &k) {
 		r := &h[0]
 		w.busyUntil = max(r.at, w.busyUntil) + w.charge(r.bytes)
 		if r.left > 1 {
@@ -293,10 +293,10 @@ func siftDown(h []hopRun) {
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && h[c+1].before(h[c].at, h[c].key) {
+		if c+1 < len(h) && h[c+1].before(h[c].at, &h[c].key) {
 			c++
 		}
-		if !h[c].before(h[i].at, h[i].key) {
+		if !h[c].before(h[i].at, &h[i].key) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

@@ -17,24 +17,33 @@ import (
 // every node, and is rescheduled into the next phase's LSQ when all nodes
 // finish (paper §IV-B, Fig. 7).
 type chunk struct {
-	sys     *System
-	coll    *Handle
-	idx     int
-	bytes   int64
-	readyAt eventq.Time
+	sys   *System
+	coll  *Handle
+	idx   int
+	bytes int64
 
 	// phase is the current phase index (len(phases) when complete).
 	phase int
-	// enqueuedAt is when the chunk entered the current phase's LSQ.
+	// enqueuedAt is when the chunk entered the queue it waits in: the
+	// ready queue until the dispatcher issues it, then each phase's LSQ.
 	enqueuedAt eventq.Time
 	// activatedAt is when the LSQ granted the slot and nodes started.
 	activatedAt eventq.Time
-	// nodesDone counts nodes that finished the current phase.
-	nodesDone int
 	// q and lane are the current phase's LSQ and lane, resolved when the
 	// chunk enters the phase.
 	q    *lsq
 	lane *lane
+	// planStep and planBytes memoize the current phase's message size at
+	// one step: every node of the chunk sends the same bytes at a given
+	// step, so StepBytes runs once per step, not once per node. planStep
+	// is -1 when nothing is memoized.
+	planBytes int64
+	planStep  int32
+	// nodesDone counts nodes that finished the current phase. It and
+	// planStep are 32 bits wide so they share a word, which keeps a
+	// chunk in the allocator's 112-byte size class: a training run
+	// allocates thousands of chunks.
+	nodesDone int32
 
 	nodes []chunkNodeState
 }
@@ -79,7 +88,7 @@ func (c *chunk) nextPhase() {
 		c.sys.chunkComplete(c)
 		return
 	}
-	ph := c.coll.phases[c.phase]
+	ph := c.setPhase(c.phase)
 	c.enqueuedAt = c.sys.Eng.Now()
 	// The channel is the chunk's lane within the dimension: one
 	// unidirectional ring or one global switch.
@@ -89,6 +98,16 @@ func (c *chunk) nextPhase() {
 	c.q = c.sys.lsqFor(ph.Dim, channel, c.phase)
 	c.q.enqueue(c)
 }
+
+// setPhase enters phase p, with no step plan memoized, and returns it.
+func (c *chunk) setPhase(p int) *collectives.Phase {
+	c.phase, c.planStep = p, -1
+	return c.ph()
+}
+
+// ph returns the current phase by pointer: the per-message path reads a
+// few of its fields, and copying the whole Phase cost more than that.
+func (c *chunk) ph() *collectives.Phase { return &c.coll.phases[c.phase] }
 
 // activate is called by the LSQ when the chunk gets a slot: every node
 // begins the phase's step schedule. The LSQ wait is the paper's
@@ -104,23 +123,26 @@ func (c *chunk) activate() {
 	}
 	// Snapshot the node list: sends below may complete synchronously.
 	for n := range c.nodes {
-		c.sendStep(topology.Node(n), p, 0)
+		c.sendStep(topology.Node(n), 0)
 	}
 }
 
 // neededPerStep is how many messages a node must receive per step
 // (halving phases, like rings, expect exactly one partner message).
-func neededPerStep(ph collectives.Phase) int {
+func neededPerStep(ph *collectives.Phase) int {
 	if ph.Direct {
 		return ph.Size - 1
 	}
 	return 1
 }
 
-// sendStep transmits node n's messages for step s of phase p.
-func (c *chunk) sendStep(n topology.Node, p, s int) {
-	ph := c.coll.phases[p]
-	size := ph.StepBytes(s, c.bytes)
+// sendStep transmits node n's messages for step s of the current phase.
+func (c *chunk) sendStep(n topology.Node, s int) {
+	ph, p := c.ph(), c.phase
+	if int32(s) != c.planStep {
+		c.planStep, c.planBytes = int32(s), ph.StepBytes(s, c.bytes)
+	}
+	size := c.planBytes
 	l, topo := c.lane, c.sys.Topo
 	switch {
 	case ph.Halving:
@@ -160,18 +182,17 @@ func (c *chunk) sendMsg(src, dst topology.Node, path []topology.LinkID, p, s int
 func chunkMsgDelivered(m *noc.Message) {
 	c := m.Ctx.(*chunk)
 	c.sys.injectDone(m.Src)
-	c.sys.endpointReceiveMsg(m)
+	c.sys.endpointReceiveMsg(c, m)
 }
 
 // chunkEndpointDone is the eventq.CallFunc that fires when the
-// destination endpoint finishes processing message b: the message's
+// destination endpoint finishes processing message b of chunk a: the
 // chunk advances, and the message object returns to the free list (on
 // fault-free runs — an armed retry protocol still references it).
 func chunkEndpointDone(a, b any) {
-	s, m := a.(*System), b.(*noc.Message)
-	c := m.Ctx.(*chunk)
+	c, m := a.(*chunk), b.(*noc.Message)
 	dst, p, step := m.Dst, int(m.CtxA), int(m.CtxB)
-	if s.retry == nil {
+	if s := c.sys; s.retry == nil {
 		s.freeMsg(m)
 	}
 	c.onReceive(dst, p, step)
@@ -210,8 +231,7 @@ func (c *chunk) drainEarly(n topology.Node) {
 		if cnt == 0 {
 			return
 		}
-		ph := c.coll.phases[c.phase]
-		need := neededPerStep(ph) - st.recvd
+		need := neededPerStep(c.ph()) - st.recvd
 		take := cnt
 		if take > need {
 			take = need
@@ -233,7 +253,7 @@ func (c *chunk) drainEarly(n topology.Node) {
 // whether progress was made.
 func (c *chunk) advance(n topology.Node) bool {
 	st := &c.nodes[n]
-	ph := c.coll.phases[c.phase]
+	ph := c.ph()
 	if st.recvd < neededPerStep(ph) {
 		return false
 	}
@@ -244,7 +264,7 @@ func (c *chunk) advance(n topology.Node) bool {
 		return true
 	}
 	st.step++
-	c.sendStep(n, c.phase, st.step)
+	c.sendStep(n, st.step)
 	return true
 }
 
@@ -252,20 +272,19 @@ func (c *chunk) advance(n topology.Node) bool {
 // the chunk releases its LSQ slot and moves on.
 func (c *chunk) nodeDone() {
 	c.nodesDone++
-	if c.nodesDone < len(c.nodes) {
+	if int(c.nodesDone) < len(c.nodes) {
 		return
 	}
 	p := c.phase
 	now := c.sys.Eng.Now()
 	c.coll.netSum[p+1] += now - c.activatedAt
 	c.coll.netN[p+1]++
-	ph := c.coll.phases[p]
 	if c.sys.Tracer.Enabled() {
 		if wait := c.activatedAt - c.enqueuedAt; wait > 0 {
 			c.sys.Tracer.Span(trace.PhaseSpanName(p, "queue"), "queue",
 				c.coll.ID, c.idx, c.enqueuedAt, wait, nil)
 		}
-		c.sys.Tracer.Span(trace.PhaseSpanName(p, ph.String()), "phase",
+		c.sys.Tracer.Span(trace.PhaseSpanName(p, c.ph().String()), "phase",
 			c.coll.ID, c.idx, c.activatedAt, now-c.activatedAt, nil)
 	}
 	if p == 0 {

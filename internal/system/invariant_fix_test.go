@@ -98,7 +98,7 @@ func TestEndpointDelayFractionalCarry(t *testing.T) {
 	// exactly floor(n * 11 * 1.5) = 165 cycles. Per-message truncation
 	// yielded 10 * 16 = 160.
 	want := eventq.Time(n * 11 * 3 / 2)
-	if got := s.endpointBusy[0]; got != want {
+	if got := s.nmus[0].busy; got != want {
 		t.Errorf("endpoint busy until %d after %d messages, want %d (truncation lost %d cycles)",
 			got, n, want, want-got)
 	}
@@ -108,7 +108,7 @@ func TestEndpointDelayFractionalCarry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.endpointReceive(1, 0, func() {})
 	}
-	if got := s.endpointBusy[1]; got != eventq.Time(n*11) {
+	if got := s.nmus[1].busy; got != eventq.Time(n*11) {
 		t.Errorf("nominal endpoint busy until %d, want %d", got, n*11)
 	}
 	inst.Eng.Run()

@@ -184,16 +184,8 @@ type System struct {
 	// concurrently on its dedicated ring or switch (paper Fig. 7).
 	lsqs map[lsqKey]*lsq
 
-	// endpointBusy tracks, per NPU, when its NMU frees up; endpoint
-	// processing is serialized per node (one message at a time).
-	endpointBusy []eventq.Time
-	// endpointScale multiplies a node's endpoint delay (1 = nominal);
-	// the straggler-injection hook.
-	endpointScale []float64
-	// endpointCarry accumulates, per NPU, the sub-cycle remainder of
-	// scaled endpoint costs across messages (like link.serCycles), so a
-	// fractional straggler factor loses no time to truncation.
-	endpointCarry []float64
+	// nmus holds each NPU's endpoint (NMU) state, indexed by node.
+	nmus []nmu
 
 	// OnIssue, when non-nil, observes every successfully issued
 	// collective handle (the audit layer's registration hook). OnP2P
@@ -231,6 +223,20 @@ type System struct {
 	// (nothing references them past that point) and never while a retry
 	// policy is armed (the retransmit protocol holds the failed attempt).
 	msgFree []*noc.Message
+}
+
+// nmu is one NPU's endpoint state: endpoint processing is serialized per
+// node (one message at a time).
+type nmu struct {
+	// busy is when the NMU frees up.
+	busy eventq.Time
+	// scale multiplies the node's endpoint delay (1 = nominal): the
+	// straggler-injection hook.
+	scale float64
+	// carry accumulates the sub-cycle remainder of scaled endpoint costs
+	// across messages (like link.serCycles), so a fractional straggler
+	// factor loses no time to truncation.
+	carry float64
 }
 
 // allocMsg returns a zeroed message from the free list (or a fresh one).
@@ -292,7 +298,7 @@ func (s *System) inject(node topology.Node, msg *noc.Message) {
 	in := &s.injectors[node]
 	if in.capacity == 0 || in.inFlight < in.capacity {
 		in.inFlight++
-		s.Net.Send(msg)
+		s.send(msg)
 		return
 	}
 	in.queue.push(msg)
@@ -303,10 +309,21 @@ func (s *System) inject(node topology.Node, msg *noc.Message) {
 func (s *System) injectDone(node topology.Node) {
 	in := &s.injectors[node]
 	if in.queue.len() > 0 {
-		s.Net.Send(in.queue.pop())
+		s.send(in.queue.pop())
 		return
 	}
 	in.inFlight--
+}
+
+// send hands msg to the network: by a direct call when it is a
+// *noc.Network, through the interface for the recording fakes of the
+// tests.
+func (s *System) send(msg *noc.Message) {
+	if n, ok := s.Net.(*noc.Network); ok {
+		n.Send(msg)
+		return
+	}
+	s.Net.Send(msg)
 }
 
 // RetryPolicy configures the recovery protocol for fault-injected packet
@@ -455,9 +472,9 @@ func New(eng *eventq.Engine, topo topology.Topology, net Network, cfg config.Sys
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	scale := make([]float64, topo.NumNPUs())
-	for i := range scale {
-		scale[i] = 1
+	nmus := make([]nmu, topo.NumNPUs())
+	for i := range nmus {
+		nmus[i].scale = 1
 	}
 	injectors := make([]injector, topo.NumNPUs())
 	if cfg.InjectionPolicy == config.NormalInjection {
@@ -474,17 +491,15 @@ func New(eng *eventq.Engine, topo topology.Topology, net Network, cfg config.Sys
 		lanes[i] = make([]*lane, d.Channels)
 	}
 	return &System{
-		Eng:           eng,
-		Topo:          topo,
-		Net:           net,
-		Cfg:           cfg,
-		lsqs:          make(map[lsqKey]*lsq),
-		endpointBusy:  make([]eventq.Time, topo.NumNPUs()),
-		endpointScale: scale,
-		endpointCarry: make([]float64, topo.NumNPUs()),
-		injectors:     injectors,
-		dims:          dims,
-		lanes:         lanes,
+		Eng:       eng,
+		Topo:      topo,
+		Net:       net,
+		Cfg:       cfg,
+		lsqs:      make(map[lsqKey]*lsq),
+		nmus:      nmus,
+		injectors: injectors,
+		dims:      dims,
+		lanes:     lanes,
 	}, nil
 }
 
@@ -598,7 +613,7 @@ func (s *System) makeChunks(h *Handle) []*chunk {
 // only while the queue does.
 func (s *System) enqueueReady(chunks []*chunk) {
 	for _, c := range chunks {
-		c.readyAt = s.Eng.Now()
+		c.enqueuedAt = s.Eng.Now()
 	}
 	n := len(s.ready)
 	at := n
@@ -638,7 +653,7 @@ func (s *System) dispatch() {
 		s.ready = s.ready[:n]
 		for _, c := range issue {
 			s.inFirstPhase++
-			c.coll.queueSum[0] += s.Eng.Now() - c.readyAt
+			c.coll.queueSum[0] += s.Eng.Now() - c.enqueuedAt
 			c.coll.queueN[0]++
 			c.start()
 		}
@@ -674,19 +689,21 @@ func (s *System) complete(h *Handle) {
 // transport-layer processing of scale-out messages), serialized per
 // node. It returns the absolute completion time.
 func (s *System) endpointDone(node topology.Node, extra eventq.Time) eventq.Time {
-	start := s.Eng.Now()
-	if s.endpointBusy[node] > start {
-		start = s.endpointBusy[node]
+	e := &s.nmus[node]
+	cost := eventq.Time(s.Cfg.EndpointDelay) + extra
+	if e.scale != 1 || e.carry != 0 {
+		// Accumulate the fractional remainder per node (like
+		// link.serCycles): truncating each message's scaled cost
+		// independently would silently drop up to a cycle per message
+		// under fractional straggler factors. At scale 1 and carry 0 this
+		// arithmetic returns cost unchanged with carry 0 (for any cost
+		// below 2^53 cycles), so a nominal node skips it.
+		exact := float64(cost)*e.scale + e.carry
+		cost = eventq.Time(exact)
+		e.carry = exact - float64(cost)
 	}
-	// Accumulate the fractional remainder per node (like link.serCycles):
-	// truncating each message's scaled cost independently would silently
-	// drop up to a cycle per message under fractional straggler factors.
-	exact := float64(eventq.Time(s.Cfg.EndpointDelay)+extra)*s.endpointScale[node] + s.endpointCarry[node]
-	cost := eventq.Time(exact)
-	s.endpointCarry[node] = exact - float64(cost)
-	done := start + cost
-	s.endpointBusy[node] = done
-	return done
+	e.busy = max(s.Eng.Now(), e.busy) + cost
+	return e.busy
 }
 
 // endpointReceive runs fn after node's NMU processes one message.
@@ -695,15 +712,15 @@ func (s *System) endpointReceive(node topology.Node, extra eventq.Time, fn func(
 }
 
 // endpointReceiveMsg is the closure-free endpointReceive for collective
-// messages: the continuation is chunkEndpointDone with the message as
-// its argument, scheduled through the engine's static-callback path.
-func (s *System) endpointReceiveMsg(m *noc.Message) {
-	c := m.Ctx.(*chunk)
+// messages: the continuation is chunkEndpointDone with message m of
+// chunk c as its arguments, scheduled through the engine's
+// static-callback path.
+func (s *System) endpointReceiveMsg(c *chunk, m *noc.Message) {
 	var extra eventq.Time
 	if c.coll.phases[m.CtxA].Dim == topology.DimScaleOut {
 		extra = eventq.Time(s.Cfg.TransportDelay)
 	}
-	s.Eng.CallAt(s.endpointDone(m.Dst, extra), chunkEndpointDone, s, m)
+	s.Eng.CallAt(s.endpointDone(m.Dst, extra), chunkEndpointDone, c, m)
 }
 
 // SendPointToPoint transmits bytes from src to dst over the shortest
@@ -784,12 +801,12 @@ func (s *System) DebugState() DebugState {
 // node and factor come from user-supplied plans, so violations are
 // returned as errors rather than panics.
 func (s *System) SetNodeStragglerFactor(node topology.Node, factor float64) error {
-	if node < 0 || int(node) >= len(s.endpointScale) {
-		return fmt.Errorf("system: straggler node %d out of range (%d NPUs)", node, len(s.endpointScale))
+	if node < 0 || int(node) >= len(s.nmus) {
+		return fmt.Errorf("system: straggler node %d out of range (%d NPUs)", node, len(s.nmus))
 	}
 	if factor <= 0 {
 		return fmt.Errorf("system: straggler factor must be positive, got %v", factor)
 	}
-	s.endpointScale[node] = factor
+	s.nmus[node].scale = factor
 	return nil
 }

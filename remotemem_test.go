@@ -1,6 +1,7 @@
 package astrasim_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"astrasim"
@@ -37,6 +38,12 @@ func TestRemoteMemoryZeroOverheadWhenUnused(t *testing.T) {
 	if pc, ac := run(plain), run(armed); pc != ac {
 		t.Fatalf("armed pool changed a collective-only run: %d vs %d cycles", ac, pc)
 	}
+	// Keep the collector off while counting. Each GC cycle wakes the
+	// standard library's cleanup of its unique-value maps (net/netip keeps
+	// one), which allocates, and AllocsPerRun counts every allocation in
+	// the process: a cycle inside one measurement but not the other moved
+	// the counts apart by a few objects.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	plainAllocs := testing.AllocsPerRun(3, func() { run(plain) })
 	armedAllocs := testing.AllocsPerRun(3, func() { run(armed) })
 	if plainAllocs != armedAllocs {

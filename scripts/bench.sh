@@ -46,6 +46,8 @@ COUNT=5
 # microbenchmarks the perf acceptance criteria track. The fast-backend
 # 8x8x8 all-reduce is the bench workload allreduce-fast: it covers the
 # system layer's per-message send path and the serialization memo. The
+# packet and fast 4x4x4 all-reduces send the same messages, so the pair
+# gives the packet model's cost per message over the fast backend's. The
 # exact-packets 4x4x4 all-reduce runs without the packet cap, so packet
 # trains hundreds of packets long carry its cost. The 2-worker 4x4x4
 # all-reduce is the bench workload allreduce-pdes2: the one partitioned
@@ -61,7 +63,7 @@ COUNT=5
 # queue's worst case), and a crowded cycle: interleaved packet-train
 # deliveries injected below a future cycle's tail (the walk and the
 # finger).
-CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel1|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllReduceHierSw8_4MB_Fast|BenchmarkAllToAllA2A4x8_1MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkDaemonRoundTrip|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
+CORE='BenchmarkAllReduce4x4x4_4MB|BenchmarkAllReduce4x4x4_4MB_Fast|BenchmarkAllReduce4x4x4_4MB_ExactPackets|BenchmarkAllReduce4x4x4_4MB_IntraParallel1|BenchmarkAllReduce4x4x4_4MB_IntraParallel2|BenchmarkAllReduce8x8x8_64MB_Fast|BenchmarkAllReduceHierSw8_4MB_Fast|BenchmarkAllToAllA2A4x8_1MB_Fast|BenchmarkAllToAll_8Packages_1MB|BenchmarkDaemonRoundTrip|BenchmarkGraphReplayPipeline|BenchmarkModelgenCompile|BenchmarkModelReplay'
 EVQ='BenchmarkScheduleRun|BenchmarkQueueClustered|BenchmarkQueueDistinct|BenchmarkQueueCrowded'
 # The LARGE set: the fast-vs-packet backend speedup pair at 4096 NPUs,
 # plus the intra-run parallelism set at 16384 NPUs (serial engine vs
