@@ -28,6 +28,13 @@
 // pdes determinism guarantee — results are byte-identical at any worker
 // count, and identical to the serial engine.
 //
+// This package owns the order. Key.Before compares two keys of one cycle,
+// Engine.KeysFrom builds the key of an event created at a given cycle by
+// an event created at another, and Engine.ReadKey is the key a read from
+// outside any handler sees lazily kept state from. A model that stands
+// for events it never schedules (noc's packet trains and arrival
+// records) uses these rather than comparing or building keys itself.
+//
 // # Concurrency contract
 //
 // An Engine is not safe for concurrent use: each engine is owned by
@@ -100,8 +107,10 @@ type key struct {
 	sub   uint32 // per-handler cross-engine injection order
 }
 
-// less takes both keys by pointer: link compares keys in their arena
-// slots, and by value each compare would copy them to the stack first.
+// less is the queue's order: Key.Before, then sub. It takes both keys
+// by pointer: link compares keys in their arena slots, and by value each
+// compare would copy them to the stack first. TestQueueOrderRandom checks
+// that it agrees with Before on every pair of same-cycle events.
 func (k *key) less(o *key) bool {
 	if k.ctime != o.ctime {
 		return k.ctime < o.ctime
@@ -413,6 +422,25 @@ type Key struct {
 	Seq   uint64
 }
 
+// Before reports whether an event keyed k fires before one keyed o when
+// both fire in the same cycle. It is the one definition of that order:
+// the queue's own (key.less) only adds the splice ordinal, and a model
+// that stands in for events it never schedules (noc's packet trains and
+// arrival records) compares their keys with this. A key whose Seq is the
+// maximum sorts after every event with the same (Ctime, Gen2, Comp).
+func (k *Key) Before(o *Key) bool {
+	if k.Ctime != o.Ctime {
+		return k.Ctime < o.Ctime
+	}
+	if k.Gen2 != o.Gen2 {
+		return k.Gen2 < o.Gen2
+	}
+	if k.Comp != o.Comp {
+		return k.Comp < o.Comp
+	}
+	return k.Seq < o.Seq
+}
+
 // DriverFunc replaces the engine's built-in run loop (see SetDriver).
 // It must fire all pending events — bounded by deadline when bounded is
 // true, to completion otherwise — and return the final simulation time.
@@ -508,17 +536,17 @@ func (e *Engine) CallAt(at Time, fn CallFunc, a, b any) {
 // injected into another engine later (e.g. a shard buffering a delivery
 // for the main engine) so it sorts exactly as a locally scheduled event
 // would have.
-func (e *Engine) EventKey() Key {
-	e.seq++
-	return Key{Ctime: e.now, Gen2: e.fireCtime, Comp: e.fireComp, Seq: e.seq}
-}
+func (e *Engine) EventKey() Key { return e.KeysFrom(e.now, e.fireCtime, e.fireComp, 1) }
 
-// EventKeys allocates count keys at once, as count EventKey calls would,
-// and returns the first; the others differ from it only in Seq, which
-// grows by one per key. A caller that stands for count events with one
-// record keys them without a call per event.
-func (e *Engine) EventKeys(count uint64) Key {
-	k := Key{Ctime: e.now, Gen2: e.fireCtime, Comp: e.fireComp, Seq: e.seq + 1}
+// KeysFrom allocates count keys at once, as count EventKey calls would,
+// but for events created at ctime by an event created at gen2, on
+// component comp. It returns the first; the others differ from it only
+// in Seq, which grows by one per key. It is the one place a key is built
+// from a genealogy: a model that stands for events it never schedules,
+// or schedules ahead of their creation (noc's packet trains and arrival
+// records), keys them with it, so each sorts where the event would have.
+func (e *Engine) KeysFrom(ctime, gen2 Time, comp uint32, count uint64) Key {
+	k := Key{Ctime: ctime, Gen2: gen2, Comp: comp, Seq: e.seq + 1}
 	e.seq += count
 	return k
 }
@@ -542,6 +570,18 @@ func (e *Engine) SpliceKey() (Key, uint32) {
 // to tell whether they would already have fired in the current cycle.
 func (e *Engine) FiringKey() Key {
 	return Key{Ctime: e.fireCtime, Gen2: e.fireGen2, Comp: e.fireComp, Seq: e.fireSeq}
+}
+
+// ReadKey is the key a read of lazily kept state (noc's trains and
+// arrival records) from outside any handler sees that state from. An
+// unstopped Run or RunUntil has fired every event up to now, so it sorts
+// after all of them; when Stop froze the run inside a cycle, it is the
+// stopping event's.
+func (e *Engine) ReadKey() Key {
+	if e.stopped {
+		return e.FiringKey()
+	}
+	return Key{Ctime: ^Time(0)}
 }
 
 // InjectAt enqueues fn(a, b) at absolute time at under an explicit key —

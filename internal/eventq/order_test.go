@@ -6,11 +6,13 @@ import (
 )
 
 // refEvent is one pending event of the reference model: its firing
-// cycle, its full ordering key, and its scheduling order.
+// cycle, its full ordering key, its scheduling order, and how many events
+// had fired when it was scheduled.
 type refEvent struct {
-	at Time
-	k  key
-	id int
+	at    Time
+	k     key
+	id    int
+	since int
 }
 
 func (r refEvent) before(o refEvent) bool {
@@ -36,6 +38,17 @@ type orderHarness struct {
 	ids      int
 	budget   int      // events handlers may still schedule
 	keys     []refKey // keys minted on src, not yet injected
+	// cycle and fired are the cycle of the last fired event and the events
+	// fired in it so far, in firing order; nfired counts all fired events.
+	cycle  Time
+	fired  []firedEvent
+	nfired int
+}
+
+// firedEvent is one fired event: its key, and its place in the firing order.
+type firedEvent struct {
+	k key
+	n int
 }
 
 type refKey struct {
@@ -80,6 +93,7 @@ func (h *orderHarness) fire(id int) {
 	if h.dst.Now() != want.at {
 		h.t.Fatalf("event %d fired at Now %d, want %d", id, h.dst.Now(), want.at)
 	}
+	h.checkBefore(id, want)
 	act := h.byte()
 	for n := int(act & 3); n > 0 && h.budget > 0; n-- {
 		h.budget--
@@ -90,10 +104,64 @@ func (h *orderHarness) fire(id int) {
 	}
 }
 
+// checkBefore checks the exported order against the firing order and
+// the queue's internal one. The event just fired, ev, must not sort
+// before any event fired earlier in its cycle while ev was pending, by
+// Before or by key.less, and must sort after each whose exported key
+// differs from its own by both (keys that differ only in the splice
+// ordinal are equal to Before). An event fired before ev was scheduled
+// may sort anywhere.
+func (h *orderHarness) checkBefore(id int, ev refEvent) {
+	h.t.Helper()
+	k, fk := ev.k, h.dst.FiringKey()
+	if fk != exported(k) {
+		h.t.Fatalf("event %d: FiringKey %+v, want the key it was scheduled with %+v", id, fk, k)
+	}
+	if now := h.dst.Now(); now != h.cycle || len(h.fired) == 0 {
+		h.cycle, h.fired = now, h.fired[:0]
+	}
+	for i := range h.fired {
+		e := &h.fired[i].k
+		if h.fired[i].n < ev.since {
+			continue
+		}
+		ek := exported(*e)
+		distinct := ek != fk
+		if fk.Before(&ek) || k.less(e) || ek.Before(&fk) != distinct || (distinct && !e.less(&k)) {
+			h.t.Fatalf("event %d keyed %+v fired after %+v in cycle %d: Before(earlier, it) = %v, Before(it, earlier) = %v, less(earlier, it) = %v",
+				id, k, *e, h.cycle, ek.Before(&fk), fk.Before(&ek), e.less(&k))
+		}
+	}
+	h.fired = append(h.fired, firedEvent{k: k, n: h.nfired})
+	h.nfired++
+}
+
+// exported is k without its splice ordinal.
+func exported(k key) Key { return Key{Ctime: k.ctime, Gen2: k.gen2, Comp: k.comp, Seq: k.seq} }
+
+// checkReadKey checks that an unstopped engine's ReadKey sorts after
+// every event fired in the current cycle, and a stopped one's is the
+// stopping event's key.
+func (h *orderHarness) checkReadKey(op string) {
+	h.t.Helper()
+	rk := h.dst.ReadKey()
+	if h.dst.Stopped() {
+		if rk != h.dst.FiringKey() {
+			h.t.Fatalf("after %s: stopped ReadKey %+v, want the stopping event's %+v", op, rk, h.dst.FiringKey())
+		}
+		return
+	}
+	for i := range h.fired {
+		if ek := exported(h.fired[i].k); !ek.Before(&rk) {
+			h.t.Fatalf("after %s: ReadKey %+v does not sort after fired %+v", op, rk, ek)
+		}
+	}
+}
+
 // local schedules one dst event delay cycles ahead, through At or Call.
 func (h *orderHarness) local(viaAt bool, delay Time) {
 	e := h.dst
-	ev := refEvent{at: e.Now() + delay, id: h.ids,
+	ev := refEvent{at: e.Now() + delay, id: h.ids, since: h.nfired,
 		k: key{ctime: e.Now(), gen2: e.fireCtime, comp: e.fireComp, seq: e.seq + 1}}
 	h.ids++
 	h.ref = append(h.ref, ev)
@@ -113,7 +181,7 @@ func (h *orderHarness) inject(delay Time) {
 	i := int(h.byte()) % len(h.keys)
 	rk := h.keys[i]
 	h.keys = append(h.keys[:i], h.keys[i+1:]...)
-	ev := refEvent{at: h.dst.Now() + delay, id: h.ids,
+	ev := refEvent{at: h.dst.Now() + delay, id: h.ids, since: h.nfired,
 		k: key{ctime: rk.k.Ctime, gen2: rk.k.Gen2, comp: rk.k.Comp, seq: rk.k.Seq, sub: rk.sub}}
 	h.ids++
 	h.ref = append(h.ref, ev)
@@ -209,6 +277,7 @@ func checkQueueOrder(t *testing.T, data []byte) {
 			h.dst.Run()
 		}
 		h.check("op")
+		h.checkReadKey("op")
 	}
 	for h.dst.Pending() > 0 {
 		h.dst.Run()
@@ -220,7 +289,9 @@ func checkQueueOrder(t *testing.T, data []byte) {
 // At/Call/InjectAt (keys minted by a second engine and injected in
 // shuffled order, so they land below bucket tails), Step, RunUntil,
 // RunWindow, Stop and NextAt must fire events exactly in the order of a
-// reference that sorts the same events by the six-field key.
+// reference that sorts the same events by the six-field key. Key.Before
+// must agree with that order on every pair of events fired in one cycle,
+// and ReadKey must sort after all of them unless a Stop froze the run.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0x10, 0x21, 0x02, 0x03, 0x04, 0x05, 0x06})
 	f.Fuzz(checkQueueOrder)

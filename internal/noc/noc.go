@@ -25,14 +25,21 @@
 // memoizes long messages. It costs one delivery event: its segment of the
 // train retires lazily, with an event only when a queued packet or a
 // blocked upstream link must react. So the link-state reads (LinkStatsFor,
-// TotalBytesByClass, UtilizationByClass, Quiet, DebugLinks) first retire
-// what has ended and report the state the engine's last run left; they
-// are made between runs, not from handlers.
+// TotalBytesByClass, UtilizationByClass, Quiet, DebugLinks) first bring
+// the lazy state up to date through one settle and report the state the
+// engine's last run left; they are made between runs, not from handlers.
 //
 // NewFast builds the same network with unbounded buffers: the
 // congestion-unaware half of the backend duality (config.FastBackend),
 // with a send path of its own over the same per-link wire state
-// (unbounded.go).
+// (unbounded.go), whose switch-fed arrivals are lazy records.
+//
+// Trains and records stand for events that never fire, so they sort as
+// those events would, and each decision has one owner: eventq.Key.Before
+// is the same-cycle event order, eventq.Engine.KeysFrom builds every key
+// from a (ctime, gen2) genealogy, eventq.Engine.ReadKey is the key a read
+// sees lazy state from, and the kernel's serCursor is the one per-packet
+// replay of a message's carry chain (serkernel.go).
 //
 // Links optionally carry fault state (SetLinkFaults, driven by the
 // internal/faults subsystem): bandwidth degradation windows and outage
@@ -72,6 +79,7 @@ import (
 
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
+	"astrasim/internal/fifo"
 	"astrasim/internal/topology"
 )
 
@@ -328,14 +336,9 @@ type link struct {
 	// queuing is the system-layer "queue delay".
 	capPackets int
 
-	// queue[head:] is the FIFO of buffered packets. Popping advances head
-	// instead of re-slicing so the backing array's capacity is reused
-	// across the whole run — the naive queue = queue[1:] drain walks the
-	// array forward and forces a fresh allocation every time append hits
-	// the capacity edge, which dominated the simulator's allocation
-	// profile.
-	queue []*packet
-	head  int
+	// queue is the FIFO of buffered packets. Its array is reused across
+	// the whole run, also on a link whose queue never drains.
+	queue fifo.Queue[*packet]
 	// reserved counts buffer slots promised to packets in flight on the
 	// wire toward this link (credit-style flow control).
 	reserved int
@@ -348,7 +351,7 @@ type link struct {
 	// charged to BusyCycles when serialization completes.
 	curSer eventq.Time
 	// waiters are upstream links stalled on this link's buffer space.
-	waiters []*link
+	waiters fifo.Queue[*link]
 	// fault, when non-nil, is the link's fault-injection state machine
 	// (degradation, outages, drops); nil on every fault-free run.
 	fault *linkFault
@@ -643,33 +646,21 @@ func (n *Network) packetize(first *link, msg *Message, virt int) {
 	}
 }
 
-// qlen is the number of buffered packets.
-func (l *link) qlen() int { return len(l.queue) - l.head }
-
-// qpush appends a packet behind virt unserialized train packets,
-// recycling the backing array's dead prefix once the queue fully drains
-// (the steady state between message bursts). A packet queuing behind a
-// live train arms the train's last segment-done event.
+// qpush appends a packet behind virt unserialized train packets. A packet
+// queuing behind a live train arms the train's last segment-done event.
 func (l *link) qpush(p *packet, virt int) {
 	if virt > 0 {
 		l.armTail()
 	}
-	if l.head > 0 && l.head == len(l.queue) {
-		l.queue = l.queue[:0]
-		l.head = 0
-	}
-	l.queue = append(l.queue, p)
-	l.stats.PeakQueue = max(l.stats.PeakQueue, l.qlen()+virt)
+	l.queue.Push(p)
+	l.stats.PeakQueue = max(l.stats.PeakQueue, l.queue.Len()+virt)
 }
-
-// qpop retires the head packet.
-func (l *link) qpop() { l.head++ }
 
 // hasSpace reports whether the buffer can take one more packet, counting
 // slots reserved for packets already in flight toward this link and the
 // train's unserialized packets.
 func (l *link) hasSpace() bool {
-	return l.qlen()+l.reserved+l.trainLeft(l.eng.FiringKey()) < l.capPackets
+	return l.queue.Len()+l.reserved+l.trainLeft(l.eng.FiringKey()) < l.capPackets
 }
 
 // acceptFromNetwork reserves a buffer slot and lands the packet in the
@@ -695,7 +686,7 @@ func linkArrive(a, b any) {
 // inside an outage window does not start new serializations; the queue
 // holds and a deferred kick fires when the outage lifts.
 func (l *link) kick() {
-	if l.busy || l.blocked || l.qlen() == 0 {
+	if l.busy || l.blocked || l.queue.Len() == 0 {
 		return
 	}
 	if f := l.fault; f != nil {
@@ -707,7 +698,7 @@ func (l *link) kick() {
 			return
 		}
 	}
-	p := l.queue[l.head]
+	p := *l.queue.Front()
 	if l.net.poison {
 		l.net.checkAlive(p, "kick")
 	}
@@ -716,9 +707,9 @@ func (l *link) kick() {
 		p.msg.started = true
 		p.msg.SerStart = l.eng.Now()
 	}
-	// The head packet stays at queue[0] until forward() retires it, so
-	// only one serialization is ever in flight per link and curSer is
-	// unambiguous.
+	// The head packet stays at the queue's front until forward() retires
+	// it, so only one serialization is ever in flight per link and curSer
+	// is unambiguous.
 	l.curSer = l.serCycles(p.bytes)
 	l.eng.Call(l.curSer, linkSerDone, l, p)
 }
@@ -777,7 +768,7 @@ func (l *link) forward(p *packet) {
 		if !next.hasSpace() {
 			l.blocked = true
 			l.blockStart = l.eng.Now()
-			next.waiters = append(next.waiters, l)
+			next.waiters.Push(l)
 			next.armRelease(l.eng.FiringKey())
 			return
 		}
@@ -826,7 +817,7 @@ func (l *link) advanced(p *packet) *packet {
 func (l *link) finishHead(p *packet) {
 	l.stats.Packets++
 	l.stats.Bytes += p.bytes
-	l.qpop()
+	l.queue.Pop()
 	l.busy = false
 	l.blocked = false
 	l.net.freePacket(l.pool, p)
@@ -836,10 +827,10 @@ func (l *link) finishHead(p *packet) {
 
 // releaseWaiters unblocks upstream links stalled on this link's buffer.
 func (l *link) releaseWaiters() {
-	for len(l.waiters) > 0 && l.hasSpace() {
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		p := w.queue[w.head]
+	for l.waiters.Len() > 0 && l.hasSpace() {
+		w := *l.waiters.Front()
+		l.waiters.Pop()
+		p := *w.queue.Front()
 		w.stats.BlockedCycles += l.eng.Now() - w.blockStart
 		l.acceptFromNetwork(w.advanced(p), w.hopDelay())
 		// The waiting link's serializer was blocked, not re-run: retire
@@ -848,29 +839,35 @@ func (l *link) releaseWaiters() {
 	}
 }
 
-// settleLinks retires, on every packet link, what a link-state read from
-// outside any handler must see retired (see settle), and charges the
-// unbounded model's arrival records such a read must see charged.
-func (n *Network) settleLinks() {
-	for _, l := range n.links {
-		l.settle()
+// settle brings link id's lazy state up to what a link-state read from
+// outside any handler must see (eventq.Engine.ReadKey): on the packet
+// model it retires the train segments that have ended, on the unbounded
+// one it charges the arrival records that have landed.
+func (n *Network) settle(id topology.LinkID) {
+	if n.links != nil {
+		l := n.links[id]
+		l.retire(l.eng.ReadKey())
+	} else if n.pend != nil && len(n.pend[id]) > 0 {
+		n.chargeRecords(n.wires[id], n.eng.Now(), n.eng.ReadKey())
 	}
-	n.settleRecords()
+}
+
+// settleAll is settle on every link.
+func (n *Network) settleAll() {
+	for id := range n.wires {
+		n.settle(topology.LinkID(id))
+	}
 }
 
 // LinkStatsFor returns a copy of the counters for one link.
 func (n *Network) LinkStatsFor(id topology.LinkID) LinkStats {
-	if n.unbounded {
-		n.settleRecordsOn(id)
-	} else {
-		n.links[id].settle()
-	}
+	n.settle(id)
 	return n.wires[id].stats
 }
 
 // TotalBytesByClass sums bytes carried per link class.
 func (n *Network) TotalBytesByClass() (intra, inter, scaleOut int64) {
-	n.settleLinks()
+	n.settleAll()
 	for _, w := range n.wires {
 		switch w.spec.Class {
 		case topology.IntraPackage:
@@ -892,8 +889,11 @@ func (n *Network) ScaleLinkBandwidth(id topology.LinkID, factor float64) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("noc: bandwidth scale must be positive, got %v", factor))
 	}
-	// Arrivals already recorded serialize at the old rate.
-	n.settleRecordsOn(id)
+	// Arrivals already recorded serialize at the old rate. A train's
+	// segments keep the rate they were charged at, so it is left as is.
+	if n.unbounded {
+		n.settle(id)
+	}
 	n.wires[id].effBW *= factor
 }
 
@@ -969,7 +969,7 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 	if until == 0 {
 		return out
 	}
-	n.settleLinks()
+	n.settleAll()
 	for _, w := range n.wires {
 		u := out[w.spec.Class]
 		u.Links++
@@ -992,13 +992,12 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 // engine. An unbounded network is quiet when every message it was sent
 // has been delivered.
 func (n *Network) Quiet() bool {
+	n.settleAll()
 	if n.unbounded {
-		n.settleRecords()
 		return n.inFlight == 0
 	}
 	for _, l := range n.links {
-		l.settle()
-		if l.busy || l.qlen() > 0 || l.reserved > 0 {
+		if l.busy || l.queue.Len() > 0 || l.reserved > 0 {
 			return false
 		}
 	}
@@ -1035,14 +1034,14 @@ type LinkDebugState struct {
 // holds no queues or reservations; its link is busy while its charged
 // serialization extends past now, and it reports its pending records.
 func (n *Network) DebugLinks() []LinkDebugState {
-	n.settleLinks()
+	n.settleAll()
 	out := make([]LinkDebugState, len(n.wires))
 	for i, w := range n.wires {
 		d := LinkDebugState{ID: w.spec.ID, Class: w.spec.Class, Busy: w.busyUntil > n.eng.Now(),
 			Pending: n.pendingRecords(w.spec.ID), Stats: w.stats}
 		if !n.unbounded {
 			l := n.links[i]
-			d.Queued, d.Reserved, d.Waiters = l.qlen()+l.trainLeft(l.readKey()), l.reserved, len(l.waiters)
+			d.Queued, d.Reserved, d.Waiters = l.queue.Len()+l.trainLeft(l.eng.ReadKey()), l.reserved, l.waiters.Len()
 			d.Busy, d.Blocked = l.busy, l.blocked
 		}
 		out[i] = d

@@ -368,3 +368,48 @@ func TestUnboundedRejectsFaultsAndPartition(t *testing.T) {
 		t.Fatal("AssignOrderingComps on an unbounded network returned nil")
 	}
 }
+
+// TestSwitchDownLinkQueueBounded: on a 1x4 alltoall, three NPUs send
+// 4 KiB messages to the fourth in a closed loop, four in flight each
+// (a new one leaves as one is delivered), so the packet queue of
+// the switch->NPU 3 link never drains while they run. Its array must stay
+// within four times the link's PeakQueue instead of growing with every
+// packet the link carries: a queue that recycles its array only when it
+// fully drains reaches 119,808 slots here for a PeakQueue of 140.
+func TestSwitchDownLinkQueueBounded(t *testing.T) {
+	topo, err := topology.NewA2A(1, 4, topology.DefaultA2AConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := eventq.New()
+	net, err := New(eng, topo, exact(config.DefaultNetwork()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := topology.NewRouter(topo)
+	const dst, perSource, window = topology.Node(3), 2000, 4
+	for src := topology.Node(0); src < dst; src++ {
+		left := perSource
+		var next func(*Message)
+		next = func(*Message) {
+			if left > 0 {
+				left--
+				net.Send(&Message{Src: src, Dst: dst, Bytes: 4 << 10, Path: r.Route(src, dst, 0), OnDelivered: next})
+			}
+		}
+		for range window {
+			eng.At(0, func() { next(nil) })
+		}
+	}
+	eng.Run()
+	if want := uint64(dst) * perSource; net.DeliveredMessages != want {
+		t.Fatalf("delivered %d messages, want %d", net.DeliveredMessages, want)
+	}
+	path := r.Route(0, dst, 0)
+	down := net.links[path[len(path)-1]]
+	st := net.LinkStatsFor(down.spec.ID)
+	if c := down.queue.Cap(); c > 4*st.PeakQueue {
+		t.Fatalf("queue array grew to %d slots over %d packets, PeakQueue %d: want at most %d",
+			c, st.Packets, st.PeakQueue, 4*st.PeakQueue)
+	}
+}

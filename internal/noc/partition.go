@@ -39,19 +39,7 @@ type outEvent struct {
 // time, then key. No two deliveries share a full key (components differ
 // across shards, seq within one), so the order is total.
 func lessOut(a, b *outEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.key.Ctime != b.key.Ctime {
-		return a.key.Ctime < b.key.Ctime
-	}
-	if a.key.Gen2 != b.key.Gen2 {
-		return a.key.Gen2 < b.key.Gen2
-	}
-	if a.key.Comp != b.key.Comp {
-		return a.key.Comp < b.key.Comp
-	}
-	return a.key.Seq < b.key.Seq
+	return a.at < b.at || (a.at == b.at && a.key.Before(&b.key))
 }
 
 // push buffers one delivery in the shard's outbox, keeping the outbox

@@ -2,11 +2,13 @@ package noc
 
 // The serialization kernel: the one definition of how a link's
 // serializer turns bytes into cycles, shared by both network models.
-// SerStep is the single step; SerTable.Charge charges a whole message's
-// packets back to back, memoizing long trains. The packet model calls
-// Charge for packet trains and SerStep for real packets; the unbounded
-// model calls the same two for its single-link sends and its per-hop
-// packets, which is why the two models agree bit for bit.
+// SerStep is the single step; serCursor replays a message's packets back
+// to back, one step each; SerTable.Charge charges a whole message with
+// the cursor, memoizing long trains. The packet model calls Charge for
+// packet trains and SerStep for real packets; the unbounded model calls
+// the same two for its single-link sends and its per-hop packets, which
+// is why the two models agree bit for bit. The lazy paths of both (a
+// train's transit replay, a hop run's records) step the same cursor.
 
 import (
 	"math"
@@ -191,25 +193,51 @@ func (t *SerTable) Charge(bytes, pkt, n int64, bw, carry float64) SerCharge {
 	return v
 }
 
-// serLoop is Charge without the memo: the full-size packets share one
-// division, then the partial packet and any empty ones step one by one.
+// serLoop is Charge without the memo: one cursor steps the packets.
 func serLoop(bytes, pkt, n int64, bw, carry float64) SerCharge {
 	var t2, t1, t eventq.Time
-	full := min(bytes/pkt, n)
-	q := float64(pkt) / bw
-	for k := int64(0); k < full; k++ {
+	c := newSerCursor(bytes, pkt, bw, carry)
+	for range n {
 		var d eventq.Time
-		d, carry = serAdvance(q, carry)
+		c, d, _ = c.step(bw)
 		t2, t1, t = t1, t, t+d
 	}
-	rest := bytes - full*pkt
-	for k := full; k < n; k++ {
-		var d eventq.Time
-		d, carry = SerStep(rest, bw, carry)
-		rest = 0
-		t2, t1, t = t1, t, t+d
+	return SerCharge{Prev2: t2, Prev: t1, Total: t, Carry: c.carry}
+}
+
+// serCursor replays a message's carry chain one packet at a time. It is
+// the one per-packet replay: serLoop charges with it, and the lazy send
+// paths rebuild their virtual packets (train segments) and arrival
+// records (hop runs) with it, so all agree with Charge bit for bit. It
+// is four words, stepped by value, so a loop keeps it in registers; the
+// bandwidth it was started at rides beside it for the same reason.
+type serCursor struct {
+	rest, pkt int64 // bytes not yet stepped; packet size
+	// full is a full packet's exact cycle count pkt/bw, divided once per
+	// cursor: the same float operation SerStep performs per packet.
+	full  float64
+	carry float64
+}
+
+// newSerCursor starts the replay of a bytes-byte message in pkt-byte
+// packets at bw, from carry.
+func newSerCursor(bytes, pkt int64, bw, carry float64) serCursor {
+	return serCursor{rest: bytes, pkt: pkt, full: float64(pkt) / bw, carry: carry}
+}
+
+// step serializes the next packet, min(pkt, what is left) bytes, at bw,
+// the rate the cursor was started at, and returns the advanced cursor
+// and the packet's cycles and bytes: a full packet's with the quotient
+// divided once, a partial or empty one's with SerStep.
+func (c serCursor) step(bw float64) (serCursor, eventq.Time, int64) {
+	b, q := c.pkt, c.full
+	if c.rest < b {
+		b, q = c.rest, float64(c.rest)/bw
 	}
-	return SerCharge{Prev2: t2, Prev: t1, Total: t, Carry: carry}
+	c.rest -= b
+	var d eventq.Time
+	d, c.carry = serAdvance(q, c.carry)
+	return c, d, b
 }
 
 // home returns k's home slot.

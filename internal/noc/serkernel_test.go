@@ -148,12 +148,14 @@ func TestSerTableKeysPacketCount(t *testing.T) {
 
 // FuzzSerKernel checks the kernel against a per-packet SerStep replay,
 // bit for bit, with the memo bypassed, on a memo miss, and on the hit
-// that follows. pad adds empty packets past ceil(bytes/pkt) (or, when
-// negative, drops packets); the seed corpus (testdata/fuzz) covers
+// that follows, and the lazy send paths' replays (checkReplays) against
+// the same reference. pad adds empty packets past ceil(bytes/pkt) (or,
+// when negative, drops packets); the seed corpus (testdata/fuzz) covers
 // capped tails, sub-cycle packets (the one-cycle clamp), carries just
 // below 1, partial last packets and dropped packets.
 func FuzzSerKernel(f *testing.F) {
 	f.Add(uint32(200), uint16(4), int16(14), 25.0, 0.0)
+	f.Add(uint32(1000), uint16(64), int16(5), 25*0.94, 0.75)
 	f.Fuzz(func(t *testing.T, bytes32 uint32, pkt16 uint16, pad int16, bw, carry float64) {
 		bytes := int64(bytes32%(1<<18)) + 1
 		pkt := int64(max(pkt16, 1))
@@ -177,7 +179,53 @@ func FuzzSerKernel(f *testing.F) {
 				t.Fatalf("memo %s: %+v, replay %+v", pass, got, want)
 			}
 		}
+		checkReplays(t, bytes, pkt, n, bw, carry, want)
 	})
+}
+
+// checkReplays replays n packets of a bytes-byte message, pkt bytes per
+// packet, as a train segment does (segment.replay) and as a hop run does
+// (hopRun.next, after the head packet is stepped as sendUnbounded steps
+// it), against a per-packet SerStep reference: every packet's
+// serialization interval and bytes, its key genealogy and seq, and the
+// final carry must agree bit for bit, and the last packet must end at
+// Charge's Total.
+func checkReplays(t *testing.T, bytes, pkt, n int64, bw, carry float64, charge SerCharge) {
+	t.Helper()
+	seg := segment{bytes: bytes, pktSize: pkt, numPkts: n, bw: bw, carry0: carry}
+	sc, vp := seg.replay()
+	hc, d, b := newSerCursor(bytes, pkt, bw, carry).step(bw)
+	run := hopRun{key: eventq.Key{Ctime: d, Seq: 1}, left: n, bytes: b, ser: hc, bw: bw}
+	refCarry, left := carry, bytes
+	var start, prevStart eventq.Time
+	for k := int64(0); k < n; k++ {
+		rb := min(pkt, left)
+		left -= rb
+		var rd eventq.Time
+		rd, refCarry = SerStep(rb, bw, refCarry)
+		end := start + rd
+
+		var sd eventq.Time
+		sc, sd, _ = sc.step(bw)
+		if vp = vp.then(sd); vp != (vpkt{start: start, end: end, gen: prevStart}) {
+			t.Fatalf("packet %d: train replay %+v, want [%d, %d) gen %d", k, vp, start, end, prevStart)
+		}
+		if k > 0 {
+			run.next()
+		}
+		if run.key.Gen2 != start || run.key.Ctime != end || run.bytes != rb || run.key.Seq != uint64(k+1) || run.left != n-k {
+			t.Fatalf("packet %d: hop run %+v, want [%d, %d) of %d B, seq %d", k, run, start, end, rb, k+1)
+		}
+		prevStart, start = start, end
+	}
+	if start != charge.Total {
+		t.Fatalf("replays end at %d, Charge at %d", start, charge.Total)
+	}
+	for _, c := range []float64{sc.carry, run.ser.carry, charge.Carry} {
+		if math.Float64bits(c) != math.Float64bits(refCarry) {
+			t.Fatalf("carries: train %v, hop run %v, Charge %v; per-packet %v", sc.carry, run.ser.carry, charge.Carry, refCarry)
+		}
+	}
 }
 
 // cappedTorus builds the memo-collision configuration on a 2x2x1 torus:
@@ -349,7 +397,7 @@ func TestTrainAppendUnderLoadZeroAlloc(t *testing.T) {
 	if l.train.pkts == 0 {
 		t.Fatal("the train emptied; the test no longer keeps the link loaded")
 	}
-	if c := cap(l.train.segs); c > 4*backlog {
+	if c := l.train.segs.Cap(); c > 4*backlog {
 		t.Fatalf("segment array grew to %d after %d appends with %d live, want at most %d", c, next, backlog, 4*backlog)
 	}
 }
@@ -358,7 +406,8 @@ func TestTrainAppendUnderLoadZeroAlloc(t *testing.T) {
 // kernel's three packet boundaries against the per-packet replay the
 // transit paths use: for one- and two-packet messages, capped and exact
 // ones, appended to an idle or a busy train, the segment's last packet
-// (interval and key genealogy) and the link's carry must equal chain's.
+// (interval and key genealogy) and the link's carry must equal the
+// segment replay's.
 func TestTrainLastPacketMatchesChain(t *testing.T) {
 	for _, p := range []config.Network{config.DefaultNetwork(), exact(config.DefaultNetwork())} {
 		eng, topo, net := ring4(t, p)
@@ -368,14 +417,16 @@ func TestTrainLastPacketMatchesChain(t *testing.T) {
 			at := eventq.Time(i * 3000)
 			eng.At(at, func() {
 				net.Send(&Message{Bytes: bytes, Path: []topology.LinkID{l.spec.ID}})
-				s := l.train.segs[len(l.train.segs)-1]
-				c := s.chain()
-				for k := int64(0); k < s.numPkts; k++ {
-					c.next(&s)
+				s := l.train.segs.Back()
+				c, pkt := s.replay()
+				for range s.numPkts {
+					var d eventq.Time
+					c, d, _ = c.step(s.bw)
+					pkt = pkt.then(d)
 				}
-				if c.pkt != s.last || math.Float64bits(c.carry) != math.Float64bits(l.serCarry) {
-					t.Errorf("cap %d, %d B: last packet %+v carry %v, chain replay %+v carry %v",
-						p.MaxPacketsPerMessage, bytes, s.last, l.serCarry, c.pkt, c.carry)
+				if pkt != s.last() || math.Float64bits(c.carry) != math.Float64bits(l.serCarry) {
+					t.Errorf("cap %d, %d B: last packet %+v carry %v, segment replay %+v carry %v",
+						p.MaxPacketsPerMessage, bytes, s.last(), l.serCarry, pkt, c.carry)
 				}
 			})
 		}

@@ -29,7 +29,12 @@ package noc
 // packet's end under that packet's linkSerDone key, and real packets
 // queue behind the train and start under its last packet's key.
 
-import "astrasim/internal/eventq"
+import (
+	"math"
+
+	"astrasim/internal/eventq"
+	"astrasim/internal/fifo"
+)
 
 // segment is one message of a train.
 type segment struct {
@@ -42,21 +47,36 @@ type segment struct {
 	// gen0 is the gen2 of the first packet's linkSerDone key: the creation
 	// cycle of the event that started it.
 	gen0 eventq.Time
-	last vpkt // the final packet
-	// seq is the seq of the segment-done key reserved at append time. The
-	// rest of the key is the last packet's linkSerDone key: (last.start,
-	// last.gen, link comp).
-	seq uint64
+	end  eventq.Time // when the final packet ends
+	// done is the segment-done key, reserved at append time: the final
+	// packet's linkSerDone key, (start, gen, link comp, seq).
+	done eventq.Key
 }
+
+// last is the segment's final packet.
+func (s *segment) last() vpkt { return vpkt{start: s.done.Ctime, end: s.end, gen: s.done.Gen2} }
 
 // vpkt is one virtual packet: its serialization interval and the gen2 of
 // its linkSerDone key, which is (end, start, gen, link comp).
 type vpkt struct{ start, end, gen eventq.Time }
 
+// then is the packet that follows p back to back and takes d cycles: it
+// starts where p ends, and its linkSerDone is created by p's, which was
+// created when p started.
+func (p vpkt) then(d eventq.Time) vpkt { return vpkt{start: p.end, end: p.end + d, gen: p.start} }
+
+// replay starts the replay of s's packets: the carry-chain cursor, and a
+// seed packet that ends where the first one starts and started at gen0,
+// so the first step's then yields the first packet.
+func (s *segment) replay() (serCursor, vpkt) {
+	return newSerCursor(s.bytes, s.pktSize, s.bw, s.carry0), vpkt{start: s.gen0, end: s.start}
+}
+
 // train is a link's FIFO of live segments.
 type train struct {
-	segs []segment // segs[head:] are live; see push
-	head int
+	// segs holds the live segments. A link under steady load may never
+	// empty its train, and the queue reclaims its dead prefix anyway.
+	segs fifo.Queue[segment]
 	pkts int // virtual packets in the live segments
 	// done counts head-segment packets retired by a trainRelease event.
 	done int64
@@ -68,62 +88,16 @@ type train struct {
 	headArmed bool
 }
 
-// push appends an empty segment behind the live ones and returns it for
-// the caller to fill. A link under steady load may never empty its
-// train, so the dead prefix is reclaimed here, not only when the train
-// drains: an append into a full array first slides the live segments to
-// its start when at least half of it is dead, and the array grows only
-// while the live train does.
-func (t *train) push() *segment {
-	if n := len(t.segs); n == cap(t.segs) && t.head > 0 && 2*t.head >= n {
-		live := copy(t.segs, t.segs[t.head:])
-		t.segs, t.head = t.segs[:live], 0
-	}
-	t.segs = append(t.segs, segment{})
-	return &t.segs[len(t.segs)-1]
-}
-
-// chain replays a segment's carry chain one packet at a time.
-type chain struct {
-	remaining int64
-	carry     float64
-	// full is a full packet's exact cycle count, divided once per replay
-	// as serLoop does: the same float operation as SerStep's.
-	full float64
-	pkt  vpkt
-}
-
-// chain starts the replay. The seed packet ends where the first one
-// starts and started at gen0, so next() yields the first packet's key.
-func (s *segment) chain() chain {
-	return chain{remaining: s.bytes, carry: s.carry0, full: float64(s.pktSize) / s.bw,
-		pkt: vpkt{start: s.gen0, end: s.start}}
-}
-
-// next advances to the following packet.
-func (c *chain) next(s *segment) {
-	var d eventq.Time
-	if c.remaining >= s.pktSize {
-		c.remaining -= s.pktSize
-		d, c.carry = serAdvance(c.full, c.carry)
-	} else {
-		d, c.carry = SerStep(c.remaining, s.bw, c.carry)
-		c.remaining = 0
-	}
-	c.pkt = vpkt{start: c.pkt.end, end: c.pkt.end + d, gen: c.pkt.start}
-}
-
 // canTrain reports whether msg can join first's train: a single-link
 // message onto a fault-free, no-transit link with no real packet queued.
 func (l *link) canTrain(msg *Message) bool {
-	return !l.net.noTrains && len(msg.Path) == 1 && l.noTransit && l.fault == nil && l.qlen() == 0
+	return !l.net.noTrains && len(msg.Path) == 1 && l.noTransit && l.fault == nil && l.queue.Len() == 0
 }
 
-// key labels an event this link creates on behalf of a virtual packet.
+// key labels an event this link creates on behalf of a virtual packet:
+// created at ctime by the linkSerDone created at gen2.
 func (l *link) key(ctime, gen2 eventq.Time) eventq.Key {
-	k := l.eng.EventKey()
-	k.Ctime, k.Gen2, k.Comp = ctime, gen2, l.comp
-	return k
+	return l.eng.KeysFrom(ctime, gen2, l.comp, 1)
 }
 
 // appendTrain serializes msg in closed form at the back of l's train. fk
@@ -138,8 +112,8 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	// previous one's linkSerDone fires.
 	queued := int(numPkts)
 	if t.pkts > 0 {
-		prev := &t.segs[len(t.segs)-1]
-		start, gen0 = prev.last.end, prev.last.start
+		prev := t.segs.Back()
+		start, gen0 = prev.end, prev.last().start
 		if t.pkts+queued > l.stats.PeakQueue {
 			queued += l.trainLeft(fk)
 		}
@@ -162,45 +136,41 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	}
 	// The segment is written in place at the train's tail, field by
 	// field: a segment value built first would be copied on the way in.
-	s := t.push()
+	s := t.segs.PushZero()
 	s.bytes, s.pktSize, s.numPkts, s.bw, s.carry0 = msg.Bytes, pktSize, numPkts, bw, carry0
-	s.start, s.gen0, s.last = start, gen0, last
-	// Reserve the segment-done key's seq in creation order, so every other
+	s.start, s.gen0, s.end = start, gen0, last.end
+	// Reserve the segment-done key in creation order, so every other
 	// event's key is as if the event were scheduled now.
-	s.seq = l.eng.EventKey().Seq
+	s.done = l.key(last.start, last.gen)
 	t.pkts += int(numPkts)
 	l.busy = true
 	l.armRelease(fk)
 }
 
 // fired reports whether virtual packet p's linkSerDone has fired by the
-// time the event keyed fk runs. On a full (ctime, gen2, comp) tie the
-// firing event is taken to come first, as a handler's earlier-created
-// events do.
-func (l *link) fired(p vpkt, fk eventq.Key) bool {
+// time the event keyed fk runs. A virtual packet has no seq: on a full
+// (ctime, gen2, comp) tie the firing event is taken to come first, as a
+// handler's earlier-created events do.
+func (l *link) fired(p vpkt, fk *eventq.Key) bool {
 	if now := l.eng.Now(); p.end != now {
 		return p.end < now
 	}
-	if p.start != fk.Ctime {
-		return p.start < fk.Ctime
-	}
-	if p.gen != fk.Gen2 {
-		return p.gen < fk.Gen2
-	}
-	return l.comp < fk.Comp
+	k := eventq.Key{Ctime: p.start, Gen2: p.gen, Comp: l.comp, Seq: math.MaxUint64}
+	return k.Before(fk)
 }
 
 // headLive returns the index and replay of the head segment's first
 // packet whose linkSerDone has not fired as seen from fk. The last packet
 // is live until its segment retires.
-func (l *link) headLive(fk eventq.Key) (int64, vpkt) {
+func (l *link) headLive(fk *eventq.Key) (int64, vpkt) {
 	t := &l.train
-	s := &t.segs[t.head]
-	c := s.chain()
+	s := t.segs.Front()
+	c, p := s.replay()
 	for k := int64(0); ; k++ {
-		c.next(s)
-		if k == s.numPkts-1 || (k >= t.done && !l.fired(c.pkt, fk)) {
-			return k, c.pkt
+		var d eventq.Time
+		c, d, _ = c.step(s.bw)
+		if p = p.then(d); k == s.numPkts-1 || (k >= t.done && !l.fired(p, fk)) {
+			return k, p
 		}
 	}
 }
@@ -214,8 +184,8 @@ func (l *link) trainLeft(fk eventq.Key) int {
 		return 0
 	}
 	left := t.pkts
-	if t.segs[t.head].start < l.eng.Now() {
-		k, _ := l.headLive(fk)
+	if t.segs.Front().start < l.eng.Now() {
+		k, _ := l.headLive(&fk)
 		left -= int(k)
 	}
 	return left
@@ -227,17 +197,17 @@ func (l *link) trainLeft(fk eventq.Key) int {
 // releases waiters as it retires the segment.
 func (l *link) armRelease(fk eventq.Key) {
 	t := &l.train
-	if t.relArmed || len(l.waiters) == 0 {
+	if t.relArmed || l.waiters.Len() == 0 {
 		return
 	}
 	if l.retire(fk); t.pkts == 0 {
 		return
 	}
-	k, p := l.headLive(fk)
-	if k == t.segs[t.head].numPkts-1 {
-		if !l.armed(t.head) {
+	k, p := l.headLive(&fk)
+	if h := t.segs.Front(); k == h.numPkts-1 {
+		if !l.armed(h) {
 			t.headArmed = true
-			l.schedule(t.head)
+			l.schedule(h)
 		}
 		return
 	}
@@ -251,44 +221,22 @@ func (l *link) armRelease(fk eventq.Key) {
 // joins the train while a real packet is queued.
 func (l *link) armTail() {
 	t := &l.train
-	if i := len(t.segs) - 1; t.pkts > 0 && l.qlen() == 0 && !l.armed(i) {
-		l.schedule(i)
+	if t.pkts > 0 && l.queue.Len() == 0 && !l.armed(t.segs.Back()) {
+		l.schedule(t.segs.Back())
 	}
 }
 
-// armed reports whether segment i's segment-done event is in the queue:
+// armed reports whether segment s's segment-done event is in the queue:
 // the head's once armRelease scheduled it, the tail's once a real packet
 // queued behind it (armTail).
-func (l *link) armed(i int) bool {
+func (l *link) armed(s *segment) bool {
 	t := &l.train
-	return (i == t.head && t.headArmed) || (i == len(t.segs)-1 && l.qlen() > 0)
+	return (s == t.segs.Front() && t.headArmed) || (s == t.segs.Back() && l.queue.Len() > 0)
 }
 
-// schedule injects segment i's segment-done event under its reserved key.
-func (l *link) schedule(i int) {
-	s := &l.train.segs[i]
-	l.eng.InjectAt(s.last.end, l.doneKey(s), 0, trainSegDone, l, nil)
-}
-
-// doneKey is the key reserved for segment s's segment-done event.
-func (l *link) doneKey(s *segment) eventq.Key {
-	return eventq.Key{Ctime: s.last.start, Gen2: s.last.gen, Comp: l.comp, Seq: s.seq}
-}
-
-// keyLE reports whether key a sorts no later than b among one cycle's
-// events (eventq's order without sub). It takes the keys by pointer, so
-// comparing a key held in a record or segment copies nothing.
-func keyLE(a, b *eventq.Key) bool {
-	if a.Ctime != b.Ctime {
-		return a.Ctime < b.Ctime
-	}
-	if a.Gen2 != b.Gen2 {
-		return a.Gen2 < b.Gen2
-	}
-	if a.Comp != b.Comp {
-		return a.Comp < b.Comp
-	}
-	return a.Seq <= b.Seq
+// schedule injects segment s's segment-done event under its reserved key.
+func (l *link) schedule(s *segment) {
+	l.eng.InjectAt(s.end, s.done, 0, trainSegDone, l, nil)
 }
 
 // retire drops the head segments whose segment-done event would have
@@ -301,47 +249,22 @@ func (l *link) retire(fk eventq.Key) {
 	t := &l.train
 	now := l.eng.Now()
 	for t.pkts > 0 {
-		s := &t.segs[t.head]
-		if s.last.end > now {
+		s := t.segs.Front()
+		if s.end > now || (s.end == now && fk.Before(&s.done)) {
 			return
-		}
-		if s.last.end == now {
-			if dk := l.doneKey(s); !keyLE(&dk, &fk) {
-				return
-			}
 		}
 		l.stats.Packets += uint64(s.numPkts)
 		l.stats.Bytes += s.bytes
-		l.stats.BusyCycles += s.last.end - s.start
+		l.stats.BusyCycles += s.end - s.start
 		t.pkts -= int(s.numPkts)
-		t.head++
+		t.segs.Pop()
 		t.done = 0
 		t.headArmed = false
 		if t.pkts == 0 {
-			t.segs, t.head = t.segs[:0], 0
 			l.busy = false
 		}
 	}
 }
-
-// readKey is the key a link-state read from outside any handler sees a
-// link's lazy state (trains, arrival records) from. An unstopped Run or
-// RunUntil has fired every event up to now, so it sorts after all of
-// them; when Stop froze the run inside a cycle, it is the stopping
-// event's.
-func readKey(eng *eventq.Engine) eventq.Key {
-	if eng.Stopped() {
-		return eng.FiringKey()
-	}
-	return eventq.Key{Ctime: ^eventq.Time(0)}
-}
-
-// readKey is the key a read sees l's train from.
-func (l *link) readKey() eventq.Key { return readKey(l.eng) }
-
-// settle retires what a link-state read from outside any handler must see
-// retired.
-func (l *link) settle() { l.retire(l.readKey()) }
 
 // trainRelease is the eventq.CallFunc standing in for an intermediate
 // virtual packet's linkSerDone while upstream links wait on link a.

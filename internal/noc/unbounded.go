@@ -52,9 +52,9 @@ package noc
 // only the event count drops. A two-hop message into a switch-fed link
 // charges its first link in closed form (SerTable.Charge), as a
 // single-link send does; its records are one hopRun, which replays the
-// first link's per-packet times with SerStep as they are charged, and a
-// single event, its last packet's arrival, stands for the whole message
-// at the second hop. NPU-fed links, including every first link and every
+// first link's per-packet times with the kernel's cursor as they are
+// charged, and a single event, its last packet's arrival, stands for the
+// whole message at the second hop. NPU-fed links, including every first link and every
 // torus link, are never recorded: sends charge them eagerly.
 //
 // The unbounded model keeps only a wire per link, in one flat array, and
@@ -101,12 +101,10 @@ func (n *Network) sendUnbounded(msg *Message) {
 		// record of one run, and the last arrives as an event.
 		next := n.wires[msg.Path[1]]
 		if numPkts > 1 {
-			b := min(pktSize, msg.Bytes)
-			ser, c := SerStep(b, first.effBW, carry)
-			k := n.eng.EventKeys(uint64(numPkts - 1))
-			k.Ctime, k.Gen2 = start+ser, start
+			c, ser, b := newSerCursor(msg.Bytes, pktSize, first.effBW, carry).step(first.effBW)
+			k := n.eng.KeysFrom(start+ser, start, n.eng.FiringComp(), uint64(numPkts-1))
 			n.pushRun(next, hopRun{at: start + ser + hop, key: k, left: numPkts - 1, bytes: b,
-				rest: msg.Bytes - b, pktSize: pktSize, bw: first.effBW, carry: c, hop: hop})
+				ser: c, bw: first.effBW, hop: hop})
 		}
 		last := max(0, min(pktSize, msg.Bytes-(numPkts-1)*pktSize))
 		p := n.allocPacket(&n.pktFree, msg, last, 1)
@@ -159,9 +157,7 @@ func (w *wire) charge(bytes int64) eventq.Time {
 // the same cycle then serialize there in the packet model's order, not in
 // the order their senders injected them.
 func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a, b any) {
-	k := n.eng.EventKey()
-	k.Ctime, k.Gen2 = serEnd, serStart
-	n.eng.InjectAt(at, k, 0, fn, a, b)
+	n.eng.InjectAt(at, n.eng.KeysFrom(serEnd, serStart, n.eng.FiringComp(), 1), 0, fn, a, b)
 }
 
 // fastArrive is the eventq.CallFunc that lands packet b on wire a: the
@@ -191,8 +187,7 @@ func fastArrive(a, b any) {
 	if p.pathPos++; p.pathPos < len(msg.Path) {
 		next := n.wires[msg.Path[p.pathPos]]
 		if p.pathPos == len(msg.Path)-1 && !p.last && n.recorded(next) {
-			k := n.eng.EventKey()
-			k.Ctime, k.Gen2 = finish, start
+			k := n.eng.KeysFrom(finish, start, n.eng.FiringComp(), 1)
 			n.pushRun(next, hopRun{at: finish + w.hopDelay(), key: k, left: 1, bytes: p.bytes})
 			n.freePacket(&n.pktFree, p)
 			return
@@ -211,9 +206,10 @@ func fastArrive(a, b any) {
 // consecutive packets of one message, each standing for the fastArrive
 // event the per-packet model would fire. The head record is the next to
 // charge; the ones behind it replay their upstream serialization with
-// SerStep (the same steps the first link was charged with), so a run
-// holds any number of packets in constant space. A one-record run (from
-// a packet that crossed an event-driven hop) leaves the replay unset.
+// the kernel's cursor (the same steps the first link was charged with),
+// so a run holds any number of packets in constant space. A one-record
+// run (from a packet that crossed an event-driven hop) leaves the replay
+// unset.
 type hopRun struct {
 	// at and key are the head record's firing cycle and ordering key: its
 	// upstream serialization end and start (Ctime, Gen2) and the seq its
@@ -222,33 +218,32 @@ type hopRun struct {
 	key eventq.Key
 	// left counts the run's records, the head included.
 	left int64
-	// bytes is the head packet's size; rest is the bytes of the packets
-	// behind it, each min(pktSize, what is left).
-	bytes, rest, pktSize int64
-	// bw and carry are the upstream serializer's rate and its carry after
-	// the head packet; hop is the upstream hop delay.
-	bw, carry float64
-	hop       eventq.Time
+	// bytes is the head packet's size.
+	bytes int64
+	// ser and bw are the upstream serializer's replay after the head
+	// packet and its rate; hop is the upstream hop delay.
+	ser serCursor
+	bw  float64
+	hop eventq.Time
 }
 
-// next advances r to its following record.
+// next advances r to its following record: the next packet starts
+// serializing upstream where the head ended, and its key takes the
+// run's next reserved seq.
 func (r *hopRun) next() {
-	b := min(r.pktSize, r.rest)
-	r.rest -= b
-	var ser eventq.Time
-	ser, r.carry = SerStep(b, r.bw, r.carry)
+	var d eventq.Time
+	r.ser, d, r.bytes = r.ser.step(r.bw)
 	r.key.Gen2 = r.key.Ctime
-	r.key.Ctime += ser
+	r.key.Ctime += d
 	r.key.Seq++
 	r.at = r.key.Ctime + r.hop
-	r.bytes = b
 	r.left--
 }
 
-// before reports whether r's head record fires before the event keyed
-// (at, k).
+// before reports whether r's head record fires no later than the event
+// keyed (at, k).
 func (r *hopRun) before(at eventq.Time, k *eventq.Key) bool {
-	return r.at < at || (r.at == at && keyLE(&r.key, k))
+	return r.at < at || (r.at == at && !k.Before(&r.key))
 }
 
 // pushRun adds r to w's pending records, a min-heap of runs by head
@@ -301,21 +296,6 @@ func siftDown(h []hopRun) {
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
-	}
-}
-
-// settleRecords charges the records a link-state read from outside any
-// handler must see charged (see readKey), on every link.
-func (n *Network) settleRecords() {
-	for id := range n.pend {
-		n.settleRecordsOn(topology.LinkID(id))
-	}
-}
-
-// settleRecordsOn is settleRecords for link id alone.
-func (n *Network) settleRecordsOn(id topology.LinkID) {
-	if n.pend != nil && len(n.pend[id]) > 0 {
-		n.chargeRecords(n.wires[id], n.eng.Now(), readKey(n.eng))
 	}
 }
 

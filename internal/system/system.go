@@ -31,6 +31,7 @@ import (
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
+	"astrasim/internal/fifo"
 	"astrasim/internal/noc"
 	"astrasim/internal/topology"
 	"astrasim/internal/trace"
@@ -256,41 +257,11 @@ func (s *System) freeMsg(m *noc.Message) { s.msgFree = append(s.msgFree, m) }
 
 // injector is one NPU's NMU-side injection throttle. The deferred-send
 // queue holds the messages themselves (not closures), so throttled sends
-// cost no per-message allocation; queue[head:] is the live FIFO and the
-// backing array is recycled when it drains.
+// cost no per-message allocation.
 type injector struct {
 	capacity int // 0 = unlimited (aggressive)
 	inFlight int
-	queue    fifo[*noc.Message]
-}
-
-// fifo is a queue popped through a head index, so a pop keeps the
-// backing array: a push into a full array first slides the live items
-// back to its start when at least half of it holds popped slots, and the
-// array grows only while the queue does.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (f *fifo[T]) len() int { return len(f.items) - f.head }
-
-func (f *fifo[T]) push(v T) {
-	if n := len(f.items); n == cap(f.items) && f.head > 0 && 2*f.head >= n {
-		live := copy(f.items, f.items[f.head:])
-		clear(f.items[live:])
-		f.items, f.head = f.items[:live], 0
-	}
-	f.items = append(f.items, v)
-}
-
-// pop removes and returns the oldest item; the queue must not be empty.
-func (f *fifo[T]) pop() T {
-	v := f.items[f.head]
-	var zero T
-	f.items[f.head] = zero
-	f.head++
-	return v
+	queue    fifo.Queue[*noc.Message]
 }
 
 // inject sends msg now if a slot is free, else queues it.
@@ -301,15 +272,17 @@ func (s *System) inject(node topology.Node, msg *noc.Message) {
 		s.send(msg)
 		return
 	}
-	in.queue.push(msg)
+	in.queue.Push(msg)
 }
 
 // injectDone releases node's slot when a message is delivered, launching
 // the next queued send.
 func (s *System) injectDone(node topology.Node) {
 	in := &s.injectors[node]
-	if in.queue.len() > 0 {
-		s.send(in.queue.pop())
+	if in.queue.Len() > 0 {
+		msg := *in.queue.Front()
+		in.queue.Pop()
+		s.send(msg)
 		return
 	}
 	in.inFlight--
@@ -433,7 +406,7 @@ type lsqKey struct {
 type lsq struct {
 	width  int
 	active int
-	queue  fifo[*chunk]
+	queue  fifo.Queue[*chunk]
 }
 
 // enqueue admits a chunk, activating it immediately if a slot is free.
@@ -443,14 +416,16 @@ func (q *lsq) enqueue(c *chunk) {
 		c.activate()
 		return
 	}
-	q.queue.push(c)
+	q.queue.Push(c)
 }
 
 // release frees the slot held by a finishing chunk and activates the next
 // queued one.
 func (q *lsq) release(*chunk) {
-	if q.queue.len() > 0 {
-		q.queue.pop().activate()
+	if q.queue.Len() > 0 {
+		c := *q.queue.Front()
+		q.queue.Pop()
+		c.activate()
 		return
 	}
 	q.active--
@@ -786,11 +761,11 @@ func (s *System) DebugState() DebugState {
 	}
 	for _, q := range s.lsqs {
 		st.LSQActive += q.active
-		st.LSQQueued += q.queue.len()
+		st.LSQQueued += q.queue.Len()
 	}
 	for i := range s.injectors {
 		st.InjectorsInFlight += s.injectors[i].inFlight
-		st.InjectorsQueued += s.injectors[i].queue.len()
+		st.InjectorsQueued += s.injectors[i].queue.Len()
 	}
 	return st
 }
