@@ -171,7 +171,7 @@ func (p *Platform) SetFaultPlan(plan *FaultPlan) error {
 
 // SetAudit toggles invariant auditing for every subsequent run: byte
 // conservation across the three layers, quiescence at completion, and
-// packet free-list poisoning. A violated invariant turns the run into an
+// monotonic link stats. A violated invariant turns the run into an
 // error. Off by default; the checks cost a few percent of runtime.
 func (p *Platform) SetAudit(on bool) {
 	p.mu.Lock()

@@ -22,7 +22,7 @@
 // overflowing, or empty entry is rejected naming the offending token.
 //
 // -audit attaches the invariant auditor (byte conservation, quiescence,
-// free-list poisoning) to each run, prints its report, and exits non-zero
+// monotonic link stats) to each run, prints its report, and exits non-zero
 // on any violation.
 //
 // -faults applies a JSON fault plan (degraded links, outages, stragglers,

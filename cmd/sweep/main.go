@@ -30,7 +30,7 @@
 // engine.
 //
 // -audit attaches the invariant auditor (byte conservation, quiescence,
-// free-list poisoning) to every simulation instance the sweep creates and
+// monotonic link stats) to every simulation instance the sweep creates and
 // exits non-zero if any run violates an invariant.
 //
 // -faults applies a JSON fault plan (degraded links, outages, stragglers,

@@ -4,7 +4,7 @@
 // nil checks when no auditor is attached, so the hot path pays nothing
 // when auditing is disabled.
 //
-// An attached Auditor checks four invariant families:
+// An attached Auditor checks three invariant families:
 //
 //  1. Byte conservation. Every byte a collective schedule says a node
 //     transmits must actually enter the network (system-layer injected
@@ -21,10 +21,7 @@
 //     with zero active chunks; the dispatcher's ready queue and
 //     first-phase counter are zero; and every issued collective is Done
 //     with DoneAt >= CreatedAt.
-//  3. Free-list aliasing. Recycled packet objects are poisoned on free
-//     and every hot-path touch panics on a poisoned packet, so a
-//     use-after-free or double free fails loudly at the aliasing site.
-//  4. Monotonic stats. Per link, BusyCycles + BlockedCycles never exceed
+//  3. Monotonic stats. Per link, BusyCycles + BlockedCycles never exceed
 //     elapsed simulated time (serializer busy and blocked intervals are
 //     disjoint), so per-class utilization is always <= 1.
 //
@@ -83,13 +80,9 @@ type Auditor struct {
 }
 
 // Attach registers an auditor on one instance's system and network layers
-// (overwriting any previously attached hooks) and enables free-list
-// poisoning on the network. Both backends are a *noc.Network and both
-// recycle packets through the poisoned free list: the packet model on
-// every hop, the fast backend's unbounded model on multi-hop paths. Every
-// other invariant family applies to both backends too. The returned
-// Auditor checks invariants whenever the engine drains; call Report for
-// the verdict.
+// (overwriting any previously attached hooks). Every invariant family
+// applies to both backends. The returned Auditor checks invariants
+// whenever the engine drains; call Report for the verdict.
 func Attach(sys *system.System, net system.Network) *Auditor {
 	a := &Auditor{sys: sys, net: net, eng: sys.Eng}
 	links := sys.Topo.Links()
@@ -100,9 +93,6 @@ func Attach(sys *system.System, net system.Network) *Auditor {
 	sys.OnIssue = a.onIssue
 	sys.OnP2P = a.onP2P
 	net.SetOnSend(a.onSend)
-	if pn, ok := net.(*noc.Network); ok {
-		pn.SetPoisonFreeList(true)
-	}
 	sys.Eng.SetOnDrain(a.onDrain)
 	return a
 }

@@ -16,8 +16,8 @@ import (
 // paper (Figs. 9-18) plus every extension study — with an auditor attached
 // to each simulation instance, and requires zero invariant violations.
 // This is the permanent regression net: any future change that loses
-// bytes, strands a chunk in an LSQ, leaks an injection slot, or corrupts
-// the packet free list fails here, figure by figure.
+// bytes, strands a chunk in an LSQ, leaks an injection slot, or leaves a
+// packet on a wire fails here, figure by figure.
 func TestAuditCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus audit is minutes-long; skipped with -short")
@@ -62,10 +62,10 @@ const corpusRuns = 157
 
 // TestAuditCorpusIntraParallel re-checks every conservation invariant
 // under intra-run parallelism: the same byte-ledger, LSQ, slot and
-// free-list accounting must hold when the packet network is partitioned
-// across shard engines (IntraParallel > 0) — shard free lists and the
-// cross-engine outbox are extra places bytes or packets could leak that
-// the serial corpus never exercises.
+// quiescence accounting must hold when the packet network is partitioned
+// across shard engines (IntraParallel > 0) — the cross-engine outbox is
+// an extra place bytes or packets could leak that the serial corpus
+// never exercises.
 func TestAuditCorpusIntraParallel(t *testing.T) {
 	c := &audit.Collector{}
 	for _, topo := range []string{"1x8x1", "2x4x2", "a2a:2x4", "sw:4x2", "so:2x2x1/2"} {

@@ -3,7 +3,9 @@
 // stands in for Garnet (gem5) in the original ASTRA-SIM.
 //
 // Messages handed down by the system layer are decomposed into packets
-// (Table II: message -> packet -> flit -> phit). Each physical link
+// (Table II: message -> packet -> flit -> phit). A packet is a plain
+// value: a link's queue holds its buffered packets, and the network's
+// flight FIFOs hold the packets on each link's wire. Each physical link
 // serializes one packet at a time at its bandwidth, derated by its link
 // efficiency (the data-flit fraction); a serialized packet then takes the
 // link's traversal latency plus one router latency per hop to arrive.
@@ -61,10 +63,12 @@
 // pool worker is advancing its shard's window, and the only cross-engine
 // traffic is (a) main→shard injections spliced before the shard runs and
 // (b) shard→main deliveries buffered per-shard and flushed by FlushCross
-// under the runner's barrier. The serialization memo, with its packet
-// plan memo, is shared by the shards of one pool worker, which the
-// runner advances one after another (see Partition); no table is shared
-// across pool workers. No locks are taken on the packet hot path in either
+// under the runner's barrier. A link's state includes its entry of the
+// network's flight FIFOs: entry id is owned by link id's shard, which is
+// also the shard of every link a packet on that wire lands on. The
+// serialization memo, with its packet plan memo, is shared by the shards
+// of one pool worker, which the runner advances one after another (see
+// Partition); no table is shared across pool workers. No locks are taken on the packet hot path in either
 // mode; the window protocol is the synchronization.
 //
 // An unbounded network (NewFast) is always serial: it is owned by the
@@ -134,45 +138,16 @@ func (m *Message) QueueDelay() eventq.Time { return m.SerStart - m.Injected }
 // delivery.
 func (m *Message) NetworkDelay() eventq.Time { return m.Delivered - m.SerStart }
 
+// packet is one packet of a message, a plain value: link queues and
+// wires hold it by value, so it has no lifecycle of its own. pathPos is
+// the path index of the link the packet is queued at or travelling to.
 type packet struct {
 	msg     *Message
 	bytes   int64
-	pathPos int
+	pathPos int32
 	// last marks a message's final packet on the unbounded model, whose
 	// arrival at the final hop delivers the message.
 	last bool
-}
-
-// allocPacket takes a packet from the given free list, or heap-allocates
-// when the list is empty. Retired packets return via freePacket, so a
-// steady-state run recycles a small working set instead of allocating one
-// packet per hop. Each list is owned by exactly one engine (the network's
-// in serial mode, one per shard when partitioned), so no locking: a
-// packet lives and dies on the component it was injected into.
-func (n *Network) allocPacket(pool *[]*packet, msg *Message, bytes int64, pathPos int) *packet {
-	if last := len(*pool) - 1; last >= 0 && !n.noFreeList {
-		p := (*pool)[last]
-		*pool = (*pool)[:last]
-		*p = packet{msg: msg, bytes: bytes, pathPos: pathPos}
-		return p
-	}
-	return &packet{msg: msg, bytes: bytes, pathPos: pathPos}
-}
-
-// freePacket recycles a packet the simulation no longer references.
-func (n *Network) freePacket(pool *[]*packet, p *packet) {
-	if n.noFreeList {
-		return
-	}
-	if n.poison {
-		if p.bytes == poisonBytes {
-			panic("noc: double free of recycled packet")
-		}
-		p.bytes = poisonBytes
-		p.pathPos = -1
-	}
-	p.msg = nil
-	*pool = append(*pool, p)
 }
 
 // Window is a half-open interval [Start, End) of simulation cycles during
@@ -311,7 +286,7 @@ type link struct {
 	// parallelism — the shard engine owning the link's component.
 	eng *eventq.Engine
 	// sh is nil in serial mode; when partitioned it is the link's shard
-	// context (free list + outbox toward the main engine).
+	// context (engine, outbox toward the main engine, serialization memo).
 	sh *shard
 	// comp is the link's 1-based partition component (0 when serial),
 	// stamped into event-ordering keys so cross-engine events sort
@@ -321,9 +296,6 @@ type link struct {
 	// >= 1: collective traffic only enters by source injection, which
 	// licenses packet trains (see train.go).
 	noTransit bool
-	// pool is the packet free list this link allocates from: the
-	// network-wide list in serial mode, the owning shard's otherwise.
-	pool *[]*packet
 
 	// train holds the closed-form messages serializing ahead of queue.
 	train train
@@ -338,7 +310,7 @@ type link struct {
 
 	// queue is the FIFO of buffered packets. Its array is reused across
 	// the whole run, also on a link whose queue never drains.
-	queue fifo.Queue[*packet]
+	queue fifo.Queue[packet]
 	// reserved counts buffer slots promised to packets in flight on the
 	// wire toward this link (credit-style flow control).
 	reserved int
@@ -399,16 +371,15 @@ type Network struct {
 	// per-packet reference the records are tested against.
 	hopEvents bool
 
-	// pktFree recycles retired packet objects (see allocPacket); noFreeList
-	// disables recycling so tests can compare against the allocating path.
-	pktFree    []*packet
-	noFreeList bool
-	// poison enables free-list poisoning: freed packets are stamped with a
-	// sentinel and every hot-path touch checks for it, so a use-after-free
-	// (or double free) panics at the aliasing site instead of silently
-	// corrupting an unrelated message. Enabled by the audit layer; when
-	// false the only cost is one predictable branch per touch.
-	poison bool
+	// flight[id] holds the packets on link id's wire, in the order they
+	// left its serializer; each arrival event names link id and pops the
+	// front. FIFO is exact: every packet on one wire takes that wire's
+	// single hop delay, and leaves strictly later than the one before it.
+	// On the packet model a link serializes one packet at a time, each for
+	// at least one cycle, and a blocked head leaves only when released,
+	// before the next one starts; on the unbounded model each charge of a
+	// wire ends strictly later than the previous one. Both models use it.
+	flight []fifo.Queue[packet]
 
 	// OnSend, when non-nil, observes every injected message after its ID
 	// and Injected timestamp are assigned and before packetization. The
@@ -440,13 +411,6 @@ type Network struct {
 	ser SerTable
 }
 
-// poisonBytes is the sentinel stamped into freed packets in poison mode;
-// no live packet can carry a negative size.
-const poisonBytes = -0x600DDEAD
-
-// SetPoisonFreeList toggles free-list poisoning (see Network.poison).
-func (n *Network) SetPoisonFreeList(on bool) { n.poison = on }
-
 // SetOnSend installs (or, with nil, clears) the per-message injection
 // observer — the system.Network interface form of the OnSend field.
 func (n *Network) SetOnSend(fn func(*Message)) { n.OnSend = fn }
@@ -462,13 +426,6 @@ func (n *Network) Backend() config.Backend {
 // SerLen reports the number of charges held in the network's
 // serialization memo (at most SerTableMaxEntries).
 func (n *Network) SerLen() int { return n.ser.Len() }
-
-// checkAlive panics if p was freed and not reallocated — a use-after-free.
-func (n *Network) checkAlive(p *packet, site string) {
-	if p.bytes == poisonBytes {
-		panic("noc: use-after-free of recycled packet in " + site)
-	}
-}
 
 // New builds the packet model of topo's fabric with the given Garnet-level
 // parameters.
@@ -489,7 +446,8 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 		return nil, err
 	}
 	specs := topo.Links()
-	n := &Network{eng: eng, params: p, unbounded: unbounded, wires: make([]*wire, len(specs)), npus: topo.NumNPUs()}
+	n := &Network{eng: eng, params: p, unbounded: unbounded, wires: make([]*wire, len(specs)),
+		flight: make([]fifo.Queue[packet], len(specs)), npus: topo.NumNPUs()}
 	var flat []wire
 	if unbounded {
 		n.ser = NewSerTable()
@@ -525,7 +483,7 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 			n.wires[i] = &flat[i]
 			continue
 		}
-		l := &link{wire: w, eng: eng, pool: &n.pktFree, ser: &n.ser,
+		l := &link{wire: w, eng: eng, ser: &n.ser,
 			capPackets: bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, pkt)}
 		n.links[i], n.wires[i] = l, &l.wire
 	}
@@ -641,14 +599,14 @@ func (n *Network) packetize(first *link, msg *Message, virt int) {
 			b = remaining
 		}
 		remaining -= b
-		first.qpush(n.allocPacket(first.pool, msg, b, 0), virt)
+		first.qpush(packet{msg: msg, bytes: b}, virt)
 		first.kick()
 	}
 }
 
 // qpush appends a packet behind virt unserialized train packets. A packet
 // queuing behind a live train arms the train's last segment-done event.
-func (l *link) qpush(p *packet, virt int) {
+func (l *link) qpush(p packet, virt int) {
 	if virt > 0 {
 		l.armTail()
 	}
@@ -663,20 +621,25 @@ func (l *link) hasSpace() bool {
 	return l.queue.Len()+l.reserved+l.trainLeft(l.eng.FiringKey()) < l.capPackets
 }
 
-// acceptFromNetwork reserves a buffer slot and lands the packet in the
-// queue after the upstream wire latency plus one router hop.
-func (l *link) acceptFromNetwork(p *packet, wireDelay eventq.Time) {
-	l.reserved++
-	l.eng.Call(wireDelay, linkArrive, l, p)
+// send puts head packet p on l's wire toward next: it reserves a slot in
+// next's buffer and lands there after l's hop delay (wire latency plus
+// one router hop).
+func (l *link) send(next *link, p packet) {
+	next.reserved++
+	p.pathPos++
+	l.net.flight[l.spec.ID].Push(p)
+	l.eng.Call(l.hopDelay(), linkArrive, l, nil)
 }
 
-// linkArrive is the eventq.CallFunc that lands packet b on link a after
-// its wire delay (static function: no per-packet closure allocation).
-func linkArrive(a, b any) {
-	l, p := a.(*link), b.(*packet)
-	if l.net.poison {
-		l.net.checkAlive(p, "linkArrive")
-	}
+// linkArrive is the eventq.CallFunc that lands the front packet of link
+// a's wire on the next link of its path (static function: no per-packet
+// closure allocation).
+func linkArrive(a, _ any) {
+	up := a.(*link)
+	f := &up.net.flight[up.spec.ID]
+	p := *f.Front()
+	f.Pop()
+	l := up.net.links[p.msg.Path[p.pathPos]]
 	l.reserved--
 	l.qpush(p, l.trainLeft(l.eng.FiringKey()))
 	l.kick()
@@ -698,10 +661,7 @@ func (l *link) kick() {
 			return
 		}
 	}
-	p := *l.queue.Front()
-	if l.net.poison {
-		l.net.checkAlive(p, "kick")
-	}
+	p := l.queue.Front()
 	l.busy = true
 	if !p.msg.started && p.pathPos == 0 {
 		p.msg.started = true
@@ -711,18 +671,18 @@ func (l *link) kick() {
 	// it, so only one serialization is ever in flight per link and curSer
 	// is unambiguous.
 	l.curSer = l.serCycles(p.bytes)
-	l.eng.Call(l.curSer, linkSerDone, l, p)
+	l.eng.Call(l.curSer, linkSerDone, l, nil)
 }
 
 // linkSerDone is the eventq.CallFunc that fires when link a finishes
-// serializing packet b. With drop injection active on the link, the
+// serializing its head packet. With drop injection active on the link, the
 // packet may be discarded here instead of forwarded: it consumed the
 // serializer (and is counted by the link's stats) but never reaches the
 // next hop — the corrupted-in-flight model.
-func linkSerDone(a, b any) {
+func linkSerDone(a, _ any) {
 	l := a.(*link)
 	l.stats.BusyCycles += l.curSer
-	p := b.(*packet)
+	p := *l.queue.Front()
 	if f := l.fault; f != nil && f.DropProb > 0 && f.roll(l) < f.DropProb {
 		l.net.dropPacket(l, p)
 		return
@@ -743,14 +703,14 @@ func linkOutageLifted(a, _ any) {
 // charged to the shortfall ledger, and the owning message is marked lost —
 // firing OnDropped exactly once so the system layer's retransmit protocol
 // can recover.
-func (n *Network) dropPacket(l *link, p *packet) {
+func (n *Network) dropPacket(l *link, p packet) {
 	msg := p.msg
 	n.dropStats.DroppedPackets++
 	n.dropStats.DroppedBytes += p.bytes
 	for _, id := range msg.Path[p.pathPos+1:] {
 		n.shortfallByClass[n.wires[id].spec.Class] += p.bytes
 	}
-	l.finishHead(p)
+	l.finishHead()
 	if !msg.lost {
 		msg.lost = true
 		if msg.OnDropped != nil {
@@ -762,8 +722,8 @@ func (n *Network) dropPacket(l *link, p *packet) {
 // forward hands the head packet to its next stage (downstream link or
 // destination endpoint). If the downstream buffer is full the packet keeps
 // the serializer busy (head-of-line blocking) until space frees.
-func (l *link) forward(p *packet) {
-	if p.pathPos+1 < len(p.msg.Path) {
+func (l *link) forward(p packet) {
+	if int(p.pathPos)+1 < len(p.msg.Path) {
 		next := l.net.links[p.msg.Path[p.pathPos+1]]
 		if !next.hasSpace() {
 			l.blocked = true
@@ -772,7 +732,7 @@ func (l *link) forward(p *packet) {
 			next.armRelease(l.eng.FiringKey())
 			return
 		}
-		next.acceptFromNetwork(l.advanced(p), l.hopDelay())
+		l.send(next, p)
 	} else if l.sh != nil {
 		// Final hop on a partitioned network: the delivery belongs to the
 		// main engine. Buffer it in the shard's outbox under a key that
@@ -787,7 +747,7 @@ func (l *link) forward(p *packet) {
 		// Final hop: arrival at the destination endpoint.
 		l.eng.Call(l.hopDelay(), packetDelivered, l.net, p.msg)
 	}
-	l.finishHead(p)
+	l.finishHead()
 }
 
 // packetDelivered is the eventq.CallFunc that lands one packet of message
@@ -804,23 +764,14 @@ func packetDelivered(a, b any) {
 	}
 }
 
-// advanced returns a recycled copy of p advanced to the next path
-// position. The original stays at this link's queue head until finishHead
-// retires (and frees) it.
-func (l *link) advanced(p *packet) *packet {
-	return l.net.allocPacket(l.pool, p.msg, p.bytes, p.pathPos+1)
-}
-
-// finishHead retires the serialized head packet and restarts the pipeline.
-// The packet object returns to the free list: downstream holds its own
-// copy, so nothing references p afterwards.
-func (l *link) finishHead(p *packet) {
+// finishHead retires the serialized head packet and restarts the
+// pipeline.
+func (l *link) finishHead() {
 	l.stats.Packets++
-	l.stats.Bytes += p.bytes
+	l.stats.Bytes += l.queue.Front().bytes
 	l.queue.Pop()
 	l.busy = false
 	l.blocked = false
-	l.net.freePacket(l.pool, p)
 	l.kick()
 	l.releaseWaiters()
 }
@@ -830,12 +781,11 @@ func (l *link) releaseWaiters() {
 	for l.waiters.Len() > 0 && l.hasSpace() {
 		w := *l.waiters.Front()
 		l.waiters.Pop()
-		p := *w.queue.Front()
 		w.stats.BlockedCycles += l.eng.Now() - w.blockStart
-		l.acceptFromNetwork(w.advanced(p), w.hopDelay())
+		w.send(l, *w.queue.Front())
 		// The waiting link's serializer was blocked, not re-run: retire
 		// its head now that the hand-off succeeded.
-		w.finishHead(p)
+		w.finishHead()
 	}
 }
 

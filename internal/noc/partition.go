@@ -15,13 +15,11 @@ import (
 )
 
 // shard is the execution context of one partition: the engine its links
-// run on, a private packet free list (so the hot path stays lock-free
-// and allocation-free per shard), the outbox buffering deliveries bound
-// for the main engine until the next window barrier (kept ascending by
-// push), and the serialization memo of the pool worker that runs it.
+// run on, the outbox buffering deliveries bound for the main engine until
+// the next window barrier (kept ascending by push), and the serialization
+// memo of the pool worker that runs it.
 type shard struct {
 	eng  *eventq.Engine
-	free []*packet
 	out  []outEvent
 	next int // FlushCross's read cursor into out
 	ser  *SerTable
@@ -104,7 +102,6 @@ func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, 
 		l.eng = sh.eng
 		l.comp = uint32(c)
 		l.noTransit = noTransit[i]
-		l.pool = &sh.free
 		l.ser = sh.ser
 	}
 	return nil

@@ -31,10 +31,11 @@ package noc
 // symmetric topologies replay one link's carry orbit on every link,
 // collapsing the steady-state cost to O(1) per message.
 //
-// Multi-hop paths (switch and scale-out fabrics) interleave packets from
-// different sources at each downstream hop in arrival order, so their
-// serialization there is charged per packet, one SerStep each, in the
-// order the packet model's arrival events fire. Each arrival carries the
+// Every message charges its first link once, in closed form, whatever
+// its path length. Multi-hop paths (switch and scale-out fabrics)
+// interleave packets from different sources at each downstream hop in
+// arrival order, so their serialization there is charged per packet, one
+// SerStep each, in the order the packet model's arrival events fire. Each arrival carries the
 // ordering key the packet model's would (created when the packet's
 // upstream serialization ends), so same-cycle arrivals from different
 // sources serialize in the same order on both models.
@@ -50,15 +51,15 @@ package noc
 // the link) runs, charges them in the order their events would have
 // fired, with their own arrival cycles: the results are identical and
 // only the event count drops. A two-hop message into a switch-fed link
-// charges its first link in closed form (SerTable.Charge), as a
-// single-link send does; its records are one hopRun, which replays the
-// first link's per-packet times with the kernel's cursor as they are
-// charged, and a single event, its last packet's arrival, stands for the
-// whole message at the second hop. NPU-fed links, including every first link and every
+// leaves its records as one hopRun, which replays the first link's
+// per-packet times with the kernel's cursor as they are charged, and a
+// single event, its last packet's arrival, stands for the whole message
+// at the second hop. NPU-fed links, including every first link and every
 // torus link, are never recorded: sends charge them eagerly.
 //
-// The unbounded model keeps only a wire per link, in one flat array, and
-// none of the packet model's queues, trains or shards: its hot loop walks
+// The unbounded model keeps only a wire per link, in one flat array, plus
+// the network's wire FIFOs of packets between hops, and none of the
+// packet model's queues, trains or shards: its hot loop walks
 // far less memory per link. Fault injection is packet-only
 // (SetLinkFaults returns an error): congestion-unaware timing under loss
 // is not meaningful.
@@ -79,27 +80,28 @@ func (n *Network) sendUnbounded(msg *Message) {
 	start := max(n.eng.Now(), first.busyUntil)
 	msg.SerStart = start
 	hop := first.hopDelay()
+	// Charge all packets back to back with the kernel, which memoizes the
+	// charge.
+	carry := first.serCarry
+	v := n.ser.Charge(msg.Bytes, pktSize, numPkts, first.effBW, carry)
+	first.serCarry = v.Carry
+	finish := start + v.Total
+	first.busyUntil = finish
+	first.stats.Packets += uint64(numPkts)
+	first.stats.Bytes += msg.Bytes
+	first.stats.BusyCycles += v.Total
+	if len(msg.Path) == 1 {
+		// Single-link fast path: one delivery event at the last packet's
+		// arrival.
+		n.eng.CallAt(finish+hop, fastDeliver, n, msg)
+		return
+	}
 
-	if len(msg.Path) == 1 || (len(msg.Path) == 2 && n.recorded(n.wires[msg.Path[1]])) {
-		// Charge all packets back to back with the kernel, which memoizes
-		// the charge.
-		carry := first.serCarry
-		v := n.ser.Charge(msg.Bytes, pktSize, numPkts, first.effBW, carry)
-		first.serCarry = v.Carry
-		finish := start + v.Total
-		first.busyUntil = finish
-		first.stats.Packets += uint64(numPkts)
-		first.stats.Bytes += msg.Bytes
-		first.stats.BusyCycles += v.Total
-		if len(msg.Path) == 1 {
-			// Single-link fast path: one delivery event at the last
-			// packet's arrival.
-			n.eng.CallAt(finish+hop, fastDeliver, n, msg)
-			return
-		}
+	next := n.wires[msg.Path[1]]
+	flight := &n.flight[first.spec.ID]
+	if len(msg.Path) == 2 && n.recorded(next) {
 		// Two hops into a switch-fed link: every packet but the last is a
 		// record of one run, and the last arrives as an event.
-		next := n.wires[msg.Path[1]]
 		if numPkts > 1 {
 			c, ser, b := newSerCursor(msg.Bytes, pktSize, first.effBW, carry).step(first.effBW)
 			k := n.eng.KeysFrom(start+ser, start, n.eng.FiringComp(), uint64(numPkts-1))
@@ -107,29 +109,25 @@ func (n *Network) sendUnbounded(msg *Message) {
 				ser: c, bw: first.effBW, hop: hop})
 		}
 		last := max(0, min(pktSize, msg.Bytes-(numPkts-1)*pktSize))
-		p := n.allocPacket(&n.pktFree, msg, last, 1)
-		p.last = true
-		n.hopAt(finish+hop, finish, start+v.Prev, fastArrive, next, p)
+		flight.Push(packet{msg: msg, bytes: last, pathPos: 1, last: true})
+		n.hopAt(finish+hop, finish, start+v.Prev, fastArrive, first, nil)
 		return
 	}
 
-	// Longer paths: charge the first link per packet (its FIFO order is
-	// the injection order, so eager charging is exact) and land each
-	// packet on the second hop, which continues or is not switch-fed,
-	// after the wire delay.
-	finish := start
-	remaining := msg.Bytes
-	next := n.wires[msg.Path[1]]
+	// Longer paths, or two hops into an NPU-fed link: replay the charge
+	// per packet with the kernel's cursor and land each packet on the
+	// second hop, which continues or is not switch-fed, after the wire
+	// delay.
+	c := newSerCursor(msg.Bytes, pktSize, first.effBW, carry)
+	end := start
 	for i := range numPkts {
-		b := min(pktSize, remaining)
-		remaining -= b
-		ser := first.charge(b)
-		finish += ser
-		p := n.allocPacket(&n.pktFree, msg, b, 1)
-		p.last = i == numPkts-1
-		n.hopAt(finish+hop, finish, finish-ser, fastArrive, next, p)
+		var ser eventq.Time
+		var b int64
+		c, ser, b = c.step(first.effBW)
+		end += ser
+		flight.Push(packet{msg: msg, bytes: b, pathPos: 1, last: i == numPkts-1})
+		n.hopAt(end+hop, end, end-ser, fastArrive, first, nil)
 	}
-	first.busyUntil = finish
 }
 
 // recorded reports whether final-hop arrivals at w are records rather
@@ -160,21 +158,22 @@ func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a,
 	n.eng.InjectAt(at, n.eng.KeysFrom(serEnd, serStart, n.eng.FiringComp(), 1), 0, fn, a, b)
 }
 
-// fastArrive is the eventq.CallFunc that lands packet b on wire a: the
-// link's records that sort before this event are charged first, then
-// the packet's serialization (start = max(now, busyUntil), the
-// unblockable-FIFO identity), and the packet either moves to its next
-// hop or, as the message's final packet at the final hop, completes
-// delivery. Every hop serializes a message's packets in order, each at
-// least one cycle after the previous, so the final hop's last arrival is
-// the final packet's. With free-list poisoning on (the audit layer sets
-// it on both models), a recycled packet arriving here panics.
-func fastArrive(a, b any) {
-	w, p := a.(*wire), b.(*packet)
-	n := w.net
-	if n.poison {
-		n.checkAlive(p, "fastArrive")
-	}
+// fastArrive is the eventq.CallFunc that lands the front packet of wire
+// a on the next link of its path: that link's records that sort before
+// this event are charged first, then the packet's serialization (start =
+// max(now, busyUntil), the unblockable-FIFO identity), and the packet
+// either moves to its next hop or, as the message's final packet at the
+// final hop, completes delivery. Every hop serializes a message's packets
+// in order, each at least one cycle after the previous, so the final
+// hop's last arrival is the final packet's.
+func fastArrive(a, _ any) {
+	up := a.(*wire)
+	n := up.net
+	f := &n.flight[up.spec.ID]
+	p := *f.Front()
+	f.Pop()
+	msg := p.msg
+	w := n.wires[msg.Path[p.pathPos]]
 	now := n.eng.Now()
 	if n.pend != nil && len(n.pend[w.spec.ID]) > 0 {
 		n.chargeRecords(w, now, n.eng.FiringKey())
@@ -183,21 +182,18 @@ func fastArrive(a, b any) {
 	finish := start + w.charge(p.bytes)
 	w.busyUntil = finish
 
-	msg := p.msg
-	if p.pathPos++; p.pathPos < len(msg.Path) {
+	if p.pathPos++; int(p.pathPos) < len(msg.Path) {
 		next := n.wires[msg.Path[p.pathPos]]
-		if p.pathPos == len(msg.Path)-1 && !p.last && n.recorded(next) {
+		if int(p.pathPos) == len(msg.Path)-1 && !p.last && n.recorded(next) {
 			k := n.eng.KeysFrom(finish, start, n.eng.FiringComp(), 1)
 			n.pushRun(next, hopRun{at: finish + w.hopDelay(), key: k, left: 1, bytes: p.bytes})
-			n.freePacket(&n.pktFree, p)
 			return
 		}
-		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, next, p)
+		n.flight[w.spec.ID].Push(p)
+		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, w, nil)
 		return
 	}
-	last := p.last
-	n.freePacket(&n.pktFree, p)
-	if last {
+	if p.last {
 		n.hopAt(finish+w.hopDelay(), finish, start, fastDeliver, n, msg)
 	}
 }
