@@ -111,8 +111,8 @@ func TestBackpressuredRingPinned(t *testing.T) {
 func TestPacketHopSendZeroAlloc(t *testing.T) {
 	eng, topo, net := ring4(t, exact(config.DefaultNetwork()))
 	r := topo.RingOf(topology.DimLocal, 0, 0)
-	first := topo.PathLinks(topology.DimLocal, 0, 0, r.Next(0))
-	path := append(append([]topology.LinkID(nil), first...), topo.PathLinks(topology.DimLocal, 0, r.Next(0), r.Next(r.Next(0)))...)
+	first := []topology.LinkID{r.LinkFrom(0)}
+	path := []topology.LinkID{r.LinkFrom(0), r.LinkFrom(r.Next(0))}
 	delivered := 0
 	onDelivered := func(*Message) { delivered++ }
 	var ahead, hop Message
