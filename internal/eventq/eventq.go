@@ -15,12 +15,21 @@
 // where at is the firing cycle, ctime is the cycle the event was created,
 // gen2 is the creation cycle of the event that created it (one more level
 // of genealogy), comp is the component the event belongs to (0 for the
-// main engine, 1..C for network partition components — see internal/pdes),
-// seq is a per-engine creation counter, and sub disambiguates multiple
-// cross-engine injections made by one handler. On a single engine this
-// order is provably identical to plain (at, creation order): ctime, gen2
-// and seq are all monotone in creation order at equal at, and comp/sub are
-// constant. The extra fields exist so that the same total order can be
+// system layer, 1..C for the packet network's link-plan components — see
+// internal/noc), seq is a per-engine creation counter, and sub
+// disambiguates multiple cross-engine injections made by one handler.
+//
+// Even on a single engine this is not plain (at, creation order). An
+// event scheduled with Call, CallAt, Schedule or At takes ctime = now,
+// gen2 = the firing event's ctime and the firing context's comp, and sub
+// 0; the pair (ctime, gen2) never decreases in creation order. comp is not
+// constant: a serial packet network stamps each link's component for the
+// duration of a send (SetFiringComp), and every event inherits its
+// creator's. So two such events of one cycle fire in creation order
+// unless they tie on (ctime, gen2) and differ in comp, where the lower
+// component fires first. A key built with KeysFrom or passed to InjectAt
+// (packet trains, multi-hop arrivals) may name a creation cycle other
+// than now, and sorts by the key alone. The same total order is
 // reproduced when events are split across per-partition engines: a
 // cross-engine injection carries its creator's key (InjectAt) and
 // therefore sorts against the target engine's local events exactly where
@@ -53,12 +62,13 @@
 // from it. Scheduling takes a slot, writes the key and payload into it,
 // and links it into the bucket for its cycle, found through a one-entry
 // cache of the last bucket used, then a hash table from cycle to bucket.
-// The link appends: on one engine, key order within a cycle equals
-// creation order, so the append is already sorted. Only InjectAt can
-// bring a key below a bucket's tail; such an event is placed by walking
-// back from the tail, so the six-field order holds exactly on every
-// engine. Keys injected ahead of their creation cycle, like the fast
-// backend's multi-hop arrivals, can crowd a cycle and land far below its tail,
+// The link appends: within a cycle, key order is mostly creation order,
+// so the append is almost always sorted. A key injected with InjectAt, or
+// one that ties the tail on (ctime, gen2) with a lower comp, sorts below
+// the bucket's tail; such an event is placed by walking back from the
+// tail, so the six-field order holds exactly on every engine. Keys
+// injected ahead of their creation cycle, like the fast backend's
+// multi-hop arrivals, can crowd a cycle and land far below its tail,
 // mostly next to the previous such key; so a walk that gets long resumes
 // forward from the bucket's finger, the event the last long placement
 // inserted. Events that compare equal (which valid keys never do) fire
@@ -470,6 +480,8 @@ type Engine struct {
 	onDrain func()
 	// driver, when non-nil, replaces the Run/RunUntil loop (see SetDriver).
 	driver DriverFunc
+	// err is the error the run was aborted with (Abort); nil otherwise.
+	err error
 }
 
 // New returns a fresh engine at time zero.
@@ -677,9 +689,9 @@ func (e *Engine) FireDrain() { e.drained() }
 func (e *Engine) SetDriver(d DriverFunc) { e.driver = d }
 
 // Run fires events until the queue is empty or Stop is called, and returns
-// the final simulation time.
+// the final simulation time. An aborted engine fires nothing more.
 func (e *Engine) Run() Time {
-	e.stopped = false
+	e.stopped = e.err != nil
 	if e.driver != nil {
 		return e.driver(0, false)
 	}
@@ -694,9 +706,10 @@ func (e *Engine) Run() Time {
 // advances to deadline — also when the queue drained before reaching it —
 // so repeated RunUntil calls tile simulated time without gaps. A deadline
 // in the past fires nothing and leaves the clock unchanged (time never
-// moves backwards). It returns the current time afterwards.
+// moves backwards). It returns the current time afterwards. An aborted
+// engine fires nothing more.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
+	e.stopped = e.err != nil
 	if e.driver != nil {
 		return e.driver(deadline, true)
 	}
@@ -743,3 +756,18 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // completes. Pending events stay queued, and a stopped RunUntil does not
 // advance the clock to its deadline (the run is frozen where it stopped).
 func (e *Engine) Stop() { e.stopped = true }
+
+// Abort ends the run with an error: a handler that finds the simulation
+// cannot go on (a message lost past its retry budget, a graph node that
+// cannot run) records err and stops the engine as Stop does. Only the
+// first error is kept, and the engine stays stopped: later Run and
+// RunUntil calls fire nothing. The caller of Run reads it with Err.
+func (e *Engine) Abort(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+	e.stopped = true
+}
+
+// Err reports the error the run was aborted with, or nil.
+func (e *Engine) Err() error { return e.err }

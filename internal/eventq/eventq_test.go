@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -123,6 +124,54 @@ func TestStop(t *testing.T) {
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count after resume = %d, want 10", count)
+	}
+}
+
+// TestAbort: an aborted run stops like Stop, keeps the first error, and
+// stays stopped: unlike a stopped run, Run and RunUntil do not resume it.
+func TestAbort(t *testing.T) {
+	e := New()
+	first, second := errors.New("first"), errors.New("second")
+	count := 0
+	for i := 0; i < 10; i++ {
+		e.Schedule(Time(i), func() {
+			count++
+			if count == 3 {
+				e.Abort(first)
+				e.Abort(second)
+			}
+		})
+	}
+	if e.Err() != nil {
+		t.Fatalf("Err = %v before any abort", e.Err())
+	}
+	e.Run()
+	if count != 3 || e.Err() != first || !e.Stopped() {
+		t.Fatalf("after Abort: count %d, Err %v, stopped %v; want 3, %v, true", count, e.Err(), e.Stopped(), first)
+	}
+	e.Run()
+	e.RunUntil(100)
+	if count != 3 || e.Pending() != 7 || e.Now() != 2 {
+		t.Fatalf("aborted engine ran on: count %d, pending %d, now %d; want 3, 7, 2", count, e.Pending(), e.Now())
+	}
+}
+
+// TestSameCycleTieSortsByComponent pins what the single-engine order is:
+// two events created in one handler for one cycle tie on (ctime, gen2),
+// and the one on the lower component fires first although it was
+// created second, as a serial packet network's sends stamp them.
+func TestSameCycleTieSortsByComponent(t *testing.T) {
+	e := New()
+	var order []int
+	e.Schedule(5, func() {
+		e.SetFiringComp(3)
+		e.Schedule(1, func() { order = append(order, 1) })
+		e.SetFiringComp(1)
+		e.Schedule(1, func() { order = append(order, 2) })
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
+		t.Fatalf("fired %v, want [2 1]: the lower component first", order)
 	}
 }
 

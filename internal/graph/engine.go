@@ -76,7 +76,6 @@ type Engine struct {
 
 	remaining int
 	endAt     eventq.Time
-	err       error
 }
 
 // remoteMemory builds the disaggregated-tier model from the system
@@ -177,8 +176,8 @@ func (e *Engine) Run() (Result, error) {
 		e.walk(i, 0)
 	}
 	e.inst.Eng.Run()
-	if e.err != nil {
-		return Result{}, e.err
+	if err := e.inst.Eng.Err(); err != nil {
+		return Result{}, err
 	}
 	if e.remaining > 0 {
 		return Result{}, fmt.Errorf("graph %s: %d of %d nodes never ran (stuck: %s); %d events fired",
@@ -216,7 +215,7 @@ func (e *Engine) commKind(j int) bool {
 // suspend the walk as a waiter on the dep. When the list is exhausted the
 // node starts.
 func (e *Engine) walk(i, d int) {
-	if e.err != nil {
+	if e.inst.Eng.Err() != nil {
 		return
 	}
 	n := &e.g.Nodes[i]
@@ -285,7 +284,7 @@ func (e *Engine) startNode(i int) {
 
 // execute performs node i's operation at the current cycle.
 func (e *Engine) execute(i int) {
-	if e.err != nil {
+	if e.inst.Eng.Err() != nil {
 		return
 	}
 	n := &e.g.Nodes[i]
@@ -330,7 +329,7 @@ func (e *Engine) execute(i int) {
 			e.complete(i, e.inst.Eng.Now()+eventq.Time(update))
 		})
 		if err != nil {
-			e.fail(fmt.Errorf("graph %s: node %s: %w", e.g.Name, n.ID, err))
+			e.inst.Eng.Abort(fmt.Errorf("graph %s: node %s: %w", e.g.Name, n.ID, err))
 			return
 		}
 		ns.handle = h
@@ -339,7 +338,7 @@ func (e *Engine) execute(i int) {
 		peer := e.idx[n.Peer]
 		err := e.inst.Sys.SendPointToPoint(topology.Node(n.Src), topology.Node(n.Dst), n.Bytes, func() { e.deliver(peer) })
 		if err != nil {
-			e.fail(fmt.Errorf("graph %s: node %s: %w", e.g.Name, n.ID, err))
+			e.inst.Eng.Abort(fmt.Errorf("graph %s: node %s: %w", e.g.Name, n.ID, err))
 			return
 		}
 		// An asynchronous send occupies no local time: it completes at
@@ -412,14 +411,6 @@ func (e *Engine) complete(i int, effFinish eventq.Time) {
 	ns.waiters = nil
 	for _, w := range ws {
 		w()
-	}
-}
-
-// fail records the first runtime error and stops the simulation.
-func (e *Engine) fail(err error) {
-	if e.err == nil {
-		e.err = err
-		e.inst.Eng.Stop()
 	}
 }
 

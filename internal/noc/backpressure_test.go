@@ -103,13 +103,14 @@ func TestBackpressuredRingPinned(t *testing.T) {
 }
 
 // TestPacketHopSendZeroAlloc pins the packet model's per-packet hop path
-// at zero allocations once warm: a two-hop message with exact packets,
-// sent onto a first link that already holds a queued message, crosses
-// the wire between its links packet by packet, and sending both and
-// running them to delivery allocates nothing after the link queues, the
-// wires and the event queue have grown.
+// at zero allocations once warm: with trains off, a two-hop message with
+// exact packets, sent onto a first link that already holds a queued
+// message, crosses the wire between its links packet by packet, and
+// sending both and running them to delivery allocates nothing after the
+// link queues, the wires and the event queue have grown.
 func TestPacketHopSendZeroAlloc(t *testing.T) {
 	eng, topo, net := ring4(t, exact(config.DefaultNetwork()))
+	net.SetFlowCollapse(false)
 	r := topo.RingOf(topology.DimLocal, 0, 0)
 	first := []topology.LinkID{r.LinkFrom(0)}
 	path := []topology.LinkID{r.LinkFrom(0), r.LinkFrom(r.Next(0))}

@@ -23,7 +23,6 @@ import (
 func TestLazySegmentRetiresAtItsEnd(t *testing.T) {
 	const end = 5
 	eng, topo, net := ring4(t, exact(config.DefaultNetwork()))
-	sourceFed(t, net)
 	l01 := topo.RingOf(topology.DimLocal, 0, 0).LinkFrom(0)
 	net.Send(&Message{Src: 0, Bytes: 1024, Path: []topology.LinkID{l01}})
 
@@ -56,7 +55,6 @@ func TestLazySegmentStopInsideItsCycle(t *testing.T) {
 		retired bool
 	}{{0, false}, {3, true}} {
 		eng, topo, net := ring4(t, exact(config.DefaultNetwork()))
-		sourceFed(t, net)
 		l01 := topo.RingOf(topology.DimLocal, 0, 0).LinkFrom(0)
 		net.Send(&Message{Src: 0, Bytes: 1024, Path: []topology.LinkID{l01}})
 		eng.At(tc.created, func() { eng.At(end, eng.Stop) })
@@ -94,7 +92,6 @@ func TestLazyQueuedPacketArmsOneSegmentDone(t *testing.T) {
 	}
 	for _, trains := range []bool{true, false} {
 		eng, topo, net := ring4(t, exact(config.DefaultNetwork()))
-		sourceFed(t, net)
 		net.SetFlowCollapse(trains)
 		r := topo.RingOf(topology.DimLocal, 0, 0)
 		delivered := make([]eventq.Time, len(sends))

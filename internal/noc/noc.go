@@ -18,8 +18,13 @@
 // message its explicit link path (one ring link, or NPU->switch->NPU), so
 // the network needs no routing logic of its own.
 //
-// Single-link messages on source-fed links (the partition plan's
-// no-transit links, stamped by AssignOrderingComps or Partition) skip the
+// New builds the link plan (plan.go): which links a collective lane can
+// cross at path position >= 1. It gives each link an ordering component,
+// stamped into the key of every event its traffic creates, on serial and
+// partitioned runs alike, and flags the links no lane crosses there as
+// no-transit. A topology with no links, or a zero hop delay, gets no plan.
+//
+// Single-link messages on source-fed (no-transit) links skip the
 // per-packet events: they join the link's packet train and serialize in
 // closed form, with results identical to the per-packet model (train.go).
 // SetFlowCollapse(false) turns trains off for A/B comparison. A train
@@ -72,8 +77,8 @@
 // mode; the window protocol is the synchronization.
 //
 // An unbounded network (NewFast) is always serial: it is owned by the
-// goroutine advancing its engine, and Partition and AssignOrderingComps
-// reject it (config.System.IntraParallel is a packet-model knob). Distinct
+// goroutine advancing its engine, it builds no link plan, and Partition
+// rejects it (config.System.IntraParallel is a packet-model knob). Distinct
 // networks of either model share nothing and may run on distinct
 // goroutines freely, which is how sweeps parallelize.
 package noc
@@ -288,9 +293,9 @@ type link struct {
 	// sh is nil in serial mode; when partitioned it is the link's shard
 	// context (engine, outbox toward the main engine, serialization memo).
 	sh *shard
-	// comp is the link's 1-based partition component (0 when serial),
-	// stamped into event-ordering keys so cross-engine events sort
-	// deterministically (see eventq.Key).
+	// comp is the link's 1-based plan component (0 when the topology has
+	// no plan), stamped into event-ordering keys on serial and partitioned
+	// runs alike (see eventq.Key and plan.go).
 	comp uint32
 	// noTransit marks links no collective lane uses at path position
 	// >= 1: collective traffic only enters by source injection, which
@@ -409,6 +414,13 @@ type Network struct {
 	// ser is the serial links' serialization memo, or the unbounded
 	// model's, which memoizes every single-link send.
 	ser SerTable
+
+	// comps is the link plan's component count and lookahead its minimum
+	// wire hop delay; planErr says why a packet network has no plan
+	// (plan.go). The unbounded model builds none.
+	comps     int
+	lookahead eventq.Time
+	planErr   error
 }
 
 // SetOnSend installs (or, with nil, clears) the per-message injection
@@ -428,7 +440,8 @@ func (n *Network) Backend() config.Backend {
 func (n *Network) SerLen() int { return n.ser.Len() }
 
 // New builds the packet model of topo's fabric with the given Garnet-level
-// parameters.
+// parameters, and its link plan (plan.go): the links' ordering components
+// and no-transit flags.
 func New(eng *eventq.Engine, topo topology.Topology, p config.Network) (*Network, error) {
 	return build(eng, topo, p, false)
 }
@@ -487,6 +500,9 @@ func build(eng *eventq.Engine, topo topology.Topology, p config.Network, unbound
 			capPackets: bufferPackets(p.VCsPerVNet, p.BuffersPerVC, flitBytes, pkt)}
 		n.links[i], n.wires[i] = l, &l.wire
 	}
+	if !unbounded {
+		n.plan(topo)
+	}
 	return n, nil
 }
 
@@ -544,7 +560,7 @@ func (n *Network) Send(msg *Message) {
 	if first.sh != nil {
 		for _, id := range msg.Path[1:] {
 			if n.links[id].sh != first.sh {
-				// The partition plan keeps every collective lane inside one
+				// The link plan keeps every collective lane inside one
 				// component; a path crossing shards can only come from an
 				// unplanned routing mode (point-to-point is rejected
 				// upstream with a friendly error).
@@ -555,11 +571,10 @@ func (n *Network) Send(msg *Message) {
 		first.sh.eng.InjectAt(n.eng.Now(), k, sub, shardInject, n, msg)
 		return
 	}
-	// Serial mode: stamp the link's component (assigned by
-	// AssignOrderingComps; 0 when the topology has no partition plan) for
-	// the duration of the injection so the packets' events — and
-	// everything they transitively create — carry the same ordering keys
-	// a partitioned run would produce (see shardInject).
+	// Serial mode: stamp the link's component (0 when the topology has no
+	// link plan) for the duration of the injection so the packets' events
+	// — and everything they transitively create — carry the same ordering
+	// keys a partitioned run would produce (see shardInject).
 	fk := n.eng.FiringKey()
 	n.eng.SetFiringComp(first.comp)
 	n.inject(first, msg, fk)

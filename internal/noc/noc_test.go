@@ -356,16 +356,11 @@ func TestUnboundedRejectsFaultsAndPartition(t *testing.T) {
 	if err := net.SetLinkFaults(0, LinkFaults{DropProb: 0.5}, 1); err == nil {
 		t.Fatal("SetLinkFaults on an unbounded network returned nil")
 	}
-	comp := make([]int32, len(topo.Links()))
-	for i := range comp {
-		comp[i] = 1
-	}
-	noTransit := make([]bool, len(comp))
-	if err := net.Partition([]*eventq.Engine{eventq.New()}, 1, comp, noTransit); err == nil {
+	if err := net.Partition([]*eventq.Engine{eventq.New()}, 1); err == nil {
 		t.Fatal("Partition of an unbounded network returned nil")
 	}
-	if err := net.AssignOrderingComps(comp, noTransit); err == nil {
-		t.Fatal("AssignOrderingComps on an unbounded network returned nil")
+	if _, _, err := net.Plan(); err == nil {
+		t.Fatal("Plan of an unbounded network returned nil")
 	}
 }
 

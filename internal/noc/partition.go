@@ -56,26 +56,21 @@ func (sh *shard) push(e outEvent) {
 }
 
 // Partition rebinds the network's links to shard engines for intra-run
-// parallel execution: comp assigns every link a 1-based component
-// (component c runs on shards[(c-1) % len(shards)]), noTransit flags
-// links that never appear at path position >= 1 (licensing packet
-// trains). Both slices come from a pdes.Plan. workers is the pool width
-// of the pdes.Runner driving the shards, which runs shard i on worker
-// i % workers in every window: shards on one worker never run at the
-// same time, so they share one serialization memo. Partition must be
-// called once, before any traffic is injected.
-func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, noTransit []bool) error {
-	if n.unbounded {
-		return fmt.Errorf("noc: the unbounded network cannot be partitioned")
+// parallel execution: the link plan's component c runs on
+// shards[(c-1) % len(shards)]. workers is the pool width of the pdes
+// runner driving the shards, which runs shard i on worker i % workers in
+// every window: shards on one worker never run at the same time, so they
+// share one serialization memo. Partition must be called once, before
+// any traffic is injected, and refuses a network without a link plan.
+func (n *Network) Partition(shards []*eventq.Engine, workers int) error {
+	if _, _, err := n.Plan(); err != nil {
+		return err
 	}
 	if n.shards != nil {
 		return fmt.Errorf("noc: network is already partitioned")
 	}
 	if len(shards) == 0 {
 		return fmt.Errorf("noc: partition needs at least one shard engine")
-	}
-	if len(comp) != len(n.links) || len(noTransit) != len(n.links) {
-		return fmt.Errorf("noc: partition plan covers %d links, network has %d", len(comp), len(n.links))
 	}
 	if n.nextID != 0 {
 		return fmt.Errorf("noc: cannot partition after traffic was injected")
@@ -92,16 +87,10 @@ func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, 
 	for i, eng := range shards {
 		n.shards[i] = &shard{eng: eng, ser: &tables[i%len(tables)]}
 	}
-	for i, l := range n.links {
-		c := comp[i]
-		if c < 1 {
-			return fmt.Errorf("noc: link %d has invalid component %d (components are 1-based)", i, c)
-		}
-		sh := n.shards[int(c-1)%len(n.shards)]
+	for _, l := range n.links {
+		sh := n.shards[int(l.comp-1)%len(n.shards)]
 		l.sh = sh
 		l.eng = sh.eng
-		l.comp = uint32(c)
-		l.noTransit = noTransit[i]
 		l.ser = sh.ser
 	}
 	return nil
@@ -110,39 +99,6 @@ func (n *Network) Partition(shards []*eventq.Engine, workers int, comp []int32, 
 // Partitioned reports whether the network runs under intra-run
 // parallelism.
 func (n *Network) Partitioned() bool { return n.shards != nil }
-
-// AssignOrderingComps stamps the partition plan's component labels and
-// no-transit flags onto the links of a SERIAL network without rebinding
-// anything to shard engines. Serial and partitioned runs then tie-break
-// simultaneous events with the very same six-field key — component before
-// creation sequence — which is what makes -intra-parallel byte-identical
-// to the serial engine on every topology, including ones where events
-// from different components collide on the same (time, ctime, gen2)
-// prefix; and both run packet trains on the same links. Must be called
-// before any traffic is injected.
-func (n *Network) AssignOrderingComps(comp []int32, noTransit []bool) error {
-	if n.unbounded {
-		return fmt.Errorf("noc: the unbounded network cannot be partitioned")
-	}
-	if n.shards != nil {
-		return fmt.Errorf("noc: network is already partitioned")
-	}
-	if len(comp) != len(n.links) || len(noTransit) != len(n.links) {
-		return fmt.Errorf("noc: partition plan covers %d links, network has %d", len(comp), len(n.links))
-	}
-	if n.nextID != 0 {
-		return fmt.Errorf("noc: cannot assign components after traffic was injected")
-	}
-	for i, l := range n.links {
-		c := comp[i]
-		if c < 1 {
-			return fmt.Errorf("noc: link %d has invalid component %d (components are 1-based)", i, c)
-		}
-		l.comp = uint32(c)
-		l.noTransit = noTransit[i]
-	}
-	return nil
-}
 
 // SetFlowCollapse toggles packet trains (on by default). Turning them off
 // forces every packet through the event loop — the A/B lever the

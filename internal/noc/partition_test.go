@@ -10,8 +10,9 @@ import (
 	"astrasim/internal/eventq"
 )
 
-// partitioned returns a ring4 network partitioned over k shard engines
-// (link i in component i%k+1), with its main engine.
+// partitioned returns a ring4 network partitioned over k shard engines,
+// with its main engine. Each ring4 link is its own component, so link i
+// runs on shard i%k.
 func partitioned(t testing.TB, k int) (*eventq.Engine, *Network) {
 	t.Helper()
 	eng, _, net := ring4(t, config.DefaultNetwork())
@@ -19,12 +20,7 @@ func partitioned(t testing.TB, k int) (*eventq.Engine, *Network) {
 	for i := range engs {
 		engs[i] = eventq.New()
 	}
-	n := len(net.links)
-	comp, noTransit := make([]int32, n), make([]bool, n)
-	for i := range comp {
-		comp[i] = int32(i%k + 1)
-	}
-	if err := net.Partition(engs, 1, comp, noTransit); err != nil {
+	if err := net.Partition(engs, 1); err != nil {
 		t.Fatal(err)
 	}
 	return eng, net

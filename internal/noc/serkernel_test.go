@@ -246,21 +246,6 @@ func cappedTorus(t *testing.T) (*topology.Fabric, config.Network) {
 	return topo, p
 }
 
-// sourceFed labels every link of net its own ordering component and
-// source-fed, as system.NewInstance labels torus rings, so single-link
-// messages run as packet trains.
-func sourceFed(t testing.TB, net *Network) {
-	t.Helper()
-	n := len(net.links)
-	comp, noTransit := make([]int32, n), make([]bool, n)
-	for i := range comp {
-		comp[i], noTransit[i] = int32(i+1), true
-	}
-	if err := net.AssignOrderingComps(comp, noTransit); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTrainMemoKeysPacketCount is the packet backend's half of the memo
 // collision regression: a 200-byte local train message takes 50 cycles
 // to serialize (141 to deliver) on a fresh network, and still does after
@@ -277,7 +262,6 @@ func TestTrainMemoKeysPacketCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sourceFed(t, net)
 		if warm {
 			net.Send(&Message{Bytes: 200, Path: []topology.LinkID{pkg}})
 			eng.Run()
@@ -299,7 +283,7 @@ func TestTrainMemoKeysPacketCount(t *testing.T) {
 // table exactly when the pdes runner maps them to the same pool worker
 // (shard i runs on worker i % workers), and every link its shard's table.
 func TestPartitionSharesMemoPerWorker(t *testing.T) {
-	_, topo, serial := ring4(t, config.DefaultNetwork())
+	_, _, serial := ring4(t, config.DefaultNetwork())
 	for _, l := range serial.links {
 		if l.ser != &serial.ser {
 			t.Fatalf("serial link %d does not use the network's memo", l.spec.ID)
@@ -311,12 +295,7 @@ func TestPartitionSharesMemoPerWorker(t *testing.T) {
 	for i := range engs {
 		engs[i] = eventq.New()
 	}
-	n := len(topo.Links())
-	comp, noTransit := make([]int32, n), make([]bool, n)
-	for i := range comp {
-		comp[i] = int32(i%shards + 1)
-	}
-	if err := net.Partition(engs, workers, comp, noTransit); err != nil {
+	if err := net.Partition(engs, workers); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range net.shards {
@@ -339,7 +318,6 @@ func TestPartitionSharesMemoPerWorker(t *testing.T) {
 // it to delivery allocates nothing.
 func TestTrainSendZeroAlloc(t *testing.T) {
 	eng, topo, net := ring4(t, config.DefaultNetwork())
-	sourceFed(t, net)
 	msg := &Message{Bytes: 1 << 20, Path: []topology.LinkID{topo.RingOf(topology.DimLocal, 0, 0).LinkFrom(0)}}
 	send := func() {
 		net.Send(msg)
@@ -363,7 +341,6 @@ func TestTrainSendZeroAlloc(t *testing.T) {
 // the ones appended at its tail, not grow the segment array.
 func TestTrainAppendUnderLoadZeroAlloc(t *testing.T) {
 	eng, topo, net := ring4(t, config.DefaultNetwork())
-	sourceFed(t, net)
 	const backlog = 4
 	delivered := 0
 	onDelivered := func(*Message) { delivered++ }
@@ -411,7 +388,6 @@ func TestTrainAppendUnderLoadZeroAlloc(t *testing.T) {
 func TestTrainLastPacketMatchesChain(t *testing.T) {
 	for _, p := range []config.Network{config.DefaultNetwork(), exact(config.DefaultNetwork())} {
 		eng, topo, net := ring4(t, p)
-		sourceFed(t, net)
 		l := net.links[topo.RingOf(topology.DimLocal, 0, 0).LinkFrom(0)]
 		for i, bytes := range []int64{1, 512, 513, 1000, 64 << 10, 1 << 20, 100, 1<<20 + 7} {
 			at := eventq.Time(i * 3000)

@@ -3,10 +3,10 @@ package noc
 // Packet trains: closed-form serialization of single-link messages on
 // source-fed links, in serial and partitioned runs alike.
 //
-// A link the partition plan flags no-transit (pdes.Plan.NoTransit) is fed
-// by no collective lane from upstream. A single-link message injected onto
-// such a link, while no real packet is queued there, joins the link's
-// train: its packets serialize in closed form behind the train's earlier
+// A link the link plan flags no-transit (plan.go) is fed by no
+// collective lane from upstream. A single-link message injected onto such
+// a link, while no real packet is queued there, joins the link's train:
+// its packets serialize in closed form behind the train's earlier
 // messages, starting at max(now, train end), with the exact per-packet
 // carry chain and one-cycle clamp. The message then costs one event, a
 // delivery under the key its last packet's packetDelivered would carry,

@@ -53,14 +53,13 @@ type trainRun struct {
 }
 
 // runTrainSchedule replays sends on a 4-node single-channel local ring
-// whose links are source-fed in the partition plan's sense, each its own
-// ordering component, as system.NewInstance labels a torus ring, reading
+// whose links are source-fed in the link plan's sense, each its own
+// ordering component (New labels a torus ring so, plan.go), reading
 // the network at each probe (sorted by cycle, stop probes first within
 // one). prep, when non-nil, adjusts the network before any traffic.
 func runTrainSchedule(t testing.TB, p config.Network, sends []trainSend, probes []trainProbe, trains bool, prep func(*Network, *topology.Ring)) trainRun {
 	t.Helper()
 	eng, topo, net := ring4(t, p)
-	sourceFed(t, net)
 	net.SetFlowCollapse(trains)
 	r := topo.RingOf(topology.DimLocal, 0, 0)
 	if prep != nil {
@@ -229,7 +228,6 @@ func TestTrainOneAndTwoHopMix(t *testing.T) {
 func TestTrainBandwidthChargedPerSegment(t *testing.T) {
 	p := smallBuffers()
 	eng, topo, net := ring4(t, p)
-	sourceFed(t, net)
 	r := topo.RingOf(topology.DimLocal, 0, 0)
 	l01 := r.LinkFrom(0)
 	var got []eventq.Time

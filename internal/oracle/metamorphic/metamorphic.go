@@ -295,6 +295,9 @@ func simulate(c Case, o runOpts) (runResult, error) {
 		return runResult{}, err
 	}
 	inst.Eng.Run()
+	if err := inst.Eng.Err(); err != nil {
+		return runResult{}, err
+	}
 	if !h.Done() {
 		return runResult{}, fmt.Errorf("collective did not complete on %v", c)
 	}

@@ -6,6 +6,7 @@ package pdes
 // mechanics are visible without the system layer on top.
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,20 +65,18 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 	sEng.Run()
 
 	// Degenerate partition: one shard engine for all components.
-	eng, nn, topo, netCfg := buildNet(t, 4, 1, 1)
-	plan, err := BuildPlan(topo, netCfg)
+	eng, nn, topo, _ := buildNet(t, 4, 1, 1)
+	comps, look, err := nn.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumComps < 2 {
-		t.Fatalf("want a multi-component plan to degenerate, got %d components", plan.NumComps)
+	if comps < 2 {
+		t.Fatalf("want a multi-component plan to degenerate, got %d components", comps)
 	}
-	r := &Runner{main: eng, shards: []*eventq.Engine{eventq.New()}, look: plan.Lookahead, workers: 1}
-	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
+	r := &Runner{main: eng, shards: []*eventq.Engine{eventq.New()}, look: look, workers: 1}
+	if err := r.attach(nn); err != nil {
 		t.Fatal(err)
 	}
-	r.SetFlush(nn.FlushCross)
-	eng.SetDriver(r.Drive)
 	got := ringSends(eng, nn, topo, bytes)
 	eng.Run()
 
@@ -101,25 +100,19 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 // fired, not lost, and timing must match serial exactly.
 func TestLookaheadHorizonDelivery(t *testing.T) {
 	eng, nn, topo, netCfg := buildNet(t, 4, 1, 1)
-	plan, err := BuildPlan(topo, netCfg)
+	r, err := Attach(eng, nn, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantHop := eventq.Time(netCfg.LocalLinkLatency + netCfg.RouterLatency)
-	if plan.Lookahead != wantHop {
-		t.Fatalf("all-local topology: lookahead %d, want the local hop delay %d", plan.Lookahead, wantHop)
+	if r.look != wantHop {
+		t.Fatalf("all-local topology: lookahead %d, want the local hop delay %d", r.look, wantHop)
 	}
 
 	sEng, sNet, sTopo, _ := buildNet(t, 4, 1, 1)
 	want := ringSends(sEng, sNet, sTopo, 64) // one packet per message: delivery exactly at serialization + L
 	sEng.Run()
 
-	r := NewRunner(eng, plan, 2)
-	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
-		t.Fatal(err)
-	}
-	r.SetFlush(nn.FlushCross)
-	eng.SetDriver(r.Drive)
 	got := ringSends(eng, nn, topo, 64)
 	end := eng.Run()
 
@@ -135,8 +128,8 @@ func TestLookaheadHorizonDelivery(t *testing.T) {
 	// so the unbounded Run return is >= the serial end time but within one
 	// lookahead window of it. All observable results (delivery times,
 	// handle durations) are exact; only the post-quiescence clock differs.
-	if end < sEng.Now() || end >= sEng.Now()+plan.Lookahead {
-		t.Fatalf("partitioned run ended at %d, want within [%d, %d)", end, sEng.Now(), sEng.Now()+plan.Lookahead)
+	if end < sEng.Now() || end >= sEng.Now()+r.look {
+		t.Fatalf("partitioned run ended at %d, want within [%d, %d)", end, sEng.Now(), sEng.Now()+r.look)
 	}
 }
 
@@ -144,17 +137,11 @@ func TestLookaheadHorizonDelivery(t *testing.T) {
 // freezes at the end of the in-flight window, pending events stay
 // queued, and the drain hook does not fire.
 func TestStopFreezesWindowedRun(t *testing.T) {
-	eng, nn, topo, netCfg := buildNet(t, 4, 1, 1)
-	plan, err := BuildPlan(topo, netCfg)
+	eng, nn, topo, _ := buildNet(t, 4, 1, 1)
+	r, err := Attach(eng, nn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(eng, plan, 1)
-	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
-		t.Fatal(err)
-	}
-	r.SetFlush(nn.FlushCross)
-	eng.SetDriver(r.Drive)
 	drained := false
 	eng.SetOnDrain(func() { drained = true })
 	ringSends(eng, nn, topo, 1<<20)
@@ -179,20 +166,19 @@ func TestStopFreezesWindowedRun(t *testing.T) {
 // per-worker serialization memos rely on: in every window, Drive runs
 // shard i on pool worker i % workers, and never on another.
 func TestDriveShardWorkerContract(t *testing.T) {
-	eng, _, topo, netCfg := buildNet(t, 4, 4, 4)
-	plan, err := BuildPlan(topo, netCfg)
+	eng, nn, _, _ := buildNet(t, 4, 4, 4)
+	const workers = 3
+	r, err := Attach(eng, nn, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 3
-	r := NewRunner(eng, plan, workers)
 	if len(r.Shards()) <= workers {
 		t.Fatalf("%d shards for %d workers: want several shards per worker", len(r.Shards()), workers)
 	}
 	const windows = 5
 	for _, sh := range r.Shards() {
 		for k := eventq.Time(0); k < windows; k++ {
-			sh.At(k*plan.Lookahead, func() {})
+			sh.At(k*r.look, func() {})
 		}
 	}
 	var mu sync.Mutex
@@ -205,11 +191,49 @@ func TestDriveShardWorkerContract(t *testing.T) {
 		}
 		ran[i]++
 	}
-	eng.SetDriver(r.Drive)
 	eng.Run()
 	for i, n := range ran {
 		if n < windows {
 			t.Errorf("shard %d ran %d windows, want at least %d", i, n, windows)
 		}
+	}
+}
+
+// TestAttachRejectsUnplannedNetworks: a zero hop delay degenerates the
+// window to nothing, and a topology without links has nothing to
+// partition; Attach must refuse both instead of livelocking, and leave
+// the engine's serial loop in place.
+func TestAttachRejectsUnplannedNetworks(t *testing.T) {
+	zeroHop := config.DefaultNetwork()
+	zeroHop.LocalLinkLatency, zeroHop.RouterLatency = 0, 0
+	for _, c := range []struct {
+		name    string
+		m, n, k int
+		p       config.Network
+		want    string
+	}{
+		{"zero hop delay", 2, 2, 2, zeroHop, "zero hop delay"},
+		{"no links", 1, 1, 1, config.DefaultNetwork(), "no links"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			topo, err := topology.NewTorus(c.m, c.n, c.k, topology.DefaultTorusConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := eventq.New()
+			nn, err := noc.New(eng, topo, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Attach(eng, nn, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Attach error %v, want one naming %q", err, c.want)
+			}
+			ran := false
+			eng.Schedule(1, func() { ran = true })
+			eng.Run()
+			if !ran {
+				t.Fatal("a refused Attach replaced the engine's run loop")
+			}
+		})
 	}
 }

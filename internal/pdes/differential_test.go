@@ -181,7 +181,7 @@ func TestIntraParallelExactMultiChunk(t *testing.T) {
 	// its chunked all-reduce produces events from different components
 	// with identical (time, ctime, gen2) prefixes, which only order
 	// consistently because serial mode stamps the same component labels
-	// as the partitioned engines (noc.AssignOrderingComps).
+	// as the partitioned engines (both read them from noc.New's link plan).
 	for _, spec := range []string{"1x8x1", "2x4x2", "4x4x4", "a2a:2x4", "sw:4x2", "so:2x2x1/2"} {
 		for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
 			t.Run(fmt.Sprintf("%s/%v", spec, op), func(t *testing.T) {

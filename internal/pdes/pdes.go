@@ -3,30 +3,25 @@
 // partitioned across per-component eventq shards that a worker pool
 // advances in bounded windows, while the system/workload layers keep
 // running on the main engine. It is the scale layer behind the
-// `-intra-parallel` flag (DESIGN.md §13).
+// `-intra-parallel` flag (DESIGN.md §13). It only schedules the windows:
+// the partition is the link plan noc.New builds (internal/noc/plan.go).
 //
 // # Partitioning
 //
-// BuildPlan walks every collective lane the topology can schedule (each
-// dimension × channel: ring successor hops, or all pairs of a direct
-// group) and unions the links each lane traverses. The resulting
-// components are closed under packet movement: once a message's first
-// link is known, every event it generates (serialization, hop arrival,
-// backpressure, release) stays inside one component, so a component is a
-// unit of ownership that one engine can advance without locks. Links a
-// lane never visits at path position >= 1 are flagged no-transit: nothing
-// reaches them except source injections, which licenses the network's
-// packet trains (closed-form FIFO serialization, noc/train.go) on serial
-// and partitioned runs alike — the same admission reasoning
-// internal/oracle uses to declare a config inside its exact domain.
+// The link plan's components are closed under packet movement: once a
+// message's first link is known, every event it generates
+// (serialization, hop arrival, backpressure, release) stays inside one
+// component, so a component is a unit of ownership that one engine can
+// advance without locks. Attach gives each component a shard engine.
 //
 // # Lookahead and the window protocol
 //
-// The lookahead L is the minimum over all links of (link latency + router
-// latency): any event one engine creates for another engine lies at least
-// L cycles in the future, because cross-engine traffic only happens
-// through a link hop (shard→main deliveries) or is spliced before the
-// target runs (main→shard injections). Each round the Runner computes
+// The lookahead L is the link plan's: the minimum hop delay (link
+// latency + router latency) over all links. Any event one engine creates
+// for another engine lies at least L cycles in the future, because
+// cross-engine traffic only happens through a link hop (shard→main
+// deliveries) or is spliced before the target runs (main→shard
+// injections). Each round the Runner computes
 // t = min(next event time over all engines) and the window
 // [t, t+L-1]. The main engine runs the window first — so any work it
 // splices into a shard at time u <= t+L-1 is enqueued before that shard
@@ -63,12 +58,9 @@
 package pdes
 
 import (
-	"fmt"
-
-	"astrasim/internal/config"
 	"astrasim/internal/eventq"
+	"astrasim/internal/noc"
 	"astrasim/internal/parallel"
-	"astrasim/internal/topology"
 )
 
 // maxShards caps the number of shard engines: beyond ~32 the per-window
@@ -77,150 +69,8 @@ import (
 // machine or the worker count.
 const maxShards = 32
 
-// Plan is the static partition of a topology's links into independently
-// advanceable components.
-type Plan struct {
-	// Comp assigns every link (indexed by LinkID) a 1-based component;
-	// component 0 is reserved for the main engine in event-ordering keys.
-	Comp []int32
-	// NumComps is the number of components (Comp values span [1, NumComps]).
-	NumComps int
-	// NoTransit flags links that no collective lane ever uses at path
-	// position >= 1: traffic can only enter them by source injection,
-	// never from an upstream link.
-	NoTransit []bool
-	// Lookahead is the conservative window width: the minimum hop delay
-	// (link latency + router latency) over all links.
-	Lookahead eventq.Time
-}
-
-// BuildPlan partitions topo's links for intra-run parallel simulation
-// under the given network parameters. It fails when the topology has no
-// links or when some link's hop delay is zero (a zero-latency link makes
-// conservative lookahead degenerate — run serially instead).
-func BuildPlan(topo topology.Topology, netCfg config.Network) (*Plan, error) {
-	links := topo.Links()
-	if len(links) == 0 {
-		return nil, fmt.Errorf("pdes: topology %s has no links to partition", topo.Name())
-	}
-
-	// Union-find over links: lanes that share a link share a component.
-	parent := make([]int32, len(links))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	transit := make([]bool, len(links))
-	unite := func(path []topology.LinkID) {
-		for i, id := range path {
-			if i > 0 {
-				transit[id] = true
-				a, b := find(int32(path[0])), find(int32(id))
-				if a != b {
-					parent[b] = a
-				}
-			}
-		}
-	}
-
-	// Enumerate every lane the system layer can schedule: for each
-	// dimension and channel, the ring successor hop of every NPU, or — for
-	// direct dimensions — every ordered pair within each group.
-	npus := topo.NumNPUs()
-	for _, d := range topo.Dims() {
-		if d.Size <= 1 {
-			// A degenerate dimension schedules no traffic (and its
-			// single-node "rings" own no links).
-			continue
-		}
-		for ch := 0; ch < d.Channels; ch++ {
-			if d.Direct {
-				for n := 0; n < npus; n++ {
-					g := topo.Group(d.Dim, topology.Node(n))
-					// Visit each group once, from its first member.
-					if len(g) == 0 || g[0] != topology.Node(n) {
-						continue
-					}
-					for _, src := range g {
-						for _, dst := range g {
-							if src == dst {
-								continue
-							}
-							unite(topo.PathLinks(d.Dim, ch, src, dst))
-						}
-					}
-				}
-			} else {
-				for n := 0; n < npus; n++ {
-					node := topology.Node(n)
-					r := topo.RingOf(d.Dim, node, ch)
-					if r.Size() <= 1 {
-						continue
-					}
-					unite(topo.PathLinks(d.Dim, ch, node, r.Next(node)))
-				}
-			}
-		}
-	}
-
-	// Densify component roots into 1-based ids, in LinkID order so the
-	// numbering is a pure function of the topology.
-	p := &Plan{
-		Comp:      make([]int32, len(links)),
-		NoTransit: make([]bool, len(links)),
-	}
-	compOf := make(map[int32]int32, len(links))
-	for i := range links {
-		root := find(int32(i))
-		c, ok := compOf[root]
-		if !ok {
-			p.NumComps++
-			c = int32(p.NumComps)
-			compOf[root] = c
-		}
-		p.Comp[i] = c
-		p.NoTransit[i] = !transit[i]
-	}
-
-	p.Lookahead = minHopDelay(links, netCfg)
-	if p.Lookahead == 0 {
-		return nil, fmt.Errorf("pdes: zero hop delay on %s makes conservative lookahead degenerate; intra-run parallelism needs positive link+router latency", topo.Name())
-	}
-	return p, nil
-}
-
-// minHopDelay computes the conservative lookahead: the smallest
-// post-serialization hop delay any link in the topology can impose.
-func minHopDelay(links []topology.LinkSpec, p config.Network) eventq.Time {
-	min := ^eventq.Time(0)
-	for _, spec := range links {
-		var lat uint64
-		switch spec.Class {
-		case topology.IntraPackage:
-			lat = p.LocalLinkLatency
-		case topology.InterPackage:
-			lat = p.PackageLinkLatency
-		case topology.ScaleOutLink:
-			lat = p.ScaleOutLinkLatency
-		}
-		if d := eventq.Time(lat + p.RouterLatency); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // Runner drives one partitioned simulation: the main engine plus the
-// plan's shard engines, advanced in lookahead-bounded windows. Install
-// Drive as the main engine's driver (eventq.SetDriver) so existing
-// Run/RunUntil call sites transparently execute the windowed schedule.
+// link plan's shard engines, advanced in lookahead-bounded windows.
 type Runner struct {
 	main    *eventq.Engine
 	shards  []*eventq.Engine
@@ -235,44 +85,49 @@ type Runner struct {
 	onShard func(w, i int)
 }
 
-// NewRunner builds a runner over main with one shard engine per plan
-// component, capped at maxShards (components beyond the cap share engines
+// Attach partitions net, a packet network on main, for intra-run
+// parallel execution: it builds one shard engine per link-plan component,
+// capped at maxShards (components beyond the cap share engines
 // round-robin — a pure function of the component id, so the event order
-// is machine-independent). workers is the pool width for advancing
-// shards; values < 1 select 1. The worker count never affects results,
-// only wall-clock time.
-func NewRunner(main *eventq.Engine, plan *Plan, workers int) *Runner {
-	n := plan.NumComps
-	if n > maxShards {
-		n = maxShards
+// is machine-independent), rebinds the links to them and makes the
+// windowed schedule main's run loop, so existing Run/RunUntil call sites
+// execute it. workers is the pool width for advancing shards; values < 1
+// select 1. The worker count never affects results, only wall-clock
+// time. Attach fails when net has no link plan: a topology without links,
+// or a zero hop delay, which makes conservative lookahead degenerate.
+func Attach(main *eventq.Engine, net *noc.Network, workers int) (*Runner, error) {
+	comps, look, err := net.Plan()
+	if err != nil {
+		return nil, err
 	}
-	shards := make([]*eventq.Engine, n)
+	shards := make([]*eventq.Engine, min(comps, maxShards))
 	for i := range shards {
 		shards[i] = eventq.New()
 	}
-	if workers < 1 {
-		workers = 1
+	r := &Runner{main: main, shards: shards, look: look, workers: max(1, min(workers, len(shards)))}
+	if err := r.attach(net); err != nil {
+		return nil, err
 	}
-	if workers > n {
-		workers = n
+	return r, nil
+}
+
+// attach binds net's links to r's shards and makes Drive main's run loop.
+func (r *Runner) attach(net *noc.Network) error {
+	if err := net.Partition(r.shards, r.workers); err != nil {
+		return err
 	}
-	return &Runner{main: main, shards: shards, look: plan.Lookahead, workers: workers}
+	r.flush = net.FlushCross
+	r.main.SetDriver(r.Drive)
+	return nil
 }
 
 // Shards exposes the shard engines in component order; component c's
 // links live on Shards()[(c-1) % len(Shards())].
 func (r *Runner) Shards() []*eventq.Engine { return r.shards }
 
-// SetFlush installs the end-of-window hook that moves buffered
-// shard→main events into the main engine (noc.Network.FlushCross).
-func (r *Runner) SetFlush(fn func()) { r.flush = fn }
-
 // Windows reports how many barrier windows have executed (for tests and
 // diagnostics).
 func (r *Runner) Windows() uint64 { return r.windows }
-
-// Workers reports the configured pool width.
-func (r *Runner) Workers() int { return r.workers }
 
 // Drive is the eventq.DriverFunc implementing the window protocol
 // described in the package comment. It honors Stop on the main engine

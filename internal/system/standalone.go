@@ -26,11 +26,15 @@ type Instance struct {
 }
 
 // NewInstance wires an engine, network and system layer over topo,
-// selecting the network backend from sysCfg.Backend. With
-// sysCfg.IntraParallel > 0 on the packet backend, the network is
-// partitioned for intra-run parallel execution (internal/pdes) and the
-// engine's Run/RunUntil transparently execute the windowed schedule —
-// results stay byte-identical to the serial engine at any worker count.
+// selecting the network backend from sysCfg.Backend. The packet network
+// builds its link plan itself (noc.New): serial and partitioned runs
+// stamp the same component labels into their event-ordering keys and run
+// packet trains on the same links, and only a topology with no links, or
+// a zero hop delay, is unlabelled. With sysCfg.IntraParallel > 0 on the
+// packet backend, the network is partitioned for intra-run parallel
+// execution (pdes.Attach) and the engine's Run/RunUntil transparently
+// execute the windowed schedule — results stay byte-identical to the
+// serial engine at any worker count.
 func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Network) (*Instance, error) {
 	eng := eventq.New()
 	var net Network
@@ -45,20 +49,7 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 		var nn *noc.Network
 		nn, err = noc.New(eng, topo, netCfg)
 		if err == nil && sysCfg.IntraParallel > 0 {
-			par, err = partitionInstance(eng, nn, topo, sysCfg, netCfg)
-		} else if err == nil {
-			// Serial packet runs stamp the same component labels into
-			// their event-ordering keys as a partitioned run would, so
-			// both modes share one total order and -intra-parallel stays
-			// byte-identical at any worker count, and the same no-transit
-			// flags, so both run packet trains on the same links.
-			// Topologies without a partition plan (e.g. mapped routing)
-			// keep the single-component order and no trains.
-			if plan, perr := pdes.BuildPlan(topo, netCfg); perr == nil {
-				if aerr := nn.AssignOrderingComps(plan.Comp, plan.NoTransit); aerr != nil {
-					return nil, aerr
-				}
-			}
+			par, err = pdes.Attach(eng, nn, sysCfg.IntraParallel)
 		}
 		net = nn
 	}
@@ -70,23 +61,6 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 		return nil, err
 	}
 	return &Instance{Eng: eng, Topo: topo, Net: net, Sys: sys, Par: par}, nil
-}
-
-// partitionInstance wires the pdes runner over a packet network: builds
-// the topology's partition plan, rebinds links to shard engines, and
-// installs the windowed driver on the main engine.
-func partitionInstance(eng *eventq.Engine, nn *noc.Network, topo topology.Topology, sysCfg config.System, netCfg config.Network) (*pdes.Runner, error) {
-	plan, err := pdes.BuildPlan(topo, netCfg)
-	if err != nil {
-		return nil, err
-	}
-	r := pdes.NewRunner(eng, plan, sysCfg.IntraParallel)
-	if err := nn.Partition(r.Shards(), r.Workers(), plan.Comp, plan.NoTransit); err != nil {
-		return nil, err
-	}
-	r.SetFlush(nn.FlushCross)
-	eng.SetDriver(r.Drive)
-	return r, nil
 }
 
 // RunCollective executes a single collective of op/bytes to completion on
@@ -109,6 +83,9 @@ func (inst *Instance) RunCollective(op collectives.Op, bytes int64) (*Handle, er
 		return nil, err
 	}
 	inst.Eng.Run()
+	if err := inst.Eng.Err(); err != nil {
+		return nil, err
+	}
 	if !done {
 		return nil, fmt.Errorf("system: collective %v (%d bytes) did not complete; %d events fired",
 			op, bytes, inst.Eng.Fired())

@@ -305,7 +305,8 @@ func (s *System) send(msg *noc.Message) {
 // later — scaled by Backoff for each successive attempt of the same
 // message — and a fresh copy re-enters the source node's injection
 // throttle. A message still failing after MaxRetries retransmissions is
-// unrecoverable and panics, so a too-aggressive fault plan fails loudly
+// unrecoverable: it aborts the run (eventq.Engine.Abort), and the run's
+// caller returns the error, so a too-aggressive fault plan fails loudly
 // instead of silently never completing.
 type RetryPolicy struct {
 	// Timeout is the base retransmission timeout (RTO) in cycles.
@@ -376,8 +377,9 @@ func (s *System) sendReliable(src topology.Node, msg *noc.Message, h *Handle) {
 func (s *System) armRetry(src topology.Node, msg *noc.Message, h *Handle, attempt int) {
 	msg.OnDropped = func(m *noc.Message) {
 		if attempt > s.retry.MaxRetries {
-			panic(fmt.Sprintf("system: message %d->%d (%d bytes) lost after %d attempts; raise RetryPolicy.MaxRetries or lower the drop rate",
+			s.Eng.Abort(fmt.Errorf("system: message %d->%d (%d bytes) lost after %d attempts; raise RetryPolicy.MaxRetries or lower the drop rate",
 				m.Src, m.Dst, m.Bytes, attempt))
+			return
 		}
 		s.injectDone(src)
 		s.Eng.Schedule(s.retry.rto(attempt), func() {

@@ -237,15 +237,13 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	bwdDone := 0
 	var runPass func(pass int)
 	// send carries a boundary tensor between stages. The first send the
-	// system layer refuses stops the engine, and RunPipeline returns it.
-	var sendErr error
+	// system layer refuses aborts the run, and RunPipeline returns it.
 	send := func(src, dst int, bytes int64, recv func()) {
-		if sendErr != nil {
+		if inst.Eng.Err() != nil {
 			return
 		}
 		if err := inst.Sys.SendPointToPoint(cfg.StageNodes[src], cfg.StageNodes[dst], bytes, recv); err != nil {
-			sendErr = fmt.Errorf("workload: pipeline boundary send stage %d -> %d: %w", src, dst, err)
-			inst.Eng.Stop()
+			inst.Eng.Abort(fmt.Errorf("workload: pipeline boundary send stage %d -> %d: %w", src, dst, err))
 		}
 	}
 
@@ -285,8 +283,8 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	}
 	runPass(0)
 	inst.Eng.Run()
-	if sendErr != nil {
-		return PipelineResult{}, sendErr
+	if err := inst.Eng.Err(); err != nil {
+		return PipelineResult{}, err
 	}
 	if !finished {
 		return PipelineResult{}, fmt.Errorf("workload: pipeline did not complete")

@@ -13,7 +13,11 @@
 #      process is still alive and serving afterwards;
 #   4. resubmits the body with its defaults spelled out and the op in
 #      another case, and asserts a cache hit with the run counter
-#      unchanged (the content address is taken over resolved values).
+#      unchanged (the content address is taken over resolved values);
+#   5. submits a packet-backend all-reduce whose fault plan loses a
+#      message past its retry budget, and asserts the job ends failed
+#      with the lost-message error (not a recovered panic) and the
+#      daemon still answers /healthz.
 #
 # Requires: go, curl. No other dependencies.
 set -euo pipefail
@@ -97,5 +101,17 @@ grep -qi '^X-Astrasim-Cache: hit' "$TMP/h5" || fail "spelled-out defaults not se
 runs=$(curl -s "$BASE/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
 [ "$runs" = "1" ] || fail "expected the run counter to stay at 1 after the spelled-out resubmission, got $runs"
 echo "daemon_smoke: spelled-out defaults served from cache, runs=1"
+
+# 5. A fault plan that loses a message for good: the run aborts with an
+# error, which fails the job without going through the panic backstop.
+LOSSY='{"topology": "4x4x4", "backend": "packet", "faults": {"seed": 1, "drops": [{"class": "inter", "probability": 0.5}], "retry": {"timeout": 1000, "backoff": 2, "max_retries": 2}}, "collective": {"op": "allreduce", "bytes": 1048576}}'
+curl -s -o "$TMP/r6" "$BASE/jobs" -d "$LOSSY" || fail "lossy submission failed"
+grep -q '"state":"failed"' "$TMP/r6" || fail "lossy job did not fail: $(cat "$TMP/r6")"
+grep -q 'lost after' "$TMP/r6" || fail "lossy job does not report the lost message: $(cat "$TMP/r6")"
+if grep -q 'simulation panicked' "$TMP/r6"; then
+  fail "lossy job failed through the panic backstop: $(cat "$TMP/r6")"
+fi
+curl -sf "$BASE/healthz" >/dev/null || fail "daemon unhealthy after the lossy job"
+echo "daemon_smoke: lossy job failed with the lost-message error, daemon still serving"
 
 echo "daemon_smoke: PASS"
