@@ -80,9 +80,10 @@
 // copied or released, plus a free list that fired events return their
 // slots to, so the steady-state Schedule→Step cycle performs zero
 // allocations. Hot callers that would otherwise allocate a closure per
-// event can use Call / CallAt, which carry a static function plus two
-// pointer-shaped arguments inline in the event; Schedule / At store the
-// Handler itself as the first argument of a static trampoline.
+// event can use Call / CallAt, which carry a static function plus one
+// pointer-shaped argument inline in the event; Schedule / At store the
+// Handler itself as the argument of a static trampoline. One function,
+// put, writes every slot, and a slot is one 64-byte cache line.
 package eventq
 
 import (
@@ -97,14 +98,14 @@ type Time uint64
 type Handler func()
 
 // CallFunc is the allocation-free event callback form: a static function
-// receiving the two arguments captured at schedule time. Both arguments
-// are pointer-shaped (a *T or a func value), so storing them in the event
-// does not allocate.
-type CallFunc func(a, b any)
+// receiving the argument captured at schedule time. The argument is
+// pointer-shaped (a *T or a func value), so storing it in the event does
+// not allocate.
+type CallFunc func(a any)
 
 // callHandler is the trampoline Schedule/At events fire through: the
 // Handler rides in a (a func value in an interface does not allocate).
-func callHandler(a, _ any) { a.(Handler)() }
+func callHandler(a any) { a.(Handler)() }
 
 // key is an event's position among the events of its firing cycle: the
 // (ctime, gen2, comp, seq, sub) part of the ordering key documented in
@@ -140,11 +141,11 @@ func (k *key) less(o *key) bool {
 // slot holds one pending event in the arena. It stores no firing cycle:
 // the bucket holding it knows that. next/prev link the bucket's events in
 // key order (0 = none; the head's prev is not maintained); a free slot's
-// next links the free list.
+// next links the free list. It is 64 bytes (TestSlotSize).
 type slot struct {
 	key
 	fn         CallFunc
-	a, b       any
+	a          any
 	next, prev int32
 }
 
@@ -507,38 +508,43 @@ func (e *Engine) At(at Time, h Handler) {
 	if h == nil {
 		panic("eventq: nil handler")
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
-	}
-	e.seq++
-	id := e.q.alloc()
-	s := e.q.slot(id)
-	s.key = key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}
-	s.fn, s.a, s.b = callHandler, h, nil
-	e.q.link(at, id, s)
+	e.put(at, nil, 0, callHandler, h)
 }
 
-// Call enqueues fn(a, b) to fire delay cycles from now. Unlike Schedule it
-// needs no closure: fn is a static function and a/b are stored inline, so
+// Call enqueues fn(a) to fire delay cycles from now. Unlike Schedule it
+// needs no closure: fn is a static function and a is stored inline, so
 // the hot per-packet paths of the network layer schedule events without
 // allocating.
-func (e *Engine) Call(delay Time, fn CallFunc, a, b any) {
-	e.CallAt(e.now+delay, fn, a, b)
+func (e *Engine) Call(delay Time, fn CallFunc, a any) {
+	e.put(e.now+delay, nil, 0, fn, a)
 }
 
-// CallAt enqueues fn(a, b) at absolute time at. See Call.
-func (e *Engine) CallAt(at Time, fn CallFunc, a, b any) {
+// CallAt enqueues fn(a) at absolute time at. See Call.
+func (e *Engine) CallAt(at Time, fn CallFunc, a any) {
+	e.put(at, nil, 0, fn, a)
+}
+
+// put, the one writer of every slot, writes the event fn(a) into a free
+// slot and links it into cycle at. A nil k keys a local event from the
+// firing context with the next seq; otherwise k and sub are InjectAt's.
+// Scheduling in the past panics. Every schedule calls put directly, so
+// each inlines into its caller and stays one call deep.
+func (e *Engine) put(at Time, k *Key, sub uint32, fn CallFunc, a any) {
 	if fn == nil {
 		panic("eventq: nil call func")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("eventq: scheduling into the past (at=%d now=%d)", at, e.now))
 	}
-	e.seq++
 	id := e.q.alloc()
 	s := e.q.slot(id)
-	s.key = key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}
-	s.fn, s.a, s.b = fn, a, b
+	if k == nil {
+		e.seq++
+		s.key = key{ctime: e.now, gen2: e.fireCtime, comp: e.fireComp, seq: e.seq}
+	} else {
+		s.key = key{ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub}
+	}
+	s.fn, s.a = fn, a
 	e.q.link(at, id, s)
 }
 
@@ -596,24 +602,14 @@ func (e *Engine) ReadKey() Key {
 	return Key{Ctime: ^Time(0)}
 }
 
-// InjectAt enqueues fn(a, b) at absolute time at under an explicit key —
+// InjectAt enqueues fn(a) at absolute time at under an explicit key —
 // the cross-engine scheduling primitive. Unlike CallAt it does not consume
 // a local seq: the event's position is entirely determined by the caller's
-// key, which must originate from EventKey or SpliceKey on the creating
-// engine. The caller must own both engines (pdes injects only between
-// windows, under the barrier).
-func (e *Engine) InjectAt(at Time, k Key, sub uint32, fn CallFunc, a, b any) {
-	if fn == nil {
-		panic("eventq: nil call func")
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("eventq: injecting into the past (at=%d now=%d)", at, e.now))
-	}
-	id := e.q.alloc()
-	s := e.q.slot(id)
-	s.key = key{ctime: k.Ctime, gen2: k.Gen2, comp: k.Comp, seq: k.Seq, sub: sub}
-	s.fn, s.a, s.b = fn, a, b
-	e.q.link(at, id, s)
+// key, which must originate from EventKey, KeysFrom or SpliceKey on the
+// creating engine. The caller must own both engines (pdes injects only
+// between windows, under the barrier).
+func (e *Engine) InjectAt(at Time, k Key, sub uint32, fn CallFunc, a any) {
+	e.put(at, &k, sub, fn, a)
 }
 
 // SetFiringComp reassigns the firing context's component. A handler that
@@ -642,7 +638,7 @@ func (e *Engine) Step() bool {
 	bk := &q.buckets[top.b]
 	id := bk.head
 	s := q.slot(id)
-	fn, a, b := s.fn, s.a, s.b
+	fn, a := s.fn, s.a
 	e.now = top.at
 	e.fired++
 	e.fireCtime, e.fireGen2, e.fireComp, e.fireSeq, e.fireSub = s.ctime, s.gen2, s.comp, s.seq, 0
@@ -654,11 +650,11 @@ func (e *Engine) Step() bool {
 	}
 	// Clear the vacated slot so the arena does not retain the callback
 	// (and whatever it captures) after the event fired.
-	s.fn, s.a, s.b = nil, nil, nil
+	s.fn, s.a = nil, nil
 	s.next = q.free
 	q.free = id
 	q.n--
-	fn(a, b)
+	fn(a)
 	return true
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestZeroValueReady(t *testing.T) {
@@ -347,19 +348,28 @@ func TestRunUntilTiling(t *testing.T) {
 	}
 }
 
+// TestSlotSize pins an arena slot at 64 bytes: one slot per cache line,
+// and one argument word pair for the collector to scan per pending event
+// (a second argument made it 80 bytes, across two lines).
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 64 {
+		t.Fatalf("slot is %d bytes, want 64", got)
+	}
+}
+
 func TestCallZeroAlloc(t *testing.T) {
 	e := New()
 	type payload struct{ hits int }
 	p := &payload{}
-	fn := func(a, b any) { a.(*payload).hits++ }
+	fn := func(a any) { a.(*payload).hits++ }
 	// Warm the slot arena and the bucket tables so growth doesn't count.
 	for i := 0; i < 64; i++ {
-		e.Call(Time(i), fn, p, nil)
+		e.Call(Time(i), fn, p)
 	}
 	e.Run()
 	p.hits = 0
 	avg := testing.AllocsPerRun(100, func() {
-		e.Call(1, fn, p, nil)
+		e.Call(1, fn, p)
 		e.Step()
 	})
 	if avg != 0 {
@@ -401,15 +411,15 @@ func TestInjectAtZeroAlloc(t *testing.T) {
 	src, e := New(), New()
 	k := src.EventKey() // ctime 0: sorts before every local event below
 	hits := 0
-	fn := func(a, b any) { hits++ }
+	fn := func(a any) { hits++ }
 	for i := 0; i < 64; i++ {
-		e.InjectAt(Time(i), k, 0, fn, nil, nil)
+		e.InjectAt(Time(i), k, 0, fn, nil)
 	}
 	e.Run()
 	hits = 0
 	avg := testing.AllocsPerRun(100, func() {
-		e.Call(1, fn, nil, nil)
-		e.InjectAt(e.Now()+1, k, 0, fn, nil, nil)
+		e.Call(1, fn, nil)
+		e.InjectAt(e.Now()+1, k, 0, fn, nil)
 		e.Step()
 		e.Step()
 	})
@@ -501,16 +511,16 @@ func benchHold(b *testing.B, pending int, spread uint64) {
 		rng ^= rng << 17
 		return Time(rng%spread + 1)
 	}
-	fn := func(a, b any) {}
+	fn := func(a any) {}
 	for i := 0; i < pending; i++ {
-		e.Call(delay(), fn, nil, nil)
+		e.Call(delay(), fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 1000; j++ {
 			e.Step()
-			e.Call(delay(), fn, nil, nil)
+			e.Call(delay(), fn, nil)
 		}
 	}
 }
@@ -534,13 +544,13 @@ func BenchmarkQueueDistinct(b *testing.B) { benchHold(b, 10000, 1<<20) }
 func BenchmarkQueueCrowded(b *testing.B) {
 	const trains, perTrain = 16, 64
 	e := New()
-	fn := func(a, b any) {}
+	fn := func(a any) {}
 	crowd := func() {
 		at := e.Now() + trains*perTrain
 		for t := 0; t < trains; t++ {
 			for p := 0; p < perTrain; p++ {
 				n := p*trains + t
-				e.InjectAt(at, Key{Ctime: e.Now() + Time(n), Seq: uint64(n)}, 0, fn, nil, nil)
+				e.InjectAt(at, Key{Ctime: e.Now() + Time(n), Seq: uint64(n)}, 0, fn, nil)
 			}
 		}
 		e.Run()

@@ -15,7 +15,7 @@ func TestInjectAtOrdersByCreationTime(t *testing.T) {
 
 	src.At(5, func() {
 		k := src.EventKey() // ctime 5 on the source engine
-		dst.InjectAt(10, k, 0, func(a, b any) { order = append(order, "injected") }, nil, nil)
+		dst.InjectAt(10, k, 0, func(a any) { order = append(order, "injected") }, nil)
 	})
 	src.Run()
 	dst.Run()
@@ -47,8 +47,8 @@ func TestSpliceKeyOrdinals(t *testing.T) {
 			t.Fatalf("splice ordinals %d, %d; want consecutive", s1, s2)
 		}
 		// Inject in reverse: the sub ordinal must restore call order.
-		dst.InjectAt(7, k2, s2, func(a, b any) { order = append(order, 2) }, nil, nil)
-		dst.InjectAt(7, k1, s1, func(a, b any) { order = append(order, 1) }, nil, nil)
+		dst.InjectAt(7, k2, s2, func(a any) { order = append(order, 2) }, nil)
+		dst.InjectAt(7, k1, s1, func(a any) { order = append(order, 1) }, nil)
 	})
 	src.Run()
 	dst.Run()
@@ -162,7 +162,7 @@ func TestInjectAtPastPanics(t *testing.T) {
 			t.Fatal("InjectAt into the past did not panic")
 		}
 	}()
-	e.InjectAt(5, Key{}, 0, func(a, b any) {}, nil, nil)
+	e.InjectAt(5, Key{}, 0, func(a any) {}, nil)
 }
 
 // TestFiringKey: inside a handler FiringKey is the firing event's own key

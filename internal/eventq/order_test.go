@@ -65,10 +65,17 @@ func (h *orderHarness) byte() byte {
 	return b
 }
 
-// firing is the argument an event's handler receives.
-type firing struct{ id int }
+// firing is the argument an event's handler receives: the harness and
+// the event's id.
+type firing struct {
+	h  *orderHarness
+	id int
+}
 
-func harnessFire(a, b any) { a.(*orderHarness).fire(b.(*firing).id) }
+func harnessFire(a any) {
+	f := a.(*firing)
+	f.h.fire(f.id)
+}
 
 // fire checks that the engine fired the event the reference expects, then
 // runs the event's byte-decoded action: schedule up to three local
@@ -168,7 +175,7 @@ func (h *orderHarness) local(viaAt bool, delay Time) {
 	if viaAt {
 		e.At(ev.at, func() { h.fire(ev.id) })
 	} else {
-		e.Call(delay, harnessFire, h, &firing{ev.id})
+		e.Call(delay, harnessFire, &firing{h, ev.id})
 	}
 }
 
@@ -185,7 +192,7 @@ func (h *orderHarness) inject(delay Time) {
 		k: key{ctime: rk.k.Ctime, gen2: rk.k.Gen2, comp: rk.k.Comp, seq: rk.k.Seq, sub: rk.sub}}
 	h.ids++
 	h.ref = append(h.ref, ev)
-	h.dst.InjectAt(ev.at, rk.k, rk.sub, harnessFire, h, &firing{ev.id})
+	h.dst.InjectAt(ev.at, rk.k, rk.sub, harnessFire, &firing{h, ev.id})
 }
 
 // mint schedules a src event delay cycles after the later of the two

@@ -94,6 +94,9 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	if err := g.CheckEndpoints(inst.Topo.NumNPUs()); err != nil {
+		return nil, err
+	}
 	model := compute.Default()
 	if opts.Compute != nil {
 		model = *opts.Compute
@@ -112,7 +115,6 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 	for i, n := range g.Nodes {
 		e.idx[n.ID] = i
 	}
-	npus := inst.Topo.NumNPUs()
 	for i, n := range g.Nodes {
 		switch n.Kind {
 		case KindComp:
@@ -136,11 +138,6 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 			}
 			if _, err := collectives.CompileScoped(op, inst.Topo, inst.Sys.Cfg.Algorithm, dims); err != nil {
 				return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, n.ID, err)
-			}
-		case KindSend:
-			if n.Src >= npus || n.Dst >= npus {
-				return nil, fmt.Errorf("graph %s: node %s: endpoints %d->%d outside topology (%d NPUs)",
-					g.Name, n.ID, n.Src, n.Dst, npus)
 			}
 		}
 		// Stats rows in first-appearance order (node ID when unnamed).

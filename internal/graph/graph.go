@@ -167,9 +167,9 @@ func commPass(s string) bool {
 
 // Validate checks structural well-formedness: the format version, node
 // uniqueness, per-kind field constraints, SEND/RECV peer pairing, dep
-// resolution, and acyclicity (naming a cycle when one exists). Topology-
-// dependent checks (replica/src/dst ranges, scope dimensions) happen
-// when an Engine is built.
+// resolution, and acyclicity (naming a cycle when one exists). The
+// topology-dependent checks happen when an Engine is built: replica and
+// SEND endpoint ranges (CheckEndpoints) and scope dimensions.
 func (g *Graph) Validate() error {
 	fail := func(i int, format string, args ...any) error {
 		id := ""
@@ -292,6 +292,24 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return g.checkAcyclic(idx)
+}
+
+// CheckEndpoints checks g's NPU ranges against a fabric of npus NPUs:
+// every node's replica and every SEND's endpoints must name one of its
+// NPUs. g must have passed Validate, which rejects negative values and a
+// RECV that carries endpoints. NewEngine calls it, and so does a caller
+// that wants to reject a graph before it builds a run (the daemon).
+func (g *Graph) CheckEndpoints(npus int) error {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if n.Replica >= npus {
+			return fmt.Errorf("graph %s: node %s: replica %d out of range (%d NPUs)", g.Name, n.ID, n.Replica, npus)
+		}
+		if n.Kind == KindSend && (n.Src >= npus || n.Dst >= npus) {
+			return fmt.Errorf("graph %s: node %s: endpoints %d->%d out of range (%d NPUs)", g.Name, n.ID, n.Src, n.Dst, npus)
+		}
+	}
+	return nil
 }
 
 // edges returns i's predecessor indices: declared deps plus, for a RECV,

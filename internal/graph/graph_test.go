@@ -244,6 +244,24 @@ func TestEngineDetectsStuckRecv(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsOutOfRangeReplica: a replica names an NPU, so one
+// past the topology's last NPU is refused when the engine is built, by
+// the same check the daemon answers 400 with.
+func TestEngineRejectsOutOfRangeReplica(t *testing.T) {
+	g := &graph.Graph{
+		Version: graph.FormatVersion, Name: "replica", Passes: 1,
+		Nodes: []graph.Node{{ID: "c", Kind: graph.KindComp, Cycles: 10, Replica: 8}},
+	}
+	_, err := graph.NewEngine(newTorusInstance(t), g, graph.Options{})
+	if err == nil || !strings.Contains(err.Error(), "replica 8 out of range (8 NPUs)") {
+		t.Fatalf("err = %v, want the replica range error", err)
+	}
+	g.Nodes[0].Replica = 7
+	if err := g.CheckEndpoints(8); err != nil {
+		t.Fatalf("replica 7 of 8 NPUs refused: %v", err)
+	}
+}
+
 func TestEngineRejectsBadScope(t *testing.T) {
 	g := &graph.Graph{
 		Version: graph.FormatVersion, Name: "scope", Passes: 1,

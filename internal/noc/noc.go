@@ -113,9 +113,10 @@ type Message struct {
 	// nothing — outside fault runs.
 	OnDropped func(*Message)
 	// Ctx, CtxA and CtxB are opaque sender context carried untouched by
-	// the network. They let OnDelivered be a shared top-level function
-	// (the sender recovers its state from the context) instead of a
-	// per-message closure, keeping the hot path allocation-free.
+	// the network. They let OnDelivered and the sender's later events for
+	// the message be shared top-level functions that recover their state
+	// from it, keeping the hot path allocation-free: the system layer's
+	// delivery callback and endpoint event find the chunk in Ctx.
 	Ctx        any
 	CtxA, CtxB int32
 
@@ -128,6 +129,9 @@ type Message struct {
 	// the message's network delay.
 	Delivered eventq.Time
 
+	// net is the network Send injected the message into: the delivery
+	// event's one argument is the message.
+	net         *Network
 	packetsLeft int
 	started     bool
 	// lost marks that a packet was dropped (OnDropped fired); further
@@ -363,9 +367,6 @@ type Network struct {
 	nextID uint64
 	// unbounded selects the unbounded-buffer send path (NewFast).
 	unbounded bool
-	// inFlight counts the unbounded model's injected but undelivered
-	// messages (Quiet).
-	inFlight int
 	// npus is the topology's NPU count: nodes from npus up are switches.
 	npus int
 	// pend[id] is the unbounded model's pending arrival records at
@@ -548,6 +549,7 @@ func (n *Network) Send(msg *Message) {
 	n.nextID++
 	msg.ID = n.nextID
 	msg.Injected = n.eng.Now()
+	msg.net = n
 	if n.OnSend != nil {
 		n.OnSend(msg)
 	}
@@ -568,7 +570,7 @@ func (n *Network) Send(msg *Message) {
 			}
 		}
 		k, sub := n.eng.SpliceKey()
-		first.sh.eng.InjectAt(n.eng.Now(), k, sub, shardInject, n, msg)
+		first.sh.eng.InjectAt(n.eng.Now(), k, sub, shardInject, msg)
 		return
 	}
 	// Serial mode: stamp the link's component (0 when the topology has no
@@ -643,13 +645,13 @@ func (l *link) send(next *link, p packet) {
 	next.reserved++
 	p.pathPos++
 	l.net.flight[l.spec.ID].Push(p)
-	l.eng.Call(l.hopDelay(), linkArrive, l, nil)
+	l.eng.Call(l.hopDelay(), linkArrive, l)
 }
 
 // linkArrive is the eventq.CallFunc that lands the front packet of link
 // a's wire on the next link of its path (static function: no per-packet
 // closure allocation).
-func linkArrive(a, _ any) {
+func linkArrive(a any) {
 	up := a.(*link)
 	f := &up.net.flight[up.spec.ID]
 	p := *f.Front()
@@ -671,7 +673,7 @@ func (l *link) kick() {
 		if until, down := f.outageUntil(l.eng.Now()); down {
 			if !f.wakeArmed {
 				f.wakeArmed = true
-				l.eng.CallAt(until, linkOutageLifted, l, nil)
+				l.eng.CallAt(until, linkOutageLifted, l)
 			}
 			return
 		}
@@ -686,7 +688,7 @@ func (l *link) kick() {
 	// it, so only one serialization is ever in flight per link and curSer
 	// is unambiguous.
 	l.curSer = l.serCycles(p.bytes)
-	l.eng.Call(l.curSer, linkSerDone, l, nil)
+	l.eng.Call(l.curSer, linkSerDone, l)
 }
 
 // linkSerDone is the eventq.CallFunc that fires when link a finishes
@@ -694,7 +696,7 @@ func (l *link) kick() {
 // packet may be discarded here instead of forwarded: it consumed the
 // serializer (and is counted by the link's stats) but never reaches the
 // next hop — the corrupted-in-flight model.
-func linkSerDone(a, _ any) {
+func linkSerDone(a any) {
 	l := a.(*link)
 	l.stats.BusyCycles += l.curSer
 	p := *l.queue.Front()
@@ -707,7 +709,7 @@ func linkSerDone(a, _ any) {
 
 // linkOutageLifted is the eventq.CallFunc that restarts link a's
 // serializer when the outage window that stalled it ends.
-func linkOutageLifted(a, _ any) {
+func linkOutageLifted(a any) {
 	l := a.(*link)
 	l.fault.wakeArmed = false
 	l.kick()
@@ -760,17 +762,19 @@ func (l *link) forward(p packet) {
 		})
 	} else {
 		// Final hop: arrival at the destination endpoint.
-		l.eng.Call(l.hopDelay(), packetDelivered, l.net, p.msg)
+		l.eng.Call(l.hopDelay(), packetDelivered, p.msg)
 	}
 	l.finishHead()
 }
 
 // packetDelivered is the eventq.CallFunc that lands one packet of message
-// b at its destination endpoint on network a.
-func packetDelivered(a, b any) {
-	n, msg := a.(*Network), b.(*Message)
-	msg.packetsLeft--
-	if msg.packetsLeft == 0 {
+// a at its destination endpoint; the last one delivers the message. A
+// packet train and the unbounded model deliver a message with one event,
+// so their sends set packetsLeft to 1.
+func packetDelivered(a any) {
+	msg := a.(*Message)
+	if msg.packetsLeft--; msg.packetsLeft == 0 {
+		n := msg.net
 		msg.Delivered = n.eng.Now()
 		n.DeliveredMessages++
 		if msg.OnDelivered != nil {
@@ -955,11 +959,11 @@ func (n *Network) UtilizationByClass(until eventq.Time) map[topology.LinkClass]C
 // Quiet reports whether no packets are queued or in flight on any link,
 // and (on a partitioned network) no delivery is buffered toward the main
 // engine. An unbounded network is quiet when every message it was sent
-// has been delivered.
+// has been delivered: it loses none.
 func (n *Network) Quiet() bool {
 	n.settleAll()
 	if n.unbounded {
-		return n.inFlight == 0
+		return n.DeliveredMessages == n.nextID
 	}
 	for _, l := range n.links {
 		if l.busy || l.queue.Len() > 0 || l.reserved > 0 {

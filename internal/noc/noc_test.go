@@ -364,6 +364,37 @@ func TestUnboundedRejectsFaultsAndPartition(t *testing.T) {
 	}
 }
 
+// TestUnboundedQuietUntilDelivered: an unbounded network is quiet only
+// once it has delivered every message it was sent, through the one
+// delivery handler, with or without a second hop.
+func TestUnboundedQuietUntilDelivered(t *testing.T) {
+	topo, err := topology.NewTorus(4, 1, 1, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := eventq.New()
+	net, err := NewFast(eng, topo, config.DefaultNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := topo.RingOf(topology.DimLocal, 0, 0)
+	delivered := 0
+	for _, dst := range []topology.Node{1, 2} {
+		path := []topology.LinkID{r.LinkFrom(0)}
+		if dst == 2 {
+			path = append(path, r.LinkFrom(1))
+		}
+		net.Send(&Message{Src: 0, Dst: dst, Bytes: 4096, Path: path, OnDelivered: func(*Message) { delivered++ }})
+	}
+	if net.Quiet() {
+		t.Fatal("quiet with two messages in flight")
+	}
+	eng.Run()
+	if delivered != 2 || net.DeliveredMessages != 2 || !net.Quiet() {
+		t.Fatalf("delivered %d (counter %d), quiet=%v; want 2, 2, true", delivered, net.DeliveredMessages, net.Quiet())
+	}
+}
+
 // TestSwitchDownLinkQueueBounded: on a 1x4 alltoall, three NPUs send
 // 4 KiB messages to the fourth in a closed loop, four in flight each
 // (a new one leaves as one is delivered), so the packet queue of

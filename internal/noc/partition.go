@@ -117,7 +117,7 @@ func (n *Network) SetFlowCollapse(on bool) { n.noTrains = !on }
 // (mergeCross) instead of sorting.
 func (n *Network) FlushCross() {
 	n.mergeCross(func(e *outEvent) {
-		n.eng.InjectAt(e.at, e.key, 0, packetDelivered, n, e.msg)
+		n.eng.InjectAt(e.at, e.key, 0, packetDelivered, e.msg)
 	})
 }
 
@@ -184,8 +184,9 @@ func (n *Network) crossBefore(i, j int32) bool {
 // engine. It reassigns the firing component to the link's, so every
 // event the message generates carries the right component in its
 // ordering key.
-func shardInject(a, b any) {
-	n, msg := a.(*Network), b.(*Message)
+func shardInject(a any) {
+	msg := a.(*Message)
+	n := msg.net
 	first := n.links[msg.Path[0]]
 	fk := first.eng.FiringKey()
 	first.eng.SetFiringComp(first.comp)

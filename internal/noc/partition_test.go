@@ -52,7 +52,7 @@ func compareCross(a, b crossEv) int {
 func buffer(net *Network, evs []crossEv, delivered func(int)) []*Message {
 	msgs := make([]*Message, len(evs))
 	for i, e := range evs {
-		msgs[i] = &Message{packetsLeft: 1, OnDelivered: func(*Message) { delivered(i) }}
+		msgs[i] = &Message{net: net, packetsLeft: 1, OnDelivered: func(*Message) { delivered(i) }}
 		net.shards[e.shard].push(outEvent{at: e.at, key: e.key, msg: msgs[i]})
 	}
 	return msgs
@@ -175,7 +175,7 @@ func TestFlushCrossZeroAlloc(t *testing.T) {
 	window := func() {
 		base := eng.Now() + 1
 		for i := range msgs {
-			msgs[i].packetsLeft = 1
+			msgs[i].net, msgs[i].packetsLeft = net, 1
 			sh := i % k
 			// Descending times inside each shard: every push walks back.
 			at := base + eventq.Time(len(msgs)-i)

@@ -132,7 +132,7 @@ func (l *link) appendTrain(msg *Message, fk eventq.Key) {
 	if at := last.end + l.hopDelay(); l.sh != nil {
 		l.sh.push(outEvent{at: at, key: dk, msg: msg})
 	} else {
-		l.eng.InjectAt(at, dk, 0, packetDelivered, l.net, msg)
+		l.eng.InjectAt(at, dk, 0, packetDelivered, msg)
 	}
 	// The segment is written in place at the train's tail, field by
 	// field: a segment value built first would be copied on the way in.
@@ -212,7 +212,7 @@ func (l *link) armRelease(fk eventq.Key) {
 		return
 	}
 	t.relArmed, t.relPkt = true, k
-	l.eng.InjectAt(p.end, l.key(p.start, p.gen), 0, trainRelease, l, nil)
+	l.eng.InjectAt(p.end, l.key(p.start, p.gen), 0, trainRelease, l)
 }
 
 // armTail schedules the tail segment's segment-done event when a real
@@ -236,7 +236,7 @@ func (l *link) armed(s *segment) bool {
 
 // schedule injects segment s's segment-done event under its reserved key.
 func (l *link) schedule(s *segment) {
-	l.eng.InjectAt(s.end, s.done, 0, trainSegDone, l, nil)
+	l.eng.InjectAt(s.end, s.done, 0, trainSegDone, l)
 }
 
 // retire drops the head segments whose segment-done event would have
@@ -268,7 +268,7 @@ func (l *link) retire(fk eventq.Key) {
 
 // trainRelease is the eventq.CallFunc standing in for an intermediate
 // virtual packet's linkSerDone while upstream links wait on link a.
-func trainRelease(a, _ any) {
+func trainRelease(a any) {
 	l := a.(*link)
 	t := &l.train
 	t.relArmed = false
@@ -282,7 +282,7 @@ func trainRelease(a, _ any) {
 // the unarmed ones ahead of it and, once the train is empty, restarts the
 // serializer for the real packets queued behind it; then it releases
 // waiting upstream links.
-func trainSegDone(a, _ any) {
+func trainSegDone(a any) {
 	l := a.(*link)
 	fk := l.eng.FiringKey()
 	l.retire(fk)

@@ -74,7 +74,7 @@ import (
 // completes with a single delivery event (single-link path) or lands on
 // the remaining hops as arrival events and records.
 func (n *Network) sendUnbounded(msg *Message) {
-	n.inFlight++
+	msg.packetsLeft = 1
 	first := n.wires[msg.Path[0]]
 	pktSize, numPkts := n.packetPlan(msg, first, &n.ser)
 	start := max(n.eng.Now(), first.busyUntil)
@@ -93,7 +93,7 @@ func (n *Network) sendUnbounded(msg *Message) {
 	if len(msg.Path) == 1 {
 		// Single-link fast path: one delivery event at the last packet's
 		// arrival.
-		n.eng.CallAt(finish+hop, fastDeliver, n, msg)
+		n.eng.CallAt(finish+hop, packetDelivered, msg)
 		return
 	}
 
@@ -110,7 +110,7 @@ func (n *Network) sendUnbounded(msg *Message) {
 		}
 		last := max(0, min(pktSize, msg.Bytes-(numPkts-1)*pktSize))
 		flight.Push(packet{msg: msg, bytes: last, pathPos: 1, last: true})
-		n.hopAt(finish+hop, finish, start+v.Prev, fastArrive, first, nil)
+		n.hopAt(finish+hop, finish, start+v.Prev, fastArrive, first)
 		return
 	}
 
@@ -126,7 +126,7 @@ func (n *Network) sendUnbounded(msg *Message) {
 		c, ser, b = c.step(first.effBW)
 		end += ser
 		flight.Push(packet{msg: msg, bytes: b, pathPos: 1, last: i == numPkts-1})
-		n.hopAt(end+hop, end, end-ser, fastArrive, first, nil)
+		n.hopAt(end+hop, end, end-ser, fastArrive, first)
 	}
 }
 
@@ -154,8 +154,8 @@ func (w *wire) charge(bytes int64) eventq.Time {
 // when it started. Packets from different sources that reach one link in
 // the same cycle then serialize there in the packet model's order, not in
 // the order their senders injected them.
-func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a, b any) {
-	n.eng.InjectAt(at, n.eng.KeysFrom(serEnd, serStart, n.eng.FiringComp(), 1), 0, fn, a, b)
+func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a any) {
+	n.eng.InjectAt(at, n.eng.KeysFrom(serEnd, serStart, n.eng.FiringComp(), 1), 0, fn, a)
 }
 
 // fastArrive is the eventq.CallFunc that lands the front packet of wire
@@ -166,7 +166,7 @@ func (n *Network) hopAt(at, serEnd, serStart eventq.Time, fn eventq.CallFunc, a,
 // final hop, completes delivery. Every hop serializes a message's packets
 // in order, each at least one cycle after the previous, so the final
 // hop's last arrival is the final packet's.
-func fastArrive(a, _ any) {
+func fastArrive(a any) {
 	up := a.(*wire)
 	n := up.net
 	f := &n.flight[up.spec.ID]
@@ -190,11 +190,11 @@ func fastArrive(a, _ any) {
 			return
 		}
 		n.flight[w.spec.ID].Push(p)
-		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, w, nil)
+		n.hopAt(finish+w.hopDelay(), finish, start, fastArrive, w)
 		return
 	}
 	if p.last {
-		n.hopAt(finish+w.hopDelay(), finish, start, fastDeliver, n, msg)
+		n.hopAt(finish+w.hopDelay(), finish, start, packetDelivered, msg)
 	}
 }
 
@@ -304,16 +304,4 @@ func (n *Network) pendingRecords(id topology.LinkID) int {
 		}
 	}
 	return int(c)
-}
-
-// fastDeliver is the eventq.CallFunc that completes message b on network a
-// when its final packet arrives at the destination endpoint.
-func fastDeliver(a, b any) {
-	n, msg := a.(*Network), b.(*Message)
-	msg.Delivered = n.eng.Now()
-	n.DeliveredMessages++
-	n.inFlight--
-	if msg.OnDelivered != nil {
-		msg.OnDelivered(msg)
-	}
 }

@@ -218,6 +218,32 @@ func TestQuotaExhaustion(t *testing.T) {
 	}
 }
 
+// Inline graphs with an NPU out of range on 1x4x1 that pass
+// graph.Validate: a SEND to NPU 77 with a valid RECV, and a replica past
+// the last NPU.
+const (
+	graphEndpointOutOfRange = `{"topology": "1x4x1", "graph": {"version": 1, "nodes": [
+		{"id": "s", "kind": "SEND", "src": 0, "dst": 77, "bytes": 1024, "peer": "r"},
+		{"id": "r", "kind": "RECV", "peer": "s"}]}}`
+	graphReplicaOutOfRange = `{"topology": "1x4x1", "graph": {"version": 1, "nodes": [
+		{"id": "c", "kind": "COMP", "cycles": 10, "replica": 4}]}}`
+)
+
+// TestGraphRangesRejected400: both range errors are 400s, and the message
+// is graph.Graph.CheckEndpoints's, the check the graph engine runs.
+func TestGraphRangesRejected400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for body, want := range map[string]string{
+		graphEndpointOutOfRange: "graph submission: node s: endpoints 0->77 out of range (4 NPUs)",
+		graphReplicaOutOfRange:  "graph submission: node c: replica 4 out of range (4 NPUs)",
+	} {
+		resp, out := submit(t, ts, body, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), want) {
+			t.Errorf("status %d (%s), want 400 with %q", resp.StatusCode, out, want)
+		}
+	}
+}
+
 // TestMalformedSubmissions4xx feeds the formerly-panicking input
 // classes through the API: each must come back 4xx, and the server must
 // keep serving afterwards.
@@ -254,9 +280,8 @@ func TestMalformedSubmissions4xx(t *testing.T) {
 			"faults": {"seed": 7, "stragglers": [{"node": 1, "factor": 2}]},
 			"collective": {"op": "allreduce", "bytes": 65536}}`},
 		{"unknown model", `{"topology": "1x4x1", "workload": {"model": "alexnet"}}`},
-		{"graph endpoint out of range", `{"topology": "1x4x1", "graph": {"version": 1, "nodes": [
-			{"id": "s", "kind": "SEND", "src": 0, "dst": 77, "bytes": 1024, "peer": "r"},
-			{"id": "r", "kind": "RECV", "src": 0, "dst": 77, "bytes": 1024, "peer": "s"}]}}`},
+		{"graph endpoint out of range", graphEndpointOutOfRange},
+		{"graph replica out of range", graphReplicaOutOfRange},
 	}
 	for _, tc := range cases {
 		resp, body := submit(t, ts, tc.body, nil)

@@ -287,8 +287,8 @@ func compile(sub *Submission) (*compiled, error) {
 		}
 	}
 	if c.graph != nil {
-		if err := checkGraphEndpoints(c.graph, p.NumNPUs()); err != nil {
-			return nil, err
+		if err := c.graph.CheckEndpoints(p.NumNPUs()); err != nil {
+			return nil, asBad(err)
 		}
 		if err := spec.ValidateGraph(c.graph, cli.JSONNames); err != nil {
 			return nil, asBad(err)
@@ -300,23 +300,6 @@ func compile(sub *Submission) (*compiled, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// checkGraphEndpoints re-checks replica and SEND/RECV endpoint ranges
-// against the submission's topology. The graph engine checks these when
-// the run starts; checking here turns a bad graph (inline or compiled
-// from a model) into a 400 instead of a failed job.
-func checkGraphEndpoints(g *astrasim.WorkloadGraph, npus int) error {
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if n.Replica < 0 || n.Replica >= npus {
-			return badf("graph node %q: replica %d out of range (%d NPUs)", n.ID, n.Replica, npus)
-		}
-		if (n.Kind == "SEND" || n.Kind == "RECV") && (n.Src < 0 || n.Src >= npus || n.Dst < 0 || n.Dst >= npus) {
-			return badf("graph node %q: endpoint %d->%d out of range (%d NPUs)", n.ID, n.Src, n.Dst, npus)
-		}
-	}
-	return nil
 }
 
 // compileWorkload resolves a workload job: the definition to train, the

@@ -186,11 +186,12 @@ func chunkMsgDelivered(m *noc.Message) {
 }
 
 // chunkEndpointDone is the eventq.CallFunc that fires when the
-// destination endpoint finishes processing message b of chunk a: the
-// chunk advances, and the message object returns to the free list (on
-// fault-free runs — an armed retry protocol still references it).
-func chunkEndpointDone(a, b any) {
-	c, m := a.(*chunk), b.(*noc.Message)
+// destination endpoint finishes processing message a of the chunk in its
+// Ctx: the chunk advances, and the message object returns to the free
+// list (on fault-free runs — an armed retry protocol still references it).
+func chunkEndpointDone(a any) {
+	m := a.(*noc.Message)
+	c := m.Ctx.(*chunk)
 	dst, p, step := m.Dst, int(m.CtxA), int(m.CtxB)
 	if s := c.sys; s.retry == nil {
 		s.freeMsg(m)

@@ -690,14 +690,14 @@ func (s *System) endpointReceive(node topology.Node, extra eventq.Time, fn func(
 
 // endpointReceiveMsg is the closure-free endpointReceive for collective
 // messages: the continuation is chunkEndpointDone with message m of
-// chunk c as its arguments, scheduled through the engine's
+// chunk c (m's Ctx) as its argument, scheduled through the engine's
 // static-callback path.
 func (s *System) endpointReceiveMsg(c *chunk, m *noc.Message) {
 	var extra eventq.Time
 	if c.coll.phases[m.CtxA].Dim == topology.DimScaleOut {
 		extra = eventq.Time(s.Cfg.TransportDelay)
 	}
-	s.Eng.CallAt(s.endpointDone(m.Dst, extra), chunkEndpointDone, c, m)
+	s.Eng.CallAt(s.endpointDone(m.Dst, extra), chunkEndpointDone, m)
 }
 
 // SendPointToPoint transmits bytes from src to dst over the shortest
