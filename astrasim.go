@@ -540,7 +540,7 @@ func (p *Platform) RunCollectiveDetailed(op Op, bytes int64) (*CollectiveRun, er
 		IntraPackageBytes:  intra,
 		InterPackageBytes:  inter,
 		ScaleOutBytes:      scaleOut,
-		Energy:             energy.CommEnergy(inst.Net, energy.Default()),
+		Energy:             energy.CommEnergy(intra, inter, scaleOut, energy.Default()),
 		DroppedPackets:     inst.Net.DropStats().DroppedPackets,
 		RetransmittedBytes: inst.Sys.RetransmittedBytes(),
 	}, nil

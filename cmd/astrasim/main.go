@@ -19,7 +19,8 @@
 //
 // -faults applies a JSON fault plan (degraded links, outages, stragglers,
 // packet drops with retransmit; see DESIGN.md §8) to the training run and
-// reports the dropped-packet and retransmit counters.
+// reports the dropped-packet and retransmit counters. A straggler node
+// outside the topology is an error.
 //
 // Every run replays an execution graph (DESIGN.md §10) through the
 // dependency-driven graph engine: -workload compiles the layer-wise
@@ -181,6 +182,9 @@ func main() {
 
 	topo, err := o.spec.BuildTopology()
 	if err != nil {
+		fatal(err)
+	}
+	if err := o.spec.ValidateNPUs(topo.NumNPUs(), cli.FlagNames); err != nil {
 		fatal(err)
 	}
 	inst, aud, err := o.spec.NewInstance(topo, nil)

@@ -28,6 +28,7 @@
 // -faults applies a JSON fault plan (degraded links, outages, stragglers,
 // packet drops with retransmit; see DESIGN.md §8) to each run and reports
 // the dropped-packet and retransmit counters alongside the usual stats.
+// A straggler node outside the topology is an error.
 //
 // -backend selects the network transport: packet (congestion-aware,
 // default) or fast (congestion-unaware analytical mode; see DESIGN.md
@@ -145,6 +146,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := o.spec.ValidateNPUs(topo.NumNPUs(), cli.FlagNames); err != nil {
+		fatal(err)
+	}
 
 	var model *oracle.Model
 	if o.oracle {
@@ -153,10 +157,8 @@ func main() {
 		}
 		if plan := o.spec.Faults; plan != nil {
 			for _, s := range plan.Stragglers {
-				if s.Node < topo.NumNPUs() {
-					if err := model.SetNodeStragglerFactor(topology.Node(s.Node), s.Factor); err != nil {
-						fatal(fmt.Errorf("-oracle: %w", err))
-					}
+				if err := model.SetNodeStragglerFactor(topology.Node(s.Node), s.Factor); err != nil {
+					fatal(fmt.Errorf("-oracle: %w", err))
 				}
 			}
 			if len(plan.Degrades)+len(plan.Outages)+len(plan.Drops) > 0 {
@@ -318,7 +320,7 @@ func printResult(op collectives.Op, sizeSpec string, alg config.Algorithm, inst 
 	fmt.Printf("total communication time: %d cycles (%.3f us at 1 GHz)\n",
 		h.Duration(), float64(h.Duration())/1000)
 	intra, inter, scaleOut := inst.Net.TotalBytesByClass()
-	e := energy.CommEnergy(inst.Net, energy.Default())
+	e := energy.CommEnergy(intra, inter, scaleOut, energy.Default())
 	fmt.Printf("traffic: %d intra-package, %d inter-package, %d scale-out bytes\n", intra, inter, scaleOut)
 	fmt.Printf("communication energy: %.3g J (intra %.3g, inter %.3g, scale-out %.3g, routers %.3g)\n",
 		e.Communication(), e.IntraPackage, e.InterPackage, e.ScaleOut, e.Router)

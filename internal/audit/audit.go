@@ -54,7 +54,6 @@ const numLinkClasses = int(topology.ScaleOutLink) + 1
 // via Report. An Auditor is single-threaded like the engine it watches.
 type Auditor struct {
 	sys *system.System
-	net system.Network
 	eng *eventq.Engine
 
 	// classOf maps LinkID -> LinkClass, precomputed at attach time.
@@ -83,8 +82,8 @@ type Auditor struct {
 // (overwriting any previously attached hooks). Every invariant family
 // applies to both backends. The returned Auditor checks invariants
 // whenever the engine drains; call Report for the verdict.
-func Attach(sys *system.System, net system.Network) *Auditor {
-	a := &Auditor{sys: sys, net: net, eng: sys.Eng}
+func Attach(sys *system.System) *Auditor {
+	a := &Auditor{sys: sys, eng: sys.Eng}
 	links := sys.Topo.Links()
 	a.classOf = make([]topology.LinkClass, len(links))
 	for i, l := range links {
@@ -92,7 +91,7 @@ func Attach(sys *system.System, net system.Network) *Auditor {
 	}
 	sys.OnIssue = a.onIssue
 	sys.OnP2P = a.onP2P
-	net.SetOnSend(a.onSend)
+	sys.Net.OnSend = a.onSend
 	sys.Eng.SetOnDrain(a.onDrain)
 	return a
 }
@@ -133,7 +132,7 @@ func (a *Auditor) Report() Report {
 		InjectedBytes:      a.injectedBytes,
 		P2PBytes:           a.p2pBytes,
 		RetransmittedBytes: a.sys.RetransmittedBytes(),
-		DroppedPackets:     a.net.DropStats().DroppedPackets,
+		DroppedPackets:     a.sys.Net.DropStats().DroppedPackets,
 	}
 	r.Violations = append(r.Violations, a.checkConservation()...)
 	r.Violations = append(r.Violations, a.checkQuiescence()...)
@@ -167,9 +166,9 @@ func (a *Auditor) checkConservation() []string {
 	// its path exactly once, per class — except the links downstream of a
 	// fault-injected drop, which the network tallies in its shortfall
 	// ledger at the drop site.
-	intra, inter, scaleOut := a.net.TotalBytesByClass()
+	intra, inter, scaleOut := a.sys.Net.TotalBytesByClass()
 	actual := [numLinkClasses]int64{intra, inter, scaleOut}
-	sIntra, sInter, sScaleOut := a.net.DroppedPathBytesByClass()
+	sIntra, sInter, sScaleOut := a.sys.Net.DroppedPathBytesByClass()
 	shortfall := [numLinkClasses]int64{sIntra, sInter, sScaleOut}
 	for c, want := range a.expectClassBytes {
 		if actual[c]+shortfall[c] != want {
@@ -204,7 +203,7 @@ func (a *Auditor) checkConservation() []string {
 // anywhere, and that every issued collective completed coherently.
 func (a *Auditor) checkQuiescence() []string {
 	var v []string
-	for _, l := range a.net.DebugLinks() {
+	for _, l := range a.sys.Net.DebugLinks() {
 		if l.Queued != 0 || l.Reserved != 0 || l.Waiters != 0 || l.Pending != 0 || l.Busy || l.Blocked {
 			v = append(v, fmt.Sprintf(
 				"quiescence: link %d (%v) not drained: queued=%d reserved=%d waiters=%d pending=%d busy=%v blocked=%v",
@@ -236,7 +235,7 @@ func (a *Auditor) checkQuiescence() []string {
 func (a *Auditor) checkStats() []string {
 	var v []string
 	now := a.eng.Now()
-	for _, l := range a.net.DebugLinks() {
+	for _, l := range a.sys.Net.DebugLinks() {
 		if l.Stats.BusyCycles+l.Stats.BlockedCycles > now {
 			v = append(v, fmt.Sprintf(
 				"stats: link %d (%v) busy %d + blocked %d cycles exceeds elapsed %d",

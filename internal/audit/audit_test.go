@@ -36,7 +36,7 @@ func TestAuditCleanRun(t *testing.T) {
 	} {
 		t.Run(op.String(), func(t *testing.T) {
 			inst := newTorusInstance(t, 2, 2, 2)
-			aud := audit.Attach(inst.Sys, inst.Net)
+			aud := audit.Attach(inst.Sys)
 			h, err := inst.Sys.IssueCollective(op, 1<<20, op.String(), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -59,7 +59,7 @@ func TestAuditCleanRun(t *testing.T) {
 // Point-to-point traffic must balance through the p2p ledger.
 func TestAuditPointToPoint(t *testing.T) {
 	inst := newTorusInstance(t, 2, 2, 2)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	delivered := false
 	if err := inst.Sys.SendPointToPoint(0, 5, 64<<10, func() { delivered = true }); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestAuditPointToPoint(t *testing.T) {
 // passing.
 func TestAuditDetectsMidFlightState(t *testing.T) {
 	inst := newTorusInstance(t, 2, 2, 2)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	if _, err := inst.Sys.IssueCollective(collectives.AllReduce, 1<<20, "ar", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAuditDetectsMidFlightState(t *testing.T) {
 // collective or p2p transfer accounts for) must trip byte conservation.
 func TestAuditDetectsUnaccountedTraffic(t *testing.T) {
 	inst := newTorusInstance(t, 2, 2, 2)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	ring := inst.Topo.RingOf(topology.DimLocal, 0, 0)
 	inst.Net.Send(&noc.Message{
 		Src: 0, Dst: ring.Next(0), Bytes: 4096,
@@ -177,7 +177,7 @@ func TestCollectorAdd(t *testing.T) {
 // the completion event, DoneAt stamped, nothing injected.
 func TestAuditZeroPhaseCollective(t *testing.T) {
 	inst := newTorusInstance(t, 1, 1, 1)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	var h *system.Handle
 	inst.Eng.Schedule(500, func() {
 		var err error

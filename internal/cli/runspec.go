@@ -61,9 +61,9 @@ var (
 
 // Validate is the table of unsupported settings and combinations: each
 // row rejects one case with one reason, naming the settings as n spells
-// them. ValidateGraph holds the row that needs the run's graph. The
-// library keeps its own guards (faults.Apply, noc, system) for callers
-// that bypass a RunSpec.
+// them. ValidateGraph holds the row that needs the run's graph, and
+// ValidateNPUs the row that needs its topology. The library keeps its own
+// guards (faults.Apply, noc, system) for callers that bypass a RunSpec.
 func (s *RunSpec) Validate(n Names) error {
 	sys := &s.System
 	switch {
@@ -106,6 +106,23 @@ func (s *RunSpec) ValidateSends(what string, n Names) error {
 	return nil
 }
 
+// ValidateNPUs is Validate's row that needs the built topology: every
+// straggler node of the fault plan must be one of its npus NPUs. A spec
+// that names one topology calls it (the CLIs and the daemon); faults.Apply
+// skips out-of-range nodes, so one plan can still drive the many
+// topologies of a sweep.
+func (s *RunSpec) ValidateNPUs(npus int, n Names) error {
+	if s.Faults == nil {
+		return nil
+	}
+	for _, st := range s.Faults.Stragglers {
+		if st.Node >= npus {
+			return fmt.Errorf("%s: straggler node %d out of range (%d NPUs)", n.Faults, st.Node, npus)
+		}
+	}
+	return nil
+}
+
 // BuildTopology builds the spec's topology from Topology and Rings.
 func (s *RunSpec) BuildTopology() (topology.Topology, error) {
 	return BuildTopology(s.Topology, s.Rings, nil)
@@ -127,7 +144,7 @@ func (s *RunSpec) NewInstance(topo topology.Topology, stragglers map[topology.No
 	}
 	var aud *audit.Auditor
 	if s.Audit {
-		aud = audit.Attach(inst.Sys, inst.Net)
+		aud = audit.Attach(inst.Sys)
 	}
 	if s.Faults != nil {
 		if err := faults.Apply(s.Faults, inst); err != nil {

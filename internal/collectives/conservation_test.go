@@ -60,7 +60,7 @@ func TestByteConservationAcrossConfigs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					aud := audit.Attach(inst.Sys, inst.Net)
+					aud := audit.Attach(inst.Sys)
 					done := false
 					h, err := inst.Sys.IssueCollective(op, setBytes, op.String(), func(*system.Handle) { done = true })
 					if err != nil {
@@ -181,7 +181,7 @@ func TestOracleExactAcrossConfigs(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						aud := audit.Attach(inst.Sys, inst.Net)
+						aud := audit.Attach(inst.Sys)
 						h, err := inst.Sys.IssueCollective(op, setBytes, op.String(), nil)
 						if err != nil {
 							t.Fatal(err)
@@ -317,7 +317,7 @@ func TestHierEquivalentToTorusND(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aud := audit.Attach(inst.Sys, inst.Net)
+		aud := audit.Attach(inst.Sys)
 		h, err := inst.Sys.IssueCollective(op, setBytes, op.String(), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -67,17 +67,9 @@ func (b Breakdown) Total() float64 { return b.Communication() + b.Compute }
 
 const pJ = 1e-12
 
-// TrafficSource is the slice of the network backend the energy model
-// needs: per-class byte totals. Both the packet-level and the analytical
-// backend satisfy it, so energy reports work in either mode.
-type TrafficSource interface {
-	TotalBytesByClass() (intra, inter, scaleOut int64)
-}
-
-// CommEnergy computes the communication energy of everything a network
-// carried so far.
-func CommEnergy(net TrafficSource, p Params) Breakdown {
-	intra, inter, scaleOut := net.TotalBytesByClass()
+// CommEnergy computes the communication energy of the bytes a network
+// carried per link class (noc.Network.TotalBytesByClass, either backend).
+func CommEnergy(intra, inter, scaleOut int64, p Params) Breakdown {
 	intraBits := float64(intra) * 8
 	interBits := float64(inter) * 8
 	soBits := float64(scaleOut) * 8

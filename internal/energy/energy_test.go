@@ -50,7 +50,8 @@ func runColl(t *testing.T, alg config.Algorithm, op collectives.Op) Breakdown {
 	if !done {
 		t.Fatal("collective did not complete")
 	}
-	return CommEnergy(inst.Net, Default())
+	intra, inter, scaleOut := inst.Net.TotalBytesByClass()
+	return CommEnergy(intra, inter, scaleOut, Default())
 }
 
 func TestCommEnergyPositive(t *testing.T) {

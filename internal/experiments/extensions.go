@@ -176,7 +176,8 @@ func ExtEnergy(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("extenergy %s: %w", v.name, err)
 		}
-		e := energy.CommEnergy(inst.Net, energy.Default())
+		intra, inter, scaleOut := inst.Net.TotalBytesByClass()
+		e := energy.CommEnergy(intra, inter, scaleOut, energy.Default())
 		return []string{v.name, report.Int(int64(h.Duration())),
 			fmt.Sprintf("%.4g", e.IntraPackage), fmt.Sprintf("%.4g", e.InterPackage),
 			fmt.Sprintf("%.4g", e.Router), fmt.Sprintf("%.4g", e.Communication())}, nil

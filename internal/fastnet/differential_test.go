@@ -73,7 +73,7 @@ func runBackend(t *testing.T, backend config.Backend, spec string, alg config.Al
 	if got := inst.Net.Backend(); got != backend {
 		t.Fatalf("NewInstance built a %v backend, want %v", got, backend)
 	}
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	h, err := inst.Sys.IssueCollective(op, setBytes, op.String(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -247,8 +247,7 @@ func Apply(p *Plan, inst *system.Instance) error {
 	// work anywhere, but a plan is all-or-nothing: reject early rather
 	// than silently apply half of it. Both backends are *noc.Network, so
 	// the backend, not the type, decides.
-	pktNet, ok := inst.Net.(*noc.Network)
-	if !ok || inst.Net.Backend() != config.PacketBackend {
+	if inst.Net.Backend() != config.PacketBackend {
 		return fmt.Errorf("faults: fault injection requires the packet backend (config.PacketBackend); the %v backend does not model faults", inst.Net.Backend())
 	}
 	links := inst.Topo.Links()
@@ -293,7 +292,7 @@ func Apply(p *Plan, inst *system.Instance) error {
 	// independent either way.
 	for _, spec := range links {
 		if lf, ok := perLink[spec.ID]; ok {
-			if err := pktNet.SetLinkFaults(spec.ID, *lf, p.Seed); err != nil {
+			if err := inst.Net.SetLinkFaults(spec.ID, *lf, p.Seed); err != nil {
 				return err
 			}
 		}

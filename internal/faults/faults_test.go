@@ -34,7 +34,7 @@ func newInstance(t *testing.T) *system.Instance {
 func run(t *testing.T, plan *Plan, bytes int64) (*system.Handle, *system.Instance, audit.Report) {
 	t.Helper()
 	inst := newInstance(t)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	if err := Apply(plan, inst); err != nil {
 		t.Fatal(err)
 	}

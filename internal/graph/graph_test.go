@@ -328,7 +328,7 @@ func TestPipeline1F1BEndToEnd(t *testing.T) {
 	}
 
 	inst := newTorusInstance(t)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	res, err := graph.Run(inst, g)
 	if err != nil {
 		t.Fatal(err)

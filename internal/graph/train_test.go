@@ -43,10 +43,9 @@ func runPipelineTrains(t *testing.T, trains bool) pipelineTrainRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn := inst.Net.(*noc.Network)
-	nn.SetFlowCollapse(trains)
+	inst.Net.SetFlowCollapse(trains)
 	run := pipelineTrainRun{delivered: map[uint64][2]eventq.Time{}}
-	nn.SetOnSend(func(m *noc.Message) {
+	inst.Net.OnSend = func(m *noc.Message) {
 		if len(m.Path) > 1 {
 			run.multiHop++
 		}
@@ -55,12 +54,12 @@ func runPipelineTrains(t *testing.T, trains bool) pipelineTrainRun {
 			run.delivered[m.ID] = [2]eventq.Time{m.SerStart, m.Delivered}
 			done(m)
 		}
-	})
+	}
 	res, err := graph.Run(inst, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.total, run.links, run.fired = res.TotalCycles, nn.DebugLinks(), inst.Eng.Fired()
+	run.total, run.links, run.fired = res.TotalCycles, inst.Net.DebugLinks(), inst.Eng.Fired()
 	return run
 }
 

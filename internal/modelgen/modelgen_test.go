@@ -150,7 +150,7 @@ func replay(t *testing.T, g *graph.Graph, backend config.Backend) graph.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	res, err := graph.Run(inst, g)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"astrasim/internal/eventq"
 	"astrasim/internal/graph"
 	"astrasim/internal/modelgen"
-	"astrasim/internal/noc"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
 )
@@ -220,7 +219,7 @@ func driveMidRun(t *testing.T, inst *system.Instance, d *digester) uint64 {
 	for _, at := range midRunReads {
 		inst.Eng.RunUntil(eventq.Time(at))
 		d.putNet(inst)
-		d.put(uint64(inst.Net.(*noc.Network).LinkStatsFor(topology.LinkID(at % uint64(len(inst.Topo.Links())))).Packets))
+		d.put(uint64(inst.Net.LinkStatsFor(topology.LinkID(at % uint64(len(inst.Topo.Links())))).Packets))
 	}
 	inst.Eng.Run()
 	if !h.Done() {

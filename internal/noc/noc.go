@@ -424,10 +424,6 @@ type Network struct {
 	planErr   error
 }
 
-// SetOnSend installs (or, with nil, clears) the per-message injection
-// observer — the system.Network interface form of the OnSend field.
-func (n *Network) SetOnSend(fn func(*Message)) { n.OnSend = fn }
-
 // Backend identifies the model in the backend duality.
 func (n *Network) Backend() config.Backend {
 	if n.unbounded {

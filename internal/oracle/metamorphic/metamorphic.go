@@ -281,7 +281,7 @@ func simulate(c Case, o runOpts) (runResult, error) {
 	if err != nil {
 		return runResult{}, err
 	}
-	aud := audit.Attach(inst.Sys, inst.Net)
+	aud := audit.Attach(inst.Sys)
 	if o.plan != nil {
 		if err := faults.Apply(o.plan, inst); err != nil {
 			return runResult{}, err

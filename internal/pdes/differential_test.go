@@ -69,12 +69,11 @@ func runPacket(t *testing.T, spec string, alg config.Algorithm, splits int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn := inst.Net.(*noc.Network)
-	if want := workers > 0; nn.Partitioned() != want {
-		t.Fatalf("partitioned=%v, want %v (IntraParallel=%d)", nn.Partitioned(), want, workers)
+	if want := workers > 0; inst.Net.Partitioned() != want {
+		t.Fatalf("partitioned=%v, want %v (IntraParallel=%d)", inst.Net.Partitioned(), want, workers)
 	}
-	nn.SetFlowCollapse(collapse)
-	aud := audit.Attach(inst.Sys, inst.Net)
+	inst.Net.SetFlowCollapse(collapse)
+	aud := audit.Attach(inst.Sys)
 	h, err := inst.Sys.IssueCollective(op, setBytes, op.String(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +86,7 @@ func runPacket(t *testing.T, spec string, alg config.Algorithm, splits int,
 		t.Fatalf("IntraParallel=%d: audit: %v", workers, err)
 	}
 	intra, inter, so := inst.Net.TotalBytesByClass()
-	return runResult{h: h, bytes: [3]int64{intra, inter, so}, delivered: nn.DeliveredMessages, links: nn.DebugLinks()}
+	return runResult{h: h, bytes: [3]int64{intra, inter, so}, delivered: inst.Net.DeliveredMessages, links: inst.Net.DebugLinks()}
 }
 
 // mustMatch asserts got is byte-identical to the serial reference want.

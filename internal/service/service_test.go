@@ -244,6 +244,20 @@ func TestGraphRangesRejected400(t *testing.T) {
 	}
 }
 
+// TestStragglerOutOfRange400: a fault plan's straggler node outside the
+// submission's topology is a 400 naming the node and the NPU count, the
+// message of cli.RunSpec.ValidateNPUs that the CLIs print too.
+func TestStragglerOutOfRange400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, out := submit(t, ts, `{"topology": "1x4x1",
+		"faults": {"seed": 7, "stragglers": [{"node": 99, "factor": 2}]},
+		"collective": {"op": "allreduce", "bytes": 65536}}`, nil)
+	const want = "faults: straggler node 99 out of range (4 NPUs)"
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), want) {
+		t.Errorf("status %d (%s), want 400 with %q", resp.StatusCode, out, want)
+	}
+}
+
 // TestMalformedSubmissions4xx feeds the formerly-panicking input
 // classes through the API: each must come back 4xx, and the server must
 // keep serving afterwards.

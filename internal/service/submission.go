@@ -96,8 +96,9 @@ type Submission struct {
 	ModelSteps int             `json:"model_steps,omitempty"`
 
 	// Faults is an inline JSON fault plan (DESIGN.md §8). Requires the
-	// packet backend. Unlike the lenient library selectors, the service
-	// rejects straggler nodes outside the topology.
+	// packet backend. Like the CLIs, and unlike the lenient library
+	// selectors, the service rejects straggler nodes outside the topology
+	// (cli.RunSpec.ValidateNPUs).
 	Faults json.RawMessage `json:"faults,omitempty"`
 
 	Priority int `json:"priority,omitempty"`
@@ -196,16 +197,8 @@ func compile(sub *Submission) (*compiled, error) {
 	if err != nil {
 		return nil, asBad(err)
 	}
-	if spec.Faults != nil {
-		// The library applies straggler selectors leniently (nodes
-		// outside the topology are skipped, so one plan can drive a
-		// whole sweep); a service submission names one topology, so an
-		// out-of-range node is a client error.
-		for _, s := range spec.Faults.Stragglers {
-			if s.Node >= p.NumNPUs() {
-				return nil, badf("fault plan straggler node %d out of range (%d NPUs)", s.Node, p.NumNPUs())
-			}
-		}
+	if err := spec.ValidateNPUs(p.NumNPUs(), cli.JSONNames); err != nil {
+		return nil, asBad(err)
 	}
 
 	c := &compiled{platform: p, priority: sub.Priority}

@@ -17,15 +17,6 @@ import (
 	"astrasim/internal/topology"
 )
 
-// recordNet is a Network that records the messages sent through it and
-// delivers none; sendStep touches nothing else.
-type recordNet struct {
-	system.Network
-	sent []*noc.Message
-}
-
-func (r *recordNet) Send(m *noc.Message) { r.sent = append(r.sent, m) }
-
 // hop is one expected message: destination and physical route.
 type hop struct {
 	dst  topology.Node
@@ -103,8 +94,16 @@ func TestLaneRoutesMatchTopology(t *testing.T) {
 		collectives.AllReduce, collectives.AllToAll}
 	var ring, direct, halving int
 	for _, tc := range topos {
-		net := &recordNet{}
-		s, err := system.New(eventq.New(), tc.topo, net, config.DefaultSystem())
+		// A real fast network whose OnSend records every message sent
+		// through it; the engine never runs, so none is delivered.
+		eng := eventq.New()
+		net, err := noc.NewFast(eng, tc.topo, config.DefaultNetwork())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent []*noc.Message
+		net.OnSend = func(m *noc.Message) { sent = append(sent, m) }
+		s, err := system.New(eng, tc.topo, net, config.DefaultSystem())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,14 +129,14 @@ func TestLaneRoutesMatchTopology(t *testing.T) {
 						for n := 0; n < tc.topo.NumNPUs(); n++ {
 							node := topology.Node(n)
 							for step := 0; step < ph.NumSteps(); step++ {
-								net.sent = net.sent[:0]
+								sent = sent[:0]
 								system.SendStepForTest(s, d.Dim, ph, ch, node, step)
 								want := topoHops(tc.topo, ph, ch, node, step)
-								if len(net.sent) != len(want) {
+								if len(sent) != len(want) {
 									t.Fatalf("%s %v ch%d node %d step %d: %d messages, want %d",
-										tc.name, ph, ch, n, step, len(net.sent), len(want))
+										tc.name, ph, ch, n, step, len(sent), len(want))
 								}
-								for i, m := range net.sent {
+								for i, m := range sent {
 									if m.Src != node || m.Dst != want[i].dst || !slices.Equal(m.Path, want[i].path) {
 										t.Fatalf("%s %v ch%d node %d step %d message %d: %d->%d via %v, want %d->%d via %v",
 											tc.name, ph, ch, n, step, i, m.Src, m.Dst, m.Path, node, want[i].dst, want[i].path)

@@ -12,11 +12,13 @@ import (
 )
 
 // Instance bundles a ready-to-run engine, network, and system layer. Net
-// is the backend sysCfg.Backend selected (packet-level noc by default).
+// is the network with the send path sysCfg.Backend selected (noc.New's
+// packet-level path by default, noc.NewFast's unbounded-buffer one for
+// the fast backend).
 type Instance struct {
 	Eng  *eventq.Engine
 	Topo topology.Topology
-	Net  Network
+	Net  *noc.Network
 	Sys  *System
 	// Par is the intra-run parallel runner when sysCfg.IntraParallel > 0
 	// on the packet backend, nil otherwise. It exposes the shard engines
@@ -37,7 +39,7 @@ type Instance struct {
 // serial engine at any worker count.
 func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Network) (*Instance, error) {
 	eng := eventq.New()
-	var net Network
+	var net *noc.Network
 	var par *pdes.Runner
 	var err error
 	if sysCfg.Backend == config.FastBackend {
@@ -46,12 +48,10 @@ func NewInstance(topo topology.Topology, sysCfg config.System, netCfg config.Net
 		// ignored here.
 		net, err = noc.NewFast(eng, topo, netCfg)
 	} else {
-		var nn *noc.Network
-		nn, err = noc.New(eng, topo, netCfg)
+		net, err = noc.New(eng, topo, netCfg)
 		if err == nil && sysCfg.IntraParallel > 0 {
-			par, err = pdes.Attach(eng, nn, sysCfg.IntraParallel)
+			par, err = pdes.Attach(eng, net, sysCfg.IntraParallel)
 		}
-		net = nn
 	}
 	if err != nil {
 		return nil, err

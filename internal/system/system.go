@@ -164,10 +164,11 @@ func (h *Handle) AvgPhaseResidence(i int) float64 {
 type System struct {
 	Eng  *eventq.Engine
 	Topo topology.Topology
-	// Net is the transport backend (noc's packet model or its
-	// unbounded-buffer fast model) selected by Cfg.Backend; the system
-	// layer drives both identically through the Network interface.
-	Net Network
+	// Net is the transport: noc's packet model or its unbounded-buffer
+	// fast model, selected by Cfg.Backend. Both are one *noc.Network, and
+	// the system layer drives them identically: messages go down through
+	// Send and come back through noc.Message.OnDelivered.
+	Net *noc.Network
 	Cfg config.System
 	// Tracer, when non-nil, records one queue span and one execution
 	// span per chunk-phase (Chrome trace format; see internal/trace).
@@ -269,7 +270,7 @@ func (s *System) inject(node topology.Node, msg *noc.Message) {
 	in := &s.injectors[node]
 	if in.capacity == 0 || in.inFlight < in.capacity {
 		in.inFlight++
-		s.send(msg)
+		s.Net.Send(msg)
 		return
 	}
 	in.queue.Push(msg)
@@ -282,21 +283,10 @@ func (s *System) injectDone(node topology.Node) {
 	if in.queue.Len() > 0 {
 		msg := *in.queue.Front()
 		in.queue.Pop()
-		s.send(msg)
+		s.Net.Send(msg)
 		return
 	}
 	in.inFlight--
-}
-
-// send hands msg to the network: by a direct call when it is a
-// *noc.Network, through the interface for the recording fakes of the
-// tests.
-func (s *System) send(msg *noc.Message) {
-	if n, ok := s.Net.(*noc.Network); ok {
-		n.Send(msg)
-		return
-	}
-	s.Net.Send(msg)
 }
 
 // RetryPolicy configures the recovery protocol for fault-injected packet
@@ -444,8 +434,8 @@ func (s *System) lsqFor(dim topology.Dim, channel, phaseIdx int) *lsq {
 	return q
 }
 
-// New builds a system layer over an existing network backend.
-func New(eng *eventq.Engine, topo topology.Topology, net Network, cfg config.System) (*System, error) {
+// New builds a system layer over an existing network, either backend.
+func New(eng *eventq.Engine, topo topology.Topology, net *noc.Network, cfg config.System) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -709,7 +699,7 @@ func (s *System) SendPointToPoint(src, dst topology.Node, bytes int64, onDeliver
 	if bytes <= 0 {
 		return fmt.Errorf("system: point-to-point size must be positive, got %d", bytes)
 	}
-	if pn, ok := s.Net.(*noc.Network); ok && pn.Partitioned() {
+	if s.Net.Partitioned() {
 		// Hardware-routed point-to-point paths cross partition components
 		// at will, which the conservative-lookahead scheme cannot own.
 		return fmt.Errorf("system: point-to-point sends are not supported with intra-run parallelism; run with IntraParallel=0")

@@ -194,6 +194,25 @@ func (st *pipeStage) kick() {
 	})
 }
 
+// stageCompute splits def's layers into cfg's stages: stage s holds
+// layers [bounds[s], bounds[s+1]), and fwd[s] and bwd[s] are its forward
+// and backward (input- plus weight-gradient) compute per microbatch, each
+// layer's cycles divided evenly across the microbatches. Both pipeline
+// frontends, RunPipeline and Pipeline1F1B, run the stages this split.
+func stageCompute(def Definition, cfg PipelineConfig) (bounds []int, fwd, bwd []uint64) {
+	bounds = append(append([]int{0}, cfg.Boundaries...), len(def.Layers))
+	M := uint64(cfg.Microbatches)
+	fwd = make([]uint64, len(bounds)-1)
+	bwd = make([]uint64, len(bounds)-1)
+	for s := range fwd {
+		for _, l := range def.Layers[bounds[s]:bounds[s+1]] {
+			fwd[s] += l.FwdCompute / M
+			bwd[s] += (l.IGCompute + l.WGCompute) / M
+		}
+	}
+	return bounds, fwd, bwd
+}
+
 // RunPipeline simulates GPipe-style pipeline-parallel training of def for
 // the given number of passes over inst's fabric. Each stage's per-layer
 // compute is divided evenly across microbatches; stage-boundary tensors
@@ -212,20 +231,7 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 	}
 	numStages := len(cfg.Boundaries) + 1
 	M := cfg.Microbatches
-
-	// Per-stage compute per microbatch.
-	bounds := append(append([]int{0}, cfg.Boundaries...), len(def.Layers))
-	fwd := make([]uint64, numStages)
-	bwd := make([]uint64, numStages)
-	layerCount := make([]int, numStages)
-	for s := 0; s < numStages; s++ {
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			l := def.Layers[i]
-			fwd[s] += l.FwdCompute / uint64(M)
-			bwd[s] += (l.IGCompute + l.WGCompute) / uint64(M)
-			layerCount[s]++
-		}
-	}
+	bounds, fwd, bwd := stageCompute(def, cfg)
 
 	stages := make([]*pipeStage, numStages)
 	for s := range stages {
@@ -296,7 +302,7 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 		totalCompute += st.compute
 		res.Stages = append(res.Stages, PipelineStageStats{
 			Node:          st.node,
-			Layers:        layerCount[s],
+			Layers:        bounds[s+1] - bounds[s],
 			ComputeCycles: st.compute,
 			Utilization:   float64(st.compute) / float64(endAt),
 		})
@@ -327,18 +333,7 @@ func Pipeline1F1B(def Definition, cfg PipelineConfig, passes int) (*graph.Graph,
 	}
 	S := len(cfg.Boundaries) + 1
 	M := cfg.Microbatches
-
-	// Per-stage compute per microbatch, split as in RunPipeline.
-	bounds := append(append([]int{0}, cfg.Boundaries...), len(def.Layers))
-	fwd := make([]uint64, S)
-	bwd := make([]uint64, S)
-	for s := 0; s < S; s++ {
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			l := def.Layers[i]
-			fwd[s] += l.FwdCompute / uint64(M)
-			bwd[s] += (l.IGCompute + l.WGCompute) / uint64(M)
-		}
-	}
+	_, fwd, bwd := stageCompute(def, cfg)
 
 	g := &graph.Graph{
 		Version: graph.FormatVersion,
