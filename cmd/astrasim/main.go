@@ -3,8 +3,9 @@
 // layer-wise compute, communication, and exposed-communication time.
 //
 // The workload is either a Fig. 8-format description file (-workload
-// path/to/file) or one of the built-in models (-workload resnet50,
-// transformer, dlrm). System and network parameters mirror Table III of
+// path/to/file) or one of the built-in models (-workload resnet50, vgg16,
+// bertlarge, transformer, dlrm; the daemon's workload.model reads the same
+// table). System and network parameters mirror Table III of
 // the paper; defaults are Table IV.
 //
 // Examples:
@@ -55,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"astrasim/internal/cli"
 	"astrasim/internal/compute"
@@ -93,10 +93,10 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("astrasim", flag.ContinueOnError)
 	o.spec.Bind(fs, "global-switches")
 	sys, net := &o.spec.System, &o.spec.Network
-	fs.StringVar(&o.workload, "workload", "resnet50", "workload file path, or builtin: resnet50|transformer|dlrm")
+	fs.StringVar(&o.workload, "workload", "resnet50", "workload file path, or builtin: "+models.BuiltinNames())
 	fs.IntVar(&o.passes, "num-passes", 2, "forward/backward iterations to simulate")
 	fs.IntVar(&o.batch, "batch", 32, "local minibatch size (builtin workloads)")
-	fs.IntVar(&o.seqLen, "seq-len", 128, "sequence length (builtin transformer)")
+	fs.IntVar(&o.seqLen, "seq-len", 128, "sequence length (builtin transformer and bertlarge)")
 	fs.Uint64Var(&sys.EndpointDelay, "endpoint-delay", sys.EndpointDelay, "NMU delay per received message (cycles)")
 	fs.Float64Var(&o.computeScale, "compute-scale", 1, "NPU compute-power multiplier (builtin workloads)")
 	fs.Float64Var(&net.LocalLinkBandwidth, "local-link-bw", net.LocalLinkBandwidth, "intra-package link bandwidth (GB/s)")
@@ -288,14 +288,8 @@ func buildGraph(o *options) (g *graph.Graph, label string, err error) {
 }
 
 func loadWorkload(name string, batch, seqLen int, scale float64) (workload.Definition, error) {
-	m := compute.Default()
-	switch strings.ToLower(name) {
-	case "resnet50", "resnet-50":
-		return models.ResNet50(m, batch).ScaleCompute(scale), nil
-	case "transformer":
-		return models.Transformer(m, batch, seqLen).ScaleCompute(scale), nil
-	case "dlrm":
-		return models.DLRM(m, batch).ScaleCompute(scale), nil
+	if b, ok := models.LookupBuiltin(name); ok {
+		return b.Build(compute.Default(), batch, seqLen).ScaleCompute(scale), nil
 	}
 	fh, err := os.Open(name)
 	if err != nil {

@@ -112,3 +112,26 @@ func TestExclusionMatrix(t *testing.T) {
 		clitest.Check(t, c, err, c.Want(t, cli.FlagNames))
 	}
 }
+
+// -workload resolves names in the built-in table the daemon's
+// workload.model reads, so vgg16 and bertlarge are models, not file paths.
+func TestWorkloadBuiltins(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"vgg16", "VGG-16"},
+		{"bertlarge", "BERT-Large"},
+		{"resnet-50", "ResNet-50"},
+		{"Transformer", "Transformer"},
+	} {
+		def, err := loadWorkload(tc.name, 4, 16, 1)
+		if err != nil {
+			t.Errorf("-workload %s: %v", tc.name, err)
+			continue
+		}
+		if def.Name != tc.want {
+			t.Errorf("-workload %s built %q, want %q", tc.name, def.Name, tc.want)
+		}
+	}
+	if _, err := loadWorkload("vgg19", 4, 16, 1); err == nil || !strings.Contains(err.Error(), "not builtin") {
+		t.Errorf("-workload vgg19: err = %v, want the not-builtin error", err)
+	}
+}

@@ -10,17 +10,19 @@
 //	sweep -fig fig09 -quick -faults examples/faults/lossy.json
 //	sweep -fig fig11 -quick -intra-parallel 2
 //
-// -fig selects fig09..fig18, an extension study (ext4d, extmap,
-// extenergy, extablation, ...), or all; -ext adds the extension studies
-// to -fig all.
+// -fig selects all, or the figures and extension studies whose registry
+// ID starts with its value (fig09..fig18, ext4d, extmap, extenergy, ...;
+// -help and the unknown-figure error list every ID); -ext adds the
+// extension studies to -fig all.
 //
 // The four engine flags below bind one cli.RunSpec. Every point of every
-// figure copies that spec, sets its own topology, algorithm and network,
-// and builds through it, so each point passes the same Validate table as
-// the other tools. Before the first point runs, every selected figure
-// checks the spec as its points will run it; a figure that cannot run it
-// ends the sweep with exit 1, the figure's ID and the table's reason,
-// and no CSV written.
+// figure copies that spec and sets its own topology spec, ring counts,
+// algorithm, network and knobs, so the copy describes the point
+// completely; the point validates and builds through it alone, passing
+// the same Validate table as the other tools. Before the first point
+// runs, every selected figure checks the spec as its points will run it;
+// a figure that cannot run it ends the sweep with exit 1, the figure's ID
+// and the table's reason, and no CSV written.
 //
 // -backend selects the network transport for every simulation: packet
 // (congestion-aware, the default — what the committed golden CSVs were
@@ -93,7 +95,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	o := &options{spec: cli.NewRunSpec("")}
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	o.spec.BindEngine(fs)
-	fs.StringVar(&o.fig, "fig", "all", "figure to regenerate (fig09..fig18, ext4d/extmap/extenergy/extablation, or all)")
+	fs.StringVar(&o.fig, "fig", "all", "figures to regenerate: all, or an ID or ID prefix of "+studyIDs())
 	fs.StringVar(&o.out, "out", "results", "output directory for CSV files")
 	fs.BoolVar(&o.quick, "quick", false, "reduced sizes/iterations for a fast smoke run")
 	fs.BoolVar(&o.ext, "ext", false, "also run the future-work extension studies with -fig all")
@@ -133,18 +135,9 @@ func main() {
 		opts.Audits = &audit.Collector{}
 	}
 
-	all := experiments.Figures()
-	if o.ext || o.fig != "all" {
-		all = append(all, experiments.Extensions()...)
-	}
-	var figures []experiments.Figure
-	for _, f := range all {
-		if o.fig == "all" || strings.HasPrefix(f.ID, o.fig) {
-			figures = append(figures, f)
-		}
-	}
-	if len(figures) == 0 {
-		fatal(fmt.Errorf("unknown figure %q; use fig09..fig18 or all", o.fig))
+	figures, err := selectFigures(o.fig, o.ext)
+	if err != nil {
+		fatal(err)
 	}
 	// Refuse the whole sweep before the first point runs if any selected
 	// figure cannot run the spec.
@@ -193,6 +186,35 @@ func main() {
 			fatal(fmt.Errorf("%d invariant violations", len(v)))
 		}
 	}
+}
+
+// studyIDs lists the registry's figure and study IDs, comma-separated.
+func studyIDs() string {
+	var ids []string
+	for _, f := range append(experiments.Figures(), experiments.Extensions()...) {
+		ids = append(ids, f.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
+// selectFigures returns the figures -fig names: every figure for "all"
+// (and every extension study with -ext), else those whose ID starts with
+// fig.
+func selectFigures(fig string, ext bool) ([]experiments.Figure, error) {
+	all := experiments.Figures()
+	if ext || fig != "all" {
+		all = append(all, experiments.Extensions()...)
+	}
+	var figures []experiments.Figure
+	for _, f := range all {
+		if fig == "all" || strings.HasPrefix(f.ID, fig) {
+			figures = append(figures, f)
+		}
+	}
+	if len(figures) == 0 {
+		return nil, fmt.Errorf("unknown figure %q; use all, or an ID or ID prefix of %s", fig, studyIDs())
+	}
+	return figures, nil
 }
 
 func fatal(err error) {

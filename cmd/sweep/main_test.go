@@ -11,6 +11,7 @@ import (
 
 	"astrasim/internal/cli"
 	"astrasim/internal/cli/clitest"
+	"astrasim/internal/experiments"
 )
 
 func TestDocExamplesParse(t *testing.T) {
@@ -86,5 +87,23 @@ func TestIncompatibleStudyRejectedUpFront(t *testing.T) {
 		if csvs, _ := filepath.Glob(filepath.Join(out, "*.csv")); len(csvs) > 0 {
 			t.Errorf("sweep %v wrote %d CSVs before rejecting the spec", tc.args, len(csvs))
 		}
+	}
+}
+
+// -fig's unknown-figure error lists every registered ID, and a prefix
+// selects every study it starts.
+func TestSelectFigures(t *testing.T) {
+	_, err := selectFigures("fig99", true)
+	if err == nil {
+		t.Fatal("-fig fig99 selected figures")
+	}
+	for _, f := range append(experiments.Figures(), experiments.Extensions()...) {
+		if !strings.Contains(err.Error(), f.ID) {
+			t.Errorf("unknown-figure error %q does not list %s", err, f.ID)
+		}
+	}
+	figs, err := selectFigures("ext", false)
+	if err != nil || len(figs) != len(experiments.Extensions()) {
+		t.Errorf("-fig ext selected %d figures (err %v), want the %d extension studies", len(figs), err, len(experiments.Extensions()))
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/faults"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/system"
-	"astrasim/internal/topology"
 )
 
 // faultedRun executes one all-reduce of size bytes on a fresh 4x4x4
@@ -18,13 +16,10 @@ import (
 // own, and returns the handle plus the instance (for drop/retransmit
 // counters). Fault injection needs the serial packet engine, so the
 // study runs on it whatever o.Spec selects.
-func faultedRun(o Options, plan *faults.Plan, net config.Network, size int64) (*system.Handle, *system.Instance, error) {
-	tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
-	if err != nil {
-		return nil, nil, err
-	}
+func faultedRun(o Options, plan *faults.Plan, size int64) (*system.Handle, *system.Instance, error) {
+	spec := o.point("4x4x4", config.Enhanced, asymmetricNet(o.CollectivePktCap))
 	spec.System.Backend, spec.System.IntraParallel = config.PacketBackend, 0
-	inst, err := o.newInstance(spec, tp)
+	inst, err := o.instance(spec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -45,11 +40,10 @@ func faultedRun(o Options, plan *faults.Plan, net config.Network, size int64) (*
 // that resilience.
 func ExtDegradation(o Options) ([]*report.Table, error) {
 	size := o.SweepSizes[len(o.SweepSizes)-1]
-	net := asymmetricNet(o.CollectivePktCap)
 
 	// Fault-free baseline anchors both sweeps (outage durations are
 	// expressed as fractions of it).
-	h0, _, err := faultedRun(o, &faults.Plan{}, net, size)
+	h0, _, err := faultedRun(o, &faults.Plan{}, size)
 	if err != nil {
 		return nil, fmt.Errorf("extdegrade baseline: %w", err)
 	}
@@ -63,7 +57,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 	}{
 		{"none", 0, 1}, {"base/8", 1, 8}, {"base/4", 1, 4}, {"base/2", 1, 2}, {"base", 1, 1},
 	}
-	outDurs, err := parallel.Map(o.runner(), len(fracs), func(i int) (eventq.Time, error) {
+	outDurs, err := grid(o, len(fracs), 1, func(i, _ int) (eventq.Time, error) {
 		dur := base * fracs[i].num / fracs[i].den
 		plan := &faults.Plan{}
 		if dur > 0 {
@@ -72,7 +66,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 				Start:   0, End: uint64(dur),
 			}}
 		}
-		h, _, err := faultedRun(o, plan, net, size)
+		h, _, err := faultedRun(o, plan, size)
 		if err != nil {
 			return 0, fmt.Errorf("extdegrade outage %s: %w", fracs[i].label, err)
 		}
@@ -87,8 +81,8 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 		"outage", "cycles", "time(cycles)", "slowdown")
 	for i, f := range fracs {
 		dur := base * f.num / f.den
-		outage.AddRow(f.label, report.Int(int64(dur)), report.Int(int64(outDurs[i])),
-			report.Float(float64(outDurs[i])/float64(base)))
+		outage.AddRow(f.label, report.Int(int64(dur)), report.Int(int64(outDurs[i][0])),
+			report.Float(float64(outDurs[i][0])/float64(base)))
 	}
 
 	// (b) Uniform inter-package packet loss with timeout/retransmit.
@@ -99,7 +93,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 		retrans uint64
 		rbytes  int64
 	}
-	dropRows, err := parallel.Map(o.runner(), len(probs), func(i int) (dropRes, error) {
+	dropRows, err := grid(o, len(probs), 1, func(i, _ int) (dropRes, error) {
 		plan := &faults.Plan{
 			Seed:  42,
 			Retry: &faults.Retry{Timeout: 10000, Backoff: 2, MaxRetries: 30},
@@ -110,7 +104,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 				Probability: probs[i],
 			}}
 		}
-		h, inst, err := faultedRun(o, plan, net, size)
+		h, inst, err := faultedRun(o, plan, size)
 		if err != nil {
 			return dropRes{}, fmt.Errorf("extdegrade drop %g: %w", probs[i], err)
 		}
@@ -129,7 +123,7 @@ func ExtDegradation(o Options) ([]*report.Table, error) {
 			report.Bytes(size)),
 		"drop-prob", "time(cycles)", "slowdown", "dropped-pkts", "retransmits", "retransmitted-bytes")
 	for i, p := range probs {
-		r := dropRows[i]
+		r := dropRows[i][0]
 		drops.AddRow(fmt.Sprintf("%g", p), report.Int(int64(r.dur)),
 			report.Float(float64(r.dur)/float64(base)),
 			report.Int(int64(r.drops)), report.Int(int64(r.retrans)), report.Int(r.rbytes))

@@ -4,6 +4,11 @@
 // (Figs. 13-18). Each figure function returns the tables (rows/series)
 // that the paper plots; cmd/sweep writes them as CSV and ASCII, and the
 // benchmark harness re-runs them at reduced scale.
+//
+// Every simulation point is one complete cli.RunSpec: a copy of
+// Options.Spec with the point's topology spec, ring counts, algorithm,
+// network and knobs. A point builds through that spec alone (collective,
+// replay), and a study fans its points out as one rows x cols grid.
 package experiments
 
 import (
@@ -14,10 +19,12 @@ import (
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
+	"astrasim/internal/graph"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
+	"astrasim/internal/workload"
 )
 
 // Options scales the experiments: Full reproduces the paper's ranges,
@@ -67,11 +74,13 @@ type Options struct {
 	Workers int
 	// Spec is the run configuration every point starts from; cmd/sweep
 	// binds -backend, -intra-parallel, -faults and -audit into it. A point
-	// sets its own algorithm, network and knobs on a copy and builds
-	// through newInstance, so it passes Validate and gets the fault plan
-	// and auditor that Spec.NewInstance attaches. The degradation study
-	// always runs on the serial packet engine, and extintrapar sets its
-	// own worker counts.
+	// copies it and sets its own topology spec and ring counts (its
+	// Topology and Rings are replaced), algorithm, network and knobs, so
+	// the copy describes the point completely. The point validates and
+	// builds through the copy, getting the fault plan and auditor that
+	// Spec.NewInstance attaches. The degradation study always runs on the
+	// serial packet engine, extintrapar sets its own worker counts, and
+	// extmap builds logical-on-physical fabrics no spec string names.
 	Spec cli.RunSpec
 	// Audits, when non-nil, gathers the verdicts of the auditors that
 	// Spec.Audit attaches.
@@ -140,19 +149,30 @@ func asymmetricNet(pktCap int) config.Network {
 	return n
 }
 
-// spec returns the point spec for alg on net: o.Spec with the point's
-// algorithm and network.
-func (o Options) spec(alg config.Algorithm, net config.Network) cli.RunSpec {
+// point returns the spec of one figure point: o.Spec on the topology
+// spec topo with the Table IV ring and switch counts, running alg on net.
+func (o Options) point(topo string, alg config.Algorithm, net config.Network) cli.RunSpec {
 	s := o.Spec
+	s.Topology, s.Rings = topo, cli.DefaultTopologyOptions()
 	s.System.Algorithm, s.Network = alg, net
 	return s
 }
 
-// newInstance validates one point's spec and builds its instance on
-// topo, handing the instance's auditor to o.Audits.
-func (o Options) newInstance(spec cli.RunSpec, topo topology.Topology) (*system.Instance, error) {
+// torus names the MxNxK torus of shape s.
+func torus(s [3]int) string { return fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]) }
+
+// instance validates one point's spec and builds its instance, on the
+// spec's own topology or, when topo is non-nil, on topo (extmap's mapped
+// fabrics). The instance's auditor goes to o.Audits.
+func (o Options) instance(spec cli.RunSpec, topo topology.Topology) (*system.Instance, error) {
 	if err := spec.Validate(cli.FlagNames); err != nil {
 		return nil, err
+	}
+	if topo == nil {
+		var err error
+		if topo, err = spec.BuildTopology(); err != nil {
+			return nil, err
+		}
 	}
 	inst, aud, err := spec.NewInstance(topo, nil)
 	if err != nil {
@@ -162,28 +182,84 @@ func (o Options) newInstance(spec cli.RunSpec, topo topology.Topology) (*system.
 	return inst, nil
 }
 
-// runCollective runs one collective of op/bytes to completion on a fresh
-// instance of spec on topo.
-func (o Options) runCollective(spec cli.RunSpec, topo topology.Topology, op collectives.Op, bytes int64) (*system.Handle, *system.Instance, error) {
-	inst, err := o.newInstance(spec, topo)
-	if err != nil {
-		return nil, nil, err
+// collective runs one op of bytes to completion on a fresh instance of
+// spec.
+func (o Options) collective(spec cli.RunSpec, op collectives.Op, bytes int64) (*system.Handle, *system.Instance, error) {
+	inst, err := o.instance(spec, nil)
+	var h *system.Handle
+	if err == nil {
+		h, err = inst.RunCollective(op, bytes)
 	}
-	h, err := inst.RunCollective(op, bytes)
-	return h, inst, err
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %v %s: %w", spec.Topology, op, report.Bytes(bytes), err)
+	}
+	return h, inst, nil
 }
 
-// torusSystem builds a torus topology plus the point spec for alg on net.
-func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Fabric, cli.RunSpec, error) {
-	tp, err := topology.NewTorus(m, n, k, tc)
-	return tp, o.spec(alg, net), err
+// replay checks g against spec and replays it on a fresh instance of
+// spec.
+func (o Options) replay(spec cli.RunSpec, g *graph.Graph) (graph.Result, error) {
+	if err := spec.ValidateGraph(g, cli.FlagNames); err != nil {
+		return graph.Result{}, err
+	}
+	inst, err := o.instance(spec, nil)
+	if err != nil {
+		return graph.Result{}, err
+	}
+	return graph.Run(inst, g)
 }
 
-// a2aSystem builds an alltoall topology plus the point spec for alg on
-// net.
-func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, net config.Network, o Options) (*topology.Fabric, cli.RunSpec, error) {
-	tp, err := topology.NewA2A(m, n, ac)
-	return tp, o.spec(alg, net), err
+// train replays def's training loop (workload.FromDefinition) for
+// o.Passes iterations on a fresh instance of spec.
+func (o Options) train(spec cli.RunSpec, def workload.Definition) (workload.Result, error) {
+	g, err := workload.FromDefinition(def, o.Passes)
+	if err != nil {
+		return workload.Result{}, err
+	}
+	return o.replay(spec, g)
+}
+
+// grid runs cell(r, c) for every cell of a rows x cols grid on o's
+// runner and returns the results indexed [r][c]. The error is the first
+// failing cell's in row-major order.
+func grid[T any](o Options, rows, cols int, cell func(r, c int) (T, error)) ([][]T, error) {
+	flat, err := parallel.Map(o.runner(), rows*cols, func(i int) (T, error) {
+		return cell(i/cols, i%cols)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, rows)
+	for r := range out {
+		out[r] = flat[r*cols : (r+1)*cols]
+	}
+	return out, nil
+}
+
+// sizeSweep runs op at every size on every spec, one grid cell per
+// (size, spec), and returns the completion times indexed [size][spec].
+func (o Options) sizeSweep(op collectives.Op, sizes []int64, specs []cli.RunSpec) ([][]eventq.Time, error) {
+	return grid(o, len(sizes), len(specs), func(r, c int) (eventq.Time, error) {
+		h, _, err := o.collective(specs[c], op, sizes[r])
+		if err != nil {
+			return 0, err
+		}
+		return h.Duration(), nil
+	})
+}
+
+// sizeTable tables a sizeSweep: one row per size, one column of cycles
+// per spec after the "size" column.
+func sizeTable(id, title string, cols []string, sizes []int64, durs [][]eventq.Time) *report.Table {
+	t := report.New(id, title, append([]string{"size"}, cols...)...)
+	for si, size := range sizes {
+		row := []string{report.Bytes(size)}
+		for _, d := range durs[si] {
+			row = append(row, report.Int(int64(d)))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // Fig9 compares the 1x8 alltoall topology (7 global switches, one link
@@ -192,55 +268,27 @@ func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, net config
 // sizes (§V-A).
 func Fig9(o Options) ([]*report.Table, error) {
 	net := asymmetricNet(o.CollectivePktCap)
-	torusTp, torusSpec, err := torusSystem(1, 8, 1,
-		topology.TorusConfig{LocalRings: 1, HorizontalRings: 4, VerticalRings: 1}, config.Baseline, net, o)
-	if err != nil {
-		return nil, err
-	}
-	a2aTp, a2aSpec, err := a2aSystem(1, 8,
-		topology.A2AConfig{LocalRings: 1, GlobalSwitches: 7}, config.Baseline, net, o)
-	if err != nil {
-		return nil, err
-	}
+	a2a := o.point("a2a:1x8", config.Baseline, net)
+	a2a.Rings.LocalRings, a2a.Rings.GlobalSwitches = 1, 7
+	ring := o.point("1x8x1", config.Baseline, net)
+	ring.Rings.LocalRings, ring.Rings.HorizontalRings, ring.Rings.VerticalRings = 1, 4, 1
+	specs := []cli.RunSpec{a2a, ring}
 
-	colls := []struct {
+	var tables []*report.Table
+	for _, c := range []struct {
 		id, title string
 		op        collectives.Op
 	}{
 		{"fig09a", "1D topology: all-to-all collective, alltoall vs torus (comm cycles)", collectives.AllToAll},
 		{"fig09b", "1D topology: all-reduce collective, alltoall vs torus (comm cycles)", collectives.AllReduce},
-	}
-	// One job per (collective, size, topology) point; both topologies are
-	// read-only and safely shared across workers.
-	topos := []struct {
-		name string
-		tp   topology.Topology
-		spec cli.RunSpec
-	}{
-		{"alltoall", a2aTp, a2aSpec},
-		{"torus", torusTp, torusSpec},
-	}
-	nSizes, nTopos := len(o.SweepSizes), len(topos)
-	durs, err := parallel.Map(o.runner(), len(colls)*nSizes*nTopos, func(i int) (eventq.Time, error) {
-		c := colls[i/(nSizes*nTopos)]
-		size := o.SweepSizes[i/nTopos%nSizes]
-		pt := topos[i%nTopos]
-		h, _, err := o.runCollective(pt.spec, pt.tp, c.op, size)
+	} {
+		durs, err := o.sizeSweep(c.op, o.SweepSizes, specs)
 		if err != nil {
-			return 0, fmt.Errorf("%s %s %d: %w", c.id, pt.name, size, err)
+			return nil, err
 		}
-		return h.Duration(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	tables := make([]*report.Table, 0, 2)
-	for ci, c := range colls {
 		t := report.New(c.id, c.title, "size", "alltoall", "torus", "alltoall/torus")
 		for si, size := range o.SweepSizes {
-			base := (ci*nSizes + si) * nTopos
-			ha, ht := durs[base], durs[base+1]
+			ha, ht := durs[si][0], durs[si][1]
 			t.AddRow(report.Bytes(size),
 				report.Int(int64(ha)), report.Int(int64(ht)),
 				report.Float(float64(ha)/float64(ht)))
@@ -253,101 +301,50 @@ func Fig9(o Options) ([]*report.Table, error) {
 // Fig10 evaluates 1D/2D/3D torus shapes at 64 packages with symmetric
 // links and the baseline all-reduce (§V-B).
 func Fig10(o Options) ([]*report.Table, error) {
-	shapes := [][3]int{{1, 64, 1}, {1, 8, 8}, {2, 8, 4}, {4, 4, 4}}
-	net := symmetricNet(o.CollectivePktCap)
-	nShapes := len(shapes)
-	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
-		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Baseline, net, o)
-		if err != nil {
-			return 0, err
-		}
-		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
-		if err != nil {
-			return 0, fmt.Errorf("fig10 %v %d: %w", s, size, err)
-		}
-		return h.Duration(), nil
-	})
+	shapes := []string{"1x64x1", "1x8x8", "2x8x4", "4x4x4"}
+	var specs []cli.RunSpec
+	for _, s := range shapes {
+		specs = append(specs, o.point(s, config.Baseline, symmetricNet(o.CollectivePktCap)))
+	}
+	durs, err := o.sizeSweep(collectives.AllReduce, o.SweepSizes, specs)
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("fig10", "2D/3D torus at 64 modules, symmetric links, baseline all-reduce (comm cycles)",
-		"size", "1x64x1", "1x8x8", "2x8x4", "4x4x4")
-	for si, size := range o.SweepSizes {
-		row := []string{report.Bytes(size)}
-		for j := range shapes {
-			row = append(row, report.Int(int64(durs[si*nShapes+j])))
-		}
-		t.AddRow(row...)
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{sizeTable("fig10", "2D/3D torus at 64 modules, symmetric links, baseline all-reduce (comm cycles)",
+		shapes, o.SweepSizes, durs)}, nil
 }
 
 // Fig11 shows the benefit of the asymmetric hierarchical topology (local
 // links 8x faster) and of the enhanced 4-phase all-reduce on a 64-module
 // 4x4x4 system (§V-C).
 func Fig11(o Options) ([]*report.Table, error) {
-	type variant struct {
-		name string
-		net  config.Network
-		alg  config.Algorithm
+	names := []string{"symmetric", "asym-baseline", "asym-enhanced"}
+	specs := []cli.RunSpec{
+		o.point("4x4x4", config.Baseline, symmetricNet(o.CollectivePktCap)),
+		o.point("4x4x4", config.Baseline, asymmetricNet(o.CollectivePktCap)),
+		o.point("4x4x4", config.Enhanced, asymmetricNet(o.CollectivePktCap)),
 	}
-	arVariants := []variant{
-		{"symmetric", symmetricNet(o.CollectivePktCap), config.Baseline},
-		{"asym-baseline", asymmetricNet(o.CollectivePktCap), config.Baseline},
-		{"asym-enhanced", asymmetricNet(o.CollectivePktCap), config.Enhanced},
-	}
-	a2aVariants := arVariants[:2]
-
-	run := func(id, title string, op collectives.Op, variants []variant) (*report.Table, error) {
-		cols := []string{"size"}
-		for _, v := range variants {
-			cols = append(cols, v.name)
-		}
-		nVar := len(variants)
-		durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nVar, func(i int) (eventq.Time, error) {
-			size, v := o.SweepSizes[i/nVar], variants[i%nVar]
-			tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, v.net, o)
-			if err != nil {
-				return 0, err
-			}
-			h, _, err := o.runCollective(spec, tp, op, size)
-			if err != nil {
-				return 0, fmt.Errorf("%s %s %d: %w", id, v.name, size, err)
-			}
-			return h.Duration(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t := report.New(id, title, cols...)
-		for si, size := range o.SweepSizes {
-			row := []string{report.Bytes(size)}
-			for j := range variants {
-				row = append(row, report.Int(int64(durs[si*nVar+j])))
-			}
-			t.AddRow(row...)
-		}
-		return t, nil
-	}
-	ta, err := run("fig11a", "4x4x4 (64 modules): all-reduce, symmetric vs asymmetric vs enhanced (comm cycles)",
-		collectives.AllReduce, arVariants)
+	ar, err := o.sizeSweep(collectives.AllReduce, o.SweepSizes, specs)
 	if err != nil {
 		return nil, err
 	}
-	tb, err := run("fig11b", "4x4x4 (64 modules): all-to-all, symmetric vs asymmetric (comm cycles)",
-		collectives.AllToAll, a2aVariants)
+	a2a, err := o.sizeSweep(collectives.AllToAll, o.SweepSizes, specs[:2])
 	if err != nil {
 		return nil, err
 	}
-	return []*report.Table{ta, tb}, nil
+	return []*report.Table{
+		sizeTable("fig11a", "4x4x4 (64 modules): all-reduce, symmetric vs asymmetric vs enhanced (comm cycles)",
+			names, o.SweepSizes, ar),
+		sizeTable("fig11b", "4x4x4 (64 modules): all-to-all, symmetric vs asymmetric (comm cycles)",
+			names[:2], o.SweepSizes, a2a),
+	}, nil
 }
 
 // Fig12 scales the torus from 8 to 64 modules running the 4-phase
 // all-reduce and reports total time plus the Queue P0-P4 / Network P1-P4
 // breakdown (§V-D).
 func Fig12(o Options) ([]*report.Table, error) {
-	shapes := [][3]int{{2, 2, 2}, {2, 4, 2}, {2, 4, 4}, {2, 4, 8}}
+	shapes := []string{"2x2x2", "2x4x2", "2x4x4", "2x4x8"}
 	net := asymmetricNet(o.CollectivePktCap)
 	total := report.New("fig12a", fmt.Sprintf("All-reduce (%s) scaling on torus, 4-phase algorithm (comm cycles)",
 		report.Bytes(o.Fig12Bytes)), "topology", "modules", "total")
@@ -355,37 +352,27 @@ func Fig12(o Options) ([]*report.Table, error) {
 		"topology",
 		"QueueP0", "QueueP1", "QueueP2", "QueueP3", "QueueP4",
 		"NetP1", "NetP2", "NetP3", "NetP4")
-	type point struct {
-		npus int
-		h    *system.Handle
-	}
-	points, err := parallel.Map(o.runner(), len(shapes), func(i int) (point, error) {
-		s := shapes[i]
-		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, net, o)
+	rows, err := grid(o, len(shapes), 1, func(r, _ int) ([]string, error) {
+		h, inst, err := o.collective(o.point(shapes[r], config.Enhanced, net), collectives.AllReduce, o.Fig12Bytes)
 		if err != nil {
-			return point{}, err
+			return nil, err
 		}
-		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, o.Fig12Bytes)
-		if err != nil {
-			return point{}, fmt.Errorf("fig12 %v: %w", s, err)
-		}
-		return point{npus: tp.NumNPUs(), h: h}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range shapes {
-		name := fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])
-		h := points[i].h
-		total.AddRow(name, report.Int(int64(points[i].npus)), report.Int(int64(h.Duration())))
-		row := []string{name}
+		row := []string{report.Int(int64(inst.Topo.NumNPUs())), report.Int(int64(h.Duration()))}
 		for p := 0; p <= 4; p++ {
 			row = append(row, report.Float(h.AvgQueueDelay(p)))
 		}
 		for p := 1; p <= 4; p++ {
 			row = append(row, report.Float(h.AvgNetworkDelay(p)))
 		}
-		breakdown.AddRow(row...)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range shapes {
+		row := rows[i][0]
+		total.AddRow(name, row[0], row[1])
+		breakdown.AddRow(append([]string{name}, row[2:]...)...)
 	}
 	return []*report.Table{total, breakdown}, nil
 }

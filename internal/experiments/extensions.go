@@ -9,7 +9,6 @@ import (
 	"astrasim/internal/energy"
 	"astrasim/internal/eventq"
 	"astrasim/internal/oracle"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/topology"
 )
@@ -25,97 +24,49 @@ import (
 // links and the baseline all-reduce — Fig. 10 extended with the 4D and 5D
 // shapes.
 func Ext4D(o Options) ([]*report.Table, error) {
-	shapes := [][]int{
-		{1, 64},            // 1D
-		{1, 8, 8},          // 2D
-		{1, 4, 4, 4},       // 3D
-		{1, 4, 4, 2, 2},    // 4D
-		{1, 2, 2, 2, 2, 4}, // 5D
+	// Every shape is the all-ring composition of its axes. "1x8x8" would
+	// build the 3D torus, which numbers its nodes differently, so the 2D
+	// shape spells its rings out.
+	shapes := []struct{ name, topo string }{
+		{"1x64", "1x64"},                    // 1D
+		{"1x8x8", "hier:ring1,ring8,ring8"}, // 2D
+		{"1x4x4x4", "1x4x4x4"},              // 3D
+		{"1x4x4x2x2", "1x4x4x2x2"},          // 4D
+		{"1x2x2x2x2x4", "1x2x2x2x2x4"},      // 5D
 	}
-	net := symmetricNet(o.CollectivePktCap)
-	cols := []string{"size"}
+	var cols []string
+	var specs []cli.RunSpec
 	for _, s := range shapes {
-		cols = append(cols, shapeName(s))
+		cols = append(cols, s.name)
+		specs = append(specs, o.point(s.topo, config.Baseline, symmetricNet(o.CollectivePktCap)))
 	}
-	nShapes := len(shapes)
-	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
-		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, err := topology.NewHierarchical(o.Spec.Rings.TorusSpecs(s))
-		if err != nil {
-			return 0, err
-		}
-		h, _, err := o.runCollective(o.spec(config.Baseline, net), tp, collectives.AllReduce, size)
-		if err != nil {
-			return 0, fmt.Errorf("ext4d %v %d: %w", s, size, err)
-		}
-		return h.Duration(), nil
-	})
+	durs, err := o.sizeSweep(collectives.AllReduce, o.SweepSizes, specs)
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("ext4d", "1D-5D torus at 64 packages, symmetric links, baseline all-reduce (comm cycles)", cols...)
-	for si, size := range o.SweepSizes {
-		row := []string{report.Bytes(size)}
-		for j := range shapes {
-			row = append(row, report.Int(int64(durs[si*nShapes+j])))
-		}
-		t.AddRow(row...)
-	}
-	return []*report.Table{t}, nil
-}
-
-func shapeName(s []int) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += "x"
-		}
-		out += fmt.Sprint(v)
-	}
-	return out
+	return []*report.Table{sizeTable("ext4d", "1D-5D torus at 64 packages, symmetric links, baseline all-reduce (comm cycles)",
+		cols, o.SweepSizes, durs)}, nil
 }
 
 // ExtMapping maps different logical topologies onto one physical 1x64x1
 // ring (§IV-B's "map a single logical topology on different physical
-// topologies and compare") and runs the all-reduce on each.
+// topologies and compare") and runs the all-reduce on each. No spec
+// string names a logical-on-physical mapping, so this study builds its
+// fabrics itself and its points' specs carry no topology.
 func ExtMapping(o Options) ([]*report.Table, error) {
 	phys, err := topology.NewTorus(1, 64, 1, topology.DefaultTorusConfig())
 	if err != nil {
 		return nil, err
 	}
-	logicals := []struct {
-		name string
-		topo topology.Topology
-	}{}
-	l1, err := topology.NewTorus(1, 64, 1, topology.DefaultTorusConfig())
-	if err != nil {
-		return nil, err
-	}
-	logicals = append(logicals, struct {
-		name string
-		topo topology.Topology
-	}{"logical 1x64x1", l1})
-	l2, err := topology.NewTorus(1, 8, 8, topology.DefaultTorusConfig())
-	if err != nil {
-		return nil, err
-	}
-	logicals = append(logicals, struct {
-		name string
-		topo topology.Topology
-	}{"logical 1x8x8", l2})
-	l3, err := topology.NewTorus(4, 4, 4, topology.DefaultTorusConfig())
-	if err != nil {
-		return nil, err
-	}
-	logicals = append(logicals, struct {
-		name string
-		topo topology.Topology
-	}{"logical 4x4x4", l3})
-
-	net := symmetricNet(o.CollectivePktCap)
-	cols := []string{"size"}
-	for _, l := range logicals {
-		cols = append(cols, l.name)
+	var cols []string
+	var logicals []topology.Topology
+	for _, s := range [][3]int{{1, 64, 1}, {1, 8, 8}, {4, 4, 4}} {
+		l, err := topology.NewTorus(s[0], s[1], s[2], topology.DefaultTorusConfig())
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, "logical "+torus(s))
+		logicals = append(logicals, l)
 	}
 	// Multi-hop routing amplifies physical traffic up to 8x, so cap the
 	// sweep at 8 MB to keep event counts tractable.
@@ -125,32 +76,27 @@ func ExtMapping(o Options) ([]*report.Table, error) {
 			sizes = append(sizes, s)
 		}
 	}
-	nLog := len(logicals)
-	durs, err := parallel.Map(o.runner(), len(sizes)*nLog, func(i int) (eventq.Time, error) {
-		size, l := sizes[i/nLog], logicals[i%nLog]
-		mapped, err := topology.NewMapped(l.topo, phys, topology.IdentityMapping(64))
+	spec := o.point("", config.Baseline, symmetricNet(o.CollectivePktCap))
+	durs, err := grid(o, len(sizes), len(logicals), func(r, c int) (eventq.Time, error) {
+		mapped, err := topology.NewMapped(logicals[c], phys, topology.IdentityMapping(64))
 		if err != nil {
 			return 0, err
 		}
-		h, _, err := o.runCollective(o.spec(config.Baseline, net), mapped, collectives.AllReduce, size)
+		inst, err := o.instance(spec, mapped)
 		if err != nil {
-			return 0, fmt.Errorf("extmap %s %d: %w", l.name, size, err)
+			return 0, err
+		}
+		h, err := inst.RunCollective(collectives.AllReduce, sizes[r])
+		if err != nil {
+			return 0, fmt.Errorf("extmap %s %d: %w", cols[c], sizes[r], err)
 		}
 		return h.Duration(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("extmap",
-		"Logical topologies mapped onto one physical 1x64x1 ring, all-reduce (comm cycles)", cols...)
-	for si, size := range sizes {
-		row := []string{report.Bytes(size)}
-		for j := range logicals {
-			row = append(row, report.Int(int64(durs[si*nLog+j])))
-		}
-		t.AddRow(row...)
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{sizeTable("extmap",
+		"Logical topologies mapped onto one physical 1x64x1 ring, all-reduce (comm cycles)", cols, sizes, durs)}, nil
 }
 
 // ExtEnergy reports the communication energy of the Fig. 11 variants:
@@ -166,15 +112,11 @@ func ExtEnergy(o Options) ([]*report.Table, error) {
 		{"baseline", config.Baseline},
 		{"enhanced", config.Enhanced},
 	}
-	rows, err := parallel.Map(o.runner(), len(variants), func(i int) ([]string, error) {
-		v := variants[i]
-		tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), v.alg, asymmetricNet(o.CollectivePktCap), o)
+	rows, err := grid(o, len(variants), 1, func(r, _ int) ([]string, error) {
+		v := variants[r]
+		h, inst, err := o.collective(o.point("4x4x4", v.alg, asymmetricNet(o.CollectivePktCap)), collectives.AllReduce, size)
 		if err != nil {
 			return nil, err
-		}
-		h, inst, err := o.runCollective(spec, tp, collectives.AllReduce, size)
-		if err != nil {
-			return nil, fmt.Errorf("extenergy %s: %w", v.name, err)
 		}
 		intra, inter, scaleOut := inst.Net.TotalBytesByClass()
 		e := energy.CommEnergy(intra, inter, scaleOut, energy.Default())
@@ -189,7 +131,7 @@ func ExtEnergy(o Options) ([]*report.Table, error) {
 		fmt.Sprintf("Communication energy of a %s all-reduce on 4x4x4 (joules)", report.Bytes(size)),
 		"variant", "time(cycles)", "intraJ", "interJ", "routerJ", "totalJ")
 	for _, row := range rows {
-		t.AddRow(row...)
+		t.AddRow(row[0]...)
 	}
 	return []*report.Table{t}, nil
 }
@@ -200,50 +142,6 @@ func ExtEnergy(o Options) ([]*report.Table, error) {
 // calls out.
 func ExtAblation(o Options) ([]*report.Table, error) {
 	size := o.SweepSizes[len(o.SweepSizes)-1]
-	net := asymmetricNet(o.CollectivePktCap)
-	run := func(mutate func(*config.System)) (int64, error) {
-		tp, spec, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
-		if err != nil {
-			return 0, err
-		}
-		mutate(&spec.System)
-		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
-		if err != nil {
-			return 0, err
-		}
-		return int64(h.Duration()), nil
-	}
-
-	// One job per knob setting, all three sweeps flattened into a single
-	// batch so the pool stays full across sweep boundaries.
-	type knob struct {
-		label  string
-		mutate func(*config.System)
-	}
-	splitVals := []int{1, 4, 16, 64, 256}
-	widthVals := []int{1, 2, 4, 8}
-	dispatchVals := [][2]int{{2, 4}, {8, 16}, {32, 64}, {1000, 1000}}
-	var knobs []knob
-	for _, n := range splitVals {
-		n := n
-		knobs = append(knobs, knob{report.Int(int64(n)), func(c *config.System) { c.PreferredSetSplits = n }})
-	}
-	for _, w := range widthVals {
-		w := w
-		knobs = append(knobs, knob{report.Int(int64(w)), func(c *config.System) { c.LSQWidth = w }})
-	}
-	for _, tp := range dispatchVals {
-		tp := tp
-		knobs = append(knobs, knob{fmt.Sprintf("%d/%d", tp[0], tp[1]),
-			func(c *config.System) { c.IssueThreshold, c.IssueBatch = tp[0], tp[1] }})
-	}
-	durs, err := parallel.Map(o.runner(), len(knobs), func(i int) (int64, error) {
-		return run(knobs[i].mutate)
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	splits := report.New("extablation-splits",
 		fmt.Sprintf("Ablation: preferred-set-splits, %s enhanced all-reduce on 4x4x4", report.Bytes(size)),
 		"splits", "time(cycles)")
@@ -251,36 +149,41 @@ func ExtAblation(o Options) ([]*report.Table, error) {
 		"Ablation: LSQ width (concurrent chunks per ring)", "width", "time(cycles)")
 	dispatch := report.New("extablation-dispatcher",
 		"Ablation: dispatcher threshold T / batch P", "T/P", "time(cycles)")
-	for i, k := range knobs {
-		switch {
-		case i < len(splitVals):
-			splits.AddRow(k.label, report.Int(durs[i]))
-		case i < len(splitVals)+len(widthVals):
-			width.AddRow(k.label, report.Int(durs[i]))
-		default:
-			dispatch.AddRow(k.label, report.Int(durs[i]))
+
+	// One point per knob setting, all three sweeps in a single grid so
+	// the pool stays full across sweep boundaries.
+	type knob struct {
+		table  *report.Table
+		label  string
+		mutate func(*config.System)
+	}
+	var knobs []knob
+	for _, n := range []int{1, 4, 16, 64, 256} {
+		knobs = append(knobs, knob{splits, report.Int(int64(n)), func(c *config.System) { c.PreferredSetSplits = n }})
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		knobs = append(knobs, knob{width, report.Int(int64(w)), func(c *config.System) { c.LSQWidth = w }})
+	}
+	for _, tp := range [][2]int{{2, 4}, {8, 16}, {32, 64}, {1000, 1000}} {
+		knobs = append(knobs, knob{dispatch, fmt.Sprintf("%d/%d", tp[0], tp[1]),
+			func(c *config.System) { c.IssueThreshold, c.IssueBatch = tp[0], tp[1] }})
+	}
+	durs, err := grid(o, len(knobs), 1, func(r, _ int) (eventq.Time, error) {
+		spec := o.point("4x4x4", config.Enhanced, asymmetricNet(o.CollectivePktCap))
+		knobs[r].mutate(&spec.System)
+		h, _, err := o.collective(spec, collectives.AllReduce, size)
+		if err != nil {
+			return 0, err
 		}
+		return h.Duration(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, k := range knobs {
+		k.table.AddRow(k.label, report.Int(int64(durs[i][0])))
 	}
 	return []*report.Table{splits, width, dispatch}, nil
-}
-
-// Extensions lists the future-work studies.
-func Extensions() []Figure {
-	return []Figure{
-		{"ext4d", "1D-5D torus dimensionality", Ext4D},
-		{"extmap", "Logical-on-physical topology mapping", ExtMapping},
-		{"extenergy", "Communication energy model", ExtEnergy},
-		{"extablation", "System-layer scheduling ablations", ExtAblation},
-		{"extscaleout", "Scale-out fabric extension", ExtScaleOut},
-		{"extswitch", "Switch-based scale-up topology", ExtSwitched},
-		{"extvalidate", "Simulator vs analytic bounds", ExtValidate},
-		{"extdegrade", "Fault injection & graceful degradation", ExtDegradation},
-		{"extgraph", "Graph workload engine: 1F1B pipeline bubbles", ExtGraph},
-		{"extintrapar", "Intra-run parallel DES: determinism and event collapse", ExtIntraPar},
-		{"exthier", "Compositional hierarchical topologies", ExtHier},
-		{"extmem", "Disaggregated remote-memory tier", ExtMem},
-		{"extparallel", "Modern parallelism: ZeRO stage x tp/pp layout grid", ExtParallel},
-	}
 }
 
 // ExtScaleOut compares one 32-NPU scale-up torus against four pods of
@@ -288,30 +191,9 @@ func Extensions() []Figure {
 // scale-out extension's headline study.
 func ExtScaleOut(o Options) ([]*report.Table, error) {
 	net := asymmetricNet(o.CollectivePktCap)
-	up, spec, err := torusSystem(2, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
-	if err != nil {
-		return nil, err
-	}
-	pod, err := topology.NewTorus(2, 2, 2, topology.DefaultTorusConfig())
-	if err != nil {
-		return nil, err
-	}
-	so, err := topology.NewScaleOut(pod, 4, 2)
-	if err != nil {
-		return nil, err
-	}
-	type pair struct{ up, so eventq.Time }
-	pairs, err := parallel.Map(o.runner(), len(o.SweepSizes), func(i int) (pair, error) {
-		size := o.SweepSizes[i]
-		hu, _, err := o.runCollective(spec, up, collectives.AllReduce, size)
-		if err != nil {
-			return pair{}, fmt.Errorf("extscaleout up %d: %w", size, err)
-		}
-		hs, _, err := o.runCollective(spec, so, collectives.AllReduce, size)
-		if err != nil {
-			return pair{}, fmt.Errorf("extscaleout so %d: %w", size, err)
-		}
-		return pair{up: hu.Duration(), so: hs.Duration()}, nil
+	durs, err := o.sizeSweep(collectives.AllReduce, o.SweepSizes, []cli.RunSpec{
+		o.point("2x4x4", config.Enhanced, net),
+		o.point("so:2x2x2/4", config.Enhanced, net),
 	})
 	if err != nil {
 		return nil, err
@@ -320,10 +202,10 @@ func ExtScaleOut(o Options) ([]*report.Table, error) {
 		"All-reduce at 32 NPUs: one 2x4x4 torus vs 4 pods of 2x2x2 over a 100Gb/s spine (comm cycles)",
 		"size", "scale-up 2x4x4", "4 pods scale-out", "penalty")
 	for si, size := range o.SweepSizes {
-		p := pairs[si]
+		up, so := durs[si][0], durs[si][1]
 		t.AddRow(report.Bytes(size),
-			report.Int(int64(p.up)), report.Int(int64(p.so)),
-			report.Float(float64(p.so)/float64(p.up)))
+			report.Int(int64(up)), report.Int(int64(so)),
+			report.Float(float64(so)/float64(up)))
 	}
 	return []*report.Table{t}, nil
 }
@@ -333,49 +215,25 @@ func ExtScaleOut(o Options) ([]*report.Table, error) {
 // 16 NPUs for both headline collectives.
 func ExtSwitched(o Options) ([]*report.Table, error) {
 	net := asymmetricNet(o.CollectivePktCap)
-	torusTp, spec, err := torusSystem(4, 4, 1, topology.DefaultTorusConfig(), config.Baseline, net, o)
-	if err != nil {
-		return nil, err
+	cols := []string{"4x4x1 torus", "4x4 alltoall", "4x4 switched"}
+	specs := []cli.RunSpec{
+		o.point("4x4x1", config.Baseline, net),
+		o.point("a2a:4x4", config.Baseline, net),
+		o.point("sw:4x4", config.Baseline, net),
 	}
-	a2aTp, err := topology.NewA2A(4, 4, topology.A2AConfig{LocalRings: 2, GlobalSwitches: 2})
-	if err != nil {
-		return nil, err
-	}
-	swTp, err := topology.NewSwitched(4, 4, topology.DefaultSwitchedConfig())
-	if err != nil {
-		return nil, err
-	}
-	colls := []struct {
+	var tables []*report.Table
+	for _, c := range []struct {
 		id, title string
 		op        collectives.Op
 	}{
 		{"extswitch-ar", "16 NPUs: all-reduce on torus vs alltoall vs switched (comm cycles)", collectives.AllReduce},
 		{"extswitch-a2a", "16 NPUs: all-to-all on torus vs alltoall vs switched (comm cycles)", collectives.AllToAll},
-	}
-	topos := []topology.Topology{torusTp, a2aTp, swTp}
-	nSizes, nTopos := len(o.SweepSizes), len(topos)
-	durs, err := parallel.Map(o.runner(), len(colls)*nSizes*nTopos, func(i int) (eventq.Time, error) {
-		c := colls[i/(nSizes*nTopos)]
-		size := o.SweepSizes[i/nTopos%nSizes]
-		h, _, err := o.runCollective(spec, topos[i%nTopos], c.op, size)
+	} {
+		durs, err := o.sizeSweep(c.op, o.SweepSizes, specs)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return h.Duration(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var tables []*report.Table
-	for ci, c := range colls {
-		t := report.New(c.id, c.title, "size", "4x4x1 torus", "4x4 alltoall", "4x4 switched")
-		for si, size := range o.SweepSizes {
-			base := (ci*nSizes + si) * nTopos
-			t.AddRow(report.Bytes(size),
-				report.Int(int64(durs[base])), report.Int(int64(durs[base+1])),
-				report.Int(int64(durs[base+2])))
-		}
-		tables = append(tables, t)
+		tables = append(tables, sizeTable(c.id, c.title, cols, o.SweepSizes, durs))
 	}
 	return tables, nil
 }
@@ -386,48 +244,43 @@ func ExtSwitched(o Options) ([]*report.Table, error) {
 // ratio shows how much latency the detailed model adds over the
 // first-order one.
 func ExtValidate(o Options) ([]*report.Table, error) {
-	type target struct {
-		name string
-		topo topology.Topology
-		spec cli.RunSpec
-	}
 	net := asymmetricNet(o.CollectivePktCap)
-	var targets []target
-	t3, s3, err := torusSystem(4, 4, 4, topology.DefaultTorusConfig(), config.Enhanced, net, o)
-	if err != nil {
-		return nil, err
+	targets := []struct {
+		name string
+		spec cli.RunSpec
+	}{
+		{"4x4x4 enhanced", o.point("4x4x4", config.Enhanced, net)},
+		{"1x8x1", o.point("1x8x1", config.Baseline, net)},
+		{"2x4 alltoall", o.point("a2a:2x4", config.Baseline, net)},
 	}
-	targets = append(targets, target{"4x4x4 enhanced", t3, s3})
-	t1, s1, err := torusSystem(1, 8, 1, topology.DefaultTorusConfig(), config.Baseline, net, o)
-	if err != nil {
-		return nil, err
+	// One grid row per (target, op), one column per size.
+	type pair struct {
+		name string
+		spec cli.RunSpec
+		op   collectives.Op
 	}
-	targets = append(targets, target{"1x8x1", t1, s1})
-	ta, sa, err := a2aSystem(2, 4, topology.DefaultA2AConfig(), config.Baseline, net, o)
-	if err != nil {
-		return nil, err
+	var pairs []pair
+	for _, tg := range targets {
+		for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
+			pairs = append(pairs, pair{tg.name, tg.spec, op})
+		}
 	}
-	targets = append(targets, target{"2x4 alltoall", ta, sa})
-	ops := []collectives.Op{collectives.AllReduce, collectives.AllToAll}
-	nOps, nSizes := len(ops), len(o.SweepSizes)
-	rows, err := parallel.Map(o.runner(), len(targets)*nOps*nSizes, func(i int) ([]string, error) {
-		tg := targets[i/(nOps*nSizes)]
-		op := ops[i/nSizes%nOps]
-		size := o.SweepSizes[i%nSizes]
-		h, _, err := o.runCollective(tg.spec, tg.topo, op, size)
+	rows, err := grid(o, len(pairs), len(o.SweepSizes), func(r, c int) ([]string, error) {
+		p, size := pairs[r], o.SweepSizes[c]
+		h, inst, err := o.collective(p.spec, p.op, size)
 		if err != nil {
 			return nil, err
 		}
-		m, err := oracle.NewModel(tg.topo, tg.spec.System, net)
+		m, err := oracle.NewModel(inst.Topo, p.spec.System, p.spec.Network)
 		if err != nil {
 			return nil, err
 		}
-		b, err := m.Bounds(op, size)
+		b, err := m.Bounds(p.op, size)
 		if err != nil {
 			return nil, err
 		}
 		sim := float64(h.Duration())
-		return []string{tg.name, op.String(), report.Bytes(size),
+		return []string{p.name, p.op.String(), report.Bytes(size),
 			report.Float(b.Lower), report.Float(b.Estimate),
 			report.Int(int64(h.Duration())), report.Float(sim / b.Lower)}, nil
 	})
@@ -437,8 +290,10 @@ func ExtValidate(o Options) ([]*report.Table, error) {
 	t := report.New("extvalidate",
 		"Event-driven simulation vs closed-form alpha-beta bounds (cycles)",
 		"config", "op", "size", "analytic-lower", "analytic-est", "simulated", "sim/lower")
-	for _, row := range rows {
-		t.AddRow(row...)
+	for _, pr := range rows {
+		for _, row := range pr {
+			t.AddRow(row...)
+		}
 	}
 	return []*report.Table{t}, nil
 }

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"astrasim/internal/cli"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/graph"
 	"astrasim/internal/modelgen"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 )
 
@@ -39,32 +37,17 @@ func ExtParallel(o Options) ([]*report.Table, error) {
 	}
 	stages := []int{0, 1, 2, 3}
 
-	nLayouts := len(layouts)
-	net := asymmetricNet(o.TrainingPktCap)
-	durs, err := parallel.Map(o.runner(), len(stages)*nLayouts, func(i int) (eventq.Time, error) {
-		stage, layout := stages[i/nLayouts], layouts[i%nLayouts]
-		plan := layout.plan
+	runSpec := o.point("hier:sw2,fc2,ring2", config.Enhanced, asymmetricNet(o.TrainingPktCap))
+	durs, err := grid(o, len(stages), len(layouts), func(r, c int) (eventq.Time, error) {
+		plan := layouts[c].plan
 		plan.Version = modelgen.PlanVersion
-		plan.Name = fmt.Sprintf("%s-zero%d", layout.name, stage)
-		plan.ZeROStage = stage
+		plan.Name = fmt.Sprintf("%s-zero%d", layouts[c].name, stages[r])
+		plan.ZeROStage = stages[r]
 		g, err := modelgen.Compile(spec, &plan, modelgen.Options{Steps: o.Passes})
-		if err != nil {
-			return 0, fmt.Errorf("extparallel %s: %w", plan.Name, err)
+		var res graph.Result
+		if err == nil {
+			res, err = o.replay(runSpec, g)
 		}
-		spec := o.spec(config.Enhanced, net)
-		spec.Topology = "hier:sw2,fc2,ring2"
-		if err := spec.ValidateGraph(g, cli.FlagNames); err != nil {
-			return 0, fmt.Errorf("extparallel %s: %w", plan.Name, err)
-		}
-		tp, err := spec.BuildTopology()
-		if err != nil {
-			return 0, err
-		}
-		inst, err := o.newInstance(spec, tp)
-		if err != nil {
-			return 0, err
-		}
-		res, err := graph.Run(inst, g)
 		if err != nil {
 			return 0, fmt.Errorf("extparallel %s: %w", plan.Name, err)
 		}
@@ -84,7 +67,7 @@ func ExtParallel(o Options) ([]*report.Table, error) {
 	for si, stage := range stages {
 		row := []string{report.Int(int64(stage))}
 		for j := range layouts {
-			row = append(row, report.Int(int64(durs[si*nLayouts+j])))
+			row = append(row, report.Int(int64(durs[si][j])))
 		}
 		t.AddRow(row...)
 	}

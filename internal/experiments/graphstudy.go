@@ -7,11 +7,17 @@ import (
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/graph"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
+
+// needsSends is the spec requirement of the studies that replay SEND/RECV
+// pipelines (extgraph, extparallel): point-to-point sends need the serial
+// engine.
+func needsSends(s *cli.RunSpec) error {
+	return s.ValidateSends("the study's SEND/RECV pipeline", cli.FlagNames)
+}
 
 // ExtGraph exercises the graph workload engine: a 4-stage 1F1B pipeline
 // schedule, generated as a static execution DAG and replayed by the
@@ -35,17 +41,14 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 	microbatches := []int{1, 2, 4, 8, 16}
 	const boundaryTotal = 1 << 20 // activation bytes per boundary per minibatch
 
-	tp, spec, err := torusSystem(1, 4, 1, topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(o.TrainingPktCap), o)
-	if err != nil {
-		return nil, err
-	}
+	spec := o.point("1x4x1", config.Enhanced, asymmetricNet(o.TrainingPktCap))
 
 	type point struct {
 		total   eventq.Time
 		bubble  float64
 		dynamic float64
 	}
-	points, err := parallel.Map(o.runner(), len(microbatches), func(i int) (point, error) {
+	points, err := grid(o, len(microbatches), 1, func(i, _ int) (point, error) {
 		m := microbatches[i]
 		cfg := workload.PipelineConfig{
 			Boundaries:    []int{1, 2, 3},
@@ -54,24 +57,17 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 			BoundaryBytes: []int64{boundaryTotal / int64(m), boundaryTotal / int64(m), boundaryTotal / int64(m)},
 		}
 		g, err := workload.Pipeline1F1B(def, cfg, o.Passes)
+		var res graph.Result
 		if err == nil {
-			err = spec.ValidateGraph(g, cli.FlagNames)
+			res, err = o.replay(spec, g)
 		}
-		if err != nil {
-			return point{}, fmt.Errorf("extgraph m=%d: %w", m, err)
-		}
-		inst, err := o.newInstance(spec, tp)
-		if err != nil {
-			return point{}, err
-		}
-		res, err := graph.Run(inst, g)
 		if err != nil {
 			return point{}, fmt.Errorf("extgraph m=%d: %w", m, err)
 		}
 		// The dynamic scheduler's view of the same configuration.
 		dcfg := cfg
 		dcfg.Schedule = workload.OneFOneBSchedule
-		dinst, err := o.newInstance(spec, tp)
+		dinst, err := o.instance(spec, nil)
 		if err != nil {
 			return point{}, err
 		}
@@ -95,10 +91,10 @@ func ExtGraph(o Options) ([]*report.Table, error) {
 	for i, m := range microbatches {
 		ideal := float64(stages-1) / float64(m+stages-1)
 		t.AddRow(fmt.Sprintf("%d", m),
-			report.Int(int64(points[i].total)),
-			report.Float(points[i].bubble),
+			report.Int(int64(points[i][0].total)),
+			report.Float(points[i][0].bubble),
 			report.Float(ideal),
-			report.Float(points[i].dynamic))
+			report.Float(points[i][0].dynamic))
 	}
 	return []*report.Table{t}, nil
 }

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
 	"astrasim/internal/models"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
 
@@ -20,41 +19,22 @@ import (
 // fully-connected (direct exchange), and ring dimensions — the
 // ASTRA-sim 2.0-style network generalization as a study.
 func ExtHier(o Options) ([]*report.Table, error) {
-	specs := []string{
+	topos := []string{
 		"4x4x4",                  // 3D torus reference
 		"hier:sw4,fc4,ring4",     // DGX-like: NVSwitch package, multi-rail FC, ring scale-out
 		"hier:ring4,ring4,ring4", // all-ring composition (torus-equivalent schedule)
 		"hier:sw8,fc8",           // two-level: pow2 switch package, FC spine
 	}
-	net := asymmetricNet(o.CollectivePktCap)
-	nSpecs := len(specs)
-	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nSpecs, func(i int) (eventq.Time, error) {
-		size, spec := o.SweepSizes[i/nSpecs], o.spec(config.Enhanced, net)
-		spec.Topology = specs[i%nSpecs]
-		tp, err := spec.BuildTopology()
-		if err != nil {
-			return 0, err
-		}
-		h, _, err := o.runCollective(spec, tp, collectives.AllReduce, size)
-		if err != nil {
-			return 0, fmt.Errorf("exthier %s %d: %w", spec.Topology, size, err)
-		}
-		return h.Duration(), nil
-	})
+	var specs []cli.RunSpec
+	for _, topo := range topos {
+		specs = append(specs, o.point(topo, config.Enhanced, asymmetricNet(o.CollectivePktCap)))
+	}
+	durs, err := o.sizeSweep(collectives.AllReduce, o.SweepSizes, specs)
 	if err != nil {
 		return nil, err
 	}
-	cols := append([]string{"size"}, specs...)
-	t := report.New("exthier",
-		"Compositional scale-up fabrics at 64 NPUs, enhanced all-reduce (comm cycles)", cols...)
-	for si, size := range o.SweepSizes {
-		row := []string{report.Bytes(size)}
-		for j := range specs {
-			row = append(row, report.Int(int64(durs[si*nSpecs+j])))
-		}
-		t.AddRow(row...)
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{sizeTable("exthier",
+		"Compositional scale-up fabrics at 64 NPUs, enhanced all-reduce (comm cycles)", topos, o.SweepSizes, durs)}, nil
 }
 
 // ExtMem sweeps the disaggregated memory tier on a Transformer training
@@ -76,30 +56,17 @@ func ExtMem(o Options) ([]*report.Table, error) {
 	placements := []compute.Placement{
 		compute.PlaceLocal, compute.PlaceInterleaved, compute.PlaceRemote,
 	}
-	shape := [3]int{2, 2, 2}
-	nPools := len(pools)
-	durs, err := parallel.Map(o.runner(), len(placements)*nPools, func(i int) (eventq.Time, error) {
-		place, pool := placements[i/nPools], pools[i%nPools]
+	durs, err := grid(o, len(placements), len(pools), func(r, c int) (eventq.Time, error) {
+		place, pool := placements[r], pools[c]
 		def := models.Transformer(compute.Default(), o.Batch, o.SeqLen)
 		def.Layers = append([]workload.Layer(nil), def.Layers...)
 		for li := range def.Layers {
 			def.Layers[li].Placement = place
 		}
-		tp, spec, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(o.TrainingPktCap), o)
-		if err != nil {
-			return 0, err
-		}
+		spec := o.point("2x2x2", config.Enhanced, asymmetricNet(o.TrainingPktCap))
 		spec.System.RemoteMemBandwidth = pool.bw
 		spec.System.RemoteMemLatency = pool.latency
-		inst, err := o.newInstance(spec, tp)
-		if err != nil {
-			return 0, err
-		}
-		tr, err := workload.NewTrainer(inst, def, o.Passes)
-		if err != nil {
-			return 0, err
-		}
-		res, err := tr.Run()
+		res, err := o.train(spec, def)
 		if err != nil {
 			return 0, fmt.Errorf("extmem %v/%s: %w", place, pool.name, err)
 		}
@@ -117,7 +84,7 @@ func ExtMem(o Options) ([]*report.Table, error) {
 	for pi, place := range placements {
 		row := []string{place.String()}
 		for j := range pools {
-			row = append(row, report.Int(int64(durs[pi*nPools+j])))
+			row = append(row, report.Int(int64(durs[pi][j])))
 		}
 		t.AddRow(row...)
 	}

@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
-	"astrasim/internal/topology"
 )
 
 // intraParWorkers is the worker-count sweep of the intrapar study:
@@ -15,6 +14,13 @@ import (
 // changes results — the table embeds that claim by reporting identical
 // cycles and events for every partitioned row of a shape.
 var intraParWorkers = []int{0, 1, 2, 4}
+
+// needsPartitions is extintrapar's spec requirement: its points run the
+// spec partitioned, up to the widest worker count.
+func needsPartitions(s *cli.RunSpec) error {
+	s.System.IntraParallel = intraParWorkers[len(intraParWorkers)-1]
+	return nil
+}
 
 // ExtIntraPar characterizes intra-run parallel simulation (internal/pdes,
 // DESIGN.md §13) across system sizes and worker counts: one enhanced
@@ -41,19 +47,13 @@ func ExtIntraPar(o Options) ([]*report.Table, error) {
 		windows uint64
 		shards  int
 	}
-	nW := len(intraParWorkers)
-	cells, err := parallel.Map(o.runner(), len(shapes)*nW, func(i int) (cell, error) {
-		s := shapes[i/nW]
-		workers := intraParWorkers[i%nW]
-		tp, spec, err := torusSystem(s[0], s[1], s[2], topology.DefaultTorusConfig(), config.Enhanced, net, o)
-		if err != nil {
-			return cell{}, err
-		}
-		spec.System.IntraParallel = workers
+	cells, err := grid(o, len(shapes), len(intraParWorkers), func(r, w int) (cell, error) {
+		spec := o.point(torus(shapes[r]), config.Enhanced, net)
+		spec.System.IntraParallel = intraParWorkers[w]
 		spec.System.PreferredSetSplits = 1
-		h, inst, err := o.runCollective(spec, tp, collectives.AllReduce, size)
+		h, inst, err := o.collective(spec, collectives.AllReduce, size)
 		if err != nil {
-			return cell{}, fmt.Errorf("extintrapar %v w=%d: %w", s, workers, err)
+			return cell{}, fmt.Errorf("w=%d: %w", intraParWorkers[w], err)
 		}
 		c := cell{cycles: int64(h.Duration()), events: inst.Eng.Fired()}
 		if inst.Par != nil {
@@ -74,14 +74,14 @@ func ExtIntraPar(o Options) ([]*report.Table, error) {
 		"shape", "npus", "workers", "cycles", "events", "windows", "shards")
 	for si, s := range shapes {
 		for wi, workers := range intraParWorkers {
-			c := cells[si*nW+wi]
+			c := cells[si][wi]
 			// The golden file pins determinism; assert it here too so a
 			// violation fails the sweep loudly, not just the golden diff.
-			if c.cycles != cells[si*nW].cycles {
+			if c.cycles != cells[si][0].cycles {
 				return nil, fmt.Errorf("extintrapar %v: %d cycles at %d workers, serial ran %d — intra-run parallelism changed results",
-					s, c.cycles, workers, cells[si*nW].cycles)
+					s, c.cycles, workers, cells[si][0].cycles)
 			}
-			t.AddRow(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]),
+			t.AddRow(torus(s),
 				report.Int(int64(s[0]*s[1]*s[2])), report.Int(int64(workers)),
 				report.Int(c.cycles), report.Int(int64(c.events)),
 				report.Int(int64(c.windows)), report.Int(int64(c.shards)))

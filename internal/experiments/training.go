@@ -8,30 +8,18 @@ import (
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
 	"astrasim/internal/models"
-	"astrasim/internal/parallel"
 	"astrasim/internal/report"
 	"astrasim/internal/system"
-	"astrasim/internal/topology"
 	"astrasim/internal/workload"
 )
 
-// runTraining simulates a workload on an MxNxK torus with the enhanced
-// collective algorithm and Table IV network parameters.
-func runTraining(def workload.Definition, shape [3]int, policy config.SchedulingPolicy, passes, pktCap int, o Options) (workload.Result, error) {
-	tp, spec, err := torusSystem(shape[0], shape[1], shape[2], topology.DefaultTorusConfig(), config.Enhanced, asymmetricNet(pktCap), o)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	spec.System.SchedulingPolicy = policy
-	inst, err := o.newInstance(spec, tp)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	tr, err := workload.NewTrainer(inst, def, passes)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	return tr.Run()
+// trainingPoint returns the spec of a training point on the MxNxK torus
+// of shape: the enhanced collective algorithm, Table IV network parameters
+// and policy.
+func (o Options) trainingPoint(shape [3]int, policy config.SchedulingPolicy) cli.RunSpec {
+	s := o.point(torus(shape), config.Enhanced, asymmetricNet(o.TrainingPktCap))
+	s.System.SchedulingPolicy = policy
+	return s
 }
 
 // resnetCache memoizes ResNet-50 runs shared by Figs. 14, 15 and 16.
@@ -64,7 +52,7 @@ func resnetRun(o Options, shape [3]int, policy config.SchedulingPolicy, scale fl
 		if scale != 1 {
 			def = def.ScaleCompute(scale)
 		}
-		e.res, e.err = runTraining(def, shape, policy, o.Passes, o.TrainingPktCap, o)
+		e.res, e.err = o.train(o.trainingPoint(shape, policy), def)
 	})
 	return e.res, e.err
 }
@@ -73,7 +61,7 @@ func resnetRun(o Options, shape [3]int, policy config.SchedulingPolicy, scale fl
 // two hybrid-parallel training iterations on a 2x2x2 torus (§V-E).
 func Fig13(o Options) ([]*report.Table, error) {
 	def := models.Transformer(compute.Default(), o.Batch, o.SeqLen).ScaleCompute(o.TrainComputeScale)
-	res, err := runTraining(def, [3]int{2, 2, 2}, config.LIFO, o.Passes, o.TrainingPktCap, o)
+	res, err := o.train(o.trainingPoint([3]int{2, 2, 2}, config.LIFO), def)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +117,15 @@ func Fig15(o Options) ([]*report.Table, error) {
 // because the fast local dimension enforces in-order chunk execution).
 func Fig16(o Options) ([]*report.Table, error) {
 	policies := []config.SchedulingPolicy{config.LIFO, config.FIFO}
-	results, err := parallel.Map(o.runner(), len(policies), func(i int) (workload.Result, error) {
-		return resnetRun(o, [3]int{2, 4, 4}, policies[i], 1)
+	results, err := grid(o, len(policies), 1, func(r, _ int) (workload.Result, error) {
+		return resnetRun(o, [3]int{2, 4, 4}, policies[r], 1)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var tables []*report.Table
 	for pi, policy := range policies {
-		res := results[pi]
+		res := results[pi][0]
 		t := report.New("fig16-"+policy.String(),
 			fmt.Sprintf("ResNet-50 layer-wise delay breakdown, %s scheduling (avg cycles per chunk)", policy),
 			"layer",
@@ -179,8 +167,8 @@ func avgHandleStat(handles []*system.Handle, phase int, queue bool) float64 {
 // torus grows from 8 to 128 NPUs (§V-F: 4.1% exposed at 8 NPUs rising to
 // 25.2% at 128).
 func Fig17(o Options) ([]*report.Table, error) {
-	results, err := parallel.Map(o.runner(), len(o.Fig17Shapes), func(i int) (workload.Result, error) {
-		return resnetRun(o, o.Fig17Shapes[i], config.LIFO, 1)
+	results, err := grid(o, len(o.Fig17Shapes), 1, func(r, _ int) (workload.Result, error) {
+		return resnetRun(o, o.Fig17Shapes[r], config.LIFO, 1)
 	})
 	if err != nil {
 		return nil, err
@@ -189,10 +177,9 @@ func Fig17(o Options) ([]*report.Table, error) {
 		"ResNet-50 compute vs exposed communication ratio across system sizes (2x4x4 torus family)",
 		"topology", "npus", "total-cycles", "compute%", "exposed%")
 	for si, s := range o.Fig17Shapes {
-		res := results[si]
-		name := fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])
+		res := results[si][0]
 		computeRatio := float64(res.TotalCompute()) / float64(res.TotalCycles)
-		t.AddRow(name, report.Int(int64(s[0]*s[1]*s[2])),
+		t.AddRow(torus(s), report.Int(int64(s[0]*s[1]*s[2])),
 			report.Int(int64(res.TotalCycles)),
 			report.Percent(computeRatio), report.Percent(res.ExposedRatio()))
 	}
@@ -202,8 +189,8 @@ func Fig17(o Options) ([]*report.Table, error) {
 // Fig18 reports how the exposed-communication ratio changes with NPU
 // compute power on the 2x4x4 system (§V-F: <1% at 0.5x, 63.9% at 4x).
 func Fig18(o Options) ([]*report.Table, error) {
-	results, err := parallel.Map(o.runner(), len(o.Fig18Scales), func(i int) (workload.Result, error) {
-		return resnetRun(o, [3]int{2, 4, 4}, config.LIFO, o.Fig18Scales[i])
+	results, err := grid(o, len(o.Fig18Scales), 1, func(r, _ int) (workload.Result, error) {
+		return resnetRun(o, [3]int{2, 4, 4}, config.LIFO, o.Fig18Scales[r])
 	})
 	if err != nil {
 		return nil, err
@@ -212,50 +199,11 @@ func Fig18(o Options) ([]*report.Table, error) {
 		"ResNet-50 exposed communication ratio vs compute power (2x4x4 torus)",
 		"compute-power", "total-cycles", "compute%", "exposed%")
 	for si, scale := range o.Fig18Scales {
-		res := results[si]
+		res := results[si][0]
 		computeRatio := float64(res.TotalCompute()) / float64(res.TotalCycles)
 		t.AddRow(fmt.Sprintf("%gx", scale),
 			report.Int(int64(res.TotalCycles)),
 			report.Percent(computeRatio), report.Percent(res.ExposedRatio()))
 	}
 	return []*report.Table{t}, nil
-}
-
-// Figure pairs an experiment with its runner.
-type Figure struct {
-	ID    string
-	Title string
-	Run   func(Options) ([]*report.Table, error)
-}
-
-// Check rejects a spec the figure's points cannot run, with the exclusion
-// table's reason, so a sweep can refuse it before any point runs. Most
-// figures run the spec as given; extintrapar partitions its own points,
-// and extgraph and extparallel replay pipelines that send point to point.
-func (f Figure) Check(s cli.RunSpec) error {
-	switch f.ID {
-	case "extintrapar":
-		s.System.IntraParallel = intraParWorkers[len(intraParWorkers)-1]
-	case "extgraph", "extparallel":
-		if err := s.ValidateSends("the study's SEND/RECV pipeline", cli.FlagNames); err != nil {
-			return err
-		}
-	}
-	return s.Validate(cli.FlagNames)
-}
-
-// Figures lists every reproducible figure in paper order.
-func Figures() []Figure {
-	return []Figure{
-		{"fig09", "1D topology: alltoall vs torus", Fig9},
-		{"fig10", "2D/3D torus at 64 packages", Fig10},
-		{"fig11", "Asymmetric hierarchical topology", Fig11},
-		{"fig12", "Scaling the torus 8 to 64 modules", Fig12},
-		{"fig13", "Transformer layer-wise communication", Fig13},
-		{"fig14", "ResNet-50 layer-wise communication", Fig14},
-		{"fig15", "ResNet-50 compute/comm/exposed", Fig15},
-		{"fig16", "ResNet-50 breakdown, LIFO vs FIFO", Fig16},
-		{"fig17", "Exposed communication vs system size", Fig17},
-		{"fig18", "Exposed communication vs compute power", Fig18},
-	}
 }

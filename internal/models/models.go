@@ -9,6 +9,7 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
 	"astrasim/internal/collectives"
 	"astrasim/internal/compute"
@@ -378,4 +379,50 @@ func ResNet50ActivationBytes(batch int) []int64 {
 	}
 	out = append(out, int64(batch)*1000*GradBytes)
 	return out
+}
+
+// Builtin is one entry of the built-in workload table: the names the
+// astrasim CLI's -workload flag and the daemon's workload.model resolve.
+type Builtin struct {
+	// Name is the canonical spelling.
+	Name string
+	// Seq reports whether the model reads the sequence length.
+	Seq bool
+	// Build returns the workload at a local batch and sequence length.
+	Build func(m compute.Model, batch, seqLen int) workload.Definition
+}
+
+var builtins = []Builtin{
+	{"resnet50", false, func(m compute.Model, batch, _ int) workload.Definition { return ResNet50(m, batch) }},
+	{"vgg16", false, func(m compute.Model, batch, _ int) workload.Definition { return VGG16(m, batch) }},
+	{"bertlarge", true, BERTLarge},
+	{"transformer", true, Transformer},
+	{"dlrm", false, func(m compute.Model, batch, _ int) workload.Definition { return DLRM(m, batch) }},
+}
+
+// builtinAliases maps accepted alternative spellings to canonical names.
+var builtinAliases = map[string]string{"resnet-50": "resnet50"}
+
+// LookupBuiltin resolves name, case-insensitively and through its
+// aliases, to its entry in the built-in workload table.
+func LookupBuiltin(name string) (Builtin, bool) {
+	name = strings.ToLower(name)
+	if canon, ok := builtinAliases[name]; ok {
+		name = canon
+	}
+	for _, b := range builtins {
+		if b.Name == name {
+			return b, true
+		}
+	}
+	return Builtin{}, false
+}
+
+// BuiltinNames lists the canonical names, "|"-separated.
+func BuiltinNames() string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.Name
+	}
+	return strings.Join(names, "|")
 }

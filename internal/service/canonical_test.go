@@ -26,9 +26,10 @@ func compileBody(t *testing.T, body string) (*compiled, error) {
 
 // TestContentAddressResolvesDefaults pins DESIGN §12.2: submissions that
 // simulate identically share one content address, whichever defaults
-// they spell out and however they case their tokens; scheduling-only
-// fields (intra_parallel, priority) stay out of the hash; and a setting
-// that changes the simulation changes the address.
+// they spell out, however they case their tokens and whichever alias of
+// a built-in model they name; scheduling-only fields (intra_parallel,
+// priority) stay out of the hash; and a setting that changes the
+// simulation changes the address.
 func TestContentAddressResolvesDefaults(t *testing.T) {
 	const coll = `"topology": "1x4x1", "backend": "fast", "collective": {"op": "allreduce", "bytes": 65536}`
 	const model = `"model": {"version": 1, "name": "svc-lm", "batch": 4, "transformer":
@@ -46,6 +47,8 @@ func TestContentAddressResolvesDefaults(t *testing.T) {
 			`{"topology": "1x4x1", "workload": {"model": "resnet50", "batch": 32, "passes": 1, "seq_len": 128}}`, true},
 		{"workload model case", `{"topology": "1x4x1", "workload": {"model": "dlrm"}}`,
 			`{"topology": "1x4x1", "workload": {"model": "DLRM"}}`, true},
+		{"workload model alias", `{"topology": "1x4x1", "workload": {"model": "resnet-50"}}`,
+			`{"topology": "1x4x1", "workload": {"model": "resnet50"}}`, true},
 		{"model_steps 0 vs 1", `{"topology": "1x4x1", ` + model + `}`,
 			`{"topology": "1x4x1", ` + model + `, "model_steps": 1}`, true},
 		{"ring and switch defaults", `{` + coll + `}`,

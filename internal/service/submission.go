@@ -20,8 +20,10 @@ import (
 	"astrasim"
 	"astrasim/internal/cli"
 	"astrasim/internal/collectives"
+	"astrasim/internal/compute"
 	"astrasim/internal/config"
 	"astrasim/internal/modelgen"
+	"astrasim/internal/models"
 )
 
 // CollectiveSpec asks for one collective operation, the bandwidth-test
@@ -35,8 +37,9 @@ type CollectiveSpec struct {
 // WorkloadSpec asks for an end-to-end training simulation: either a
 // built-in model or an inline Fig. 8-format definition.
 type WorkloadSpec struct {
-	// Model is resnet50|vgg16|bertlarge|transformer|dlrm (exclusive
-	// with Text).
+	// Model is a built-in workload, resnet50|vgg16|bertlarge|transformer|dlrm
+	// (models.LookupBuiltin; resnet-50 is accepted and canonicalized to
+	// resnet50), exclusive with Text.
 	Model string `json:"model,omitempty"`
 	Batch int    `json:"batch,omitempty"`
 	// SeqLen applies to the sequence models (bertlarge, transformer).
@@ -328,23 +331,13 @@ func compileWorkload(w *WorkloadSpec) (astrasim.Definition, int, *WorkloadSpec, 
 	if r.SeqLen < 1 {
 		return astrasim.Definition{}, 0, nil, badf("workload seq_len must be >= 1, got %d", w.SeqLen)
 	}
-	r.Model = strings.ToLower(w.Model)
-	var def astrasim.Definition
-	switch r.Model {
-	case "resnet50":
-		def = astrasim.ResNet50(r.Batch)
-	case "vgg16":
-		def = astrasim.VGG16(r.Batch)
-	case "bertlarge":
-		def = astrasim.BERTLarge(r.Batch, r.SeqLen)
-	case "transformer":
-		def = astrasim.Transformer(r.Batch, r.SeqLen)
-	case "dlrm":
-		def = astrasim.DLRM(r.Batch)
-	default:
-		return astrasim.Definition{}, 0, nil, badf("unknown workload model %q (want resnet50|vgg16|bertlarge|transformer|dlrm)", w.Model)
+	b, ok := models.LookupBuiltin(w.Model)
+	if !ok {
+		return astrasim.Definition{}, 0, nil, badf("unknown workload model %q (want %s)", w.Model, models.BuiltinNames())
 	}
-	if r.Model != "bertlarge" && r.Model != "transformer" {
+	def := b.Build(compute.Default(), r.Batch, r.SeqLen)
+	r.Model = b.Name
+	if !b.Seq {
 		r.SeqLen = 0 // only the sequence models read it
 	}
 	return def, r.Passes, r, nil

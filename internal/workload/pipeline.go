@@ -194,6 +194,22 @@ func (st *pipeStage) kick() {
 	})
 }
 
+// checkPipeline is the opening check both pipeline front ends
+// (RunPipeline, Pipeline1F1B) share: def, cfg against def's layers, and a
+// positive pass count.
+func checkPipeline(def Definition, cfg PipelineConfig, passes int) error {
+	if err := def.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.Validate(len(def.Layers)); err != nil {
+		return err
+	}
+	if passes <= 0 {
+		return fmt.Errorf("workload: passes must be positive, got %d", passes)
+	}
+	return nil
+}
+
 // stageCompute splits def's layers into cfg's stages: stage s holds
 // layers [bounds[s], bounds[s+1]), and fwd[s] and bwd[s] are its forward
 // and backward (input- plus weight-gradient) compute per microbatch, each
@@ -220,14 +236,8 @@ func stageCompute(def Definition, cfg PipelineConfig) (bounds []int, fwd, bwd []
 // fields of the definition are ignored (pure pipeline: no gradient
 // exchange between the single replicas).
 func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, passes int) (PipelineResult, error) {
-	if err := def.Validate(); err != nil {
+	if err := checkPipeline(def, cfg, passes); err != nil {
 		return PipelineResult{}, err
-	}
-	if err := cfg.Validate(len(def.Layers)); err != nil {
-		return PipelineResult{}, err
-	}
-	if passes <= 0 {
-		return PipelineResult{}, fmt.Errorf("workload: passes must be positive")
 	}
 	numStages := len(cfg.Boundaries) + 1
 	M := cfg.Microbatches
@@ -322,14 +332,8 @@ func RunPipeline(inst *system.Instance, def Definition, cfg PipelineConfig, pass
 // replay. Collective fields of the definition are ignored (single
 // replica per stage), as in RunPipeline.
 func Pipeline1F1B(def Definition, cfg PipelineConfig, passes int) (*graph.Graph, error) {
-	if err := def.Validate(); err != nil {
+	if err := checkPipeline(def, cfg, passes); err != nil {
 		return nil, err
-	}
-	if err := cfg.Validate(len(def.Layers)); err != nil {
-		return nil, err
-	}
-	if passes <= 0 {
-		return nil, fmt.Errorf("graph: passes must be positive, got %d", passes)
 	}
 	S := len(cfg.Boundaries) + 1
 	M := cfg.Microbatches

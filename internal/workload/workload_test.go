@@ -452,6 +452,34 @@ func TestPipelineConfigValidate(t *testing.T) {
 	}
 }
 
+// Both pipeline front ends open with one check, so a bad pass count reads
+// the same whether it reaches the dynamic scheduler or the 1F1B graph.
+func TestPipelineFrontEndsRejectZeroPassesAlike(t *testing.T) {
+	tp, err := topology.NewTorus(1, 2, 1, topology.DefaultTorusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := system.NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := Definition{Name: "pipe", Parallelism: ModelParallel, Layers: []Layer{
+		{Name: "a", FwdCompute: 100}, {Name: "b", FwdCompute: 100},
+	}}
+	cfg := PipelineConfig{
+		Boundaries:    []int{1},
+		StageNodes:    []topology.Node{0, 1},
+		Microbatches:  2,
+		BoundaryBytes: []int64{1024},
+	}
+	_, dynErr := RunPipeline(inst, def, cfg, 0)
+	_, graphErr := Pipeline1F1B(def, cfg, 0)
+	const want = "workload: passes must be positive, got 0"
+	if dynErr == nil || graphErr == nil || dynErr.Error() != want || graphErr.Error() != want {
+		t.Errorf("RunPipeline: %v; Pipeline1F1B: %v; want both %q", dynErr, graphErr, want)
+	}
+}
+
 func TestPipelineRuns(t *testing.T) {
 	tp, err := topology.NewTorus(1, 4, 1, topology.DefaultTorusConfig())
 	if err != nil {
